@@ -1,9 +1,10 @@
 """hardylab: numerical workbench for truncated vector-valued Hardy spaces.
 
-Coefficient-level functions and multipliers, subspace lattice operations
-with certified invariance defects, model/Beurling-type constructions, the
-near-invariance decomposition and its converse, and a scenario harness
-that verifies each structural statement at finite truncation order.
+Coefficient-level functions and multipliers, subspaces stored as
+orthonormal matrices with certified invariance defects, model/Beurling-type
+constructions, the near-invariance decomposition and its converse, and a
+scenario harness that verifies each structural statement at finite
+truncation order.
 """
 
 from .errors import (
@@ -27,7 +28,6 @@ from .funcs import (
     inner_product,
     make_fn,
     monomial_fn,
-    norm,
     shift,
     unflatten,
     zero_fn,
@@ -46,10 +46,8 @@ from .multipliers import (
     adjoint_apply,
     apply_multiplier,
     column_symbol,
-    commutes_with_shift,
     compose,
     identity_symbol,
-    make_symbol,
     scalar_symbol,
     symbol_column,
     toeplitz_matrix,
@@ -59,7 +57,7 @@ from .nearly import (
     almost_invariant_Sstar_check,
     certify_nearly,
     decompose,
-    duality_check,
+    duality_residuals,
     extract_K,
     orthocomplement_membership,
     synthesize_M,
@@ -71,13 +69,9 @@ from .subspaces import (
     Subspace,
     beurling_space,
     complement,
-    contains,
     defect_of,
     degree_slice,
     from_spanning,
-    full_space,
-    intersect,
-    join,
     model_space,
     project,
     subspace_distance,

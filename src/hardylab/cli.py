@@ -34,6 +34,7 @@ from .errors import (
 from .nearly import certify_nearly, decompose
 from .scenarios import SCENARIOS, render_markdown, run_all, run_scenario
 from .serialize import (
+    load_json,
     parse_function_list,
     parse_function_spec,
     parse_space_spec,
@@ -79,10 +80,16 @@ def _certificate_dict(cert) -> dict:
     }
 
 
+def _read_space(args) -> Subspace:
+    """The --space file, with the global --tol (if given) as its rank tol."""
+    doc = load_json(_read(args.space))
+    if args.tol is not None and isinstance(doc, dict):
+        doc["tol"] = args.tol
+    return parse_space_spec(doc)
+
+
 def _cmd_decompose(args) -> int:
-    space = parse_space_spec(_read(args.space))
-    if args.tol is not None:
-        space = Subspace(space.dim_m, space.ambient_deg, space.basis, args.tol)
+    space = _read_space(args)
     defect = parse_function_list(_read(args.defect)) if args.defect else []
     fn = parse_function_spec(_read(args.function))
     result = decompose(space, defect, fn, eps=args.eps, k_max=args.kmax)
@@ -99,9 +106,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    space = parse_space_spec(_read(args.space))
-    if args.tol is not None:
-        space = Subspace(space.dim_m, space.ambient_deg, space.basis, args.tol)
+    space = _read_space(args)
     if args.op == "S*":
         cert = certify_nearly(space, args.p)
     else:

@@ -26,7 +26,6 @@ __all__ = [
     "basis_vector",
     "monomial_fn",
     "inner_product",
-    "norm",
     "shift",
     "backshift",
     "eval_at",
@@ -170,10 +169,6 @@ def inner_product(f: CoeffFn, g: CoeffFn) -> complex:
     _check_same_dim(f, g)
     deg = max(f.deg, g.deg)
     return complex(np.sum(f.padded(deg) * np.conj(g.padded(deg))))
-
-
-def norm(f: CoeffFn) -> float:
-    return f.norm()
 
 
 def shift(f: CoeffFn) -> CoeffFn:

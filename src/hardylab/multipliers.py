@@ -18,7 +18,6 @@ from .funcs import CoeffFn
 
 __all__ = [
     "MatSymbol",
-    "make_symbol",
     "scalar_symbol",
     "column_symbol",
     "identity_symbol",
@@ -27,8 +26,6 @@ __all__ = [
     "apply_multiplier",
     "adjoint_apply",
     "toeplitz_matrix",
-    "commutes_with_shift",
-    "shift_commutator_norm",
 ]
 
 
@@ -88,13 +85,6 @@ class MatSymbol:
         theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
         powers = np.exp(1j * np.outer(theta, np.arange(self.deg + 1)))
         return np.tensordot(powers, self.mats, axes=(1, 0))
-
-
-def make_symbol(mats, tail_bound: float = 0.0, claimed_inner: bool = False) -> MatSymbol:
-    arr = np.asarray(mats, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1, 1)
-    return MatSymbol(arr.shape[1], arr.shape[2], arr, tail_bound, claimed_inner)
 
 
 def scalar_symbol(coeffs, tail_bound: float = 0.0, claimed_inner: bool = False) -> MatSymbol:
@@ -197,42 +187,3 @@ def toeplitz_matrix(t: MatSymbol, ambient_deg: int) -> np.ndarray:
             i = j + d
             out[i * t.m_out : (i + 1) * t.m_out, j * t.m_in : (j + 1) * t.m_in] = blk
     return out
-
-
-def _shift_blocks(m: int, ambient_deg: int) -> np.ndarray:
-    """Matrix of the compressed shift P_N S on the flattened ambient."""
-    n = (ambient_deg + 1) * m
-    out = np.zeros((n, n), dtype=complex)
-    out[m:, :-m] = np.eye(n - m)
-    return out
-
-
-def shift_commutator_norm(mat: np.ndarray, m_out: int, m_in: int,
-                          ambient_deg: int, sym_deg: int) -> float:
-    """Operator norm of S.mat - mat.S on inputs of degree <= ambient - sym_deg - 1.
-
-    Restricting the inputs keeps both compositions free of truncation, so a
-    multiplier's commutator vanishes identically.  ``mat`` is any candidate
-    realization on the flattened ambient (the test hook for non-Toeplitz
-    perturbations).
-    """
-    keep = (ambient_deg - sym_deg) * m_in
-    if keep <= 0:
-        raise DimensionMismatchError(
-            f"ambient degree {ambient_deg} leaves no truncation-free inputs "
-            f"for symbol degree {sym_deg}"
-        )
-    s_out = _shift_blocks(m_out, ambient_deg)
-    s_in = _shift_blocks(m_in, ambient_deg)
-    diff = (s_out @ mat - mat @ s_in)[:, :keep]
-    return float(np.linalg.norm(diff, 2))
-
-
-def commutes_with_shift(t: MatSymbol, ambient_deg: int, tol: float) -> bool:
-    """Whether the Toeplitz realization commutes with the shift within tol."""
-    if ambient_deg < t.deg + 2:
-        raise DimensionMismatchError(
-            f"need ambient_deg >= deg + 2 = {t.deg + 2}, got {ambient_deg}"
-        )
-    mat = toeplitz_matrix(t, ambient_deg)
-    return shift_commutator_norm(mat, t.m_out, t.m_in, ambient_deg, t.deg) <= tol

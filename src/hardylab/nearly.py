@@ -30,11 +30,15 @@ from .errors import (
     PreconditionError,
     TruncationOverflowError,
 )
-from .funcs import CoeffFn, backshift, flatten, inner_product, shift, zero_fn
+from .funcs import CoeffFn, backshift, inner_product, shift, zero_fn
 from .multipliers import MatSymbol, adjoint_apply, apply_multiplier, column_symbol
 from .subspaces import (
     DefectCertificate,
     Subspace,
+    _columns,
+    _gram_deviation,
+    _rank,
+    _shift_rows,
     complement,
     defect_of,
     degree_slice,
@@ -51,7 +55,7 @@ __all__ = [
     "extract_K",
     "synthesize_M",
     "almost_invariant_Sstar_check",
-    "duality_check",
+    "duality_residuals",
     "orthocomplement_membership",
 ]
 
@@ -102,12 +106,10 @@ class DecompResult:
 
 
 def _check_defect_basis(m: Subspace, defect_basis, tol: float) -> None:
-    fns = list(defect_basis)
-    if not fns:
+    cols = _columns(defect_basis, m.dim_m, m.ambient_deg)
+    if not cols.shape[1]:
         return
-    cols = np.column_stack([flatten(e, m.ambient_deg) for e in fns])
-    gram = np.conj(cols.T) @ cols
-    dev = float(np.max(np.abs(gram - np.eye(len(fns)))))
+    dev = _gram_deviation(cols)
     if dev > tol:
         raise PreconditionError(
             f"defect basis is not orthonormal (Gram deviation {dev:.3g})"
@@ -234,12 +236,9 @@ def extract_K(m: Subspace, defect_basis, eps: float = 1e-10,
     if not results:
         return Subspace(max(len(defect_basis), 1), ambient_deg or 0, (), m.tol)
     tuples = [res.tuple_fn() for res in results]
-    dim = tuples[0].dim_m
     if ambient_deg is None:
         ambient_deg = max(t.deg for t in tuples)
-    cols = np.column_stack([flatten(t, ambient_deg) for t in tuples])
-    gram = np.conj(cols.T) @ cols
-    dev = float(np.max(np.abs(gram - np.eye(len(tuples)))))
+    dev = _gram_deviation(_columns(tuples, tuples[0].dim_m, ambient_deg))
     if dev > iso_tol:
         raise CertificationError(
             f"coordinate map is not isometric (Gram deviation {dev:.3g} > {iso_tol:.3g})"
@@ -281,8 +280,7 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
     _check_orthonormal(e_fns, "defect functions")
     if r:
         vals = np.column_stack([c.value_at_zero() for c in f0_cols])
-        sv = np.linalg.svd(vals, compute_uv=False)
-        if sv.size < r or sv[-1] <= 1e-10:
+        if _rank(np.linalg.svd(vals, compute_uv=False), 1e-10, 1.0) < r:
             raise PreconditionError(
                 "F0 values at the origin are linearly dependent"
             )
@@ -318,20 +316,18 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
 def _check_orthonormal(fns, label: str, tol: float = 1e-8) -> None:
     if not fns:
         return
-    deg = max(f.deg for f in fns)
-    cols = np.column_stack([f.padded(deg).reshape(-1) for f in fns])
-    dev = float(np.max(np.abs(np.conj(cols.T) @ cols - np.eye(len(fns)))))
+    dev = _gram_deviation(_columns(fns, fns[0].dim_m, max(f.deg for f in fns)))
     if dev > tol:
         raise PreconditionError(f"{label} are not orthonormal (deviation {dev:.3g})")
 
 
 def _direct_sum(m: Subspace, defect_basis) -> Subspace:
-    """M (+) span(defect) as an explicit orthonormal concatenation."""
-    fns = list(defect_basis)
-    if not fns:
+    """M (+) span(defect) as an orthonormal concatenation, checked."""
+    cols = _columns(defect_basis, m.dim_m, m.ambient_deg)
+    if not cols.shape[1]:
         return m
-    return Subspace(m.dim_m, m.ambient_deg, tuple(m.basis) + tuple(fns),
-                    max(m.tol, 1e-9), m.band)
+    return Subspace._of(m.dim_m, m.ambient_deg, np.hstack([m.matrix, cols]),
+                        max(m.tol, 1e-9), m.band, check=True)
 
 
 def almost_invariant_Sstar_check(m: Subspace, defect_basis,
@@ -351,18 +347,11 @@ def almost_invariant_Sstar_check(m: Subspace, defect_basis,
     return residual <= tol, residual
 
 
-def _max_escape(target: Subspace, vectors, op_mat: np.ndarray | None,
-                ambient_deg: int) -> float:
-    """Largest distance of (op) v from the target subspace over the vectors."""
+def _max_escape(target: Subspace, cols: np.ndarray) -> float:
+    """Largest distance of the columns of cols from the target subspace."""
     q = target.matrix
-    worst = 0.0
-    for v in vectors:
-        vec = flatten(v, ambient_deg)
-        if op_mat is not None:
-            vec = op_mat @ vec
-        resid = vec - q @ (np.conj(q.T) @ vec)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+    resid = cols - q @ (np.conj(q.T) @ cols)
+    return float(max(np.linalg.norm(resid, axis=0), default=0.0))
 
 
 def duality_residuals(m: Subspace, defect_basis) -> tuple:
@@ -376,21 +365,11 @@ def duality_residuals(m: Subspace, defect_basis) -> tuple:
     genuine shift would overflow the ambient on complement vectors.
     """
     x = _direct_sum(m, defect_basis)
-    lhs_res = _max_escape(x, [backshift(b) for b in m.basis], None, m.ambient_deg)
+    lhs_res = _max_escape(x, _shift_rows(m.matrix, m.dim_m, "S*"))
     x_perp = complement(x)
-    f_span = Subspace(m.dim_m, m.ambient_deg, tuple(defect_basis), max(m.tol, 1e-9))
-    y = _direct_sum(x_perp, f_span.basis)
-    n = m.ambient_dim
-    s_mat = np.zeros((n, n), dtype=complex)
-    s_mat[m.dim_m:, : n - m.dim_m] = np.eye(n - m.dim_m)
-    rhs_res = _max_escape(y, x_perp.basis, s_mat, m.ambient_deg)
+    y = _direct_sum(x_perp, defect_basis)
+    rhs_res = _max_escape(y, _shift_rows(x_perp.matrix, m.dim_m, "S"))
     return lhs_res, rhs_res
-
-
-def duality_check(m: Subspace, defect_basis, tol: float = 1e-8) -> bool:
-    """Whether the forward and complement containments agree at tol."""
-    lhs_res, rhs_res = duality_residuals(m, defect_basis)
-    return (lhs_res <= tol) == (rhs_res <= tol)
 
 
 def orthocomplement_membership(g: CoeffFn, f0: MatSymbol | None, e_syms,
@@ -424,11 +403,10 @@ def orthocomplement_membership(g: CoeffFn, f0: MatSymbol | None, e_syms,
         )
     deg = max(p.deg for p in parts)
     tup = CoeffFn(width, np.hstack([p.padded(deg) for p in parts]))
-    target = k_perp
-    if tup.trimmed_deg() > k_perp.ambient_deg:
-        # grow the complement consistently: everything above the coordinate
-        # window is orthogonal to K, hence belongs to the complement
-        k_small = complement(k_perp)
-        target = complement(k_small.padded(tup.trimmed_deg()))
-    residual = (tup - project(target, tup)).norm()
+    # the distance from the complement is the size of the K part; K padded
+    # to the tuple's degree covers tuples that outgrow the coordinate
+    # window, since everything above it is orthogonal to K
+    k = complement(k_perp)
+    k = k.padded(max(tup.trimmed_deg(), k.ambient_deg))
+    residual = project(k, tup).norm()
     return residual <= tol * max(1.0, g.norm()), float(residual)

@@ -1,19 +1,36 @@
-"""Closed subspaces of the truncated ambient space, as orthonormal bases.
+"""Closed subspaces of the truncated ambient space, as orthonormal matrices.
 
-Every subspace lives in the flattened ambient C^{m(N+1)}.  Rank decisions
-run through singular values with one shared tolerance (default 1e-10).
+Every subspace lives in the flattened ambient C^{m(N+1)} (see
+``funcs.flatten``).  Its only stored state is the column matrix Q of shape
+(m(N+1), dim) with orthonormal columns; ``basis`` is a lazy tuple view of
+those columns as functions.
+
+Orthonormality is checked once, at the boundary: a caller's basis given to
+the ``Subspace`` constructor, the chopped rows of ``degree_slice``, and (in
+``nearly``) defect lists.  JSON spaces are orthonormalized by
+``from_spanning``.  A Q that comes straight out of an SVD in this module,
+or is a product, slice or zero-padding of one, is trusted and not
+re-checked.
+
+Every rank decision cuts a singular spectrum through ``_rank``: the count
+of singular values above tol * scale.  The scale is per site:
+``from_spanning`` the largest input column norm, ``beurling_space`` the
+top singular value, the slice and wandering combinations max(1, top
+singular value), ``defect_of`` 1 (an absolute cut).
+
 Constructors that approximate infinite-dimensional spaces (Beurling ranges,
 model spaces) record the degree band on which the truncation is faithful;
 comparisons can be compressed to that band.
 
-Degree headroom is explicit: the genuine shift refuses to act on a basis
-vector at the top ambient degree instead of silently truncating, which is
-the main numerical trap in invariance-defect certification.
+Degree headroom is explicit: the genuine shift refuses to act on a domain
+with a nonzero coefficient at the top ambient degree instead of silently
+truncating, which is the main numerical trap in invariance-defect
+certification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +42,7 @@ from .errors import (
     PreconditionError,
     TruncationOverflowError,
 )
-from .funcs import CoeffFn, backshift, flatten, shift, unflatten, zero_fn
+from .funcs import CoeffFn, flatten, unflatten, zero_fn
 from .multipliers import MatSymbol, toeplitz_matrix
 
 __all__ = [
@@ -33,14 +50,10 @@ __all__ = [
     "Subspace",
     "DefectCertificate",
     "from_spanning",
-    "full_space",
     "beurling_space",
     "model_space",
     "complement",
-    "intersect",
-    "join",
     "project",
-    "contains",
     "subspace_distance",
     "vanishing_slice",
     "degree_slice",
@@ -51,59 +64,115 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Orthonormal basis spanning a closed subspace of the truncated ambient.
+def _rank(s: np.ndarray, tol: float, scale: float) -> int:
+    """Number of singular values above tol * scale: the one rank cut."""
+    return int(np.sum(s > tol * scale))
 
-    ``band`` is the largest degree on which the construction faithfully
-    represents its infinite-dimensional counterpart (equal to ambient_deg
-    for exact constructions).
+
+def _gram_deviation(cols: np.ndarray) -> float:
+    """max |Q*Q - I| over the entries; 0 for no columns."""
+    if not cols.shape[1]:
+        return 0.0
+    gram = np.conj(cols.T) @ cols
+    return float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
+
+
+def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
+    """Flattened functions as the columns of a (m(N+1), len) matrix."""
+    fns = tuple(fns)
+    for f in fns:
+        if f.dim_m != dim_m:
+            raise DimensionMismatchError(
+                f"function over C^{f.dim_m} among C^{dim_m} functions"
+            )
+    if not fns:
+        return np.zeros((dim_m * (ambient_deg + 1), 0), dtype=complex)
+    return np.column_stack([flatten(f, ambient_deg) for f in fns])
+
+
+def _shift_rows(q: np.ndarray, dim_m: int, op: str) -> np.ndarray:
+    """S or S* applied to every column of q, as a shift by one block of rows.
+
+    S moves coefficients up one degree and drops the top one (the
+    compressed shift), S* moves them down and zero-fills the top.
+    """
+    out = np.zeros(q.shape, dtype=complex)
+    if op == "S":
+        out[dim_m:] = q[:-dim_m]
+    elif op == "S*":
+        out[:-dim_m] = q[dim_m:]
+    else:
+        raise PreconditionError(f"unknown operator tag {op!r} (expected 'S' or 'S*')")
+    return out
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Subspace:
+    """Closed subspace of the truncated ambient, stored as orthonormal Q.
+
+    ``Subspace(dim_m, ambient_deg, basis, tol, band)`` takes a caller's
+    orthonormal basis of functions and checks it at tol.  ``band`` is the
+    largest degree on which the construction faithfully represents its
+    infinite-dimensional counterpart (equal to ambient_deg for exact
+    constructions).
     """
 
     dim_m: int
     ambient_deg: int
-    basis: tuple = ()
-    tol: float = DEFAULT_TOL
-    band: int | None = None
+    matrix: np.ndarray = field(repr=False)
+    tol: float
+    band: int
+
+    def __init__(self, dim_m: int, ambient_deg: int, basis=(),
+                 tol: float = DEFAULT_TOL, band: int | None = None):
+        self._assign(dim_m, ambient_deg, _columns(basis, dim_m, ambient_deg), tol, band)
+        self.__post_init__()
 
     def __post_init__(self):
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
-        if self.band is None:
-            object.__setattr__(self, "band", self.ambient_deg)
-        if not 0 <= self.band <= self.ambient_deg:
-            raise PreconditionError(
-                f"band {self.band} outside [0, {self.ambient_deg}]"
+        """The boundary check: Q must be orthonormal at tol.
+
+        It keeps the dataclass hook's name, under which bench/tracing.py
+        times it.
+        """
+        dev = _gram_deviation(self.matrix)
+        if dev > self.tol:
+            raise InvariantViolationError(
+                f"basis is not orthonormal: max Gram deviation {dev:.3g} > tol {self.tol:.3g}"
             )
-        for b in basis:
-            if b.dim_m != self.dim_m:
-                raise DimensionMismatchError(
-                    f"basis vector over C^{b.dim_m} in a C^{self.dim_m} subspace"
-                )
-        q = self.matrix
-        if q.shape[1]:
-            gram = np.conj(q.T) @ q
-            dev = np.max(np.abs(gram - np.eye(q.shape[1])))
-            if dev > self.tol:
-                raise InvariantViolationError(
-                    f"basis is not orthonormal: max Gram deviation {dev:.3g} > tol {self.tol:.3g}"
-                )
+
+    @classmethod
+    def _of(cls, dim_m: int, ambient_deg: int, q: np.ndarray, tol: float,
+            band: int | None = None, check: bool = False) -> "Subspace":
+        """Wrap a Q built by this package; checked only if asked."""
+        s = cls.__new__(cls)
+        s._assign(dim_m, ambient_deg, q, tol, band)
+        if check:
+            s.__post_init__()
+        return s
+
+    def _assign(self, dim_m, ambient_deg, q, tol, band) -> None:
+        if band is None:
+            band = ambient_deg
+        if not 0 <= band <= ambient_deg:
+            raise PreconditionError(f"band {band} outside [0, {ambient_deg}]")
+        q = np.ascontiguousarray(q, dtype=complex)
+        q.flags.writeable = False
+        for name, value in (("dim_m", dim_m), ("ambient_deg", ambient_deg),
+                            ("matrix", q), ("tol", tol), ("band", band)):
+            object.__setattr__(self, name, value)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Flattened basis as columns, shape (m(N+1), dim)."""
-        n = self.dim_m * (self.ambient_deg + 1)
-        if not self.basis:
-            return np.zeros((n, 0), dtype=complex)
-        return np.column_stack([flatten(b, self.ambient_deg) for b in self.basis])
+    def basis(self) -> tuple:
+        """The columns of Q as functions of degree ambient_deg."""
+        return tuple(unflatten(c, self.dim_m) for c in self.matrix.T)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.matrix.shape[1]
 
     @property
     def ambient_dim(self) -> int:
-        return self.dim_m * (self.ambient_deg + 1)
+        return self.matrix.shape[0]
 
     def projector(self) -> np.ndarray:
         q = self.matrix
@@ -117,7 +186,9 @@ class Subspace:
             )
         if ambient_deg == self.ambient_deg:
             return self
-        return Subspace(self.dim_m, ambient_deg, self.basis, self.tol, self.band)
+        q = np.zeros((self.dim_m * (ambient_deg + 1), self.dim), dtype=complex)
+        q[: self.ambient_dim] = self.matrix
+        return Subspace._of(self.dim_m, ambient_deg, q, self.tol, self.band)
 
 
 @dataclass(frozen=True)
@@ -138,14 +209,6 @@ class DefectCertificate:
     max_residual: float
 
 
-def _combine(space: Subspace, combos: np.ndarray) -> tuple:
-    """Basis CoeffFns from an orthonormal column-combination matrix."""
-    if combos.shape[1] == 0:
-        return ()
-    vecs = space.matrix @ combos
-    return tuple(unflatten(v, space.dim_m) for v in vecs.T)
-
-
 def from_spanning(fns, ambient_deg: int, tol: float = DEFAULT_TOL,
                   dim_m: int | None = None) -> Subspace:
     """Orthonormal basis of the span by rank-revealing SVD.
@@ -155,30 +218,15 @@ def from_spanning(fns, ambient_deg: int, tol: float = DEFAULT_TOL,
     it fixes the ambient of the zero subspace (default 1).
     """
     fns = list(fns)
-    if not fns:
-        return Subspace(dim_m or 1, ambient_deg, (), tol)
-    dim_m = fns[0].dim_m
-    for f in fns:
-        if f.dim_m != dim_m:
-            raise DimensionMismatchError(
-                f"spanning set mixes C^{dim_m} and C^{f.dim_m} functions"
-            )
-    cols = np.column_stack([flatten(f, ambient_deg) for f in fns])
-    scale = max(float(np.linalg.norm(c)) for c in cols.T)
+    if fns:
+        dim_m = fns[0].dim_m
+    dim_m = dim_m or 1
+    cols = _columns(fns, dim_m, ambient_deg)
+    scale = max((float(np.linalg.norm(c)) for c in cols.T), default=0.0)
     if scale == 0.0:
-        return Subspace(dim_m, ambient_deg, (), tol)
+        return Subspace._of(dim_m, ambient_deg, cols[:, :0], tol)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > tol * scale))
-    basis = tuple(unflatten(u[:, i], dim_m) for i in range(rank))
-    return Subspace(dim_m, ambient_deg, basis, tol)
-
-
-def full_space(dim_m: int, ambient_deg: int, tol: float = DEFAULT_TOL) -> Subspace:
-    """The whole truncated ambient space."""
-    n = dim_m * (ambient_deg + 1)
-    eye = np.eye(n, dtype=complex)
-    basis = tuple(unflatten(eye[:, i], dim_m) for i in range(n))
-    return Subspace(dim_m, ambient_deg, basis, tol)
+    return Subspace._of(dim_m, ambient_deg, u[:, :_rank(s, tol, scale)], tol)
 
 
 def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
@@ -196,21 +244,15 @@ def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
         raise TruncationOverflowError(
             f"ambient degree {ambient_deg} below symbol degree {t.deg}"
         )
-    mat = toeplitz_matrix(t, ambient_deg)
-    cols = []
     col_degs = [t.column_degree(i) for i in range(t.m_in)]
-    for j in range(ambient_deg + 1):
-        for i in range(t.m_in):
-            if j + col_degs[i] <= ambient_deg - headroom:
-                cols.append(mat[:, j * t.m_in + i])
+    keep = [j * t.m_in + i for j in range(ambient_deg + 1) for i in range(t.m_in)
+            if j + col_degs[i] <= ambient_deg - headroom]
     band = max(0, ambient_deg - max(col_degs) - headroom)
-    if not cols:
-        return Subspace(t.m_out, ambient_deg, (), tol, band)
-    stacked = np.column_stack(cols)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0]))
-    basis = tuple(unflatten(u[:, i], t.m_out) for i in range(rank))
-    return Subspace(t.m_out, ambient_deg, basis, tol, band)
+    cols = toeplitz_matrix(t, ambient_deg)[:, keep]
+    if not keep:
+        return Subspace._of(t.m_out, ambient_deg, cols, tol, band)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return Subspace._of(t.m_out, ambient_deg, u[:, :_rank(s, tol, s[0])], tol, band)
 
 
 def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
@@ -220,52 +262,17 @@ def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     The truncated complement over-approximates the model space in the top
     degree band; compare within degrees <= the recorded band.
     """
-    rng = beurling_space(t, ambient_deg, headroom, tol)
-    comp = complement(rng)
-    return Subspace(comp.dim_m, comp.ambient_deg, comp.basis, tol, rng.band)
+    return complement(beurling_space(t, ambient_deg, headroom, tol))
 
 
 def complement(a: Subspace) -> Subspace:
     """Orthocomplement in the flattened ambient; dims add up exactly."""
-    n = a.ambient_dim
     if a.dim == 0:
-        full = np.eye(n, dtype=complex)
-        basis = tuple(unflatten(full[:, i], a.dim_m) for i in range(n))
-        return Subspace(a.dim_m, a.ambient_deg, basis, a.tol, a.band)
-    u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
-    basis = tuple(unflatten(u[:, i], a.dim_m) for i in range(a.dim, n))
-    return Subspace(a.dim_m, a.ambient_deg, basis, a.tol, a.band)
-
-
-def _common_ambient(a: Subspace, b: Subspace) -> tuple:
-    if a.dim_m != b.dim_m:
-        raise DimensionMismatchError(
-            f"subspaces over C^{a.dim_m} and C^{b.dim_m}"
-        )
-    deg = max(a.ambient_deg, b.ambient_deg)
-    return a.padded(deg), b.padded(deg)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """A cap B: eigenvectors of P_A + P_B at eigenvalue 2 (within tol).
-
-    A vector is kept when both projections preserve its norm to first
-    order, i.e. eigenvalue >= 2 - 4 tol.
-    """
-    a, b = _common_ambient(a, b)
-    tol = min(a.tol, b.tol)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(a.dim_m, a.ambient_deg, (), tol)
-    vals, vecs = np.linalg.eigh(a.projector() + b.projector())
-    keep = vals >= 2.0 - 4.0 * tol
-    basis = tuple(unflatten(vecs[:, i], a.dim_m) for i in np.flatnonzero(keep))
-    return Subspace(a.dim_m, a.ambient_deg, basis, tol)
-
-
-def join(a: Subspace, b: Subspace) -> Subspace:
-    """Closed span of A + B."""
-    a, b = _common_ambient(a, b)
-    return from_spanning(list(a.basis) + list(b.basis), a.ambient_deg, min(a.tol, b.tol))
+        q = np.eye(a.ambient_dim, dtype=complex)
+    else:
+        u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
+        q = u[:, a.dim:]
+    return Subspace._of(a.dim_m, a.ambient_deg, q, a.tol, a.band)
 
 
 def project(a: Subspace, f: CoeffFn) -> CoeffFn:
@@ -279,22 +286,18 @@ def project(a: Subspace, f: CoeffFn) -> CoeffFn:
     return unflatten(q @ (np.conj(q.T) @ vec), a.dim_m)
 
 
-def contains(a: Subspace, f: CoeffFn, tol: float | None = None) -> bool:
-    """Whether F lies in A within tol (relative to max(1, ||F||))."""
-    if tol is None:
-        tol = a.tol
-    res = (f - project(a, f)).norm()
-    return res <= tol * max(1.0, f.norm())
-
-
 def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> float:
     """Operator norm of P_A - P_B in [0, 1]; 0 iff equal spans at tol.
 
     With ``band``, the difference is compressed to degrees <= band before
     taking the norm (the faithful-truncation comparison).
     """
-    a, b = _common_ambient(a, b)
-    diff = a.projector() - b.projector()
+    if a.dim_m != b.dim_m:
+        raise DimensionMismatchError(
+            f"subspaces over C^{a.dim_m} and C^{b.dim_m}"
+        )
+    deg = max(a.ambient_deg, b.ambient_deg)
+    diff = a.padded(deg).projector() - b.padded(deg).projector()
     if band is not None:
         cut = a.dim_m * (band + 1)
         diff = diff[:cut, :cut]
@@ -303,29 +306,23 @@ def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> floa
     return float(np.linalg.norm(diff, 2))
 
 
-def _nullspace_combos(mat: np.ndarray, k: int, tol: float) -> np.ndarray:
-    """Orthonormal combinations c with mat @ c ~= 0, rank decided at tol."""
-    if mat.shape[0] == 0 or k == 0:
-        return np.eye(k, dtype=complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
-    return np.conj(vh[rank:, :]).T
+def _split_combos(mat: np.ndarray, k: int, tol: float) -> tuple:
+    """Orthonormal column combinations (row space, null space) of mat.
 
-
-def _rowspace_combos(mat: np.ndarray, k: int, tol: float) -> np.ndarray:
-    if mat.shape[0] == 0 or k == 0:
-        return np.zeros((k, 0), dtype=complex)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
-    return np.conj(vh[:rank, :]).T
+    One SVD; the rank is decided at tol * max(1, top singular value).
+    """
+    if k == 0:
+        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = _rank(s, tol, max(1.0, s[0]))
+    v = np.conj(vh).T
+    return v[:, :rank], v[:, rank:]
 
 
 def vanishing_slice(m: Subspace) -> Subspace:
     """{F in M : F(0) = 0}: null space of evaluation at 0 restricted to M."""
-    vals = np.column_stack([b.value_at_zero() for b in m.basis]) if m.basis \
-        else np.zeros((m.dim_m, 0), dtype=complex)
-    combos = _nullspace_combos(vals, m.dim, m.tol)
-    return Subspace(m.dim_m, m.ambient_deg, _combine(m, combos), m.tol, m.band)
+    _, null = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
+    return Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ null, m.tol, m.band)
 
 
 def degree_slice(m: Subspace, max_deg: int) -> Subspace:
@@ -333,18 +330,16 @@ def degree_slice(m: Subspace, max_deg: int) -> Subspace:
 
     The null-space combinations leave sub-tolerance dust in the excluded
     rows; it is chopped to exact zeros so the slice honors its contract
-    (headroom checks rely on exact degrees).
+    (headroom checks rely on exact degrees), and the chopped Q is checked.
     """
     if max_deg >= m.ambient_deg:
         return m
     cut = m.dim_m * (max_deg + 1)
-    combos = _nullspace_combos(m.matrix[cut:, :], m.dim, m.tol)
-    basis = []
-    for b in _combine(m, combos):
-        arr = b.coeffs.copy()
-        arr[max_deg + 1:] = 0.0
-        basis.append(CoeffFn(m.dim_m, arr))
-    return Subspace(m.dim_m, m.ambient_deg, tuple(basis), m.tol, min(m.band, max_deg))
+    _, null = _split_combos(m.matrix[cut:], m.dim, m.tol)
+    q = m.matrix @ null
+    q[cut:] = 0.0
+    return Subspace._of(m.dim_m, m.ambient_deg, q, m.tol, min(m.band, max_deg),
+                        check=True)
 
 
 def wandering(m: Subspace) -> Subspace:
@@ -353,23 +348,13 @@ def wandering(m: Subspace) -> Subspace:
     dim W is at most the ambient vector dimension; its basis is the column
     data for reconstructing M from its parameter space.
     """
-    vals = np.column_stack([b.value_at_zero() for b in m.basis]) if m.basis \
-        else np.zeros((m.dim_m, 0), dtype=complex)
-    combos = _rowspace_combos(vals, m.dim, m.tol)
-    w = Subspace(m.dim_m, m.ambient_deg, _combine(m, combos), m.tol, m.band)
+    row, _ = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
+    w = Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ row, m.tol, m.band)
     if w.dim > m.dim_m:
         raise InvariantViolationError(
             f"wandering dimension {w.dim} exceeds ambient vector dimension {m.dim_m}"
         )
     return w
-
-
-def _apply_op(f: CoeffFn, op: str) -> CoeffFn:
-    if op == "S":
-        return shift(f)
-    if op == "S*":
-        return backshift(f)
-    raise PreconditionError(f"unknown operator tag {op!r} (expected 'S' or 'S*')")
 
 
 def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
@@ -379,10 +364,11 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
 
     Applies op to every basis vector of ``domain`` (default: M itself),
     projects onto the orthocomplement of M, and reads the defect off the
-    singular spectrum of the residual family.  For op = 'S' every domain
-    vector must leave one degree of headroom; there is no silent
-    truncation.  ``band`` zeroes residual components above the faithful
-    band before rank decisions (truncation shadow of exact containments).
+    singular spectrum of the residual family (absolute cut at tol).  For
+    op = 'S' the domain must leave one degree of headroom: its top block
+    of rows must vanish; there is no silent truncation.  ``band`` zeroes
+    residual components above the faithful band before rank decisions
+    (truncation shadow of exact containments).
     """
     if domain is None:
         domain = m
@@ -390,30 +376,24 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
         tol = m.tol
     if domain.dim_m != m.dim_m:
         raise DimensionMismatchError("domain and space live over different C^m")
-    if op == "S":
-        for b in domain.basis:
-            if b.trimmed_deg() >= m.ambient_deg:
-                raise TruncationOverflowError(
-                    f"shift needs one degree of headroom: basis vector of degree "
-                    f"{b.trimmed_deg()} at ambient degree {m.ambient_deg}"
-                )
+    dq = domain.padded(m.ambient_deg).matrix
+    if op == "S" and np.any(dq[-m.dim_m:] != 0):
+        raise TruncationOverflowError(
+            f"shift needs one degree of headroom: a domain vector has a nonzero "
+            f"coefficient at the ambient degree {m.ambient_deg}"
+        )
     if domain.dim == 0:
         return DefectCertificate(op, mode, 0, (), (), 0.0)
+    cols = _shift_rows(dq, m.dim_m, op)
     q = m.matrix
-    cols = np.column_stack(
-        [flatten(_apply_op(b, op), m.ambient_deg) for b in domain.basis]
-    )
     resid = cols - q @ (np.conj(q.T) @ cols)
     if band is not None:
         resid[m.dim_m * (band + 1):, :] = 0.0
     u, s, _ = np.linalg.svd(resid, full_matrices=False)
-    defect_dim = int(np.sum(s > tol))
-    basis = tuple(unflatten(u[:, i], m.dim_m) for i in range(defect_dim))
-    if defect_dim:
-        ud = u[:, :defect_dim]
-        leftover = resid - ud @ (np.conj(ud.T) @ resid)
-    else:
-        leftover = resid
+    defect_dim = _rank(s, tol, 1.0)
+    ud = u[:, :defect_dim]
+    leftover = resid - ud @ (np.conj(ud.T) @ resid) if defect_dim else resid
     max_residual = float(max(np.linalg.norm(leftover, axis=0), default=0.0))
-    return DefectCertificate(op, mode, defect_dim, basis, tuple(float(x) for x in s),
-                             max_residual)
+    return DefectCertificate(op, mode, defect_dim,
+                             tuple(unflatten(c, m.dim_m) for c in ud.T),
+                             tuple(float(x) for x in s), max_residual)

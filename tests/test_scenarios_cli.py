@@ -160,6 +160,32 @@ class TestCli:
         assert doc["step"] == 1
         assert 0.99 <= doc["residual"] <= 1.01
 
+    def test_global_tol_reaches_space_rank_cut(self, tmp_path, capsys):
+        # span{1, 1 + 1e-8 z} is 2-dimensional at tol 1e-10 but 1-dimensional
+        # at 1e-6, so z leaves the space only if --tol reaches the rank cut
+        space = tmp_path / "M.json"
+        space.write_text(json.dumps(
+            {"m": 1, "ambient_deg": 4,
+             "spanning": [[[[1, 0]]], [[[1, 0]], [[1e-8, 0]]]]}
+        ))
+        fn = tmp_path / "z.json"
+        fn.write_text(json.dumps({"m": 1, "coeffs": [[[0, 0]], [[1, 0]]]}))
+        assert main(["decompose", "--space", str(space), "--function", str(fn)]) == 0
+        capsys.readouterr()
+        assert main(["--tol", "1e-6", "decompose", "--space", str(space),
+                     "--function", str(fn)]) == 2
+        # span{1, 1 + 1e-8 z^2}: its vanishing part z^2 escapes under S* at
+        # tol 1e-10; at 1e-6 the space is the constants and has no defect
+        quad = tmp_path / "Q.json"
+        quad.write_text(json.dumps(
+            {"m": 1, "ambient_deg": 4,
+             "spanning": [[[[1, 0]]], [[[1, 0]], [[0, 0]], [[1e-8, 0]]]]}
+        ))
+        assert main(["certify", "--space", str(quad)]) == 1
+        capsys.readouterr()
+        assert main(["--tol", "1e-6", "certify", "--space", str(quad)]) == 0
+        assert json.loads(capsys.readouterr().out)["defect_dim"] == 0
+
     def test_certify_shift_defect(self, tmp_path, capsys):
         space = tmp_path / "space.json"
         space.write_text(json.dumps(

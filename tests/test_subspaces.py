@@ -21,13 +21,9 @@ from hardylab.subspaces import (
     Subspace,
     beurling_space,
     complement,
-    contains,
     defect_of,
     degree_slice,
     from_spanning,
-    full_space,
-    intersect,
-    join,
     model_space,
     project,
     subspace_distance,
@@ -45,6 +41,34 @@ def _random_fns(rng, count, m, deg):
                 + 1j * rng.standard_normal((deg + 1, m)))
         for _ in range(count)
     ]
+
+
+_THETA = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
+_MIXED = from_spanning(_random_fns(np.random.default_rng(5), 4, 2, 6), 6)
+
+# every constructor whose Q comes straight out of an SVD and is not re-checked
+TRUSTED = {
+    "from_spanning": lambda: _MIXED,
+    "beurling_space": lambda: beurling_space(_THETA, 12),
+    "complement": lambda: complement(_MIXED),
+    "model_space": lambda: model_space(_THETA, 12),
+    "vanishing_slice": lambda: vanishing_slice(_MIXED),
+    "wandering": lambda: wandering(_MIXED),
+    "padded": lambda: _MIXED.padded(9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUSTED))
+def test_trusted_matrix_is_orthonormal_and_basis_is_its_view(name):
+    s = TRUSTED[name]()
+    assert s.dim > 0
+    q = s.matrix
+    assert q.shape == (s.dim_m * (s.ambient_deg + 1), s.dim)
+    assert not q.flags.writeable
+    for i, b in enumerate(s.basis):
+        assert np.array_equal(flatten(b, s.ambient_deg), q[:, i])
+    dev = np.max(np.abs(np.conj(q.T) @ q - np.eye(s.dim)))
+    assert dev <= s.tol
 
 
 class TestFromSpanning:
@@ -65,6 +89,13 @@ class TestFromSpanning:
     def test_orthonormal_invariant_enforced(self):
         with pytest.raises(InvariantViolationError):
             Subspace(1, 3, (ONE, ONE))
+        with pytest.raises(InvariantViolationError):
+            Subspace(1, 3, (2 * ONE,))
+
+    def test_caller_basis_is_padded_to_the_window(self):
+        s = Subspace(1, 3, (ONE, Z))
+        assert [b.deg for b in s.basis] == [3, 3]
+        assert np.array_equal(s.matrix, np.eye(4)[:, :2])
 
 
 class TestBeurling:
@@ -112,7 +143,8 @@ class TestBeurling:
 class TestModel:
     def test_scalar_z2(self):
         s = model_space(monomial_inner(2, 2), 4)
-        assert contains(s, ONE) and contains(s, Z)
+        for f in (ONE, Z):
+            assert (f - project(s, f)).norm() <= 1e-10
         assert s.dim == 2
 
     def test_diag_constants(self):
@@ -138,7 +170,8 @@ class TestLattice:
         assert complement(z).dim == 3
 
     def test_complement_of_full(self):
-        assert complement(full_space(1, 2)).dim == 0
+        full = from_spanning([monomial_fn(1, 0, k) for k in range(3)], 2)
+        assert complement(full).dim == 0
 
     def test_complement_involution(self):
         rng = np.random.default_rng(1)
@@ -152,29 +185,6 @@ class TestLattice:
         assert b.dim + k.dim == 2 * 17
         overlap = np.linalg.norm(np.conj(b.matrix.T) @ k.matrix, 2)
         assert overlap <= 1e-12
-
-    def test_intersect_self(self):
-        s = from_spanning([ONE, Z], 3)
-        assert subspace_distance(intersect(s, s), s) <= 1e-9
-
-    def test_intersect_disjoint(self):
-        a = from_spanning([ONE], 2)
-        b = from_spanning([Z], 2)
-        assert intersect(a, b).dim == 0
-
-    def test_intersect_shared_line(self):
-        a = from_spanning([ONE, Z], 2)
-        b = from_spanning([Z, monomial_fn(1, 0, 2)], 2)
-        got = intersect(a, b)
-        # brute-force oracle over the 3-dim ambient
-        pa, pb = a.projector(), b.projector()
-        vals, vecs = np.linalg.eigh(pa + pb)
-        expected = vecs[:, vals >= 2 - 1e-9]
-        assert got.dim == expected.shape[1] == 1
-        assert subspace_distance(got, from_spanning([Z], 2)) <= 1e-9
-
-    def test_join(self):
-        assert join(from_spanning([ONE], 2), from_spanning([Z], 2)).dim == 2
 
 
 class TestProject:
