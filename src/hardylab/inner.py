@@ -69,33 +69,29 @@ def _tail_bound(zeros, deg: int) -> float:
     Each nonzero factor satisfies |c_n| <= M rho^n with
     M = max(|a|, (1-|a|^2)/|a|); a k-fold product is dominated termwise by
     prod(M_i) * C(n+k-1, k-1) * rho^n.  Zeros at the origin shift exactly.
+    The dominating series from index n0 on is a negative-binomial tail,
+    summed in closed form as k terms:
+
+        sum_{n >= n0} C(n+k-1, k-1) rho^n
+            = (1-rho)^-k sum_{i<k} C(n0+k-1, i) (1-rho)^i rho^(n0+k-1-i).
     """
     shifts = sum(1 for a in zeros if a == 0)
     rest = [a for a in zeros if a != 0]
     if not rest:
         # pure monomial: exact unless the shift itself exceeds the window
         return 0.0 if deg >= shifts else 1.0
-    d = deg - shifts
+    # below the shift degree every coefficient of the non-shift part is tail
+    n0 = max(deg - shifts + 1, 0)
     rho = max(abs(a) for a in rest)
     scale = float(np.prod([max(abs(a), (1 - abs(a) ** 2) / abs(a)) for a in rest]))
     k = len(rest)
-    if d < 0:
-        d = -1  # every coefficient of the non-shift part counts as tail
-    total = 0.0
-    comb = 1.0
-    n = d + 1
-    # binomial C(n+k-1, k-1) computed incrementally; terms decay geometrically
-    for j in range(1, k):
-        comb *= (n + j) / j
-    term = scale * comb * rho ** n
-    while term > 1e-300:
+    top = n0 + k - 1
+    term = rho ** top
+    total = term
+    for i in range(1, k):
+        term *= (top - i + 1) / i * (1 - rho) / rho
         total += term
-        n += 1
-        comb = comb * (n + k - 1) / n if k > 1 else 1.0
-        term = scale * comb * rho ** n
-        if n > deg + 200000:
-            break
-    return total
+    return scale * total / (1 - rho) ** k
 
 
 def blaschke_scalar(spec: BlaschkeSpec, deg: int) -> MatSymbol:

@@ -75,10 +75,10 @@ class MatSymbol:
     def deg(self) -> int:
         return self.mats.shape[0] - 1
 
-    def column_degree(self, j: int) -> int:
-        """Largest coefficient index where column j is nonzero."""
-        nz = np.flatnonzero(np.any(self.mats[:, :, j] != 0, axis=1))
-        return int(nz[-1]) if nz.size else 0
+    def column_degrees(self) -> np.ndarray:
+        """Largest coefficient index where each column is nonzero (0 if none)."""
+        nz = np.any(self.mats != 0, axis=1)[::-1]
+        return np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
 
     def eval_on_circle(self, grid_points: int) -> np.ndarray:
         """Symbol values at the grid_points-th roots of unity, shape (g, m_out, m_in)."""

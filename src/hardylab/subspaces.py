@@ -8,19 +8,22 @@ those columns as functions.
 Orthonormality is checked once, at the boundary: a caller's basis given to
 the ``Subspace`` constructor, the chopped rows of ``degree_slice``, and (in
 ``nearly``) defect lists.  JSON spaces are orthonormalized by
-``from_spanning``.  A Q that comes straight out of an SVD in this module,
-or is a product, slice or zero-padding of one, is trusted and not
+``from_spanning``.  A Q that comes straight out of an SVD or a QR in this
+module, or is a product, slice or zero-padding of one, is trusted and not
 re-checked.
 
-Every rank decision cuts a singular spectrum through ``_rank``: the count
-of singular values above tol * scale.  The scale is per site:
-``from_spanning`` the largest input column norm, ``beurling_space`` the
-top singular value, the slice and wandering combinations max(1, top
-singular value), ``defect_of`` 1 (an absolute cut).
+Every SVD rank decision cuts a singular spectrum through ``_rank``: the
+count of singular values above tol * scale.  The scale is per site:
+``from_spanning`` the largest input column norm, the slice and wandering
+combinations max(1, top singular value), ``defect_of`` 1 (an absolute cut).
 
-Constructors that approximate infinite-dimensional spaces (Beurling ranges,
-model spaces) record the degree band on which the truncation is faithful;
-comparisons can be compressed to that band.
+Beurling ranges and model spaces of an inner symbol come from one banded
+Householder QR of the symbol's kept Toeplitz columns (``_range_qr``), with
+no SVD: instead of a rank cut, the isometry defect of the stored symbol
+certifies that every kept column survives a cut at tol * top singular
+value, and a symbol without that certificate is refused.  Both record the
+degree band on which the truncation is faithful; comparisons can be
+compressed to that band.
 
 Degree headroom is explicit: the genuine shift refuses to act on a domain
 with a nonzero coefficient at the top ambient degree instead of silently
@@ -43,7 +46,7 @@ from .errors import (
     TruncationOverflowError,
 )
 from .funcs import CoeffFn, flatten, unflatten, zero_fn
-from .multipliers import MatSymbol, toeplitz_matrix
+from .multipliers import MatSymbol
 
 __all__ = [
     "DEFAULT_TOL",
@@ -62,6 +65,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+# fewest columns in one panel of the banded QR behind beurling_space/model_space
+_PANEL_MIN = 32
 
 
 def _rank(s: np.ndarray, tol: float, scale: float) -> int:
@@ -229,40 +234,126 @@ def from_spanning(fns, ambient_deg: int, tol: float = DEFAULT_TOL,
     return Subspace._of(dim_m, ambient_deg, u[:, :_rank(s, tol, scale)], tol)
 
 
+def _isometry_defect(t: MatSymbol) -> float:
+    """delta = sum over l of ||(Theta* Theta - I)^(l)||_2, for the stored Theta.
+
+    The Fourier coefficient l >= 0 of Theta* Theta - I is
+    sum_j Theta_j^H Theta_{j+l} - [l = 0] I, one product of the stacked
+    coefficient blocks with a copy shifted by l blocks; coefficient -l is
+    its adjoint, of the same norm.  Each 2-norm is the square root of the
+    largest eigenvalue of the coefficient's Gram matrix.
+    """
+    stack = t.mats.reshape(-1, t.m_in)
+    rows = stack.shape[0]
+    coef = np.stack([np.conj(stack[: rows - l * t.m_out]).T @ stack[l * t.m_out:]
+                     for l in range(t.deg + 1)])
+    coef[0] -= np.eye(t.m_in)
+    top = np.linalg.eigvalsh(np.conj(coef.transpose(0, 2, 1)) @ coef)[:, -1]
+    norms = np.sqrt(np.maximum(top, 0.0))
+    return float(norms[0] + 2.0 * norms[1:].sum())
+
+
+def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
+    """Panelled Householder QR of the kept columns of T_Theta.
+
+    The input monomial z^j e_i is kept when j + (degree of column i) <=
+    ambient_deg - headroom, so every kept column z^j Theta e_i is an exact
+    product, nonzero only on degrees j ... j + deg_i: the kept-column
+    matrix C is block lower-banded.  For every x in the span of the kept
+    inputs, ||C x||^2 - ||x||^2 = <(Theta* Theta - I) x, x>, so every singular
+    value of C squared lies in [1 - delta, 1 + delta]
+    (``_isometry_defect``).  When 1 - delta > tol^2 (1 + delta) a cut at
+    tol * s_0 keeps every column, so C has full rank and its QR spans the
+    range; otherwise the symbol is refused.
+
+    Each panel of columns is factored on the window of rows it reaches,
+    and its Q* is applied to the later columns that reach into the window.
+    Returns (panels, n, k, band): Q = H_1 ... H_P with panel p acting as
+    the unitary q on rows c0 ... r1 - 1; Q[:, :k] spans the range and
+    Q[:, k:] its complement.
+    """
+    if not t.claimed_inner:
+        raise NotInnerError("refusing to build a Beurling-type range from a non-isometry")
+    if headroom < 0:
+        raise PreconditionError(f"headroom {headroom} is negative")
+    if ambient_deg < t.deg:
+        raise TruncationOverflowError(
+            f"ambient degree {ambient_deg} below symbol degree {t.deg}"
+        )
+    delta = _isometry_defect(t)
+    if not 1.0 - delta > tol ** 2 * (1.0 + delta):
+        raise NotInnerError(
+            f"claimed-inner symbol fails the rank certificate: delta = sum of "
+            f"||(Theta* Theta - I)^(l)|| = {delta:.3g} and 1 - delta <= "
+            f"tol^2 (1 + delta) at tol {tol:.3g}, so its kept columns may lose rank"
+        )
+    m, n = t.m_out, t.m_out * (ambient_deg + 1)
+    col_degs = t.column_degrees()
+    top_deg = int(col_degs.max())
+    jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
+                        <= ambient_deg - headroom)
+    k = jj.size
+    band = max(0, ambient_deg - headroom - top_deg)
+    # column (j, i) holds Theta_d e_i at degree j + d; rows past the ambient
+    # only ever receive the zero coefficients beyond deg_i and are cut off
+    cols = np.zeros(((ambient_deg + top_deg + 1) * m, k), dtype=complex)
+    d = np.arange(top_deg + 1)[:, None, None]
+    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = t.mats[: top_deg + 1][:, :, ii]
+    cols = cols[:n]
+    starts = jj * m
+    reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
+    width = max(_PANEL_MIN, m * (top_deg + 1))
+    panels = []
+    for c0 in range(0, k, width):
+        c1 = min(c0 + width, k)
+        # rows c0 ... r1 - 1 hold every nonzero of the panel below row c0,
+        # fill-in from earlier panels included (reach is a running maximum)
+        r1 = int(reach[c1 - 1])
+        q, _ = np.linalg.qr(cols[c0:r1, c0:c1], mode="complete")
+        # the later columns that start above r1; the rest are still zero there
+        c2 = int(np.searchsorted(starts, r1))
+        if c2 > c1:
+            cols[c0:r1, c1:c2] = np.conj(q.T) @ cols[c0:r1, c1:c2]
+        panels.append((c0, r1, q))
+    return panels, n, k, band
+
+
+def _q_columns(panels, n: int, lo: int, hi: int) -> np.ndarray:
+    """Columns lo ... hi - 1 of Q: the panels applied in reverse to [0; I; 0]."""
+    x = np.zeros((n, hi - lo), dtype=complex)
+    x[lo:hi] = np.eye(hi - lo)
+    for c0, r1, q in reversed(panels):
+        s = max(c0 - lo, 0)
+        x[c0:r1, s:] = q @ x[c0:r1, s:]
+    return x
+
+
 def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
                    tol: float = DEFAULT_TOL) -> Subspace:
     """Range of an inner multiplier on the truncated ambient.
 
     Only truncation-free products enter: the input monomial z^j e_i is kept
     when j + (degree of column i) <= ambient_deg - headroom, so every basis
-    vector is an exact product.  The recorded band is where the truncated
-    range agrees with the untruncated one.
+    vector is an exact product.  The basis is Q[:, :k] of one banded QR of
+    the k kept columns (see ``_range_qr``); a claimed-inner symbol whose
+    kept columns are not certified to have full rank is refused with
+    ``NotInnerError``.  The recorded band is where the truncated range
+    agrees with the untruncated one.
     """
-    if not t.claimed_inner:
-        raise NotInnerError("refusing to build a Beurling-type range from a non-isometry")
-    if ambient_deg < t.deg:
-        raise TruncationOverflowError(
-            f"ambient degree {ambient_deg} below symbol degree {t.deg}"
-        )
-    col_degs = [t.column_degree(i) for i in range(t.m_in)]
-    keep = [j * t.m_in + i for j in range(ambient_deg + 1) for i in range(t.m_in)
-            if j + col_degs[i] <= ambient_deg - headroom]
-    band = max(0, ambient_deg - max(col_degs) - headroom)
-    cols = toeplitz_matrix(t, ambient_deg)[:, keep]
-    if not keep:
-        return Subspace._of(t.m_out, ambient_deg, cols, tol, band)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return Subspace._of(t.m_out, ambient_deg, u[:, :_rank(s, tol, s[0])], tol, band)
+    panels, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
+    return Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, 0, k), tol, band)
 
 
 def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
                 tol: float = DEFAULT_TOL) -> Subspace:
     """Orthocomplement of the Beurling range inside the truncated ambient.
 
+    It is Q[:, k:] of the same banded QR that gives ``beurling_space``.
     The truncated complement over-approximates the model space in the top
     degree band; compare within degrees <= the recorded band.
     """
-    return complement(beurling_space(t, ambient_deg, headroom, tol))
+    panels, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
+    return Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, k, n), tol, band)
 
 
 def complement(a: Subspace) -> Subspace:

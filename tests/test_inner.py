@@ -1,5 +1,8 @@
 """Unit tests for inner constructors and certification."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from hardylab.inner import (
     blaschke_scalar,
     check_inner,
     diag_inner,
+    _tail_bound,
     eval_blaschke,
     monomial_inner,
 )
@@ -72,6 +76,32 @@ class TestBlaschkeScalar:
             w = np.exp(1j * t)
             series = np.polyval(b.mats[::-1, 0, 0], w)
             assert abs(series - eval_blaschke(spec, w)) <= b.tail_bound + 1e-12
+
+
+class TestTailBound:
+    """The dominating series prod(M_i) sum_{n > deg} C(n+k-1, k-1) rho^n."""
+
+    def test_single_zero_is_geometric(self):
+        # M = max(1/2, 3/2) = 3/2 and sum_{n >= 4} 2^-n = 1/8
+        assert _tail_bound((0.5,), 3) == 0.1875
+        # a zero at the origin shifts the window by one degree
+        assert _tail_bound((0.5, 0), 4) == 0.1875
+
+    def test_three_zeros_match_exact_sum(self):
+        # rho = 1/2, scale = 3/2 * 3/2 * 15/4; the remainder after 400 terms
+        # of the exact sum is below 2^-300
+        scale = Fraction(3, 2) * Fraction(3, 2) * Fraction(15, 4)
+        exact = scale * sum(comb(n + 2, 2) * Fraction(1, 2) ** n for n in range(6, 406))
+        assert _tail_bound((0.5, 0.5, -0.25), 5) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_zero_near_the_circle_is_not_cut_short(self):
+        # |a| = 0.99999: the series needs about 10^6 terms; summing only
+        # 2 * 10^5 of them returned 86456
+        rho = Fraction(0.99999)
+        exact = rho * rho ** 11 / (1 - rho)
+        got = _tail_bound((0.99999,), 10)
+        assert got >= exact
+        assert got == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestMonomialInner:

@@ -108,6 +108,13 @@ class TestCli:
         assert doc["dim"] == 3
         assert doc["band"] == 4
 
+    def test_model_space_negative_headroom_is_usage_error(self, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"kind": "monomial", "k": 2, "deg": 2}))
+        assert main(["model-space", "--theta", str(theta), "--order", "6",
+                     "--headroom", "-1"]) == 2
+        assert "headroom" in capsys.readouterr().err
+
     def test_certify_pass_and_fail(self, tmp_path, capsys):
         space = tmp_path / "space.json"
         space.write_text(json.dumps(

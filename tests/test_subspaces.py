@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab.errors import (
     InvariantViolationError,
     NotInnerError,
+    PreconditionError,
     TruncationOverflowError,
 )
 from hardylab.funcs import (
@@ -16,9 +19,11 @@ from hardylab.funcs import (
     monomial_fn,
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, eval_blaschke, monomial_inner
-from hardylab.multipliers import apply_multiplier, scalar_symbol
+from hardylab.multipliers import MatSymbol, apply_multiplier, scalar_symbol, toeplitz_matrix
 from hardylab.subspaces import (
+    DEFAULT_TOL,
     Subspace,
+    _isometry_defect,
     beurling_space,
     complement,
     defect_of,
@@ -46,7 +51,7 @@ def _random_fns(rng, count, m, deg):
 _THETA = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
 _MIXED = from_spanning(_random_fns(np.random.default_rng(5), 4, 2, 6), 6)
 
-# every constructor whose Q comes straight out of an SVD and is not re-checked
+# every constructor whose Q comes straight out of an SVD or QR and is not re-checked
 TRUSTED = {
     "from_spanning": lambda: _MIXED,
     "beurling_space": lambda: beurling_space(_THETA, 12),
@@ -138,6 +143,139 @@ class TestBeurling:
         cut = s.band + 1
         diff = (s.projector() - oracle)[:cut, :cut]
         assert np.linalg.norm(diff, 2) <= 1e-6
+
+
+def _dense_range_and_model(t, n, headroom=0, tol=DEFAULT_TOL):
+    """Reference construction: SVD of the kept Toeplitz columns, rank cut at
+    tol * s_0, then the complement from a full SVD of the range basis."""
+    degs = [int(np.flatnonzero(np.any(t.mats[:, :, i] != 0, axis=1)).max(initial=0))
+            for i in range(t.m_in)]
+    keep = [j * t.m_in + i for j in range(n + 1) for i in range(t.m_in)
+            if j + degs[i] <= n - headroom]
+    cols = toeplitz_matrix(t, n)[:, keep]
+    if not keep:
+        return cols, np.eye(cols.shape[0])
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rng = u[:, : int(np.sum(s > tol * s[0]))]
+    full, _, _ = np.linalg.svd(rng, full_matrices=True)
+    return rng, full[:, rng.shape[1]:]
+
+
+def _projector_gap(a, b):
+    assert a.shape == b.shape
+    if a.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(a @ np.conj(a.T) - b @ np.conj(b.T), 2))
+
+
+def _random_unitary(rng, m):
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _conjugated(t, u, v):
+    """U Theta V* for constant unitaries U, V: inner, and not diagonal."""
+    mats = np.einsum("ab,dbc,ce->dae", u, t.mats, np.conj(v.T))
+    return MatSymbol(t.m_out, t.m_in, mats, t.tail_bound, True)
+
+
+def _column_isometry():
+    mats = np.zeros((3, 2, 1), dtype=complex)
+    mats[1, 0, 0] = mats[2, 1, 0] = 2 ** -0.5
+    return MatSymbol(2, 1, mats, 0.0, claimed_inner=True)
+
+
+_BLASCHKE_DIAG = diag_inner(
+    [monomial_inner(2, 12), blaschke_scalar(BlaschkeSpec([0.5, -1 / 3]), 12)], 12)
+ORACLE_SYMBOLS = {
+    "monomial_diag4": diag_inner([monomial_inner(k, 3) for k in (1, 2, 3, 3)], 3),
+    "monomial_diag2": diag_inner([monomial_inner(2, 4), monomial_inner(4, 4)], 4),
+    "blaschke_diag": _BLASCHKE_DIAG,
+    "blaschke_scalar": blaschke_scalar(BlaschkeSpec([0.5, 0.3j]), 10),
+    "conjugated": _conjugated(
+        diag_inner([blaschke_scalar(BlaschkeSpec([a]), 8) for a in (0.5, -0.3 + 0.2j, 0.4j)], 8),
+        _random_unitary(np.random.default_rng(7), 3),
+        _random_unitary(np.random.default_rng(8), 3)),
+    "column_isometry": _column_isometry(),
+}
+
+
+class TestDenseOracle:
+    """The banded QR spans what the dense SVD construction spans."""
+
+    @pytest.mark.parametrize("headroom", [0, 1])
+    @pytest.mark.parametrize("n", [12, 20, 45])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+    def test_grid(self, name, n, headroom):
+        t = ORACLE_SYMBOLS[name]
+        rng, model = _dense_range_and_model(t, n, headroom)
+        b = beurling_space(t, n, headroom)
+        k = model_space(t, n, headroom)
+        assert _projector_gap(b.matrix, rng) <= 1e-12
+        assert _projector_gap(k.matrix, model) <= 1e-12
+        assert b.band == k.band
+
+    def test_empty_keep(self):
+        # z^3 at N = 3 with one degree of headroom keeps no column
+        t = monomial_inner(3, 3)
+        rng, model = _dense_range_and_model(t, 3, 1)
+        assert rng.shape[1] == 0
+        assert beurling_space(t, 3, 1).dim == 0
+        k = model_space(t, 3, 1)
+        assert _projector_gap(k.matrix, model) <= 1e-12
+        assert k.dim == 4
+
+    @given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1), st.integers(10, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_random_unitaries_times_blaschke_diagonals(self, m, seed, n):
+        gen = np.random.default_rng(seed)
+        zeros = [tuple(complex(r * np.exp(2j * np.pi * gen.random())) for r in
+                       gen.uniform(0.0, 0.6, size=gen.integers(1, 3)))
+                 for _ in range(m)]
+        d = 8
+        diag = diag_inner([blaschke_scalar(BlaschkeSpec(z), d) for z in zeros], d)
+        t = _conjugated(diag, _random_unitary(gen, m), _random_unitary(gen, m))
+        rng, model = _dense_range_and_model(t, n)
+        assert _projector_gap(beurling_space(t, n).matrix, rng) <= 1e-12
+        assert _projector_gap(model_space(t, n).matrix, model) <= 1e-12
+
+    def test_large_order_stays_orthonormal(self):
+        t = ORACLE_SYMBOLS["monomial_diag4"]
+        b = beurling_space(t, 256)
+        k = model_space(t, 256)
+        assert k.dim == 9 and b.dim + k.dim == 4 * 257
+        for s in (b, k):
+            q = s.matrix
+            assert np.max(np.abs(np.conj(q.T) @ q - np.eye(s.dim))) <= s.tol
+
+
+class TestRefusal:
+    """Claimed-inner symbols whose kept columns may lose rank are refused."""
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    @pytest.mark.parametrize("sym", [
+        MatSymbol(2, 2, np.diag([1.0, 0.0]).reshape(1, 2, 2), claimed_inner=True),
+        MatSymbol(1, 2, np.array([[[2 ** -0.5, 2 ** -0.5]]]), claimed_inner=True),
+    ], ids=["rank_deficient", "wide"])
+    def test_refused(self, build, sym):
+        with pytest.raises(NotInnerError):
+            build(sym, 6)
+
+    def test_large_tail_still_builds(self):
+        # b_{1/2} truncated at degree 3 has tail 0.19 and delta about 0.34:
+        # its columns still certifiably have full rank
+        t = blaschke_scalar(BlaschkeSpec([0.5]), 3)
+        assert 0.3 < _isometry_defect(t) < 0.4
+        rng, model = _dense_range_and_model(t, 16)
+        assert _projector_gap(beurling_space(t, 16).matrix, rng) <= 1e-12
+        assert _projector_gap(model_space(t, 16).matrix, model) <= 1e-12
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    def test_negative_headroom(self, build):
+        # headroom -1 would admit products cut off at the ambient degree
+        with pytest.raises(PreconditionError):
+            build(monomial_inner(2, 2), 6, headroom=-1)
 
 
 class TestModel:
