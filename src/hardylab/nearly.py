@@ -7,13 +7,18 @@ M with defect basis E_1..E_p splits as
 
 where F0 stacks an orthonormal basis of the wandering part of M and
 (K0, k_1..k_p) ranges over a backward-shift invariant parameter space K of
-C^{r+p}-valued functions.  ``decompose`` runs the peeling iteration that
-produces the tuple one coefficient per step, ``extract_K`` maps a whole
-subspace through it, and ``synthesize_M`` rebuilds M from (K, F0, E).
+C^{r+p}-valued functions.  The peeling iteration that produces the tuple
+one coefficient per step has one kernel, ``_peel``: it works on flattened
+coefficient columns against the matrices of M, its wandering part and
+the defect basis, and peels many columns together.  ``decompose`` runs it
+on one function, ``extract_K`` on every column of M's Q at once, and
+``synthesize_M`` rebuilds M from (K, F0, E) as one Toeplitz product.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``near_tol`` the decomposition
 refuses with NotNearlyInvariantError instead of silently projecting.
+With several columns, the refusal is the one at the earliest failing
+step, and on a tie the one of the lowest failing column.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .errors import (
     PreconditionError,
     TruncationOverflowError,
 )
-from .funcs import CoeffFn, backshift, inner_product, shift, zero_fn
-from .multipliers import MatSymbol, adjoint_apply, apply_multiplier, column_symbol
+from .funcs import CoeffFn, backshift, flatten, shift, unflatten
+from .multipliers import MatSymbol, adjoint_apply, toeplitz_matrix
 from .subspaces import (
     DefectCertificate,
     Subspace,
@@ -39,10 +44,10 @@ from .subspaces import (
     _gram_deviation,
     _rank,
     _shift_rows,
+    _span_columns,
     complement,
     defect_of,
     degree_slice,
-    from_spanning,
     project,
     vanishing_slice,
     wandering,
@@ -105,8 +110,7 @@ class DecompResult:
         return CoeffFn(sum(p.dim_m for p in parts), np.hstack(cols))
 
 
-def _check_defect_basis(m: Subspace, defect_basis, tol: float) -> None:
-    cols = _columns(defect_basis, m.dim_m, m.ambient_deg)
+def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
     if not cols.shape[1]:
         return
     dev = _gram_deviation(cols)
@@ -123,87 +127,128 @@ def _check_defect_basis(m: Subspace, defect_basis, tol: float) -> None:
             )
 
 
+def _peel_setup(m: Subspace, defect_basis: list, g: np.ndarray, k_max: int | None):
+    """The checks before peeling the columns g of M; returns (w, e, k_max, pre_tol).
+
+    Every column of g must lie in M within pre_tol (relative to its norm),
+    and the defect functions must be orthonormal and orthogonal to M.
+    """
+    if k_max is None:
+        k_max = m.ambient_deg + len(defect_basis) + 8
+    if k_max < 1:
+        raise PreconditionError("k_max must be at least 1")
+    pre_tol = max(100.0 * m.tol, 1e-8)
+    q = m.matrix
+    resid = np.linalg.norm(g - q @ (np.conj(q.T) @ g), axis=0)
+    outside = resid > pre_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
+    if outside.any():
+        raise PreconditionError(
+            f"function is not in the subspace (residual {resid[outside.argmax()]:.3g})"
+        )
+    e = _columns(defect_basis, m.dim_m, m.ambient_deg)
+    _check_defect_basis(m, e, pre_tol)
+    return wandering(m).matrix, e, k_max, pre_tol
+
+
+def _peel(q: np.ndarray, w: np.ndarray, e: np.ndarray, dim_m: int, g: np.ndarray,
+          eps: float, k_max: int, pre_tol: float, near_tol: float):
+    """The peeling iteration on the b columns of g (n x b), all in one pass.
+
+    One step, on the columns still running, with W the wandering basis,
+    Q the basis of M and E the defect basis (all as column matrices):
+
+        a = W* G,   F = G - W a,   F(0) = F[:m] must vanish,
+        H = S* F,   G' = Q Q* H,   beta = E* H,   escape = H - G' - E beta.
+
+    A column stops once its ||G'|| <= eps, or after k_max steps.  An
+    origin value above pre_tol * max(1, ||G||) raises
+    InvariantViolationError, and an escape norm above near_tol raises
+    NotNearlyInvariantError.  Both report the earliest failing step, and
+    on a tie the lowest failing column.
+
+    Returns (a, beta, gk, max_res): a (steps, r, b) and beta (steps, p, b)
+    are the per-step coordinates, zero after a column stopped; gk
+    (steps + 1, b) the remainder norms, a stopped column's last norm
+    repeated; max_res the largest escape norm of each column.
+    """
+    g = np.array(g, dtype=complex)
+    b = g.shape[1]
+    qh, wh, eh = (np.conj(x.T) for x in (q, w, e))
+    norms = np.linalg.norm(g, axis=0)
+    gk = [norms.copy()]
+    a_steps, beta_steps = [], []
+    max_res = np.zeros(b)
+    run = np.flatnonzero(norms > eps)
+    while run.size and len(gk) <= k_max:
+        g_run = g[:, run]
+        a = wh @ g_run
+        f = g_run - w @ a
+        at_zero = np.linalg.norm(f[:dim_m], axis=0)
+        bad = at_zero > pre_tol * np.maximum(1.0, norms[run])
+        if bad.any():
+            raise InvariantViolationError(
+                f"wandering removal left value {at_zero[bad.argmax()]:.3g} at the origin"
+            )
+        h = _shift_rows(f, dim_m, "S*")
+        g_next = q @ (qh @ h)
+        beta = eh @ h
+        escape = h - g_next - e @ beta
+        esc = np.linalg.norm(escape, axis=0)
+        bad = esc > near_tol
+        if bad.any():
+            j = bad.argmax()
+            raise NotNearlyInvariantError(len(gk), float(esc[j]),
+                                          unflatten(escape[:, j], dim_m))
+        for steps, coords in ((a_steps, a), (beta_steps, beta)):
+            full = np.zeros((coords.shape[0], b), dtype=complex)
+            full[:, run] = coords
+            steps.append(full)
+        g[:, run] = g_next
+        norms[run] = np.linalg.norm(g_next, axis=0)
+        max_res[run] = np.maximum(max_res[run], esc)
+        gk.append(norms.copy())
+        run = run[norms[run] > eps]
+    steps = len(gk) - 1
+    return (np.array(a_steps, dtype=complex).reshape(steps, w.shape[1], b),
+            np.array(beta_steps, dtype=complex).reshape(steps, e.shape[1], b),
+            np.array(gk), max_res)
+
+
 def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = 1e-10,
               k_max: int | None = None, near_tol: float = DEFAULT_NEAR_TOL) -> DecompResult:
     """Peel F in M into wandering and defect coordinates.
 
     Each step removes the wandering component (which must leave a function
     vanishing at 0), applies the backward shift, and splits the result into
-    its M part, its defect coordinates, and an escape remainder R.
-    ``||R|| > near_tol`` raises NotNearlyInvariantError carrying the step
-    and the escaping vector; hitting ``k_max`` with ``||G|| > eps`` returns
-    a diagnostic result with ``converged=False``.
+    its M part, its defect coordinates, and an escape remainder R; ``_peel``
+    runs it on F's coefficient vector.  ``||R|| > near_tol`` raises
+    NotNearlyInvariantError carrying the step and the escaping vector;
+    hitting ``k_max`` with ``||G|| > eps`` returns a diagnostic result with
+    ``converged=False``.
     """
     defect_basis = list(defect_basis)
-    p = len(defect_basis)
-    if k_max is None:
-        k_max = m.ambient_deg + p + 8
-    if k_max < 1:
-        raise PreconditionError("k_max must be at least 1")
-    pre_tol = max(100.0 * m.tol, 1e-8)
-    resid = (f - project(m, f)).norm()
-    if resid > pre_tol * max(1.0, f.norm()):
-        raise PreconditionError(
-            f"function is not in the subspace (residual {resid:.3g})"
-        )
-    _check_defect_basis(m, defect_basis, pre_tol)
-    w = wandering(m)
-    r = w.dim
-
-    g = f
-    gk_norms = [g.norm()]
-    a_trace: list[np.ndarray] = []
-    beta_trace: list[np.ndarray] = []
-    max_step_residual = 0.0
-    iterations = 0
-    while gk_norms[-1] > eps and iterations < k_max:
-        if r:
-            a = np.array([inner_product(g, wi) for wi in w.basis])
-            f_next = g
-            for ai, wi in zip(a, w.basis):
-                f_next = f_next - ai * wi
-            a_trace.append(a)
-        else:
-            f_next = g
-        at_zero = float(np.linalg.norm(f_next.value_at_zero()))
-        if at_zero > pre_tol * max(1.0, gk_norms[-1]):
-            raise InvariantViolationError(
-                f"wandering removal left value {at_zero:.3g} at the origin"
-            )
-        h = backshift(f_next)
-        g = project(m, h)
-        beta = np.array([inner_product(h, ej) for ej in defect_basis])
-        escape = h - g
-        for bj, ej in zip(beta, defect_basis):
-            escape = escape - bj * ej
-        esc_norm = escape.norm()
-        if esc_norm > near_tol:
-            raise NotNearlyInvariantError(iterations + 1, esc_norm, escape)
-        max_step_residual = max(max_step_residual, esc_norm)
-        beta_trace.append(beta)
-        gk_norms.append(g.norm())
-        iterations += 1
-
-    if r:
-        rows = np.vstack(a_trace) if a_trace else np.zeros((1, r), dtype=complex)
-        k0 = CoeffFn(r, rows)
-    else:
-        k0 = None
-    kj = []
-    for j in range(p):
-        col = np.array([b[j] for b in beta_trace], dtype=complex).reshape(-1, 1)
-        kj.append(CoeffFn(1, col) if col.size else zero_fn(1))
+    if f.dim_m != m.dim_m:
+        raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{m.dim_m}")
+    g = flatten(f, m.ambient_deg).reshape(-1, 1)
+    w, e, k_max, pre_tol = _peel_setup(m, defect_basis, g, k_max)
+    a, beta, gk, max_res = _peel(m.matrix, w, e, m.dim_m, g, eps, k_max,
+                                 pre_tol, near_tol)
+    steps, r, p = a.shape[0], a.shape[1], beta.shape[1]
+    a, beta = a[:, :, 0], beta[:, :, 0]
+    k0 = CoeffFn(r, a if steps else np.zeros((1, r))) if r else None
+    kj = tuple(CoeffFn(1, beta[:, j : j + 1] if steps else np.zeros((1, 1)))
+               for j in range(p))
     total = (k0.norm() ** 2 if k0 is not None else 0.0) + sum(k.norm() ** 2 for k in kj)
     return DecompResult(
         K0=k0,
-        kj=tuple(kj),
-        A_trace=tuple(a_trace),
-        beta_trace=tuple(beta_trace),
-        gk_norms=tuple(gk_norms),
-        max_step_residual=max_step_residual,
+        kj=kj,
+        A_trace=tuple(a) if r else (),
+        beta_trace=tuple(beta),
+        gk_norms=tuple(float(x) for x in gk[:, 0]),
+        max_step_residual=float(max_res[0]),
         norm_gap=abs(f.norm() ** 2 - total),
-        iterations=iterations,
-        converged=gk_norms[-1] <= eps,
+        iterations=steps,
+        converged=bool(gk[-1, 0] <= eps),
     )
 
 
@@ -226,24 +271,39 @@ def extract_K(m: Subspace, defect_basis, eps: float = 1e-10,
               ambient_deg: int | None = None, iso_tol: float = 1e-6) -> Subspace:
     """Decompose every basis vector of M and span the coordinate tuples.
 
-    The tuple map must be isometric (Gram matrix of the tuples matches the
-    Gram matrix of the basis within iso_tol) and the resulting space must
-    be invariant under the componentwise backward shift; violations raise
-    CertificationError.
+    The columns of Q are peeled together by one ``_peel`` run, checked as
+    in ``decompose``; a refusal reports the earliest failing step, and on a
+    tie the lowest failing column.  The tuple map must be isometric (Gram
+    matrix of the tuples matches the Gram matrix of the basis within
+    iso_tol) and the resulting space must be invariant under the
+    componentwise backward shift; violations raise CertificationError.
     """
     defect_basis = list(defect_basis)
-    results = [decompose(m, defect_basis, b, eps, k_max, near_tol) for b in m.basis]
-    if not results:
+    if not m.dim:
         return Subspace(max(len(defect_basis), 1), ambient_deg or 0, (), m.tol)
-    tuples = [res.tuple_fn() for res in results]
+    q = m.matrix
+    w, e, k_max, pre_tol = _peel_setup(m, defect_basis, q, k_max)
+    a, beta, *_ = _peel(q, w, e, m.dim_m, q, eps, k_max, pre_tol, near_tol)
+    # step k of column j is coefficient k of basis vector j's tuple (K0, k_1..k_p)
+    tup = np.concatenate([a, beta], axis=1)
+    width = tup.shape[1]
+    if not width:
+        raise InvariantViolationError("decomposition carries no coordinates")
     if ambient_deg is None:
-        ambient_deg = max(t.deg for t in tuples)
-    dev = _gram_deviation(_columns(tuples, tuples[0].dim_m, ambient_deg))
+        ambient_deg = max(len(tup) - 1, 0)
+    if np.any(tup[ambient_deg + 1:] != 0):
+        raise TruncationOverflowError(
+            f"coordinate tuples exceed ambient degree {ambient_deg}"
+        )
+    cols = np.zeros((ambient_deg + 1, width, m.dim), dtype=complex)
+    cols[: len(tup)] = tup[: ambient_deg + 1]
+    cols = cols.reshape(-1, m.dim)
+    dev = _gram_deviation(cols)
     if dev > iso_tol:
         raise CertificationError(
             f"coordinate map is not isometric (Gram deviation {dev:.3g} > {iso_tol:.3g})"
         )
-    k = from_spanning(tuples, ambient_deg, m.tol)
+    k = _span_columns(cols, width, ambient_deg, m.tol)
     cert = defect_of(k, "S*", tol=max(m.tol, iso_tol))
     if cert.defect_dim:
         raise CertificationError(
@@ -258,8 +318,10 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
     """Rebuild the function space from coordinates: F = F0 K0 + sum z k_j E_j.
 
     F0 columns must be orthonormal with linearly independent values at 0;
-    E must be orthonormal.  The output is certified nearly invariant with
-    defect at most p unless ``check`` is disabled.
+    E must be orthonormal.  Every image is one product: the Toeplitz matrix
+    of the m x (r+p) symbol [F0 | zE] applied to the columns of K's Q, then
+    spanned by the ``from_spanning`` cut.  The output is certified nearly
+    invariant with defect at most p unless ``check`` is disabled.
     """
     f0_cols = list(f0_cols)
     e_fns = list(e_fns)
@@ -291,19 +353,13 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
         raise TruncationOverflowError(
             f"ambient degree {ambient_deg} below required headroom {need}"
         )
-    symbols_f0 = [column_symbol(c) for c in f0_cols]
-    symbols_e = [column_symbol(e) for e in e_fns]
-    out = []
-    for kappa in k.basis:
-        acc = zero_fn(m_dim)
-        for i in range(r):
-            scalar = CoeffFn(1, kappa.coeffs[:, i : i + 1])
-            acc = acc + apply_multiplier(symbols_f0[i], scalar)
-        for j in range(p):
-            scalar = CoeffFn(1, kappa.coeffs[:, r + j : r + j + 1])
-            acc = acc + apply_multiplier(symbols_e[j], shift(scalar))
-        out.append(acc)
-    m = from_spanning(out, ambient_deg, tol)
+    gens = f0_cols + [shift(e) for e in e_fns]
+    deg = max(g.deg for g in gens)
+    symbol = MatSymbol(m_dim, r + p,
+                       _columns(gens, m_dim, deg).reshape(deg + 1, m_dim, r + p))
+    images = (toeplitz_matrix(symbol, ambient_deg)[:, : (r + p) * (k.ambient_deg + 1)]
+              @ k.matrix)
+    m = _span_columns(images, m_dim, ambient_deg, tol)
     if check:
         cert = certify_nearly(m, p)
         if cert.defect_dim > p:
@@ -339,11 +395,7 @@ def almost_invariant_Sstar_check(m: Subspace, defect_basis,
     wandering basis vector W_i.  Returns (ok, max residual).
     """
     x = _direct_sum(m, defect_basis)
-    w = wandering(m)
-    residual = 0.0
-    for wi in w.basis:
-        h = backshift(wi)
-        residual = max(residual, (h - project(x, h)).norm())
+    residual = _max_escape(x, _shift_rows(wandering(m).matrix, m.dim_m, "S*"))
     return residual <= tol, residual
 
 

@@ -226,8 +226,13 @@ def from_spanning(fns, ambient_deg: int, tol: float = DEFAULT_TOL,
     if fns:
         dim_m = fns[0].dim_m
     dim_m = dim_m or 1
-    cols = _columns(fns, dim_m, ambient_deg)
-    scale = max((float(np.linalg.norm(c)) for c in cols.T), default=0.0)
+    return _span_columns(_columns(fns, dim_m, ambient_deg), dim_m, ambient_deg, tol)
+
+
+def _span_columns(cols: np.ndarray, dim_m: int, ambient_deg: int,
+                  tol: float) -> Subspace:
+    """``from_spanning`` on flattened columns: the SVD cut at tol * largest norm."""
+    scale = float(np.linalg.norm(cols, axis=0).max(initial=0.0))
     if scale == 0.0:
         return Subspace._of(dim_m, ambient_deg, cols[:, :0], tol)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)

@@ -1,7 +1,11 @@
 """Unit tests for the decomposition algorithm and its converse."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab.errors import (
     InvariantViolationError,
@@ -11,13 +15,20 @@ from hardylab.errors import (
 )
 from hardylab.funcs import (
     CoeffFn,
+    backshift,
     basis_vector,
+    inner_product,
     make_fn,
     monomial_fn,
+    shift,
+    unflatten,
+    zero_fn,
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.multipliers import apply_multiplier, column_symbol
 from hardylab.nearly import (
+    DEFAULT_NEAR_TOL,
+    DecompResult,
     almost_invariant_Sstar_check,
     certify_nearly,
     decompose,
@@ -33,10 +44,106 @@ from hardylab.subspaces import (
     model_space,
     project,
     subspace_distance,
+    wandering,
 )
 
 ONE = make_fn(1, [[1]])
 Z = make_fn(1, [[0], [1]])
+# the non-constant F0 column of the main_defect1 scenario
+POLY_COL = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
+
+
+def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None,
+                         near_tol=DEFAULT_NEAR_TOL):
+    """The peeling iteration one CoeffFn at a time: the oracle for decompose.
+
+    Inner products, the backward shift and the projection onto M act on
+    functions; each wandering and defect component is subtracted on its
+    own.  The input checks are left to decompose.
+    """
+    defect_basis = list(defect_basis)
+    p = len(defect_basis)
+    if k_max is None:
+        k_max = m.ambient_deg + p + 8
+    pre_tol = max(100.0 * m.tol, 1e-8)
+    w = wandering(m)
+    r = w.dim
+    g = f
+    gk_norms = [g.norm()]
+    a_trace, beta_trace = [], []
+    max_step_residual = 0.0
+    iterations = 0
+    while gk_norms[-1] > eps and iterations < k_max:
+        f_next = g
+        if r:
+            a = np.array([inner_product(g, wi) for wi in w.basis])
+            for ai, wi in zip(a, w.basis):
+                f_next = f_next - ai * wi
+            a_trace.append(a)
+        at_zero = float(np.linalg.norm(f_next.value_at_zero()))
+        if at_zero > pre_tol * max(1.0, gk_norms[-1]):
+            raise InvariantViolationError(
+                f"wandering removal left value {at_zero:.3g} at the origin"
+            )
+        h = backshift(f_next)
+        g = project(m, h)
+        beta = np.array([inner_product(h, ej) for ej in defect_basis])
+        escape = h - g
+        for bj, ej in zip(beta, defect_basis):
+            escape = escape - bj * ej
+        esc_norm = escape.norm()
+        if esc_norm > near_tol:
+            raise NotNearlyInvariantError(iterations + 1, esc_norm, escape)
+        max_step_residual = max(max_step_residual, esc_norm)
+        beta_trace.append(beta)
+        gk_norms.append(g.norm())
+        iterations += 1
+    k0 = None
+    if r:
+        k0 = CoeffFn(r, np.vstack(a_trace) if a_trace else np.zeros((1, r)))
+    kj = []
+    for j in range(p):
+        col = np.array([b[j] for b in beta_trace], dtype=complex).reshape(-1, 1)
+        kj.append(CoeffFn(1, col) if col.size else zero_fn(1))
+    total = (k0.norm() ** 2 if k0 is not None else 0.0) + sum(k.norm() ** 2 for k in kj)
+    return DecompResult(
+        K0=k0, kj=tuple(kj), A_trace=tuple(a_trace), beta_trace=tuple(beta_trace),
+        gk_norms=tuple(gk_norms), max_step_residual=max_step_residual,
+        norm_gap=abs(f.norm() ** 2 - total), iterations=iterations,
+        converged=gk_norms[-1] <= eps,
+    )
+
+
+def _assert_same_decomposition(res, ref, tol=1e-12):
+    assert res.iterations == ref.iterations
+    assert res.converged == ref.converged
+    assert np.allclose(res.gk_norms, ref.gk_norms, rtol=0, atol=tol)
+    assert res.norm_gap == pytest.approx(ref.norm_gap, rel=0, abs=tol)
+    assert res.max_step_residual == pytest.approx(ref.max_step_residual, rel=0, abs=tol)
+    got, want = res.tuple_fn(), ref.tuple_fn()
+    assert got.coeffs.shape == want.coeffs.shape
+    assert np.allclose(got.coeffs, want.coeffs, rtol=0, atol=tol)
+
+
+def _roundtrip_space(r, pdim, m, degrees, nk, f0_cols=None):
+    """(M, E) synthesized as in the scenarios' roundtrip configurations."""
+    k = model_space(diag_inner([monomial_inner(d, max(degrees)) for d in degrees],
+                               max(degrees)), nk)
+    if f0_cols is None:
+        f0_cols = [basis_vector(m, i) for i in range(r)]
+    e_fns = [basis_vector(m, m - pdim + j) for j in range(pdim)]
+    return synthesize_M(k, f0_cols, e_fns, nk + 2), e_fns
+
+
+@cache
+def _oracle_spaces():
+    return (
+        # r = 0: the (0, 1, 1) configuration of main_defectp
+        _roundtrip_space(0, 1, 1, (2,), 4, f0_cols=[]),
+        # the non-constant F0 of main_defect1
+        _roundtrip_space(1, 1, 3, (3, 2), 6, f0_cols=[POLY_COL]),
+        _roundtrip_space(2, 1, 3, (2, 2, 3), 6),
+    )
 
 
 def _counterexample_space(n=10):
@@ -130,6 +237,58 @@ class TestDecompose:
         deg = max(ra.K0.deg, rb.K0.deg, rc.K0.deg)
         combo = 0.5 * ra.K0.padded(deg) + 2j * rb.K0.padded(deg)
         assert np.allclose(rc.K0.padded(deg), combo, atol=1e-9)
+
+
+def _unit_element(space, coords):
+    vec = space.matrix @ np.asarray(coords, dtype=complex)
+    return unflatten(vec / np.linalg.norm(vec), space.dim_m)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("case", range(3))
+    def test_basis_and_random_elements(self, case):
+        space, e = _oracle_spaces()[case]
+        rng = np.random.default_rng(case)
+        draws = [rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+                 for _ in range(3)]
+        for f in list(space.basis) + [_unit_element(space, c) for c in draws]:
+            _assert_same_decomposition(decompose(space, e, f),
+                                       _reference_decompose(space, e, f))
+
+    def test_k_max_cut_off(self):
+        space, e = _oracle_spaces()[2]
+        f = _unit_element(space, np.arange(1, space.dim + 1))
+        res = decompose(space, e, f, k_max=2)
+        assert not res.converged and res.iterations == 2
+        _assert_same_decomposition(res, _reference_decompose(space, e, f, k_max=2))
+
+    def test_counterexample_refusal(self):
+        space = _counterexample_space()
+        f = monomial_fn(2, 0, 2)
+        with pytest.raises(NotNearlyInvariantError) as got:
+            decompose(space, [], f)
+        with pytest.raises(NotNearlyInvariantError) as want:
+            _reference_decompose(space, [], f)
+        assert got.value.step == want.value.step == 1
+        assert got.value.residual == pytest.approx(want.value.residual, rel=0, abs=1e-12)
+        assert got.value.residual == pytest.approx(1.0, abs=1e-10)
+        assert got.value.escape.deg == space.ambient_deg
+        assert np.allclose(got.value.escape.coeffs,
+                           want.value.escape.padded(space.ambient_deg), atol=1e-12)
+
+    @given(st.integers(0, 2),
+           st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=60, max_size=60))
+    @settings(max_examples=30, deadline=None)
+    def test_random_unit_elements(self, case, coords):
+        space, e = _oracle_spaces()[case]
+        coords = np.asarray(coords[: space.dim])
+        if np.linalg.norm(coords) < 1e-3:
+            return
+        f = _unit_element(space, coords)
+        _assert_same_decomposition(decompose(space, e, f),
+                                   _reference_decompose(space, e, f))
 
 
 class TestCertifyNearly:
@@ -231,6 +390,83 @@ class TestExtractAndSynthesize:
             extract_K(_counterexample_space(6), [])
 
 
+def _reference_synthesize(k, f0_cols, e_fns, ambient_deg):
+    """Span of F0 K0 + sum_j z k_j E_j over K's basis, one product at a time."""
+    gens = [column_symbol(c) for c in f0_cols] + [column_symbol(shift(e)) for e in e_fns]
+    out = []
+    for kappa in k.basis:
+        parts = [apply_multiplier(t, CoeffFn(1, kappa.coeffs[:, i : i + 1]))
+                 for i, t in enumerate(gens)]
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = acc + part
+        out.append(acc)
+    return from_spanning(out, ambient_deg, k.tol)
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("config", [
+        ((2,), 4, [], [ONE]),
+        ((3, 2), 6, [POLY_COL], [basis_vector(3, 2)]),
+        ((2, 2, 3), 6, [basis_vector(3, 0), basis_vector(3, 1)], [basis_vector(3, 2)]),
+    ])
+    def test_synthesis_matches_product_loop(self, config):
+        degrees, nk, f0, e = config
+        k = model_space(diag_inner([monomial_inner(d, max(degrees)) for d in degrees],
+                                   max(degrees)), nk)
+        space = synthesize_M(k, f0, e, nk + 2)
+        assert subspace_distance(space, _reference_synthesize(k, f0, e, nk + 2)) <= 1e-12
+
+    @pytest.mark.parametrize("space_e", [
+        (Subspace(1, 6, (ONE, Z, monomial_fn(1, 0, 2))), []),
+        (Subspace(1, 6, (Z, monomial_fn(1, 0, 2))), [ONE]),
+        "oracle0", "oracle1", "oracle2",
+    ])
+    def test_extract_matches_reference_tuples(self, space_e):
+        if isinstance(space_e, str):
+            space_e = _oracle_spaces()[int(space_e[-1])]
+        space, e = space_e
+        refs = [_reference_decompose(space, e, b) for b in space.basis]
+        # the basis columns converge after different numbers of steps
+        assert len({ref.iterations for ref in refs}) > 1
+        tuples = [ref.tuple_fn() for ref in refs]
+        deg = max(t.deg for t in tuples)
+        k = extract_K(space, e)
+        assert k.ambient_deg == deg
+        assert subspace_distance(k, from_spanning(tuples, deg)) <= 1e-12
+
+    def test_refusal_reports_earliest_step(self):
+        # M = span{1, z^3, z^2}: z^3 escapes at step 2, z^2 already at step 1
+        z2, z3 = monomial_fn(1, 0, 2), monomial_fn(1, 0, 3)
+        space = Subspace(1, 5, (ONE, z3, z2))
+        with pytest.raises(NotNearlyInvariantError) as late:
+            decompose(space, [], z3)
+        assert late.value.step == 2
+        with pytest.raises(NotNearlyInvariantError) as err:
+            extract_K(space, [])
+        assert err.value.step == 1
+        assert err.value.residual == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_refusal_tie_reports_lowest_column(self, order):
+        # M = span{1, z, z^3, z^4} with u, v a rotation of z^3, z^4: both
+        # escape at step 1, u by cos t along z^2 and v by sin t
+        t = 0.3
+        z3, z4 = monomial_fn(1, 0, 3), monomial_fn(1, 0, 4)
+        u = np.cos(t) * z3 + np.sin(t) * z4
+        v = -np.sin(t) * z3 + np.cos(t) * z4
+        pair = (u, v)
+        space = Subspace(1, 6, (ONE, Z) + tuple(pair[i] for i in order))
+        with pytest.raises(NotNearlyInvariantError) as err:
+            extract_K(space, [])
+        first = (np.cos(t), -np.sin(t))[order[0]]
+        assert err.value.step == 1
+        assert err.value.residual == pytest.approx(abs(first), abs=1e-12)
+        assert err.value.escape.deg == space.ambient_deg
+        assert np.allclose(err.value.escape.coeffs.ravel(),
+                           (first * monomial_fn(1, 0, 2)).padded(6).ravel(), atol=1e-12)
+
+
 class TestAlmostInvariant:
     def test_backward_invariant_model(self):
         space = model_space(monomial_inner(3, 3), 5)
@@ -246,6 +482,13 @@ class TestAlmostInvariant:
         partner = make_fn(1, [[2 ** -0.5], [-(2 ** -0.5)]])
         ok2, residual2 = almost_invariant_Sstar_check(space, [partner])
         assert ok2 and residual2 <= 1e-12
+
+    def test_only_wandering_vectors_are_shifted(self):
+        # S* z^2 = z leaves span{1, z^2}, but z^2 is not wandering: only
+        # S* 1 = 0 is tested
+        space = Subspace(1, 4, (ONE, monomial_fn(1, 0, 2)))
+        ok, residual = almost_invariant_Sstar_check(space, [])
+        assert ok and residual == 0.0
 
 
 def _duality_agrees(space, defect, tol=1e-8):

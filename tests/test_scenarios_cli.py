@@ -1,6 +1,7 @@
 """Scenario harness and CLI behavior: reports, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +236,38 @@ class TestCli:
         ]
         assert json.dumps(strip(first), sort_keys=True) == \
             json.dumps(strip(second), sort_keys=True)
+
+
+GOLDEN = Path(__file__).parent / "data" / "scenarios_seed0.json"
+
+
+def _assert_report_matches(got, want, path="reports"):
+    """Exact on integers, booleans and strings; floats within 1e-12 relative,
+    or 1e-14 absolute for values below 1e-12."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        if abs(want) < 1e-12:
+            assert abs(got - want) <= 1e-14, path
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want), path
+    else:
+        assert got == want, path
+
+
+class TestGoldenReports:
+    def test_scenario_all_seed0_matches_golden(self, capsys):
+        # the golden file is `hardylab --seed 0 scenario all --json` with
+        # runtime_ms removed; a performance change must keep the reports
+        assert main(["--seed", "0", "scenario", "all", "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        for rep in reports:
+            rep.pop("runtime_ms")
+        _assert_report_matches(reports, json.loads(GOLDEN.read_text()))
