@@ -25,6 +25,20 @@ value, and a symbol without that certificate is refused.  Both record the
 degree band on which the truncation is faithful; comparisons can be
 compressed to that band.
 
+A subspace remembers its orthocomplement when it gets one for free:
+``beurling_space`` builds the model-space columns of the same QR too, and
+``complement`` links its result to its input (only between spaces of equal
+window, tol and band).  The link never forms a reference cycle: the side
+with more columns holds the other strongly, the thinner side points back
+through a weakref, so a dropped fat space is freed at once.  A per-instance
+memo holds the link and ``wandering``'s result; it is not pickled.
+
+The fat side of such a pair is handled through its thin complement P:
+``defect_of`` reads the residual (I - QQ*) X as P (P* X) and factors the
+(n - dim) x b matrix P* X.  ``subspace_distance`` forms no n x n matrix:
+P_A - P_B = X J X* with X = [Q_A | Q_B] and J = diag(I, -I), so the
+distance is the largest |eigenvalue| of R J R*, R from a QR of X.
+
 Degree headroom is explicit: the genuine shift refuses to act on a domain
 with a nonzero coefficient at the top ambient degree instead of silently
 truncating, which is the main numerical trap in invariance-defect
@@ -33,6 +47,7 @@ certification.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,6 +110,11 @@ def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
     return np.column_stack([flatten(f, ambient_deg) for f in fns])
 
 
+def _check_band(band: int | None) -> None:
+    if band is not None and band < 0:
+        raise PreconditionError(f"band {band} is negative")
+
+
 def _shift_rows(q: np.ndarray, dim_m: int, op: str) -> np.ndarray:
     """S or S* applied to every column of q, as a shift by one block of rows.
 
@@ -119,7 +139,8 @@ class Subspace:
     orthonormal basis of functions and checks it at tol.  ``band`` is the
     largest degree on which the construction faithfully represents its
     infinite-dimensional counterpart (equal to ambient_deg for exact
-    constructions).
+    constructions).  The per-instance ``_memo`` (a linked complement, the
+    wandering part) is a cache, not state: pickling drops it.
     """
 
     dim_m: int
@@ -163,8 +184,15 @@ class Subspace:
         q = np.ascontiguousarray(q, dtype=complex)
         q.flags.writeable = False
         for name, value in (("dim_m", dim_m), ("ambient_deg", ambient_deg),
-                            ("matrix", q), ("tol", tol), ("band", band)):
+                            ("matrix", q), ("tol", tol), ("band", band),
+                            ("_memo", {})):
             object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> tuple:
+        return self.dim_m, self.ambient_deg, self.matrix, self.tol, self.band
+
+    def __setstate__(self, state: tuple) -> None:
+        self._assign(*state)
 
     @cached_property
     def basis(self) -> tuple:
@@ -343,10 +371,14 @@ def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     the k kept columns (see ``_range_qr``); a claimed-inner symbol whose
     kept columns are not certified to have full rank is refused with
     ``NotInnerError``.  The recorded band is where the truncated range
-    agrees with the untruncated one.
+    agrees with the untruncated one.  The space is linked to its
+    complement Q[:, k:] (see ``complement``).
     """
     panels, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    return Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, 0, k), tol, band)
+    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, 0, k), tol, band)
+    # the model-space columns of the same QR: n - k of them, usually few
+    _link(rng, Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, k, n), tol, band))
+    return rng
 
 
 def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
@@ -361,14 +393,44 @@ def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     return Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, k, n), tol, band)
 
 
+def _link(a: Subspace, b: Subspace) -> None:
+    """Record a and b as each other's orthocomplement, without a cycle.
+
+    Made only when window, tol and band agree.  The side with more columns
+    (a on a tie) holds the other strongly; the other points back through
+    a weakref.
+    """
+    if ((a.dim_m, a.ambient_deg, a.tol, a.band)
+            != (b.dim_m, b.ambient_deg, b.tol, b.band)):
+        return
+    fat, thin = (a, b) if a.dim >= b.dim else (b, a)
+    fat._memo["complement"] = thin
+    thin._memo["complement"] = weakref.ref(fat)
+
+
+def _linked_complement(a: Subspace) -> Subspace | None:
+    """The remembered orthocomplement of a, if any is still alive."""
+    c = a._memo.get("complement")
+    return c() if isinstance(c, weakref.ref) else c
+
+
 def complement(a: Subspace) -> Subspace:
-    """Orthocomplement in the flattened ambient; dims add up exactly."""
+    """Orthocomplement in the flattened ambient; dims add up exactly.
+
+    A remembered complement is returned as it is; a computed one is linked
+    to a, so complement(complement(a)) is a.
+    """
+    c = _linked_complement(a)
+    if c is not None:
+        return c
     if a.dim == 0:
         q = np.eye(a.ambient_dim, dtype=complex)
     else:
         u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
         q = u[:, a.dim:]
-    return Subspace._of(a.dim_m, a.ambient_deg, q, a.tol, a.band)
+    c = Subspace._of(a.dim_m, a.ambient_deg, q, a.tol, a.band)
+    _link(a, c)
+    return c
 
 
 def project(a: Subspace, f: CoeffFn) -> CoeffFn:
@@ -386,20 +448,28 @@ def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> floa
     """Operator norm of P_A - P_B in [0, 1]; 0 iff equal spans at tol.
 
     With ``band``, the difference is compressed to degrees <= band before
-    taking the norm (the faithful-truncation comparison).
+    taking the norm (the faithful-truncation comparison).  No n x n matrix
+    is formed: with X = [Q_A | Q_B] (rows up to the band) and
+    J = diag(I, -I), P_A - P_B = X J X*, whose nonzero eigenvalues are
+    those of R J R* for X = QR.
     """
     if a.dim_m != b.dim_m:
         raise DimensionMismatchError(
             f"subspaces over C^{a.dim_m} and C^{b.dim_m}"
         )
-    deg = max(a.ambient_deg, b.ambient_deg)
-    diff = a.padded(deg).projector() - b.padded(deg).projector()
+    _check_band(band)
+    rows = a.dim_m * (max(a.ambient_deg, b.ambient_deg) + 1)
     if band is not None:
-        cut = a.dim_m * (band + 1)
-        diff = diff[:cut, :cut]
-    if diff.size == 0:
+        rows = min(rows, a.dim_m * (band + 1))
+    qa, qb = a.matrix[:rows], b.matrix[:rows]
+    x = np.zeros((rows, a.dim + b.dim), dtype=complex)
+    x[: len(qa), : a.dim] = qa
+    x[: len(qb), a.dim :] = qb
+    if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(diff, 2))
+    r = np.linalg.qr(x, mode="r")
+    j = np.repeat([1.0, -1.0], [a.dim, b.dim])
+    return float(np.max(np.abs(np.linalg.eigvalsh((r * j) @ np.conj(r.T)))))
 
 
 def _split_combos(mat: np.ndarray, k: int, tol: float) -> tuple:
@@ -442,10 +512,14 @@ def wandering(m: Subspace) -> Subspace:
     """W = M minus (M cap zH^2): the part of M visible at the origin.
 
     dim W is at most the ambient vector dimension; its basis is the column
-    data for reconstructing M from its parameter space.
+    data for reconstructing M from its parameter space.  W is kept in M's
+    memo; the dimension check runs on every call.
     """
-    row, _ = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
-    w = Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ row, m.tol, m.band)
+    w = m._memo.get("wandering")
+    if w is None:
+        row, _ = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
+        w = Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ row, m.tol, m.band)
+        m._memo["wandering"] = w
     if w.dim > m.dim_m:
         raise InvariantViolationError(
             f"wandering dimension {w.dim} exceeds ambient vector dimension {m.dim_m}"
@@ -465,7 +539,14 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     of rows must vanish; there is no silent truncation.  ``band`` zeroes
     residual components above the faithful band before rank decisions
     (truncation shadow of exact containments).
+
+    Without ``band``, when M remembers a complement P with fewer columns
+    than M, the residual (I - QQ*) X of the images X is P (P* X): the SVD
+    runs on the (n - dim M) x b matrix P* X, its left vectors map back
+    through P, and the spectrum is padded with exact zeros to length
+    min(n, b).
     """
+    _check_band(band)
     if domain is None:
         domain = m
     if tol is None:
@@ -481,15 +562,24 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     if domain.dim == 0:
         return DefectCertificate(op, mode, 0, (), (), 0.0)
     cols = _shift_rows(dq, m.dim_m, op)
-    q = m.matrix
-    resid = cols - q @ (np.conj(q.T) @ cols)
-    if band is not None:
-        resid[m.dim_m * (band + 1):, :] = 0.0
+    perp = _linked_complement(m) if band is None else None
+    if perp is not None and perp.dim < m.dim:
+        frame = perp.matrix
+        resid = np.conj(frame.T) @ cols
+    else:
+        frame = None
+        q = m.matrix
+        resid = cols - q @ (np.conj(q.T) @ cols)
+        if band is not None:
+            resid[m.dim_m * (band + 1):, :] = 0.0
     u, s, _ = np.linalg.svd(resid, full_matrices=False)
     defect_dim = _rank(s, tol, 1.0)
     ud = u[:, :defect_dim]
     leftover = resid - ud @ (np.conj(ud.T) @ resid) if defect_dim else resid
     max_residual = float(max(np.linalg.norm(leftover, axis=0), default=0.0))
+    if frame is not None:
+        ud = frame @ ud
+        s = np.concatenate([s, np.zeros(min(cols.shape) - s.size)])
     return DefectCertificate(op, mode, defect_dim,
                              tuple(unflatten(c, m.dim_m) for c in ud.T),
                              tuple(float(x) for x in s), max_residual)

@@ -1,5 +1,10 @@
 """Unit tests for the subspace lattice and defect certificates."""
 
+import gc
+import pickle
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +25,14 @@ from hardylab.funcs import (
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, eval_blaschke, monomial_inner
 from hardylab.multipliers import MatSymbol, apply_multiplier, scalar_symbol, toeplitz_matrix
+from hardylab.nearly import certify_nearly
 from hardylab.subspaces import (
     DEFAULT_TOL,
     Subspace,
     _isometry_defect,
+    _link,
+    _linked_complement,
+    _shift_rows,
     beurling_space,
     complement,
     defect_of,
@@ -467,3 +476,326 @@ class TestDefect:
         full = beurling_space(monomial_inner(1, 1), 6, headroom=1)
         cert_banded = defect_of(full, "S", band=full.band)
         assert cert_banded.defect_dim == 0
+
+
+# --------------------------------------------------------------------------
+# thin-side algebra: the remembered complement, the thin defect frame and
+# the distance without n x n projectors, against the dense formulas
+
+
+def _dense_distance(a, b, band=None):
+    """Reference: the 2-norm of the difference of the two n x n projectors."""
+    deg = max(a.ambient_deg, b.ambient_deg)
+    diff = a.padded(deg).projector() - b.padded(deg).projector()
+    if band is not None:
+        cut = a.dim_m * (band + 1)
+        diff = diff[:cut, :cut]
+    return float(np.linalg.norm(diff, 2)) if diff.size else 0.0
+
+
+def _ambient_defect(m, op, domain=None, tol=None, band=None):
+    """Reference: the residual against M's Q in the ambient frame.
+
+    Returns (defect_dim, singular values, defect columns, max_residual).
+    """
+    domain = m if domain is None else domain
+    tol = m.tol if tol is None else tol
+    cols = _shift_rows(domain.padded(m.ambient_deg).matrix, m.dim_m, op)
+    q = m.matrix
+    resid = cols - q @ (np.conj(q.T) @ cols)
+    if band is not None:
+        resid[m.dim_m * (band + 1):, :] = 0.0
+    u, s, _ = np.linalg.svd(resid, full_matrices=False)
+    rank = int(np.sum(s > tol))
+    ud = u[:, :rank]
+    leftover = resid - ud @ (np.conj(ud.T) @ resid)
+    return rank, s, ud, float(max(np.linalg.norm(leftover, axis=0), default=0.0))
+
+
+def _unlinked(s):
+    """The same Q, tol and band with an empty memo."""
+    return pickle.loads(pickle.dumps(s))
+
+
+def _theta_small():
+    return diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
+
+
+def _prop_perp_space():
+    # the almost-invariant complement of the prop_perp_almost scenario
+    psi = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
+    theta = diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2)
+    n = 12
+    k = model_space(theta, n - 2)
+    x = complement(from_spanning([apply_multiplier(psi, b) for b in k.basis], n, dim_m=2))
+    return x, degree_slice(x, n - 1), 1e-8
+
+
+def _section4_space():
+    # the coordinate complement of the section4 scenario
+    nk = 6
+    k = model_space(diag_inner([monomial_inner(3, 3), monomial_inner(2, 3)], 3), nk)
+    k_perp = complement(k)
+    return k_perp, degree_slice(k_perp, nk - 1), 1e-8
+
+
+def _beurling_shift():
+    t = _theta_small()
+    return beurling_space(t, 20), beurling_space(t, 20, headroom=1), None
+
+
+def _beurling_backshift():
+    return beurling_space(_theta_small(), 20), None, None
+
+
+def _complement_shift():
+    s = complement(from_spanning(_random_fns(np.random.default_rng(8), 3, 2, 9), 9))
+    return s, degree_slice(s, 8), None
+
+
+THIN_CASES = {
+    "beurling_S": ("S", _beurling_shift),
+    "beurling_Sstar": ("S*", _beurling_backshift),
+    "complement_S": ("S", _complement_shift),
+    # a tol above every singular value: no defect, the whole residual left over
+    "complement_S_coarse": ("S", lambda: _complement_shift()[:2] + (2.0,)),
+    "complement_Sstar": ("S*", lambda: (complement(from_spanning(
+        _random_fns(np.random.default_rng(9), 2, 1, 7), 7)), None, None)),
+    "prop_perp_almost": ("S", _prop_perp_space),
+    "section4": ("S", _section4_space),
+}
+
+
+class TestThinFrameDefect:
+    @pytest.mark.parametrize("name", sorted(THIN_CASES))
+    def test_agrees_with_ambient_residual(self, name):
+        op, build = THIN_CASES[name]
+        m, domain, tol = build()
+        perp = _linked_complement(m)
+        assert perp is not None and perp.dim < m.dim  # the thin frame is taken
+        cert = defect_of(m, op, domain=domain, tol=tol)
+        rank, s, ud, max_res = _ambient_defect(m, op, domain, tol)
+        assert cert.defect_dim == rank
+        assert len(cert.singular_values) == len(s)
+        assert np.max(np.abs(np.array(cert.singular_values) - s)) <= 1e-12
+        assert abs(cert.max_residual - max_res) <= 1e-12
+        found = np.column_stack([flatten(f, m.ambient_deg) for f in cert.defect_basis]) \
+            if rank else ud
+        assert _projector_gap(found, ud) <= 1e-12
+
+    def test_certify_nearly_on_a_complement(self):
+        # the counterexample scenario's space: certify_nearly without band
+        theta = diag_inner([monomial_inner(1, 1)] * 2, 1)
+        k = model_space(theta, 8)
+        space = complement(from_spanning([apply_multiplier(theta, b) for b in k.basis], 8))
+        cert = certify_nearly(space, 0)
+        rank, s, ud, max_res = _ambient_defect(
+            space, "S*", domain=vanishing_slice(space))
+        assert cert.defect_dim == rank > 0
+        assert np.allclose(cert.singular_values, s, rtol=0, atol=1e-12)
+        assert abs(cert.max_residual - max_res) <= 1e-12
+        found = np.column_stack([flatten(f, 8) for f in cert.defect_basis])
+        assert _projector_gap(found, ud) <= 1e-12
+
+    def test_linked_and_unlinked_certificates_agree(self):
+        m, domain, _ = _beurling_shift()
+        linked = defect_of(m, "S", domain=domain)
+        plain = defect_of(_unlinked(m), "S", domain=domain)
+        assert linked.defect_dim == plain.defect_dim == 0
+        assert len(linked.singular_values) == len(plain.singular_values)
+        assert np.allclose(linked.singular_values, plain.singular_values,
+                           rtol=0, atol=1e-12)
+
+    def test_band_keeps_the_ambient_frame(self):
+        m = beurling_space(monomial_inner(1, 1), 6, headroom=1)
+        cert = defect_of(m, "S", band=m.band)
+        rank, s, _, max_res = _ambient_defect(m, "S", band=m.band)
+        assert cert.defect_dim == rank == 0
+        assert np.allclose(cert.singular_values, s, rtol=0, atol=1e-12)
+        assert abs(cert.max_residual - max_res) <= 1e-12
+
+
+def _distance_pairs():
+    rng = np.random.default_rng(11)
+    small = from_spanning(_random_fns(rng, 3, 2, 5), 5)
+    other = from_spanning(_random_fns(rng, 3, 2, 5), 5)
+    rotated = from_spanning(small.basis[::-1], 5)
+    zero = from_spanning([], 5, dim_m=2)
+    fat = complement(small)
+    fat_other = complement(from_spanning(list(small.basis[:2]) + [other.basis[0]], 5))
+    wide = from_spanning(list(small.basis) + _random_fns(rng, 1, 2, 8), 8)
+    return {
+        "equal": (small, rotated),
+        "unequal": (small, other),
+        "empty_empty": (zero, from_spanning([], 3, dim_m=2)),
+        "empty_small": (zero, small),
+        "fat_fat": (fat, fat_other),
+        "fat_small": (fat, other),
+        "padded": (small, wide),
+        "model_vs_monomials": (
+            model_space(_theta_small(), 9),
+            from_spanning([monomial_fn(2, i, j) for i, k in enumerate((2, 3))
+                           for j in range(k)], 9, dim_m=2),
+        ),
+    }
+
+
+DISTANCE_PAIRS = _distance_pairs()
+
+
+class TestDistanceOracle:
+    @pytest.mark.parametrize("band", [None, 0, 2, 5, 20])
+    @pytest.mark.parametrize("name", sorted(DISTANCE_PAIRS))
+    def test_agrees_with_projectors(self, name, band):
+        a, b = DISTANCE_PAIRS[name]
+        for x, y in ((a, b), (b, a)):
+            assert abs(subspace_distance(x, y, band=band)
+                       - _dense_distance(x, y, band)) <= 1e-12
+
+    @given(st.integers(1, 3), st.integers(0, 8), st.integers(0, 8), st.integers(0, 6),
+           st.integers(-1, 9), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_pairs(self, m, deg_a, deg_b, count, band, seed):
+        gen = np.random.default_rng(seed)
+        a = from_spanning(_random_fns(gen, count, m, deg_a), deg_a, dim_m=m)
+        b = from_spanning(_random_fns(gen, gen.integers(0, 7), m, deg_b), deg_b, dim_m=m)
+        if gen.random() < 0.5:
+            b = complement(b)
+        band = None if band < 0 else band
+        assert abs(subspace_distance(a, b, band=band) - _dense_distance(a, b, band)) <= 1e-12
+
+
+class TestNegativeBand:
+    def test_distance(self):
+        k = from_spanning([ONE], 3)
+        z = from_spanning([Z], 3)
+        with pytest.raises(PreconditionError):
+            subspace_distance(k, z, band=-1)
+
+    @pytest.mark.parametrize("band", [-1, -2])
+    def test_defect_of(self, band):
+        z = from_spanning([Z], 3)
+        with pytest.raises(PreconditionError):
+            defect_of(z, "S*", band=band)
+
+    def test_certify_nearly(self):
+        with pytest.raises(PreconditionError):
+            certify_nearly(from_spanning([Z], 3), 0, band=-1)
+
+
+class TestComplementLink:
+    @pytest.mark.parametrize("build", [
+        lambda: from_spanning(_random_fns(np.random.default_rng(1), 3, 2, 4), 4),
+        lambda: complement(from_spanning([ONE], 6)),
+        lambda: from_spanning([], 3, dim_m=2),
+        lambda: beurling_space(_theta_small(), 10),
+        lambda: model_space(_theta_small(), 10),
+    ])
+    def test_involution_is_identity(self, build):
+        a = build()
+        c = complement(a)
+        assert complement(c) is a
+        assert complement(a) is c
+        assert a.dim + c.dim == a.ambient_dim
+
+    def test_beurling_complement_is_the_model_space(self):
+        t = _theta_small()
+        b = beurling_space(t, 16, headroom=2)
+        k = complement(b)
+        assert k.band == b.band and k.tol == b.tol
+        assert _projector_gap(k.matrix, model_space(t, 16, headroom=2).matrix) <= 1e-12
+
+    def test_dropped_fat_space_is_freed_without_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            b = beurling_space(_theta_small(), 40)
+            thin = complement(b)
+            fat_ref, thin_ref = weakref.ref(b), weakref.ref(thin)
+            del b
+            assert fat_ref() is None
+            assert complement(thin) is not None  # recomputed, not the dead link
+            del thin
+            assert thin_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_linked_space_pickles_without_its_memo(self):
+        b = beurling_space(_theta_small(), 12)
+        thin = complement(b)
+        wandering(thin)
+        for s in (b, thin):
+            copy = pickle.loads(pickle.dumps(s))
+            assert copy._memo == {}
+            assert np.array_equal(copy.matrix, s.matrix)
+            assert not copy.matrix.flags.writeable
+            assert (copy.dim_m, copy.ambient_deg, copy.tol, copy.band) == \
+                (s.dim_m, s.ambient_deg, s.tol, s.band)
+
+    @pytest.mark.parametrize("build", [
+        lambda: beurling_space(_theta_small(), 14),
+        lambda: complement(from_spanning(_random_fns(np.random.default_rng(3), 2, 2, 6), 6)),
+        lambda: model_space(_theta_small(), 14),
+    ])
+    def test_unlinked_complement_spans_the_same(self, build):
+        a = build()
+        linked, fresh = complement(a), complement(_unlinked(a))
+        assert linked is not fresh
+        assert _projector_gap(linked.matrix, fresh.matrix) <= 1e-12
+
+    def test_link_needs_equal_tol_and_band(self):
+        a = from_spanning([ONE], 3)
+        for other in (Subspace._of(1, 3, complement(a).matrix, a.tol * 10),
+                      Subspace._of(1, 3, complement(a).matrix, a.tol, band=2)):
+            fresh = from_spanning([ONE], 3)
+            _link(fresh, other)
+            assert _linked_complement(fresh) is None
+            assert _linked_complement(other) is None
+
+
+class TestWanderingMemo:
+    def test_kept_per_instance(self):
+        s = model_space(monomial_inner(2, 2), 6)
+        assert wandering(s) is wandering(s)
+
+    def test_oversized_refused_on_every_call(self):
+        s = from_spanning([ONE, Z], 3)
+        s._memo["wandering"] = Subspace._of(1, 3, s.matrix, s.tol)
+        for _ in range(2):
+            with pytest.raises(InvariantViolationError):
+                wandering(s)
+
+
+class TestThinSideGuards:
+    """Structural guards: the thin-side paths must not grow back to O(n^3)."""
+
+    def test_beurling_defect_factors_only_the_thin_side(self, monkeypatch):
+        t = _theta_small()
+        b = beurling_space(t, 512)
+        domain = beurling_space(t, 512, headroom=1)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        cert = defect_of(b, "S", domain=domain)
+        assert cert.defect_dim == 0
+        assert shapes
+        assert max(shape[0] for shape in shapes) <= b.ambient_dim - b.dim
+
+    def test_distance_of_thin_spaces_stays_small(self):
+        n = 4095
+        gen = np.random.default_rng(12)
+        a = from_spanning(_random_fns(gen, 5, 1, n), n)
+        b = from_spanning(_random_fns(gen, 5, 1, n), n)
+        tracemalloc.start()
+        try:
+            subspace_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
