@@ -21,36 +21,21 @@ from .errors import (
 )
 from .funcs import (
     CoeffFn,
-    backshift,
     basis_vector,
-    eval_at,
     flatten,
-    inner_product,
     make_fn,
     monomial_fn,
-    shift,
     unflatten,
     zero_fn,
 )
-from .inner import (
-    BlaschkeSpec,
-    as_inner,
-    blaschke_scalar,
-    check_inner,
-    diag_inner,
-    eval_blaschke,
-    monomial_inner,
-)
+from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import (
     MatSymbol,
-    adjoint_apply,
-    apply_multiplier,
     column_symbol,
     compose,
-    identity_symbol,
+    multiply,
+    multiply_adjoint,
     scalar_symbol,
-    symbol_column,
-    toeplitz_matrix,
 )
 from .nearly import (
     DecompResult,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -176,14 +177,30 @@ def _cmd_scenario(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _bounded(kind, low, strict: bool):
+    """argparse type: a finite kind above low (strict) or at least low."""
+    op = ">" if strict else ">="
+
+    def check(text: str):
+        try:
+            val = kind(text)
+        except ValueError:
+            val = math.nan
+        if not (math.isfinite(val) and (val > low if strict else val >= low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} {op} {low}, got {text!r}")
+        return val
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="Numerical workbench for truncated vector-valued Hardy spaces",
     )
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_bounded(float, 0, True), default=None,
                         help="rank/orthonormality tolerance override")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_bounded(int, 0, False), default=None,
                         help="seed for randomized scenarios (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -191,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--space", required=True, help="spanning-set JSON file")
     p_dec.add_argument("--defect", default=None, help="defect basis JSON file")
     p_dec.add_argument("--function", required=True, help="function JSON file")
-    p_dec.add_argument("--eps", type=float, default=1e-10)
+    p_dec.add_argument("--eps", type=_bounded(float, 0, False), default=1e-10)
     p_dec.add_argument("--kmax", type=int, default=None)
     p_dec.set_defaults(func=_cmd_decompose)
 

@@ -1,10 +1,15 @@
-"""Truncated vector-valued analytic functions on the disc.
+"""Truncated vector-valued analytic functions on the disc: the boundary type.
 
 A :class:`CoeffFn` stores the Taylor coefficients A_0 ... A_N of a
 C^m-valued function F(z) = sum_n A_n z^n.  The squared norm is the
-coefficient Parseval sum ``sum_n ||A_n||^2``, the inner product is linear
-in the first slot and conjugate-linear in the second.  Values are
-immutable and safe to share.
+coefficient Parseval sum ``sum_n ||A_n||^2``.  Values are immutable and
+safe to share.
+
+``CoeffFn`` is what callers pass in and get back (JSON functions, defect
+lists, decomposition coordinates); the arithmetic here builds such
+inputs.  Inside the package the work runs on coefficient matrices: a
+function is a column of ``flatten``, and a symbol acts on such columns
+through ``multipliers.multiply``.
 
 Degree bookkeeping is deliberate: operations never silently truncate.
 Embedding into a fixed ambient degree (``flatten``) refuses to drop a
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, TruncationOverflowError
+from .errors import DimensionMismatchError, TruncationOverflowError
 
 __all__ = [
     "CoeffFn",
@@ -25,16 +30,9 @@ __all__ = [
     "zero_fn",
     "basis_vector",
     "monomial_fn",
-    "inner_product",
-    "shift",
-    "backshift",
-    "eval_at",
     "flatten",
     "unflatten",
 ]
-
-# matches exact circle samples exp(i t), which land ~1 ulp above the circle
-_EVAL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,6 @@ class CoeffFn:
         """Largest index with a nonzero coefficient row (0 for the zero fn)."""
         nz = np.flatnonzero(np.any(self.coeffs != 0, axis=1))
         return int(nz[-1]) if nz.size else 0
-
-    def trim(self) -> "CoeffFn":
-        """Drop exact-zero trailing rows (canonical zero: deg 0, zero row)."""
-        return CoeffFn(self.dim_m, self.coeffs[: self.trimmed_deg() + 1])
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
 
     def padded(self, deg: int) -> np.ndarray:
         """Coefficient array zero-padded/losslessly cut to (deg+1, m) rows."""
@@ -162,38 +153,6 @@ def monomial_fn(dim_m: int, i: int, k: int) -> CoeffFn:
     arr = np.zeros((k + 1, dim_m), dtype=complex)
     arr[k, i] = 1.0
     return CoeffFn(dim_m, arr)
-
-
-def inner_product(f: CoeffFn, g: CoeffFn) -> complex:
-    """<F, G> = sum_n <A_n, B_n>, linear in F, conjugate-linear in G."""
-    _check_same_dim(f, g)
-    deg = max(f.deg, g.deg)
-    return complex(np.sum(f.padded(deg) * np.conj(g.padded(deg))))
-
-
-def shift(f: CoeffFn) -> CoeffFn:
-    """Multiply by z: coefficients move up one degree, norm preserved."""
-    out = np.zeros((f.deg + 2, f.dim_m), dtype=complex)
-    out[1:] = f.coeffs
-    return CoeffFn(f.dim_m, out)
-
-
-def backshift(f: CoeffFn) -> CoeffFn:
-    """(F(z) - F(0)) / z: coefficients move down one degree."""
-    if f.deg == 0:
-        return zero_fn(f.dim_m)
-    return CoeffFn(f.dim_m, f.coeffs[1:])
-
-
-def eval_at(f: CoeffFn, z: complex) -> np.ndarray:
-    """Horner evaluation of the truncated series at |z| <= 1."""
-    z = complex(z)
-    if abs(z) > 1.0 + _EVAL_SLACK:
-        raise DomainError(f"evaluation point |z| = {abs(z):.6g} outside the closed disc")
-    acc = np.zeros(f.dim_m, dtype=complex)
-    for row in f.coeffs[::-1]:
-        acc = acc * z + row
-    return acc
 
 
 def flatten(f: CoeffFn, ambient_deg: int) -> np.ndarray:

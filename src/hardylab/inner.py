@@ -18,11 +18,8 @@ from .multipliers import MatSymbol, scalar_symbol
 __all__ = [
     "BlaschkeSpec",
     "blaschke_scalar",
-    "eval_blaschke",
     "monomial_inner",
     "diag_inner",
-    "check_inner",
-    "as_inner",
 ]
 
 
@@ -110,20 +107,6 @@ def blaschke_scalar(spec: BlaschkeSpec, deg: int) -> MatSymbol:
     return scalar_symbol(coeffs, tail_bound=_tail_bound(spec.zeros, deg), claimed_inner=True)
 
 
-def eval_blaschke(spec: BlaschkeSpec, z: complex) -> complex:
-    """Closed-form evaluation of the (untruncated) Blaschke product."""
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise DomainError(f"evaluation point |z| = {abs(z):.6g} outside the closed disc")
-    val = spec.rotation
-    for a in spec.zeros:
-        if a == 0:
-            val *= z
-        else:
-            val *= (abs(a) / a) * (a - z) / (1 - np.conj(a) * z)
-    return complex(val)
-
-
 def monomial_inner(k: int, deg: int) -> MatSymbol:
     """The exact inner function z^k on a degree-deg coefficient window."""
     if not 0 <= k <= deg:
@@ -158,34 +141,3 @@ def diag_inner(entries, deg: int) -> MatSymbol:
         mats[: col.shape[0], i, i] = col
         tail = max(tail, entry_tail)
     return MatSymbol(m, m, mats, tail_bound=tail, claimed_inner=True)
-
-
-def check_inner(t: MatSymbol, grid_points: int) -> float:
-    """Max over a circle grid of ||Theta(w)^H Theta(w) - I||_2.
-
-    Exact polynomial inner symbols score ~1e-15; truncated ones score at
-    most about 3x their tail bound.
-    """
-    if grid_points < 4 * (t.deg + 1):
-        raise DimensionMismatchError(
-            f"need at least {4 * (t.deg + 1)} grid points for degree {t.deg}"
-        )
-    vals = t.eval_on_circle(grid_points)
-    eye = np.eye(t.m_in)
-    gram = np.einsum("gki,gkj->gij", np.conj(vals), vals) - eye
-    return float(max(np.linalg.norm(g, 2) for g in gram))
-
-
-def as_inner(t: MatSymbol, tol: float = 1e-10, grid_points: int | None = None) -> MatSymbol:
-    """Verify innerness on a circle grid and return a claimed-inner copy."""
-    if grid_points is None:
-        grid_points = 4 * (t.deg + 1)
-    dev = check_inner(
-        MatSymbol(t.m_out, t.m_in, t.mats, t.tail_bound, False), grid_points
-    )
-    if dev > tol + 3.0 * t.tail_bound:
-        raise NotInnerError(
-            f"symbol deviates from isometry by {dev:.3g} "
-            f"(allowed {tol + 3.0 * t.tail_bound:.3g})"
-        )
-    return MatSymbol(t.m_out, t.m_in, t.mats, t.tail_bound, True)

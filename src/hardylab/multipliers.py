@@ -1,10 +1,17 @@
-"""Matrix-valued analytic multipliers and their truncated realizations.
+"""Matrix-valued analytic multipliers and the one kernel that applies them.
 
 A :class:`MatSymbol` stores Taylor coefficients Theta_0 ... Theta_d of an
 operator-valued symbol together with a certified bound on the discarded
-tail and an innerness claim.  Application is the exact Cauchy product;
-the adjoint is computed coefficient-wise (correlation), so the adjoint
-identity <T F, G> = <F, T* G> holds exactly for polynomial data.
+tail and an innerness claim.
+
+Every action of a symbol on coefficients goes through one pair of
+functions on coefficient arrays of shape (deg + 1, m, b), b columns at
+once: ``multiply`` is the banded block Cauchy product T_Theta X, and
+``multiply_adjoint`` the analytic part of Theta* Y.  Such an array is a
+reshaped ``Subspace.matrix``, a ``CoeffFn.coeffs[..., None]`` or another
+symbol's ``mats``.  Both are exact for polynomial data, so the adjoint
+identity <T X, Y> = <X, T* Y> holds up to rounding, and no Toeplitz
+matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -13,19 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TruncationOverflowError
 from .funcs import CoeffFn
 
 __all__ = [
     "MatSymbol",
     "scalar_symbol",
     "column_symbol",
-    "identity_symbol",
-    "symbol_column",
     "compose",
-    "apply_multiplier",
-    "adjoint_apply",
-    "toeplitz_matrix",
+    "multiply",
+    "multiply_adjoint",
 ]
 
 
@@ -80,12 +84,6 @@ class MatSymbol:
         nz = np.any(self.mats != 0, axis=1)[::-1]
         return np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
 
-    def eval_on_circle(self, grid_points: int) -> np.ndarray:
-        """Symbol values at the grid_points-th roots of unity, shape (g, m_out, m_in)."""
-        theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
-        powers = np.exp(1j * np.outer(theta, np.arange(self.deg + 1)))
-        return np.tensordot(powers, self.mats, axes=(1, 0))
-
 
 def scalar_symbol(coeffs, tail_bound: float = 0.0, claimed_inner: bool = False) -> MatSymbol:
     """1x1 symbol from a list of scalar Taylor coefficients."""
@@ -98,41 +96,69 @@ def column_symbol(f: CoeffFn) -> MatSymbol:
     return MatSymbol(f.dim_m, 1, f.coeffs.reshape(-1, f.dim_m, 1))
 
 
-def identity_symbol(m: int) -> MatSymbol:
-    return MatSymbol(m, m, np.eye(m, dtype=complex).reshape(1, m, m), 0.0, True)
+def _check_input(x: np.ndarray, m: int, label: str) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] != m:
+        raise DimensionMismatchError(
+            f"{label} expects coefficients of shape (deg+1, {m}, b), got {x.shape}"
+        )
+    return x
 
 
-def symbol_column(t: MatSymbol, j: int) -> CoeffFn:
-    """Column j of the symbol as a CoeffFn (the function Theta e_j)."""
-    return CoeffFn(t.m_out, t.mats[:, :, j])
+def multiply(t: MatSymbol, x: np.ndarray, out_deg: int | None = None) -> np.ndarray:
+    """T_Theta X: coefficient n is sum_{j+k=n} Theta_j X_k, for b columns at once.
+
+    x has shape (d+1, m_in, b); the result has shape (out_deg+1, m_out, b),
+    by default the full product degree t.deg + d.  A larger out_deg pads
+    with exact zeros; a smaller one must only cut exact zeros, and a
+    nonzero coefficient above it raises TruncationOverflowError.
+    """
+    x = _check_input(x, t.m_in, "symbol")
+    if out_deg is not None and out_deg < 0:
+        raise DimensionMismatchError(f"output degree {out_deg} is negative")
+    d = x.shape[0] - 1
+    full = t.deg + d
+    rows = full if out_deg is None else max(out_deg, full)
+    out = np.zeros((rows + 1, t.m_out, x.shape[2]), dtype=complex)
+    for j in range(t.deg + 1):
+        out[j : j + d + 1] += np.einsum("oi,dib->dob", t.mats[j], x)
+    if out_deg is not None and out_deg < full:
+        if np.any(out[out_deg + 1:] != 0):
+            raise TruncationOverflowError(
+                f"product has a nonzero coefficient above degree {out_deg}"
+            )
+        out = out[: out_deg + 1]
+    return out
 
 
-def compose(a: MatSymbol, b: MatSymbol, out_deg: int | None = None) -> MatSymbol:
-    """Symbol product (AB)(z) = A(z)B(z) by block Cauchy product.
+def multiply_adjoint(t: MatSymbol, y: np.ndarray) -> np.ndarray:
+    """Analytic part of Theta* Y: coefficient n is sum_j Theta_j^H Y_{n+j}.
 
-    Tail bounds combine pessimistically; truncating below the full product
-    degree folds the dropped blocks into the tail bound.
+    y has shape (d+1, m_out, b); the result has shape (d+1, m_in, b).
+    """
+    y = _check_input(y, t.m_out, "adjoint")
+    d = y.shape[0] - 1
+    out = np.zeros((d + 1, t.m_in, y.shape[2]), dtype=complex)
+    for j in range(min(t.deg, d) + 1):
+        out[: d + 1 - j] += np.einsum("oi,dob->dib", np.conj(t.mats[j]), y[j:])
+    return out
+
+
+def compose(a: MatSymbol, b: MatSymbol) -> MatSymbol:
+    """Symbol product (AB)(z) = A(z)B(z): the kernel applied to B's blocks.
+
+    Tail bounds combine pessimistically.
     """
     if a.m_in != b.m_out:
         raise DimensionMismatchError(
             f"cannot compose {a.m_out}x{a.m_in} with {b.m_out}x{b.m_in}"
         )
-    full = a.deg + b.deg
-    if out_deg is None:
-        out_deg = full
-    out = np.zeros((full + 1, a.m_out, b.m_in), dtype=complex)
-    for j in range(a.deg + 1):
-        out[j : j + b.deg + 1] += np.einsum("oi,dij->doj", a.mats[j], b.mats)
     # sup norms: ||A|| <= 1 + tail for claimed inner, else coefficient l1 bound
     sup_a = _sup_bound(a)
     sup_b = _sup_bound(b)
     tail = a.tail_bound * sup_b + b.tail_bound * sup_a + a.tail_bound * b.tail_bound
-    if out_deg < full:
-        dropped = out[out_deg + 1 :]
-        tail += float(sum(np.linalg.norm(blk, 2) for blk in dropped))
-        out = out[: out_deg + 1]
     return MatSymbol(
-        a.m_out, b.m_in, out, tail, a.claimed_inner and b.claimed_inner
+        a.m_out, b.m_in, multiply(a, b.mats), tail, a.claimed_inner and b.claimed_inner
     )
 
 
@@ -140,50 +166,3 @@ def _sup_bound(t: MatSymbol) -> float:
     if t.claimed_inner:
         return 1.0 + t.tail_bound
     return float(sum(np.linalg.norm(blk, 2) for blk in t.mats)) + t.tail_bound
-
-
-def apply_multiplier(t: MatSymbol, f: CoeffFn, out_deg: int | None = None) -> CoeffFn:
-    """Cauchy product C_n = sum_{j+k=n} Theta_j A_k up to out_deg.
-
-    Default out_deg is the full product degree; anything smaller is an
-    explicit truncation request.
-    """
-    if t.m_in != f.dim_m:
-        raise DimensionMismatchError(
-            f"symbol expects C^{t.m_in} input, function lives in C^{f.dim_m}"
-        )
-    full = t.deg + f.deg
-    if out_deg is None:
-        out_deg = full
-    out = np.zeros((max(out_deg, full) + 1, t.m_out), dtype=complex)
-    for j in range(t.deg + 1):
-        out[j : j + f.deg + 1] += f.coeffs @ t.mats[j].T
-    return CoeffFn(t.m_out, out[: out_deg + 1])
-
-
-def adjoint_apply(t: MatSymbol, g: CoeffFn) -> CoeffFn:
-    """Analytic part of Theta(z)* G: coefficient n is sum_j Theta_j^H B_{n+j}."""
-    if t.m_out != g.dim_m:
-        raise DimensionMismatchError(
-            f"adjoint expects C^{t.m_out} input, function lives in C^{g.dim_m}"
-        )
-    out = np.zeros((g.deg + 1, t.m_in), dtype=complex)
-    for j in range(min(t.deg, g.deg) + 1):
-        out[: g.deg + 1 - j] += g.coeffs[j:] @ np.conj(t.mats[j])
-    return CoeffFn(t.m_in, out)
-
-
-def toeplitz_matrix(t: MatSymbol, ambient_deg: int) -> np.ndarray:
-    """Block lower-triangular Toeplitz realization on the flattened ambient.
-
-    Block (i, j) is Theta_{i-j} for i >= j.  Acting on a flattened input of
-    degree <= ambient_deg equals apply_multiplier followed by truncation.
-    """
-    n = ambient_deg + 1
-    out = np.zeros((t.m_out * n, t.m_in * n), dtype=complex)
-    for d in range(min(t.deg, ambient_deg) + 1):
-        blk = t.mats[d]
-        for j in range(n - d):
-            i = j + d
-            out[i * t.m_out : (i + 1) * t.m_out, j * t.m_in : (j + 1) * t.m_in] = blk
-    return out

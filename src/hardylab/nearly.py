@@ -12,7 +12,9 @@ one coefficient per step has one kernel, ``_peel``: it works on flattened
 coefficient columns against the matrices of M, its wandering part and
 the defect basis, and peels many columns together.  ``decompose`` runs it
 on one function, ``extract_K`` on every column of M's Q at once, and
-``synthesize_M`` rebuilds M from (K, F0, E) as one Toeplitz product.
+``synthesize_M`` rebuilds M from (K, F0, E) as one product of the
+generator symbol [F0 | zE] with K's Q.  The orthocomplement test
+``orthocomplement_membership`` applies the adjoint of the same generator.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``near_tol`` the decomposition
@@ -35,8 +37,8 @@ from .errors import (
     PreconditionError,
     TruncationOverflowError,
 )
-from .funcs import CoeffFn, backshift, flatten, shift, unflatten
-from .multipliers import MatSymbol, adjoint_apply, toeplitz_matrix
+from .funcs import CoeffFn, flatten, unflatten
+from .multipliers import MatSymbol, multiply, multiply_adjoint
 from .subspaces import (
     DefectCertificate,
     Subspace,
@@ -318,10 +320,11 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
     """Rebuild the function space from coordinates: F = F0 K0 + sum z k_j E_j.
 
     F0 columns must be orthonormal with linearly independent values at 0;
-    E must be orthonormal.  Every image is one product: the Toeplitz matrix
-    of the m x (r+p) symbol [F0 | zE] applied to the columns of K's Q, then
-    spanned by the ``from_spanning`` cut.  The output is certified nearly
-    invariant with defect at most p unless ``check`` is disabled.
+    E must be orthonormal.  Every image is one product: the m x (r+p)
+    generator symbol [F0 | zE] applied by ``multiply`` to the columns of
+    K's Q, then spanned by the ``from_spanning`` cut.  The output is
+    certified nearly invariant with defect at most p unless ``check`` is
+    disabled.
     """
     f0_cols = list(f0_cols)
     e_fns = list(e_fns)
@@ -353,12 +356,10 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
         raise TruncationOverflowError(
             f"ambient degree {ambient_deg} below required headroom {need}"
         )
-    gens = f0_cols + [shift(e) for e in e_fns]
-    deg = max(g.deg for g in gens)
-    symbol = MatSymbol(m_dim, r + p,
-                       _columns(gens, m_dim, deg).reshape(deg + 1, m_dim, r + p))
-    images = (toeplitz_matrix(symbol, ambient_deg)[:, : (r + p) * (k.ambient_deg + 1)]
-              @ k.matrix)
+    gen = _generator(m_dim, [c.padded(max_f0) for c in f0_cols],
+                     [e.padded(max_e) for e in e_fns])
+    x = k.matrix.reshape(k.ambient_deg + 1, r + p, k.dim)
+    images = multiply(gen, x, ambient_deg).reshape(-1, k.dim)
     m = _span_columns(images, m_dim, ambient_deg, tol)
     if check:
         cert = certify_nearly(m, p)
@@ -367,6 +368,20 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
                 f"synthesized space has defect {cert.defect_dim} > {p}"
             )
     return m
+
+
+def _generator(m_dim: int, f0_cols, e_cols) -> MatSymbol:
+    """The m x (r+p) symbol [F0 | zE] from (deg+1, m) coefficient arrays.
+
+    F0's columns enter as they are, each E_j one degree up, so that
+    T_{zE} = S T_E and T*_{zE} = T*_E S*.
+    """
+    cols = list(f0_cols) + [np.vstack([np.zeros((1, m_dim)), e]) for e in e_cols]
+    deg = max(c.shape[0] for c in cols) - 1
+    gen = np.zeros((deg + 1, m_dim, len(cols)), dtype=complex)
+    for i, c in enumerate(cols):
+        gen[: c.shape[0], :, i] = c
+    return MatSymbol(m_dim, len(cols), gen)
 
 
 def _check_orthonormal(fns, label: str, tol: float = 1e-8) -> None:
@@ -428,33 +443,29 @@ def orthocomplement_membership(g: CoeffFn, f0: MatSymbol | None, e_syms,
                                k_perp: Subspace, tol: float = 1e-7) -> tuple:
     """Membership of G in the orthocomplement via the coordinate adjoints.
 
-    Computes the tuple (T*_{F0} G, T*_{E_1} S* G, ..., T*_{E_p} S* G) and
-    tests whether it lies in the given forward-shift invariant coordinate
-    complement; the F0 slot is omitted when the space has no wandering
-    part.  Returns (member, residual).
+    Computes the tuple (T*_{F0} G, T*_{E_1} S* G, ..., T*_{E_p} S* G), one
+    ``multiply_adjoint`` of the generator [F0 | zE] since T*_{zE} = T*_E S*,
+    and tests whether it lies in the given forward-shift invariant
+    coordinate complement; the F0 slot is omitted when the space has no
+    wandering part.  Returns (member, residual).
     """
     e_syms = list(e_syms)
-    parts = []
-    if f0 is not None:
-        if f0.m_out != g.dim_m:
-            raise DimensionMismatchError(
-                f"F0 maps into C^{f0.m_out}, G lives in C^{g.dim_m}"
-            )
-        parts.append(adjoint_apply(f0, g))
-    sg = backshift(g)
+    if f0 is not None and f0.m_out != g.dim_m:
+        raise DimensionMismatchError(
+            f"F0 maps into C^{f0.m_out}, G lives in C^{g.dim_m}"
+        )
     for j, ej in enumerate(e_syms):
         if ej.m_in != 1 or ej.m_out != g.dim_m:
             raise DimensionMismatchError(f"defect symbol {j} must be {g.dim_m}x1")
-        parts.append(adjoint_apply(ej, sg))
-    if not parts:
+    f0_cols = [f0.mats[:, :, i] for i in range(f0.m_in)] if f0 is not None else []
+    if not f0_cols and not e_syms:
         raise PreconditionError("no coordinate slots: need F0 or defect symbols")
-    width = sum(p.dim_m for p in parts)
-    if width != k_perp.dim_m:
+    gen = _generator(g.dim_m, f0_cols, [ej.mats[:, :, 0] for ej in e_syms])
+    if gen.m_in != k_perp.dim_m:
         raise DimensionMismatchError(
-            f"tuple has {width} components, complement lives over C^{k_perp.dim_m}"
+            f"tuple has {gen.m_in} components, complement lives over C^{k_perp.dim_m}"
         )
-    deg = max(p.deg for p in parts)
-    tup = CoeffFn(width, np.hstack([p.padded(deg) for p in parts]))
+    tup = CoeffFn(gen.m_in, multiply_adjoint(gen, g.coeffs[..., None])[:, :, 0])
     # the distance from the complement is the size of the K part; K padded
     # to the tuple's degree covers tuples that outgrow the coordinate
     # window, since everything above it is orthogonal to K

@@ -14,15 +14,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotNearlyInvariantError, ParseError
-from .funcs import CoeffFn, basis_vector, make_fn, monomial_fn
+from .funcs import basis_vector, make_fn, monomial_fn, unflatten
 from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
-from .multipliers import (
-    MatSymbol,
-    apply_multiplier,
-    column_symbol,
-    compose,
-    symbol_column,
-)
+from .multipliers import MatSymbol, column_symbol, compose, multiply
 from .nearly import (
     almost_invariant_Sstar_check,
     certify_nearly,
@@ -36,13 +30,13 @@ from .serialize import parse_symbol_spec
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _span_columns,
     beurling_space,
     complement,
     defect_of,
     degree_slice,
     from_spanning,
     model_space,
-    project,
     subspace_distance,
     vanishing_slice,
     wandering,
@@ -100,25 +94,32 @@ def _monomial_powers(t: MatSymbol):
 def _apply_space(t: MatSymbol, space: Subspace, ambient_deg: int,
                  tol: float) -> Subspace:
     """Exact image of a subspace under a multiplier, re-orthonormalized."""
-    return from_spanning(
-        [apply_multiplier(t, b) for b in space.basis], ambient_deg, tol,
-        dim_m=t.m_out,
-    )
+    x = space.matrix.reshape(space.ambient_deg + 1, space.dim_m, space.dim)
+    images = multiply(t, x, ambient_deg).reshape(-1, space.dim)
+    return _span_columns(images, t.m_out, ambient_deg, tol)
 
 
-def _random_fn(rng, dim_m: int, deg: int, unit: bool = True) -> CoeffFn:
-    arr = rng.standard_normal((deg + 1, dim_m)) + 1j * rng.standard_normal((deg + 1, dim_m))
-    f = CoeffFn(dim_m, arr)
-    return f * (1.0 / f.norm()) if unit else f
+def _projection(space: Subspace, cols: np.ndarray) -> np.ndarray:
+    """P_A applied to flattened columns (or one flattened vector)."""
+    q = space.matrix
+    return q @ (np.conj(q.T) @ cols)
 
 
-def _perp_unit(rng, space: Subspace, deg: int) -> CoeffFn:
-    """Seeded unit vector orthogonal to the space."""
+def _random_unit(rng, dim_m: int, deg: int) -> np.ndarray:
+    """Seeded flattened unit vector of degree deg: real parts drawn first."""
+    vec = (rng.standard_normal((deg + 1, dim_m))
+           + 1j * rng.standard_normal((deg + 1, dim_m))).reshape(-1)
+    return vec * (1.0 / np.linalg.norm(vec))
+
+
+def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
+    """Seeded flattened unit vector orthogonal to the space."""
     for _ in range(16):
-        f = _random_fn(rng, space.dim_m, deg)
-        g = f - project(space, f)
-        if g.norm() > 1e-6:
-            return g * (1.0 / g.norm())
+        f = _random_unit(rng, space.dim_m, deg)
+        g = f - _projection(space, f)
+        norm = np.linalg.norm(g)
+        if norm > 1e-6:
+            return g * (1.0 / norm)
     raise RuntimeError("could not draw a vector orthogonal to the space")
 
 
@@ -190,11 +191,8 @@ def _sc_prop_f0k_almost(p: dict):
     nearly_cert = certify_nearly(space, 0, band=k_theta.band)
     domain = degree_slice(space, n - 1)
     cert = defect_of(space, "S", domain=domain, tol=p["defect_tol"])
-    escapes = []
-    for i in range(rprime):
-        t = apply_multiplier(v_sym, symbol_column(theta, i))
-        escapes.append(t - project(space, t))
-    target = from_spanning(escapes, n, tol)
+    images = multiply(v_sym, theta.mats, n).reshape(-1, rprime)
+    target = _span_columns(images - _projection(space, images), m, n, tol)
     found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
     dist = subspace_distance(found, target)
     # dimension-growth surrogate for the unreachable infinite-dimension
@@ -241,8 +239,9 @@ def _sc_lemma_ortho(p: dict):
     lhs = complement(_apply_space(psi, k_theta, n, tol))
     prod = compose(psi, theta)
     rhs_parts = beurling_space(prod, n, tol=tol)
-    rhs = from_spanning(
-        list(rhs_parts.basis) + list(model_space(psi, n, tol=tol).basis), n, tol
+    rhs = _span_columns(
+        np.hstack([rhs_parts.matrix, model_space(psi, n, tol=tol).matrix]),
+        psi.m_out, n, tol,
     )
     band = n - 2 * d
     combined_tail = psi.tail_bound + theta.tail_bound + prod.tail_bound
@@ -255,10 +254,10 @@ def _sc_lemma_ortho(p: dict):
     nm = p["poly_N"]
     k_m = model_space(theta_m, nm - 2, tol=tol)
     lhs_m = complement(_apply_space(psi_m, k_m, nm, tol))
-    rhs_m = from_spanning(
-        list(beurling_space(compose(psi_m, theta_m), nm, tol=tol).basis)
-        + list(model_space(psi_m, nm, tol=tol).basis),
-        nm, tol,
+    rhs_m = _span_columns(
+        np.hstack([beurling_space(compose(psi_m, theta_m), nm, tol=tol).matrix,
+                   model_space(psi_m, nm, tol=tol).matrix]),
+        psi_m.m_out, nm, tol,
     )
     dist_m = subspace_distance(lhs_m, rhs_m, band=nm - 4)
     metrics = {
@@ -305,11 +304,10 @@ def _sc_prop_perp_almost(p: dict):
     x = complement(_apply_space(psi, k_theta, n, tol))
     domain = degree_slice(x, n - 1)
     cert = defect_of(x, "S", domain=domain, tol=p["defect_tol"])
-    escapes = []
-    for i in range(m):
-        t = symbol_column(psi, i)
-        escapes.append(t - project(x, t))
-    target = from_spanning(escapes, n, tol)
+    # Psi's columns, padded to the window
+    cols = np.zeros(((n + 1) * m, m), dtype=complex)
+    cols[: psi.mats.shape[0] * m] = psi.mats.reshape(-1, m)
+    target = _span_columns(cols - _projection(x, cols), m, n, tol)
     found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
     dist = subspace_distance(found, target)
     metrics = {
@@ -535,10 +533,11 @@ def _sc_duality(p: dict):
             space = _apply_space(u_sym, base, n, tol)
         else:
             count = int(rng.integers(2, 5))
-            space = from_spanning(
-                [_random_fn(rng, m, n) for _ in range(count)], n, tol, dim_m=m
+            space = _span_columns(
+                np.column_stack([_random_unit(rng, m, n) for _ in range(count)]),
+                m, n, tol,
             )
-        defect = [_perp_unit(rng, space, n)]
+        defect = [unflatten(_perp_unit(rng, space, n), m)]
         lhs_res, rhs_res = duality_residuals(space, defect)
         forward = lhs_res <= p["residual_tol"]
         if forward:
@@ -579,15 +578,15 @@ def _sc_section4(p: dict):
     nonmembers = 0
     agreements = 0
     for i in range(p["draws"]):
-        g = _random_fn(rng, 3, ambient)
+        g = _random_unit(rng, 3, ambient)
         if i % 2 == 0:
-            h = g - project(space, g)
-            if h.norm() < 1e-6:
+            h = g - _projection(space, g)
+            if np.linalg.norm(h) < 1e-6:
                 continue
-            g = h * (1.0 / h.norm())
-        claimed, _ = orthocomplement_membership(g, f0_sym, e_syms, k_perp,
-                                                tol=p["membership_tol"])
-        direct = project(space, g).norm() <= p["membership_tol"]
+            g = h * (1.0 / np.linalg.norm(h))
+        claimed, _ = orthocomplement_membership(unflatten(g, 3), f0_sym, e_syms,
+                                                k_perp, tol=p["membership_tol"])
+        direct = np.linalg.norm(_projection(space, g)) <= p["membership_tol"]
         if direct:
             members += 1
         else:

@@ -37,7 +37,6 @@ __all__ = [
     "parse_space_spec",
     "parse_function_list",
     "serialize_function",
-    "serialize_subspace",
     "load_json",
 ]
 
@@ -168,8 +167,8 @@ def parse_space_spec(text: str) -> Subspace:
     if not isinstance(ambient, int) or ambient < 0:
         raise ParseError("ambient_deg: expected a non-negative integer")
     tol = doc.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise ParseError("tol: expected a positive number")
+    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0:
+        raise ParseError("tol: expected a finite positive number")
     spanning = doc.get("spanning")
     if not isinstance(spanning, list):
         raise ParseError("spanning: expected a list of coefficient arrays")
@@ -203,12 +202,3 @@ def _pairs(arr: np.ndarray) -> list:
 
 def serialize_function(f: CoeffFn) -> dict:
     return {"m": f.dim_m, "coeffs": [_pairs(row) for row in f.coeffs]}
-
-
-def serialize_subspace(s: Subspace) -> dict:
-    return {
-        "m": s.dim_m,
-        "ambient_deg": s.ambient_deg,
-        "tol": s.tol,
-        "spanning": [[_pairs(row) for row in b.coeffs] for b in s.basis],
-    }

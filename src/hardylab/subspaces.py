@@ -207,10 +207,6 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def projector(self) -> np.ndarray:
-        q = self.matrix
-        return q @ np.conj(q.T)
-
     def padded(self, ambient_deg: int) -> "Subspace":
         """Same span inside a larger ambient window."""
         if ambient_deg < self.ambient_deg:

@@ -1,0 +1,77 @@
+"""API audit: every public name has a caller inside the package, no
+relative import goes unused, and ``CoeffFn`` stays a boundary type.
+
+The audit reads the sources with ``ast``, so a word in a docstring or a
+comment never counts as a use.
+"""
+
+import ast
+from pathlib import Path
+
+import hardylab
+from hardylab.funcs import CoeffFn
+from hardylab.scenarios import run_all
+
+SRC = Path(hardylab.__file__).parent
+# result types: handed back to callers, never imported by another module
+RESULT_TYPES = {"DecompResult", "ScenarioReport"}
+# CoeffFn builds allowed in one run_all(): functions cross the boundary
+# (JSON-like inputs, defect lists, decomposition results), they are not the
+# currency of the numerical work
+MAX_COEFFN_BUILDS = 600
+
+
+def _trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree) -> list:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _relative_imports(tree) -> list:
+    """(source module, imported name, bound name) of every ``from .x import y``."""
+    return [(node.module, alias.name, alias.asname or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    trees = _trees()
+    imported = {(src, name)
+                for module, tree in trees.items() if module != "__init__"
+                for src, name, _ in _relative_imports(tree)}
+    orphans = [f"{module}.{name}"
+               for module, tree in trees.items()
+               for name in _exported(tree)
+               if name not in RESULT_TYPES and (module, name) not in imported]
+    assert orphans == []
+
+
+def test_no_relative_import_goes_unused():
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue  # the package namespace re-exports
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}: {bound} from .{src}"
+                   for src, _, bound in _relative_imports(tree) if bound not in used]
+    assert unused == []
+
+
+def test_run_all_builds_few_coeff_fns(monkeypatch):
+    built = [0]
+    original = CoeffFn.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        original(self)
+
+    monkeypatch.setattr(CoeffFn, "__post_init__", counting)
+    assert all(report.passed for report in run_all())
+    assert 0 < built[0] <= MAX_COEFFN_BUILDS

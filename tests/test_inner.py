@@ -1,4 +1,4 @@
-"""Unit tests for inner constructors and certification."""
+"""Unit tests for inner constructors and their isometry certificate."""
 
 from fractions import Fraction
 from math import comb
@@ -10,15 +10,21 @@ from hardylab.errors import DimensionMismatchError, DomainError, NotInnerError
 from hardylab.funcs import make_fn
 from hardylab.inner import (
     BlaschkeSpec,
-    as_inner,
     blaschke_scalar,
-    check_inner,
     diag_inner,
     _tail_bound,
-    eval_blaschke,
     monomial_inner,
 )
-from hardylab.multipliers import apply_multiplier, scalar_symbol
+from hardylab.multipliers import MatSymbol, multiply, scalar_symbol
+from hardylab.subspaces import _isometry_defect, beurling_space
+
+
+def _eval_blaschke(spec, z):
+    """Closed-form value of the (untruncated) Blaschke product at z."""
+    val = spec.rotation
+    for a in spec.zeros:
+        val *= z if a == 0 else (abs(a) / a) * (a - z) / (1 - np.conj(a) * z)
+    return complex(val)
 
 
 class TestBlaschkeScalar:
@@ -75,7 +81,7 @@ class TestBlaschkeScalar:
         for t in np.linspace(0, 2 * np.pi, 17):
             w = np.exp(1j * t)
             series = np.polyval(b.mats[::-1, 0, 0], w)
-            assert abs(series - eval_blaschke(spec, w)) <= b.tail_bound + 1e-12
+            assert abs(series - _eval_blaschke(spec, w)) <= b.tail_bound + 1e-12
 
 
 class TestTailBound:
@@ -121,14 +127,15 @@ class TestMonomialInner:
     def test_exact_isometry(self):
         t = monomial_inner(3, 3)
         f = make_fn(1, [[1], [2], [3]])
-        assert apply_multiplier(t, f).norm() == pytest.approx(f.norm())
+        assert np.linalg.norm(multiply(t, f.coeffs[..., None])) == pytest.approx(f.norm())
 
     def test_application_is_iterated_shift(self):
-        from hardylab.funcs import shift
-
         f = make_fn(1, [[1], [2j], [3]])
-        out = apply_multiplier(monomial_inner(3, 4), f)
-        assert np.allclose(out.coeffs, shift(shift(shift(f))).padded(out.deg))
+        out = multiply(monomial_inner(3, 4), f.coeffs[..., None])[:, :, 0]
+        assert out.shape == (7, 1)
+        assert np.array_equal(out[:3], np.zeros((3, 1)))
+        assert np.array_equal(out[3:6], f.coeffs)
+        assert out[6] == 0
 
 
 class TestDiagInner:
@@ -158,28 +165,25 @@ class TestDiagInner:
 
 
 class TestCheckInner:
+    """The isometry defect delta = sum_l ||(Theta* Theta - I)^(l)||_2."""
+
     def test_shift_diagonal(self):
         t = diag_inner([monomial_inner(1, 1)] * 2, 1)
-        assert check_inner(t, 64) <= 1e-12
+        assert _isometry_defect(t) <= 1e-12
 
     def test_monomial_diag(self):
         t = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
-        assert check_inner(t, 64) <= 1e-12
+        assert _isometry_defect(t) <= 1e-12
 
     def test_truncated_blaschke_within_tail(self):
         b = blaschke_scalar(BlaschkeSpec([0.5]), 32)
-        assert check_inner(b, 4 * 33) <= 3.0 * b.tail_bound + 1e-10
-
-    def test_grid_too_small(self):
-        with pytest.raises(DimensionMismatchError):
-            check_inner(monomial_inner(1, 4), 10)
+        assert _isometry_defect(b) <= 3.0 * b.tail_bound + 1e-10
 
 
 class TestAsInner:
-    def test_promotes_genuine_inner(self):
-        t = as_inner(scalar_symbol([0, 1]))
-        assert t.claimed_inner
-
     def test_rejects_non_inner(self):
+        # claimed inner, but delta = 1: the range construction refuses it
+        t = MatSymbol(1, 1, scalar_symbol([0.5, 0.5]).mats, claimed_inner=True)
+        assert _isometry_defect(t) == pytest.approx(1.0)
         with pytest.raises(NotInnerError):
-            as_inner(scalar_symbol([0.5, 0.5]))
+            beurling_space(t, 4)

@@ -1,29 +1,34 @@
-"""Unit tests for multiplier application, adjoints, and Toeplitz realizations."""
+"""Unit tests for the multiplier kernel, symbol products and their oracles.
+
+The references below are the implementations the kernel replaced: the
+dense block Toeplitz matrix, the per-function Cauchy and correlation
+loops, and the einsum loop of ``compose``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylab.errors import DimensionMismatchError
+from hardylab.errors import DimensionMismatchError, TruncationOverflowError
 from hardylab.funcs import (
     CoeffFn,
     basis_vector,
     flatten,
-    inner_product,
     make_fn,
     monomial_fn,
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.multipliers import (
     MatSymbol,
-    adjoint_apply,
-    apply_multiplier,
     column_symbol,
     compose,
-    identity_symbol,
+    multiply,
+    multiply_adjoint,
     scalar_symbol,
-    symbol_column,
-    toeplitz_matrix,
 )
+from hardylab.nearly import orthocomplement_membership, synthesize_M
+from hardylab.subspaces import complement, model_space, project
 
 
 def _rng_fn(rng, m, deg):
@@ -37,6 +42,11 @@ def _rng_symbol(rng, m_out, m_in, deg):
                      + 1j * rng.standard_normal((deg + 1, m_out, m_in)))
 
 
+def _rng_coeffs(rng, deg, m, b):
+    return (rng.standard_normal((deg + 1, m, b))
+            + 1j * rng.standard_normal((deg + 1, m, b)))
+
+
 def _geometric_blaschke_half(deg):
     # independent expansion of (1/2 - z) * sum (z/2)^k
     geo = np.array([0.5 ** k for k in range(deg + 1)], dtype=complex)
@@ -45,27 +55,72 @@ def _geometric_blaschke_half(deg):
     return out
 
 
+def _dense_toeplitz(t, ambient_deg):
+    """Block lower-triangular Toeplitz realization on the flattened window.
+
+    Block (i, j) is Theta_{i-j} for i >= j; products above the window are
+    cut off.
+    """
+    n = ambient_deg + 1
+    out = np.zeros((t.m_out * n, t.m_in * n), dtype=complex)
+    for d in range(min(t.deg, ambient_deg) + 1):
+        blk = t.mats[d]
+        for j in range(n - d):
+            i = j + d
+            out[i * t.m_out : (i + 1) * t.m_out, j * t.m_in : (j + 1) * t.m_in] = blk
+    return out
+
+
+def _adjoint_reference(t, coeffs):
+    """Analytic part of Theta* G for one (deg+1, m_out) coefficient array."""
+    deg = coeffs.shape[0] - 1
+    out = np.zeros((deg + 1, t.m_in), dtype=complex)
+    for j in range(min(t.deg, deg) + 1):
+        out[: deg + 1 - j] += coeffs[j:] @ np.conj(t.mats[j])
+    return out
+
+
+def _compose_reference(a, b):
+    """The block Cauchy product of two symbols, one einsum per block of a."""
+    out = np.zeros((a.deg + b.deg + 1, a.m_out, b.m_in), dtype=complex)
+    for j in range(a.deg + 1):
+        out[j : j + b.deg + 1] += np.einsum("oi,dij->doj", a.mats[j], b.mats)
+    return out
+
+
+def _apply(t, f, out_deg=None):
+    """The kernel on one function: T_Theta F as a CoeffFn."""
+    return CoeffFn(t.m_out, multiply(t, f.coeffs[..., None], out_deg)[:, :, 0])
+
+
+def _realized(t, n):
+    """The kernel on the identity columns of the window, cut to the window."""
+    cols = np.eye(t.m_in * (n + 1)).reshape(n + 1, t.m_in, -1)
+    return multiply(t, cols)[: n + 1].reshape(t.m_out * (n + 1), -1)
+
+
 class TestApply:
     def test_shift_symbol(self):
         zi = diag_inner([monomial_inner(1, 1)] * 2, 1)
-        out = apply_multiplier(zi, basis_vector(2, 0))
+        out = _apply(zi, basis_vector(2, 0))
         assert np.allclose(out.coeffs, monomial_fn(2, 0, 1).coeffs)
 
     def test_diag_monomials(self):
         t = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
         f = make_fn(2, [[1, 1]])
-        out = apply_multiplier(t, f)
+        out = _apply(t, f)
         expected = monomial_fn(2, 0, 2) + monomial_fn(2, 1, 3)
         assert np.allclose(out.padded(3), expected.padded(3))
 
     def test_blaschke_against_geometric_expansion(self):
         b = blaschke_scalar(BlaschkeSpec([0.5]), 32)
-        out = apply_multiplier(b, make_fn(1, [[1]]), out_deg=32)
+        out = _apply(b, make_fn(1, [[1]]), out_deg=32)
         assert np.allclose(out.coeffs.ravel(), _geometric_blaschke_half(32))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply_multiplier(identity_symbol(2), make_fn(1, [[1]]))
+            multiply(MatSymbol(2, 2, np.eye(2).reshape(1, 2, 2)),
+                     make_fn(1, [[1]]).coeffs[..., None])
 
     def test_norm_bound(self):
         rng = np.random.default_rng(3)
@@ -73,7 +128,7 @@ class TestApply:
             t = _rng_symbol(rng, 2, 2, 3)
             f = _rng_fn(rng, 2, 4)
             bound = sum(np.linalg.norm(blk, 2) for blk in t.mats) * f.norm()
-            assert apply_multiplier(t, f).norm() <= bound + 1e-9
+            assert _apply(t, f).norm() <= bound + 1e-9
 
     def test_inner_isometry_up_to_tail(self):
         b = blaschke_scalar(BlaschkeSpec([0.5]), 24)
@@ -81,19 +136,19 @@ class TestApply:
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = _rng_fn(rng, 1, 6)
-            out = apply_multiplier(b, f)
+            out = _apply(b, f)
             assert abs(out.norm() - f.norm()) <= np.sqrt(2 * eps + eps ** 2) * f.norm() + 1e-12
 
 
 class TestAdjoint:
     def test_kills_constants(self):
         z = scalar_symbol([0, 1])
-        assert adjoint_apply(z, make_fn(1, [[1]])).is_zero()
+        assert not multiply_adjoint(z, np.ones((1, 1, 1))).any()
 
     def test_lowers_monomial(self):
         z = scalar_symbol([0, 1])
-        out = adjoint_apply(z, make_fn(1, [[0], [1]]))
-        assert np.allclose(out.coeffs.ravel(), [1, 0])
+        out = multiply_adjoint(z, make_fn(1, [[0], [1]]).coeffs[..., None])
+        assert np.array_equal(out.ravel(), [1, 0])
 
     def test_adjoint_identity_random(self):
         rng = np.random.default_rng(11)
@@ -101,32 +156,36 @@ class TestAdjoint:
             t = _rng_symbol(rng, 3, 2, 2)
             f = _rng_fn(rng, 2, 3)
             g = _rng_fn(rng, 3, 6)
-            lhs = inner_product(apply_multiplier(t, f), g)
-            rhs = inner_product(f, adjoint_apply(t, g))
+            lhs = np.vdot(g.padded(6), _apply(t, f).padded(6))
+            rhs = np.vdot(multiply_adjoint(t, g.coeffs[..., None])[:, :, 0], f.padded(6))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_matches_dense_conjugate_transpose(self):
         rng = np.random.default_rng(13)
         n = 5
         t = _rng_symbol(rng, 2, 3, 2)
-        mat = toeplitz_matrix(t, n)
+        mat = _dense_toeplitz(t, n)
         g = _rng_fn(rng, 2, n)
         via_matrix = np.conj(mat.T) @ flatten(g, n)
-        direct = flatten(adjoint_apply(t, g), n)
+        direct = multiply_adjoint(t, g.coeffs[..., None]).reshape(-1)
         assert np.allclose(via_matrix, direct)
 
 
 class TestToeplitz:
+    """The kernel on the window's identity columns is the block Toeplitz matrix."""
+
     def test_scalar_shift(self):
-        mat = toeplitz_matrix(scalar_symbol([0, 1]), 2)
-        assert np.allclose(mat, np.diag([1, 1], -1))
+        mat = _realized(scalar_symbol([0, 1]), 2)
+        assert np.array_equal(mat, np.diag([1, 1], -1))
 
     def test_identity(self):
-        assert np.allclose(toeplitz_matrix(identity_symbol(2), 1), np.eye(4))
+        eye = MatSymbol(2, 2, np.eye(2).reshape(1, 2, 2))
+        assert np.array_equal(_realized(eye, 1), np.eye(4))
 
     def test_rank_of_mixed_diag(self):
         t = diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2)
-        mat = toeplitz_matrix(t, 3)
+        mat = _realized(t, 3)
+        assert np.array_equal(mat, _dense_toeplitz(t, 3))
         assert np.linalg.matrix_rank(mat) == 5
 
     def test_action_matches_apply(self):
@@ -135,8 +194,8 @@ class TestToeplitz:
         f = _rng_fn(rng, 2, 3)
         n = 5
         assert np.allclose(
-            toeplitz_matrix(t, n) @ flatten(f, n),
-            flatten(apply_multiplier(t, f), n),
+            _dense_toeplitz(t, n) @ flatten(f, n),
+            multiply(t, f.coeffs[..., None], n).reshape(-1),
         )
 
 
@@ -156,15 +215,15 @@ class TestCommutation:
     def test_any_symbol_commutes(self):
         rng = np.random.default_rng(19)
         t = _rng_symbol(rng, 2, 2, 2)
-        assert _shift_commutator_norm(toeplitz_matrix(t, 8), 2, 2, t.deg) <= 1e-12
+        assert _shift_commutator_norm(_realized(t, 8), 2, 2, t.deg) <= 1e-12
 
     def test_diag_monomials_commute(self):
         t = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
-        assert _shift_commutator_norm(toeplitz_matrix(t, 8), 2, 2, t.deg) <= 1e-12
+        assert _shift_commutator_norm(_realized(t, 8), 2, 2, t.deg) <= 1e-12
 
     def test_perturbed_block_fails(self):
         t = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
-        mat = toeplitz_matrix(t, 8)
+        mat = _realized(t, 8)
         mat[4, 2] += 0.5  # break the Toeplitz block structure
         assert _shift_commutator_norm(mat, 2, 2, t.deg) > 0.1
 
@@ -181,18 +240,139 @@ class TestCompose:
         prod = compose(b, b)
         assert prod.tail_bound >= 2 * b.tail_bound - 1e-15
 
-    def test_truncated_product_tail(self):
-        b = blaschke_scalar(BlaschkeSpec([0.5]), 16)
-        full = compose(b, b)
-        cut = compose(b, b, out_deg=16)
-        dropped = sum(abs(full.mats[k, 0, 0]) for k in range(17, 33))
-        assert cut.tail_bound >= full.tail_bound + dropped - 1e-12
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_einsum_loop_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        a = _rng_symbol(rng, 2, 3, int(rng.integers(0, 5)))
+        b = _rng_symbol(rng, 3, 2, int(rng.integers(0, 5)))
+        assert np.array_equal(compose(a, b).mats, _compose_reference(a, b))
+
+    def test_blaschke_product_matches_einsum_loop_exactly(self):
+        b = blaschke_scalar(BlaschkeSpec([0.5, -0.3j]), 16)
+        d = diag_inner([b, monomial_inner(2, 16)], 16)
+        assert np.array_equal(compose(d, d).mats, _compose_reference(d, d))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            compose(scalar_symbol([1]), column_symbol(basis_vector(2, 0)))
 
 
 class TestColumns:
     def test_symbol_column_roundtrip(self):
         t = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
-        col = symbol_column(t, 1)
+        col = CoeffFn(2, t.mats[:, :, 1])
         assert np.allclose(col.coeffs, monomial_fn(2, 1, 2).padded(2))
         back = column_symbol(col)
         assert back.m_out == 2 and back.m_in == 1
+        assert np.array_equal(back.mats, t.mats[:, :, 1:])
+
+
+# the kernel against the dense block Toeplitz oracle: m_out != m_in, symbol
+# degree above and below the input degree, one and several columns
+KERNEL_GRID = [(m_out, m_in, sym_deg, in_deg, b)
+               for m_out, m_in in ((2, 3), (3, 1))
+               for sym_deg, in_deg in ((4, 1), (1, 4))
+               for b in (1, 5)]
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("m_out, m_in, sym_deg, in_deg, b", KERNEL_GRID)
+    def test_multiply_matches_dense_toeplitz(self, m_out, m_in, sym_deg, in_deg, b):
+        rng = np.random.default_rng(m_out + 10 * sym_deg + 100 * b)
+        t = _rng_symbol(rng, m_out, m_in, sym_deg)
+        x = _rng_coeffs(rng, in_deg, m_in, b)
+        n = sym_deg + in_deg
+        dense = _dense_toeplitz(t, n)[:, : m_in * (in_deg + 1)] @ x.reshape(-1, b)
+        got = multiply(t, x)
+        assert got.shape == (n + 1, m_out, b)
+        assert np.allclose(got.reshape(-1, b), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m_out, m_in, sym_deg, in_deg, b", KERNEL_GRID)
+    def test_adjoint_is_dense_conjugate_transpose(self, m_out, m_in, sym_deg, in_deg, b):
+        rng = np.random.default_rng(m_in + 10 * in_deg + 100 * b)
+        t = _rng_symbol(rng, m_out, m_in, sym_deg)
+        y = _rng_coeffs(rng, in_deg, m_out, b)
+        dense = np.conj(_dense_toeplitz(t, in_deg).T) @ y.reshape(-1, b)
+        got = multiply_adjoint(t, y)
+        assert got.shape == (in_deg + 1, m_in, b)
+        assert np.allclose(got.reshape(-1, b), dense, rtol=0, atol=1e-12)
+        for c in range(b):
+            assert np.allclose(got[:, :, c], _adjoint_reference(t, y[:, :, c]),
+                               rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 5), st.integers(0, 5),
+           st.integers(0, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_identity(self, m_out, m_in, sym_deg, in_deg, extra, b, seed):
+        # <T X, Y> = <X, T* Y> with Y reaching past the product degree
+        rng = np.random.default_rng(seed)
+        t = _rng_symbol(rng, m_out, m_in, sym_deg)
+        x = _rng_coeffs(rng, in_deg, m_in, b)
+        y = _rng_coeffs(rng, sym_deg + in_deg + extra, m_out, b)
+        tx = multiply(t, x, sym_deg + in_deg + extra)
+        ty = multiply_adjoint(t, y)
+        for c in range(b):
+            lhs = np.vdot(y[:, :, c], tx[:, :, c])
+            rhs = np.vdot(ty[: in_deg + 1, :, c], x[:, :, c])
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_overflow_refused(self):
+        z = scalar_symbol([0, 1])
+        x = make_fn(1, [[0], [0], [1]]).coeffs[..., None]
+        with pytest.raises(TruncationOverflowError):
+            multiply(z, x, 2)
+        with pytest.raises(DimensionMismatchError):
+            multiply(z, x, -1)
+
+    def test_exact_zero_padding_and_lossless_cut(self):
+        rng = np.random.default_rng(29)
+        t = _rng_symbol(rng, 2, 2, 2)
+        x = _rng_coeffs(rng, 3, 2, 4)
+        full = multiply(t, x)
+        padded = multiply(t, x, 9)
+        assert padded.shape == (10, 2, 4)
+        assert np.array_equal(padded[:6], full)
+        assert not padded[6:].any()
+        # trailing exact zeros of the input may be cut away again
+        x0 = np.concatenate([x, np.zeros((2, 2, 4))])
+        assert np.array_equal(multiply(t, x0, 5), full)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            multiply(scalar_symbol([1]), np.ones((2, 2, 1)))
+        with pytest.raises(DimensionMismatchError):
+            multiply_adjoint(scalar_symbol([1]), np.ones((2, 1)))
+
+
+def _membership_reference(g, f0, e_syms, k_perp):
+    """Residual of the tuple (T*_{F0} G, T*_{E_j} S* G), one part at a time."""
+    parts = [_adjoint_reference(f0, g.coeffs)] if f0 is not None else []
+    sg = g.coeffs[1:] if g.deg else np.zeros((1, g.dim_m))
+    parts += [_adjoint_reference(e, sg) for e in e_syms]
+    deg = max(len(p) for p in parts) - 1
+    padded = [np.vstack([p, np.zeros((deg + 1 - len(p), p.shape[1]))]) for p in parts]
+    tup = CoeffFn(sum(p.shape[1] for p in parts), np.hstack(padded))
+    k = complement(k_perp)
+    k = k.padded(max(tup.trimmed_deg(), k.ambient_deg))
+    return project(k, tup).norm()
+
+
+class TestMembershipOracle:
+    @pytest.mark.parametrize("with_f0", [True, False])
+    def test_residual_matches_per_part_formula(self, with_f0):
+        rng = np.random.default_rng(31)
+        f0_col = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
+        e_fns = [basis_vector(3, 2)]
+        degs = (3, 2) if with_f0 else (2,)
+        k = model_space(diag_inner([monomial_inner(d, 3) for d in degs], 3), 6)
+        f0 = column_symbol(f0_col) if with_f0 else None
+        e_syms = [column_symbol(e) for e in e_fns]
+        space = synthesize_M(k, [f0_col] if with_f0 else [], e_fns, 8)
+        k_perp = complement(k)
+        for i in range(12):
+            g = _rng_fn(rng, 3, 8 - i % 3)
+            if i % 2 == 0:
+                g = g - project(space, g)
+            _, got = orthocomplement_membership(g, f0, e_syms, k_perp)
+            want = _membership_reference(g, f0, e_syms, k_perp)
+            assert abs(got - want) <= 1e-14

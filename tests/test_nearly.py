@@ -15,17 +15,14 @@ from hardylab.errors import (
 )
 from hardylab.funcs import (
     CoeffFn,
-    backshift,
     basis_vector,
-    inner_product,
     make_fn,
     monomial_fn,
-    shift,
     unflatten,
     zero_fn,
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
-from hardylab.multipliers import apply_multiplier, column_symbol
+from hardylab.multipliers import column_symbol
 from hardylab.nearly import (
     DEFAULT_NEAR_TOL,
     DecompResult,
@@ -53,6 +50,25 @@ Z = make_fn(1, [[0], [1]])
 POLY_COL = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
 
 
+def _inner(f, g):
+    """<F, G> = sum_n <A_n, B_n>, linear in F, conjugate-linear in G."""
+    deg = max(f.deg, g.deg)
+    return complex(np.sum(f.padded(deg) * np.conj(g.padded(deg))))
+
+
+def _backshift(f):
+    """(F(z) - F(0)) / z: coefficients move down one degree."""
+    return CoeffFn(f.dim_m, f.coeffs[1:]) if f.deg else zero_fn(f.dim_m)
+
+
+def _cauchy(t, f):
+    """T_Theta F by the Cauchy product C_n = sum_{j+k=n} Theta_j A_k."""
+    out = np.zeros((t.deg + f.deg + 1, t.m_out), dtype=complex)
+    for j in range(t.deg + 1):
+        out[j : j + f.deg + 1] += f.coeffs @ t.mats[j].T
+    return CoeffFn(t.m_out, out)
+
+
 def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None,
                          near_tol=DEFAULT_NEAR_TOL):
     """The peeling iteration one CoeffFn at a time: the oracle for decompose.
@@ -76,7 +92,7 @@ def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None,
     while gk_norms[-1] > eps and iterations < k_max:
         f_next = g
         if r:
-            a = np.array([inner_product(g, wi) for wi in w.basis])
+            a = np.array([_inner(g, wi) for wi in w.basis])
             for ai, wi in zip(a, w.basis):
                 f_next = f_next - ai * wi
             a_trace.append(a)
@@ -85,9 +101,9 @@ def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None,
             raise InvariantViolationError(
                 f"wandering removal left value {at_zero:.3g} at the origin"
             )
-        h = backshift(f_next)
+        h = _backshift(f_next)
         g = project(m, h)
-        beta = np.array([inner_product(h, ej) for ej in defect_basis])
+        beta = np.array([_inner(h, ej) for ej in defect_basis])
         escape = h - g
         for bj, ej in zip(beta, defect_basis):
             escape = escape - bj * ej
@@ -150,7 +166,7 @@ def _counterexample_space(n=10):
     theta = diag_inner([monomial_inner(1, 1)] * 2, 1)
     k_theta = model_space(theta, n)
     theta_k = from_spanning(
-        [apply_multiplier(theta, b) for b in k_theta.basis], n
+        [_cauchy(theta, b) for b in k_theta.basis], n
     )
     return complement(theta_k)
 
@@ -302,7 +318,7 @@ class TestCertifyNearly:
         theta = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
         k_theta = model_space(theta, 8)
         space = from_spanning(
-            [apply_multiplier(psi, b) for b in k_theta.basis], 8 + d
+            [_cauchy(psi, b) for b in k_theta.basis], 8 + d
         )
         cert = certify_nearly(space, 0, tol=max(1e-8, 3 * psi.tail_bound))
         assert cert.defect_dim == 0
@@ -392,10 +408,11 @@ class TestExtractAndSynthesize:
 
 def _reference_synthesize(k, f0_cols, e_fns, ambient_deg):
     """Span of F0 K0 + sum_j z k_j E_j over K's basis, one product at a time."""
-    gens = [column_symbol(c) for c in f0_cols] + [column_symbol(shift(e)) for e in e_fns]
+    shifted = [CoeffFn(e.dim_m, np.vstack([np.zeros((1, e.dim_m)), e.coeffs])) for e in e_fns]
+    gens = [column_symbol(c) for c in f0_cols] + [column_symbol(e) for e in shifted]
     out = []
     for kappa in k.basis:
-        parts = [apply_multiplier(t, CoeffFn(1, kappa.coeffs[:, i : i + 1]))
+        parts = [_cauchy(t, CoeffFn(1, kappa.coeffs[:, i : i + 1]))
                  for i, t in enumerate(gens)]
         acc = parts[0]
         for part in parts[1:]:

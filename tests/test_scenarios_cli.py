@@ -238,6 +238,57 @@ class TestCli:
             json.dumps(strip(second), sort_keys=True)
 
 
+# span{1, z} at ambient degree 3: not S-invariant, so certifying it under S
+# with no allowed defect must fail (exit 1), never pass as the zero space
+_LINE_PAIR = {"m": 1, "ambient_deg": 3, "spanning": [[[[1, 0]]], [[[0, 0]], [[1, 0]]]]}
+
+
+class TestInvalidNumbers:
+    """An invalid tolerance, seed or eps is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--tol", "nan", "certify", "--space", "{space}", "--op", "S"],
+                     id="tol-nan-certify"),
+        pytest.param(["--tol", "inf", "certify", "--space", "{space}", "--op", "S"],
+                     id="tol-inf-certify"),
+        pytest.param(["--tol", "0", "certify", "--space", "{space}"], id="tol-zero-certify"),
+        pytest.param(["--tol", "-1", "model-space", "--theta", "{theta}", "--order", "6"],
+                     id="tol-negative-model-space"),
+        pytest.param(["--tol", "nan", "model-space", "--theta", "{theta}", "--order", "6"],
+                     id="tol-nan-model-space"),
+        pytest.param(["--tol", "-1", "scenario", "beurling"], id="tol-negative-scenario"),
+        pytest.param(["--tol", "nan", "scenario", "beurling"], id="tol-nan-scenario"),
+        pytest.param(["--seed", "-1", "scenario", "duality"], id="seed-negative"),
+        pytest.param(["decompose", "--space", "{space}", "--function", "{fn}",
+                      "--eps", "nan"], id="eps-nan"),
+        pytest.param(["decompose", "--space", "{space}", "--function", "{fn}",
+                      "--eps", "-1"], id="eps-negative"),
+    ])
+    def test_flag_is_usage_error(self, tmp_path, capsys, argv):
+        files = {"space": tmp_path / "S.json", "theta": tmp_path / "theta.json",
+                 "fn": tmp_path / "f.json"}
+        files["space"].write_text(json.dumps(_LINE_PAIR))
+        files["theta"].write_text(json.dumps({"kind": "monomial", "k": 2, "deg": 2}))
+        files["fn"].write_text(json.dumps({"m": 1, "coeffs": [[[0, 0]], [[1, 0]]]}))
+        flag = next(a for a in argv if a in ("--tol", "--seed", "--eps"))
+        assert main([a.format(**files) for a in argv]) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity"])
+    def test_non_finite_tol_in_space_file(self, tmp_path, capsys, tol):
+        space = tmp_path / "S.json"
+        space.write_text(json.dumps(_LINE_PAIR)[:-1] + f', "tol": {tol}}}')
+        assert main(["certify", "--space", str(space), "--op", "S"]) == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_valid_flags_still_certify(self, tmp_path, capsys):
+        space = tmp_path / "S.json"
+        space.write_text(json.dumps(_LINE_PAIR))
+        assert main(["--tol", "1e-9", "certify", "--space", str(space), "--op", "S"]) == 1
+        assert json.loads(capsys.readouterr().out)["defect_dim"] == 1
+        assert main(["--seed", "0", "scenario", "duality"]) == 0
+
+
 GOLDEN = Path(__file__).parent / "data" / "scenarios_seed0.json"
 
 

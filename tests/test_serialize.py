@@ -16,7 +16,6 @@ from hardylab.serialize import (
     parse_space_spec,
     parse_symbol_spec,
     serialize_function,
-    serialize_subspace,
 )
 from hardylab.subspaces import from_spanning, subspace_distance
 
@@ -127,7 +126,9 @@ class TestSpaceFormat:
         fns = [make_fn(2, [[1, 0]]), make_fn(2, [[0, 0], [0, 1]]),
                make_fn(2, [[1, 1], [1, 0]])]
         space = from_spanning(fns, 4)
-        back = parse_space_spec(json.dumps(serialize_subspace(space)))
+        doc = {"m": space.dim_m, "ambient_deg": space.ambient_deg, "tol": space.tol,
+               "spanning": [serialize_function(b)["coeffs"] for b in space.basis]}
+        back = parse_space_spec(json.dumps(doc))
         assert subspace_distance(space, back) <= 1e-12
 
     def test_function_list(self):
@@ -139,3 +140,12 @@ class TestSpaceFormat:
     def test_bad_tol(self):
         with pytest.raises(ParseError, match="tol"):
             parse_space_spec('{"m":1,"ambient_deg":2,"tol":0,"spanning":[]}')
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity"])
+    def test_non_finite_tol(self, tol):
+        # json.loads accepts these; NaN would compare False against 0 and
+        # cut every direction, parsing span{1, z} as the zero space
+        text = ('{"m":1,"ambient_deg":3,"spanning":[[[[1,0]]],[[[0,0]],[[1,0]]]],'
+                f'"tol":{tol}}}')
+        with pytest.raises(ParseError, match="tol"):
+            parse_space_spec(text)
