@@ -214,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="invariance-defect certificate")
     p_cert.add_argument("--space", required=True, help="spanning-set JSON file")
-    p_cert.add_argument("--p", type=int, default=0, help="allowed defect dimension")
+    p_cert.add_argument("--p", type=_bounded(int, 0, False), default=0,
+                        help="allowed defect dimension")
     p_cert.add_argument("--op", choices=["S", "S*"], default="S*")
     p_cert.set_defaults(func=_cmd_certify)
 

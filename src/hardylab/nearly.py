@@ -8,13 +8,20 @@ M with defect basis E_1..E_p splits as
 where F0 stacks an orthonormal basis of the wandering part of M and
 (K0, k_1..k_p) ranges over a backward-shift invariant parameter space K of
 C^{r+p}-valued functions.  The peeling iteration that produces the tuple
-one coefficient per step has one kernel, ``_peel``: it works on flattened
-coefficient columns against the matrices of M, its wandering part and
-the defect basis, and peels many columns together.  ``decompose`` runs it
-on one function, ``extract_K`` on every column of M's Q at once, and
-``synthesize_M`` rebuilds M from (K, F0, E) as one product of the
-generator symbol [F0 | zE] with K's Q.  The orthocomplement test
-``orthocomplement_membership`` applies the adjoint of the same generator.
+one coefficient per step has one kernel, ``_peel``, which peels many
+columns together.  Each step applies the compressed backward shift
+P_M S* (I - P_W) to an iterate that lies in M, so the kernel runs on M's
+coordinates c (G = Q c): one step is one product of a step map, built
+once per (M, E) and kept in M's memo, with the running columns of c.  In
+coordinates, coefficient k of the tuple of G = Q c is C A^k c, with A the
+dim M x dim M block and C the r + p coordinate rows of the step map.
+Only the first step of an input that may lie off M, by up to the
+membership tolerance, runs in the ambient frame.  ``decompose`` runs the
+kernel on one function, ``extract_K`` on every column of M's Q at once
+(from c = I), and ``synthesize_M`` rebuilds M from (K, F0, E) as one
+product of the generator symbol [F0 | zE] with K's Q.  The orthocomplement
+test ``orthocomplement_membership`` applies the adjoint of the same
+generator.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``near_tol`` the decomposition
@@ -129,38 +136,136 @@ def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
             )
 
 
-def _peel_setup(m: Subspace, defect_basis: list, g: np.ndarray, k_max: int | None):
-    """The checks before peeling the columns g of M; returns (w, e, k_max, pre_tol).
+@dataclass(frozen=True, eq=False)
+class _StepMap:
+    """One peeling step on M's coordinates c (g = Q c), for one defect basis E.
 
-    Every column of g must lie in M within pre_tol (relative to its norm),
-    and the defect functions must be orthonormal and orthogonal to M.
+    With W = Q V_r the wandering part and Pi = I - V_r V_r*, ``stack``
+    holds these row blocks, each applied to c:
+
+        A = Q* S* Q Pi      the next coordinates            (dim M rows)
+        V_r*                the wandering coordinates a     (r rows)
+        E* S* Q Pi          the defect coordinates beta     (p rows)
+        (Q Pi)[:m]          the value at the origin         (m rows)
+        T                   the triangular factor of the escape map
+                            (I - QQ* - EE*) S* Q Pi         (dim M rows)
+
+    so ||T c|| is the escape norm of the step.  ``blocks`` (3 x rows, 0/1)
+    sums the squared entries of the A, origin and T blocks.  ``key`` is
+    E's flattened coefficients; ``w`` and ``e`` serve the steps taken in
+    the ambient frame.
+    """
+
+    key: bytes
+    w: np.ndarray
+    e: np.ndarray
+    stack: np.ndarray
+    blocks: np.ndarray
+
+
+def _step_map(m: Subspace, defect_basis: list, pre_tol: float) -> _StepMap:
+    """M's step map for this defect basis, from M's memo when E is unchanged.
+
+    The memo has one slot, which a new E replaces.  The defect-basis checks
+    run when a map is built, so a refused E is refused on every call.
+    """
+    e = _columns(defect_basis, m.dim_m, m.ambient_deg)
+    key = e.tobytes()
+    sm = m._memo.get("step_map")
+    if sm is None or sm.key != key:
+        sm = _build_step_map(m, e, key, pre_tol)
+        m._memo["step_map"] = sm
+    return sm
+
+
+def _build_step_map(m: Subspace, e: np.ndarray, key: bytes, pre_tol: float) -> _StepMap:
+    """Check the defect columns e, then fill the blocks of ``_StepMap``.
+
+    The stack outlives the call, so it is allocated first and filled in
+    place, not stacked from copies of its blocks.
+    """
+    _check_defect_basis(m, e, pre_tol)
+    q, d, dim_m = m.matrix, m.dim, m.dim_m
+    w = wandering(m).matrix
+    i_beta = d + w.shape[1]
+    i_origin = i_beta + e.shape[1]
+    i_t = i_origin + dim_m
+    stack = np.empty((i_t + d, d), dtype=complex)
+    a, vh, beta = stack[:d], stack[d:i_beta], stack[i_beta:i_origin]
+    np.matmul(np.conj(w.T), q, out=vh)
+    h = q - w @ vh
+    stack[i_origin:i_t] = h[:dim_m]
+    h = _shift_rows(h, dim_m, "S*")
+    np.matmul(np.conj(q.T), h, out=a)
+    np.matmul(np.conj(e.T), h, out=beta)
+    h -= q @ a
+    h -= e @ beta
+    stack[i_t:] = np.linalg.qr(h, mode="r")
+    blocks = np.zeros((3, len(stack)))
+    blocks[0, :d] = blocks[1, i_origin:i_t] = blocks[2, i_t:] = 1.0
+    return _StepMap(key, w, e, stack, blocks)
+
+
+def _peel_setup(m: Subspace, defect_basis: list, g: np.ndarray | None,
+                k_max: int | None):
+    """The checks before peeling; returns (step map, k_max, pre_tol).
+
+    Every column of g must lie in M within pre_tol (relative to its norm);
+    g = None stands for Q's own columns, which lie in M.  The defect
+    functions must be orthonormal and orthogonal to M (checked once per
+    step map).
     """
     if k_max is None:
         k_max = m.ambient_deg + len(defect_basis) + 8
     if k_max < 1:
         raise PreconditionError("k_max must be at least 1")
     pre_tol = max(100.0 * m.tol, 1e-8)
-    q = m.matrix
-    resid = np.linalg.norm(g - q @ (np.conj(q.T) @ g), axis=0)
-    outside = resid > pre_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
-    if outside.any():
-        raise PreconditionError(
-            f"function is not in the subspace (residual {resid[outside.argmax()]:.3g})"
-        )
-    e = _columns(defect_basis, m.dim_m, m.ambient_deg)
-    _check_defect_basis(m, e, pre_tol)
-    return wandering(m).matrix, e, k_max, pre_tol
+    if g is not None:
+        q = m.matrix
+        resid = np.linalg.norm(g - q @ (np.conj(q.T) @ g), axis=0)
+        outside = resid > pre_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
+        if outside.any():
+            raise PreconditionError(
+                f"function is not in the subspace (residual {resid[outside.argmax()]:.3g})"
+            )
+    return _step_map(m, defect_basis, pre_tol), k_max, pre_tol
 
 
-def _peel(q: np.ndarray, w: np.ndarray, e: np.ndarray, dim_m: int, g: np.ndarray,
-          eps: float, k_max: int, pre_tol: float, near_tol: float):
-    """The peeling iteration on the b columns of g (n x b), all in one pass.
+def _ambient_step(q: np.ndarray, sm: _StepMap, dim_m: int, g: np.ndarray):
+    """One step on ambient columns g.
 
+        a = W* G,   F = G - W a,   H = S* F,
+        c = Q* H,   beta = E* H,   escape = H - Q c - E beta.
+
+    Returns ((a; beta), ||F(0)||, c, escape, ||escape||), norms per column.
+    """
+    a = np.conj(sm.w.T) @ g
+    f = g - sm.w @ a
+    h = _shift_rows(f, dim_m, "S*")
+    c = np.conj(q.T) @ h
+    beta = np.conj(sm.e.T) @ h
+    escape = h - q @ c - sm.e @ beta
+    return (np.vstack([a, beta]), np.linalg.norm(f[:dim_m], axis=0), c, escape,
+            np.linalg.norm(escape, axis=0))
+
+
+def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
+          k_max: int, pre_tol: float, near_tol: float):
+    """The peeling iteration on b columns of M, all in one pass.
+
+    g is the n x b matrix of the columns, or None for the columns of Q.
     One step, on the columns still running, with W the wandering basis,
     Q the basis of M and E the defect basis (all as column matrices):
 
         a = W* G,   F = G - W a,   F(0) = F[:m] must vanish,
         H = S* F,   G' = Q Q* H,   beta = E* H,   escape = H - G' - E beta.
+
+    Every G' is Q c, so the steps run on M's coordinates: one product of
+    the step map ``sm.stack`` with the running columns of c gives c', a,
+    beta, F(0) and T c, where ||T c|| = ||escape||.  A first step on g
+    runs in the ambient frame, since g may lie off M by up to pre_tol;
+    Q's own columns start from c = I.  No n-row array is formed after the
+    first step, except to rebuild a refused escape vector.
 
     A column stops once its ||G'|| <= eps, or after k_max steps.  An
     origin value above pre_tol * max(1, ||G||) raises
@@ -168,51 +273,50 @@ def _peel(q: np.ndarray, w: np.ndarray, e: np.ndarray, dim_m: int, g: np.ndarray
     NotNearlyInvariantError.  Both report the earliest failing step, and
     on a tie the lowest failing column.
 
-    Returns (a, beta, gk, max_res): a (steps, r, b) and beta (steps, p, b)
-    are the per-step coordinates, zero after a column stopped; gk
+    Returns (tup, gk, max_res): tup (steps, r + p, b) holds the per-step
+    coordinates (a, then beta), zero after a column stopped; gk
     (steps + 1, b) the remainder norms, a stopped column's last norm
     repeated; max_res the largest escape norm of each column.
     """
-    g = np.array(g, dtype=complex)
-    b = g.shape[1]
-    qh, wh, eh = (np.conj(x.T) for x in (q, w, e))
-    norms = np.linalg.norm(g, axis=0)
-    gk = [norms.copy()]
-    a_steps, beta_steps = [], []
-    max_res = np.zeros(b)
+    q, dim_m, d = m.matrix, m.dim_m, m.dim
+    width = sm.w.shape[1] + sm.e.shape[1]
+    norms = np.ones(d) if g is None else np.linalg.norm(g, axis=0)
+    b = norms.size
     run = np.flatnonzero(norms > eps)
+    if g is None:
+        c = np.eye(d, dtype=complex)[:, run]
+    gk, tup = [norms.copy()], []
+    max_res = np.zeros(b)
     while run.size and len(gk) <= k_max:
-        g_run = g[:, run]
-        a = wh @ g_run
-        f = g_run - w @ a
-        at_zero = np.linalg.norm(f[:dim_m], axis=0)
-        bad = at_zero > pre_tol * np.maximum(1.0, norms[run])
-        if bad.any():
-            raise InvariantViolationError(
-                f"wandering removal left value {at_zero[bad.argmax()]:.3g} at the origin"
-            )
-        h = _shift_rows(f, dim_m, "S*")
-        g_next = q @ (qh @ h)
-        beta = eh @ h
-        escape = h - g_next - e @ beta
-        esc = np.linalg.norm(escape, axis=0)
-        bad = esc > near_tol
-        if bad.any():
-            j = bad.argmax()
-            raise NotNearlyInvariantError(len(gk), float(esc[j]),
-                                          unflatten(escape[:, j], dim_m))
-        for steps, coords in ((a_steps, a), (beta_steps, beta)):
-            full = np.zeros((coords.shape[0], b), dtype=complex)
-            full[:, run] = coords
-            steps.append(full)
-        g[:, run] = g_next
-        norms[run] = np.linalg.norm(g_next, axis=0)
+        lim = pre_tol * np.maximum(1.0, norms[run])
+        if g is not None:
+            coords, at_zero, c_next, escape, esc = _ambient_step(q, sm, dim_m, g[:, run])
+            now = np.linalg.norm(c_next, axis=0)
+            g = None
+        else:
+            y = sm.stack @ c
+            coords, c_next, escape = y[d : d + width], y[:d], None
+            now, at_zero, esc = np.sqrt(sm.blocks @ np.square(np.abs(y)))
+        if ((at_zero > lim) | (esc > near_tol)).any():
+            bad = at_zero > lim
+            if bad.any():
+                raise InvariantViolationError(
+                    f"wandering removal left value {at_zero[bad.argmax()]:.3g} at the origin"
+                )
+            j = int((esc > near_tol).argmax())
+            vec = (escape[:, j] if escape is not None
+                   else _ambient_step(q, sm, dim_m, q @ c[:, j : j + 1])[3][:, 0])
+            raise NotNearlyInvariantError(len(gk), float(esc[j]), unflatten(vec, dim_m))
+        row = np.zeros((width, b), dtype=complex)
+        row[:, run] = coords
+        tup.append(row)
+        norms[run] = now
         max_res[run] = np.maximum(max_res[run], esc)
         gk.append(norms.copy())
-        run = run[norms[run] > eps]
-    steps = len(gk) - 1
-    return (np.array(a_steps, dtype=complex).reshape(steps, w.shape[1], b),
-            np.array(beta_steps, dtype=complex).reshape(steps, e.shape[1], b),
+        keep = now > eps
+        c = c_next if keep.all() else c_next[:, keep]
+        run = run[keep]
+    return (np.array(tup, dtype=complex).reshape(len(tup), width, b),
             np.array(gk), max_res)
 
 
@@ -223,20 +327,21 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = 1e-10,
     Each step removes the wandering component (which must leave a function
     vanishing at 0), applies the backward shift, and splits the result into
     its M part, its defect coordinates, and an escape remainder R; ``_peel``
-    runs it on F's coefficient vector.  ``||R|| > near_tol`` raises
-    NotNearlyInvariantError carrying the step and the escaping vector;
-    hitting ``k_max`` with ``||G|| > eps`` returns a diagnostic result with
-    ``converged=False``.
+    runs the first step on F's coefficient vector and the others on M's
+    coordinates, with M's step map for this defect basis (built on the
+    first call, when the defect-basis checks run).  ``||R|| > near_tol``
+    raises NotNearlyInvariantError carrying the step and the escaping
+    vector; hitting ``k_max`` with ``||G|| > eps`` returns a diagnostic
+    result with ``converged=False``.
     """
     defect_basis = list(defect_basis)
     if f.dim_m != m.dim_m:
         raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{m.dim_m}")
     g = flatten(f, m.ambient_deg).reshape(-1, 1)
-    w, e, k_max, pre_tol = _peel_setup(m, defect_basis, g, k_max)
-    a, beta, gk, max_res = _peel(m.matrix, w, e, m.dim_m, g, eps, k_max,
-                                 pre_tol, near_tol)
-    steps, r, p = a.shape[0], a.shape[1], beta.shape[1]
-    a, beta = a[:, :, 0], beta[:, :, 0]
+    sm, k_max, pre_tol = _peel_setup(m, defect_basis, g, k_max)
+    tup, gk, max_res = _peel(m, sm, g, eps, k_max, pre_tol, near_tol)
+    steps, r, p = len(tup), sm.w.shape[1], sm.e.shape[1]
+    a, beta = tup[:, :r, 0], tup[:, r:, 0]
     k0 = CoeffFn(r, a if steps else np.zeros((1, r))) if r else None
     kj = tuple(CoeffFn(1, beta[:, j : j + 1] if steps else np.zeros((1, 1)))
                for j in range(p))
@@ -273,21 +378,21 @@ def extract_K(m: Subspace, defect_basis, eps: float = 1e-10,
               ambient_deg: int | None = None, iso_tol: float = 1e-6) -> Subspace:
     """Decompose every basis vector of M and span the coordinate tuples.
 
-    The columns of Q are peeled together by one ``_peel`` run, checked as
-    in ``decompose``; a refusal reports the earliest failing step, and on a
-    tie the lowest failing column.  The tuple map must be isometric (Gram
-    matrix of the tuples matches the Gram matrix of the basis within
-    iso_tol) and the resulting space must be invariant under the
-    componentwise backward shift; violations raise CertificationError.
+    The columns of Q are peeled together by one ``_peel`` run on M's
+    coordinates, from c = I (they lie in M, so there is no membership
+    check), with the other checks of ``decompose``; a refusal reports the
+    earliest failing step, and on a tie the lowest failing column.  The
+    tuple map must be isometric (Gram matrix of the tuples matches the
+    Gram matrix of the basis within iso_tol) and the resulting space must
+    be invariant under the componentwise backward shift; violations raise
+    CertificationError.
     """
     defect_basis = list(defect_basis)
     if not m.dim:
         return Subspace(max(len(defect_basis), 1), ambient_deg or 0, (), m.tol)
-    q = m.matrix
-    w, e, k_max, pre_tol = _peel_setup(m, defect_basis, q, k_max)
-    a, beta, *_ = _peel(q, w, e, m.dim_m, q, eps, k_max, pre_tol, near_tol)
+    sm, k_max, pre_tol = _peel_setup(m, defect_basis, None, k_max)
     # step k of column j is coefficient k of basis vector j's tuple (K0, k_1..k_p)
-    tup = np.concatenate([a, beta], axis=1)
+    tup, *_ = _peel(m, sm, None, eps, k_max, pre_tol, near_tol)
     width = tup.shape[1]
     if not width:
         raise InvariantViolationError("decomposition carries no coordinates")

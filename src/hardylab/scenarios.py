@@ -8,6 +8,8 @@ same inputs and seed they are byte-identical up to the runtime field.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 
@@ -64,8 +66,24 @@ def _merge(defaults: dict, params: dict | None) -> dict:
             raise ParseError(
                 f"unknown parameter {key!r}; known: {sorted(defaults)}"
             )
+        _check_param(key, val)
         merged[key] = val
     return merged
+
+
+def _check_param(key: str, val) -> None:
+    """A tolerance (``tol``, ``*_tol``) must be finite and > 0, a seed an
+    integer >= 0; booleans are neither."""
+    if key == "seed":
+        want = "an integer >= 0"
+        ok = isinstance(val, numbers.Integral) and val >= 0
+    elif key == "tol" or key.endswith("_tol"):
+        want = "a finite number > 0"
+        ok = isinstance(val, numbers.Real) and math.isfinite(val) and val > 0
+    else:
+        return
+    if isinstance(val, bool) or not ok:
+        raise ParseError(f"parameter {key!r} must be {want}, got {val!r}")
 
 
 def _symbol(spec) -> MatSymbol:

@@ -31,7 +31,8 @@ A subspace remembers its orthocomplement when it gets one for free:
 window, tol and band).  The link never forms a reference cycle: the side
 with more columns holds the other strongly, the thinner side points back
 through a weakref, so a dropped fat space is freed at once.  A per-instance
-memo holds the link and ``wandering``'s result; it is not pickled.
+memo holds the link, ``wandering``'s result and ``nearly``'s peeling
+step map; it is not pickled.
 
 The fat side of such a pair is handled through its thin complement P:
 ``defect_of`` reads the residual (I - QQ*) X as P (P* X) and factors the
@@ -140,7 +141,8 @@ class Subspace:
     largest degree on which the construction faithfully represents its
     infinite-dimensional counterpart (equal to ambient_deg for exact
     constructions).  The per-instance ``_memo`` (a linked complement, the
-    wandering part) is a cache, not state: pickling drops it.
+    wandering part, a peeling step map) is a cache, not state: pickling
+    drops it.
     """
 
     dim_m: int

@@ -1,5 +1,8 @@
 """Unit tests for the decomposition algorithm and its converse."""
 
+import copy
+import pickle
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import nearly
 from hardylab.errors import (
     InvariantViolationError,
     NotNearlyInvariantError,
@@ -16,6 +20,7 @@ from hardylab.errors import (
 from hardylab.funcs import (
     CoeffFn,
     basis_vector,
+    flatten,
     make_fn,
     monomial_fn,
     unflatten,
@@ -305,6 +310,311 @@ class TestAgainstReference:
         f = _unit_element(space, coords)
         _assert_same_decomposition(decompose(space, e, f),
                                    _reference_decompose(space, e, f))
+
+
+def _ambient_peel(q, w, e, dim_m, g, eps, k_max, pre_tol, near_tol):
+    """The peeling kernel with every step in the ambient frame: the oracle
+    for the coordinate kernel ``nearly._peel``.
+
+    Returns (a, beta, gk, max_res) as (steps, r, b), (steps, p, b),
+    (steps + 1, b) and (b,) arrays.
+    """
+    g = np.array(g, dtype=complex)
+    b = g.shape[1]
+    qh, wh, eh = (np.conj(x.T) for x in (q, w, e))
+    norms = np.linalg.norm(g, axis=0)
+    gk = [norms.copy()]
+    a_steps, beta_steps = [], []
+    max_res = np.zeros(b)
+    run = np.flatnonzero(norms > eps)
+    while run.size and len(gk) <= k_max:
+        g_run = g[:, run]
+        a = wh @ g_run
+        f = g_run - w @ a
+        at_zero = np.linalg.norm(f[:dim_m], axis=0)
+        bad = at_zero > pre_tol * np.maximum(1.0, norms[run])
+        if bad.any():
+            raise InvariantViolationError(
+                f"wandering removal left value {at_zero[bad.argmax()]:.3g} at the origin"
+            )
+        h = np.zeros_like(f)
+        h[:-dim_m] = f[dim_m:]
+        g_next = q @ (qh @ h)
+        beta = eh @ h
+        escape = h - g_next - e @ beta
+        esc = np.linalg.norm(escape, axis=0)
+        bad = esc > near_tol
+        if bad.any():
+            j = bad.argmax()
+            raise NotNearlyInvariantError(len(gk), float(esc[j]),
+                                          unflatten(escape[:, j], dim_m))
+        for steps, coords in ((a_steps, a), (beta_steps, beta)):
+            full = np.zeros((coords.shape[0], b), dtype=complex)
+            full[:, run] = coords
+            steps.append(full)
+        g[:, run] = g_next
+        norms[run] = np.linalg.norm(g_next, axis=0)
+        max_res[run] = np.maximum(max_res[run], esc)
+        gk.append(norms.copy())
+        run = run[norms[run] > eps]
+    steps = len(gk) - 1
+    return (np.array(a_steps, dtype=complex).reshape(steps, w.shape[1], b),
+            np.array(beta_steps, dtype=complex).reshape(steps, e.shape[1], b),
+            np.array(gk), max_res)
+
+
+@cache
+def _kernel_spaces():
+    """(M, E) with (r, p) = (0, 1), (2, 1) and (2, 2)."""
+    return (_oracle_spaces()[0], _oracle_spaces()[2],
+            _roundtrip_space(2, 2, 4, (4, 4, 3, 3), 6))
+
+
+def _fresh(space):
+    """The same space without its memo (no wandering part, no step map)."""
+    return copy.copy(space)
+
+
+def _peel_both(space, e, g, k_max=None, eps=1e-10, near_tol=DEFAULT_NEAR_TOL):
+    """(coordinate kernel, ambient oracle) on the columns g of M; g = None
+    peels the columns of Q, as extract_K does."""
+    sm, k_max, pre_tol = nearly._peel_setup(space, list(e), g, k_max)
+    got = nearly._peel(space, sm, g, eps, k_max, pre_tol, near_tol)
+    e_cols = (np.column_stack([flatten(f, space.ambient_deg) for f in e]) if e
+              else np.zeros((space.ambient_dim, 0), dtype=complex))
+    want = _ambient_peel(space.matrix, wandering(space).matrix, e_cols, space.dim_m,
+                         space.matrix if g is None else g, eps, k_max, pre_tol, near_tol)
+    return got, want
+
+
+def _assert_same_peel(got, want, tol=1e-12):
+    tup, gk, max_res = got
+    a, beta, gk_want, res_want = want
+    r = a.shape[1]
+    assert tup.shape == (a.shape[0], r + beta.shape[1], a.shape[2])
+    assert np.allclose(tup[:, :r], a, rtol=0, atol=tol)
+    assert np.allclose(tup[:, r:], beta, rtol=0, atol=tol)
+    assert gk.shape == gk_want.shape
+    assert np.allclose(gk, gk_want, rtol=0, atol=tol)
+    assert np.allclose(max_res, res_want, rtol=0, atol=tol)
+
+
+def _unit_column(space, coords):
+    return flatten(_unit_element(space, coords), space.ambient_deg).reshape(-1, 1)
+
+
+def _refusal(call):
+    with pytest.raises((InvariantViolationError, NotNearlyInvariantError)) as err:
+        call()
+    return err.value
+
+
+class TestCoordinateKernel:
+    """``nearly._peel`` on M's coordinates against the ambient-frame oracle."""
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("columns", ["one", "all_from_I", "all_ambient"])
+    def test_matches_ambient_oracle(self, case, columns):
+        space, e = _kernel_spaces()[case]
+        if columns == "one":
+            g = _unit_column(space, np.arange(1, space.dim + 1) * (1 + 1j))
+        else:
+            g = None if columns == "all_from_I" else space.matrix
+        got, want = _peel_both(space, e, g)
+        assert len(got[0]) > 1
+        _assert_same_peel(got, want)
+
+    @pytest.mark.parametrize("columns", ["one", "all_from_I"])
+    def test_k_max_cut_off(self, columns):
+        space, e = _kernel_spaces()[2]
+        g = _unit_column(space, np.ones(space.dim)) if columns == "one" else None
+        got, want = _peel_both(space, e, g, k_max=2)
+        assert len(got[0]) == 2 and np.max(got[1][-1]) > 1e-10
+        _assert_same_peel(got, want)
+
+    @pytest.mark.parametrize("columns", ["one", "all_from_I"])
+    def test_origin_refusal(self, monkeypatch, columns):
+        # a wandering basis missing one direction leaves a value at the origin
+        space, e = _kernel_spaces()[2]
+        space = _fresh(space)
+        w = wandering(_fresh(space))
+        short = from_spanning(list(w.basis)[:-1], space.ambient_deg, space.tol)
+        monkeypatch.setattr(nearly, "wandering", lambda m: short)
+        g = _unit_column(space, np.ones(space.dim)) if columns == "one" else None
+        got = _refusal(lambda: _peel_both(space, e, g))
+        assert isinstance(got, InvariantViolationError)
+        e_cols = np.column_stack([flatten(f, space.ambient_deg) for f in e])
+        want = _refusal(lambda: _ambient_peel(
+            space.matrix, short.matrix, e_cols, space.dim_m,
+            space.matrix if g is None else g, 1e-10, 20, 1e-8, DEFAULT_NEAR_TOL))
+        assert type(got) is type(want) and str(got) == str(want)
+
+    @pytest.mark.parametrize("setting", [
+        # z^3 escapes at step 2, a coordinate step
+        ("span", "one", 2),
+        # z^2 escapes at step 1 of Q's columns, a coordinate step
+        ("span", "all_from_I", 1),
+        # the first step of an ambient input
+        ("counterexample", "one", 1),
+        ("counterexample", "all_from_I", 1),
+    ])
+    def test_escape_refusal(self, setting):
+        which, columns, step = setting
+        if which == "span":
+            space = Subspace(1, 5, (ONE, monomial_fn(1, 0, 3), monomial_fn(1, 0, 2)))
+            f = monomial_fn(1, 0, 3)
+        else:
+            space, f = _counterexample_space(), monomial_fn(2, 0, 2)
+        g = flatten(f, space.ambient_deg).reshape(-1, 1) if columns == "one" else None
+        got = _refusal(lambda: _peel_both(space, [], g))
+        want = _refusal(lambda: _ambient_peel(
+            space.matrix, wandering(space).matrix,
+            np.zeros((space.ambient_dim, 0), dtype=complex), space.dim_m,
+            space.matrix if g is None else g, 1e-10, 20, 1e-8, DEFAULT_NEAR_TOL))
+        assert isinstance(got, NotNearlyInvariantError)
+        assert got.step == want.step == step
+        assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-12)
+        assert got.escape.deg == want.escape.deg == space.ambient_deg
+        assert np.allclose(got.escape.coeffs, want.escape.coeffs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_input_off_the_space(self, case):
+        space, e = _kernel_spaces()[case]
+        pre_tol = max(100.0 * space.tol, 1e-8)
+        g = _unit_column(space, np.linspace(1, 2, space.dim) - 0.5j)
+        rng = np.random.default_rng(case)
+        off = rng.standard_normal((space.ambient_dim, 1)) + 0j
+        off -= space.matrix @ (np.conj(space.matrix.T) @ off)
+        off /= np.linalg.norm(off)
+        got, want = _peel_both(space, e, g + 0.5 * pre_tol * off)
+        _assert_same_peel(got, want)
+        with pytest.raises(PreconditionError):
+            _peel_both(space, e, g + 2 * pre_tol * off)
+
+    @given(st.integers(0, 2),
+           st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=60, max_size=60))
+    @settings(max_examples=30, deadline=None)
+    def test_random_unit_elements(self, case, coords):
+        space, e = _kernel_spaces()[case]
+        coords = np.asarray(coords[: space.dim])
+        if np.linalg.norm(coords) < 1e-3:
+            return
+        _assert_same_peel(*_peel_both(space, e, _unit_column(space, coords)))
+
+
+# the r = 2, p = 2 space of the benchmark's roundtrip workload: dim 56, n = 172
+ROUNDTRIP_R2P2 = ((16, 16, 12, 12), 40)
+# tracemalloc peak of extract_K on it with the ambient-frame kernel: 1.52 MB
+EXTRACT_PEAK_BOUND = 1.52e6
+
+
+class TestStepMapCache:
+    def _counted(self, monkeypatch, name):
+        calls = [0]
+        original = getattr(nearly, name)
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nearly, name, counting)
+        return calls
+
+    def test_built_once_per_space_and_defect_basis(self, monkeypatch):
+        space, e = _kernel_spaces()[2]
+        space = _fresh(space)
+        builds = self._counted(monkeypatch, "_build_step_map")
+        checks = self._counted(monkeypatch, "_check_defect_basis")
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            coords = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            assert decompose(space, e, _unit_element(space, coords)).converged
+        assert builds[0] == checks[0] == 1
+
+    def test_new_defect_basis_gives_the_fresh_result(self):
+        space, e = _kernel_spaces()[2]
+        space = _fresh(space)
+        f = _unit_element(space, np.arange(space.dim) + 1j)
+        first = decompose(space, e, f)
+        swapped = [e[1], 1j * e[0]]
+        again = decompose(space, swapped, f)
+        fresh = decompose(_fresh(space), swapped, f)
+        for got, want in ((again, fresh), (decompose(space, e, f), first)):
+            assert got.iterations == want.iterations
+            assert np.array_equal(got.tuple_fn().coeffs, want.tuple_fn().coeffs)
+        assert np.allclose(again.kj[0].coeffs, first.kj[1].coeffs, atol=1e-12)
+        assert np.allclose(again.kj[1].coeffs, -1j * first.kj[0].coeffs, atol=1e-12)
+
+    def test_bad_defect_basis_refused_on_every_call(self):
+        space, e = _kernel_spaces()[2]
+        space = _fresh(space)
+        f = space.basis[0]
+        decompose(space, e, f)
+        for bad in ([2 * e[0], e[1]], [e[0], space.basis[1]]):
+            for _ in range(2):
+                with pytest.raises(PreconditionError):
+                    decompose(space, bad, f)
+                with pytest.raises(PreconditionError):
+                    extract_K(space, bad)
+        assert decompose(space, e, f).converged
+
+    def test_pickled_space_carries_no_step_map(self):
+        space, e = _kernel_spaces()[2]
+        space = _fresh(space)
+        decompose(space, e, space.basis[0])
+        assert "step_map" in space._memo
+        back = pickle.loads(pickle.dumps(space))
+        assert "step_map" not in back._memo
+        assert np.array_equal(back.matrix, space.matrix)
+
+    def test_extract_K_peak_memory(self):
+        powers, nk = ROUNDTRIP_R2P2
+        k = model_space(diag_inner([monomial_inner(d, max(powers)) for d in powers],
+                                   max(powers)), nk)
+        f0 = [basis_vector(4, i) for i in range(2)]
+        e = [basis_vector(4, 2 + j) for j in range(2)]
+        space = synthesize_M(k, f0, e, nk + 2)
+        assert (space.dim, space.ambient_dim) == (56, 172)
+        tracemalloc.start()
+        try:
+            back = extract_K(space, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert subspace_distance(back, k) <= 1e-6
+        assert peak <= EXTRACT_PEAK_BOUND
+
+
+class TestNoAmbientSteps:
+    """After the first step, the peeling loop touches no n-row array."""
+
+    def test_decompose_at_large_order(self, monkeypatch):
+        space = model_space(diag_inner([monomial_inner(24, 24)] * 2, 24), 512)
+        n = space.ambient_dim
+        log = []
+
+        def recording(label, fn, shape_of=lambda a, *_, **__: np.shape(a)):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                log.append((label, shape_of(*args, **kwargs)))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "norm", recording("norm", np.linalg.norm))
+        monkeypatch.setattr(np.linalg, "qr", recording("qr", np.linalg.qr))
+        monkeypatch.setattr(nearly, "_shift_rows", recording("shift", nearly._shift_rows))
+        monkeypatch.setattr(nearly, "_ambient_step",
+                            recording("step 1", nearly._ambient_step, lambda *_: ()))
+        res = decompose(space, [], monomial_fn(2, 0, 23))
+        assert res.converged and res.iterations == 24
+        labels = [label for label, _ in log]
+        assert labels.count("step 1") == 1
+        after = log[labels.index("step 1") + 1:]
+        assert after and not [entry for entry in after if entry[1][:1] == (n,)]
+        # the set-up and step 1 did see the ambient rows
+        assert [entry for entry in log if entry[1][:1] == (n,)]
 
 
 class TestCertifyNearly:

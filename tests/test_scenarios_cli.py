@@ -289,6 +289,73 @@ class TestInvalidNumbers:
         assert main(["--seed", "0", "scenario", "duality"]) == 0
 
 
+class TestParamValues:
+    """A --param tolerance must be finite and > 0, a seed an integer >= 0;
+    anything else is a usage error naming the key (exit 2)."""
+
+    BAD = [
+        ("beurling", "tol", -1),
+        ("beurling", "tol", 0),
+        ("beurling", "tol", float("nan")),
+        ("beurling", "tol", float("inf")),
+        ("beurling", "tol", "1e-9"),
+        ("beurling", "tol", True),
+        ("beurling", "distance_tol", -1e-3),
+        ("duality", "residual_tol", float("nan")),
+        ("section4", "membership_tol", 0.0),
+        ("duality", "seed", -1),
+        ("duality", "seed", 1.5),
+        ("duality", "seed", True),
+        ("section4", "seed", "0"),
+    ]
+
+    @pytest.mark.parametrize("sid, key, val", BAD)
+    def test_run_scenario_refuses(self, sid, key, val):
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            run_scenario(sid, {key: val})
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "beurling", "--param", "tol=-1"],
+        ["scenario", "beurling", "--param", "tol=NaN"],
+        ["scenario", "beurling", "--param", "tol=Infinity"],
+        ["scenario", "beurling", "--param", "distance_tol=0"],
+        ["scenario", "duality", "--param", "seed=-1"],
+        ["scenario", "duality", "--param", "seed=0.5"],
+        ["scenario", "all", "--param", "seed=-1"],
+        ["scenario", "all", "--param", "tol=NaN", "--json"],
+    ])
+    def test_cli_refuses(self, capsys, argv):
+        key = argv[3].split("=")[0]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"parameter '{key}'" in captured.err and captured.out == ""
+
+    def test_valid_overrides_still_run(self, capsys):
+        rep = run_scenario("duality", {"seed": 3, "tol": 1e-9, "residual_tol": 1e-8})
+        assert rep.passed and rep.parameters["seed"] == 3
+        assert run_scenario("beurling", {"tol": 1e-9, "distance_tol": 1e-9}).passed
+        assert main(["scenario", "duality", "--param", "seed=2",
+                     "--param", "residual_tol=1e-7"]) == 0
+        assert main(["scenario", "beurling", "--param", "tol=1e-9"]) == 0
+
+
+class TestCertifyP:
+    def test_negative_p_is_usage_error(self, tmp_path, capsys):
+        space = tmp_path / "S.json"
+        space.write_text(json.dumps(_LINE_PAIR))
+        for p in ("-1", "1.5", "nan"):
+            assert main(["certify", "--space", str(space), "--p", p]) == 2
+            captured = capsys.readouterr()
+            assert "argument --p:" in captured.err and captured.out == ""
+
+    def test_valid_p_certifies(self, tmp_path, capsys):
+        space = tmp_path / "S.json"
+        space.write_text(json.dumps(_LINE_PAIR))
+        assert main(["certify", "--space", str(space), "--op", "S", "--p", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["defect_dim"] == 1
+        assert main(["certify", "--space", str(space), "--op", "S", "--p", "0"]) == 1
+
+
 GOLDEN = Path(__file__).parent / "data" / "scenarios_seed0.json"
 
 
