@@ -155,6 +155,12 @@ def _cmd_scenario(args) -> int:
         return out
 
     if args.id == "all":
+        known = set().union(*(defaults for _, defaults, _ in SCENARIOS.values()))
+        unknown = sorted(set(explicit) - known)
+        if unknown:
+            raise ParseError(
+                f"unknown parameter {unknown[0]!r}; known: {sorted(known)}"
+            )
         per_id = {
             sid: _with_globals(
                 sid, {k: v for k, v in explicit.items() if k in SCENARIOS[sid][1]}

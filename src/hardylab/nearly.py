@@ -24,10 +24,10 @@ test ``orthocomplement_membership`` applies the adjoint of the same
 generator.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
-step leaves M (+) span(E) by more than ``near_tol`` the decomposition
-refuses with NotNearlyInvariantError instead of silently projecting.
-With several columns, the refusal is the one at the earliest failing
-step, and on a tie the one of the lowest failing column.
+step leaves M (+) span(E) by more than ``DEFAULT_NEAR_TOL`` the
+decomposition refuses with NotNearlyInvariantError instead of silently
+projecting.  With several columns, the refusal is the one at the earliest
+failing step, and on a tie the one of the lowest failing column.
 """
 
 from __future__ import annotations
@@ -73,7 +73,14 @@ __all__ = [
     "orthocomplement_membership",
 ]
 
+# the escape norm above which a peeling step refuses
 DEFAULT_NEAR_TOL = 1e-6
+# decompose's default stopping norm, and extract_K's
+_EPS = 1e-10
+# extract_K's bound on the Gram deviation of the coordinate map
+_ISO_TOL = 1e-6
+# almost_invariant_Sstar_check's bound on the escape of S* W
+_ALMOST_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -82,41 +89,19 @@ class DecompResult:
 
     ``K0`` is the C^r-valued wandering coordinate function (None when the
     wandering part is trivial), ``kj`` the p scalar defect coordinate
-    functions.  ``A_trace``/``beta_trace`` are the per-step coordinates
-    (K0 rows, and the k_j coefficients shifted up by one), ``gk_norms``
-    the remainder norms, and ``norm_gap`` the Parseval identity defect
-    | ||F||^2 - ||K0||^2 - sum ||k_j||^2 |.
+    functions; coefficient k of each is the coordinate peeled at step
+    k + 1.  ``gk_norms`` are the remainder norms, ``max_step_residual``
+    the largest escape norm of a step, and ``norm_gap`` the Parseval
+    identity defect | ||F||^2 - ||K0||^2 - sum ||k_j||^2 |.
     """
 
     K0: CoeffFn | None
     kj: tuple
-    A_trace: tuple
-    beta_trace: tuple
     gk_norms: tuple
     max_step_residual: float
     norm_gap: float
     iterations: int
     converged: bool
-
-    @property
-    def r(self) -> int:
-        return self.K0.dim_m if self.K0 is not None else 0
-
-    @property
-    def p(self) -> int:
-        return len(self.kj)
-
-    def tuple_fn(self) -> CoeffFn:
-        """The stacked C^{r+p}-valued coordinate function (K0, k_1..k_p)."""
-        parts = []
-        if self.K0 is not None:
-            parts.append(self.K0)
-        parts.extend(self.kj)
-        if not parts:
-            raise InvariantViolationError("decomposition carries no coordinates")
-        deg = max(p.deg for p in parts)
-        cols = [p.padded(deg) for p in parts]
-        return CoeffFn(sum(p.dim_m for p in parts), np.hstack(cols))
 
 
 def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
@@ -250,7 +235,7 @@ def _ambient_step(q: np.ndarray, sm: _StepMap, dim_m: int, g: np.ndarray):
 
 
 def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
-          k_max: int, pre_tol: float, near_tol: float):
+          k_max: int, pre_tol: float):
     """The peeling iteration on b columns of M, all in one pass.
 
     g is the n x b matrix of the columns, or None for the columns of Q.
@@ -269,7 +254,7 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
 
     A column stops once its ||G'|| <= eps, or after k_max steps.  An
     origin value above pre_tol * max(1, ||G||) raises
-    InvariantViolationError, and an escape norm above near_tol raises
+    InvariantViolationError, and an escape norm above DEFAULT_NEAR_TOL raises
     NotNearlyInvariantError.  Both report the earliest failing step, and
     on a tie the lowest failing column.
 
@@ -297,13 +282,13 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
             y = sm.stack @ c
             coords, c_next, escape = y[d : d + width], y[:d], None
             now, at_zero, esc = np.sqrt(sm.blocks @ np.square(np.abs(y)))
-        if ((at_zero > lim) | (esc > near_tol)).any():
+        if ((at_zero > lim) | (esc > DEFAULT_NEAR_TOL)).any():
             bad = at_zero > lim
             if bad.any():
                 raise InvariantViolationError(
                     f"wandering removal left value {at_zero[bad.argmax()]:.3g} at the origin"
                 )
-            j = int((esc > near_tol).argmax())
+            j = int((esc > DEFAULT_NEAR_TOL).argmax())
             vec = (escape[:, j] if escape is not None
                    else _ambient_step(q, sm, dim_m, q @ c[:, j : j + 1])[3][:, 0])
             raise NotNearlyInvariantError(len(gk), float(esc[j]), unflatten(vec, dim_m))
@@ -320,8 +305,8 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
             np.array(gk), max_res)
 
 
-def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = 1e-10,
-              k_max: int | None = None, near_tol: float = DEFAULT_NEAR_TOL) -> DecompResult:
+def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
+              k_max: int | None = None) -> DecompResult:
     """Peel F in M into wandering and defect coordinates.
 
     Each step removes the wandering component (which must leave a function
@@ -329,17 +314,18 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = 1e-10,
     its M part, its defect coordinates, and an escape remainder R; ``_peel``
     runs the first step on F's coefficient vector and the others on M's
     coordinates, with M's step map for this defect basis (built on the
-    first call, when the defect-basis checks run).  ``||R|| > near_tol``
-    raises NotNearlyInvariantError carrying the step and the escaping
-    vector; hitting ``k_max`` with ``||G|| > eps`` returns a diagnostic
-    result with ``converged=False``.
+    first call, when the defect-basis checks run).  ``||R|| >
+    DEFAULT_NEAR_TOL`` raises NotNearlyInvariantError carrying the step and
+    the escaping vector; hitting ``k_max`` (default: ambient degree + p + 8)
+    with ``||G|| > eps`` returns a diagnostic result with
+    ``converged=False``.
     """
     defect_basis = list(defect_basis)
     if f.dim_m != m.dim_m:
         raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{m.dim_m}")
     g = flatten(f, m.ambient_deg).reshape(-1, 1)
     sm, k_max, pre_tol = _peel_setup(m, defect_basis, g, k_max)
-    tup, gk, max_res = _peel(m, sm, g, eps, k_max, pre_tol, near_tol)
+    tup, gk, max_res = _peel(m, sm, g, eps, k_max, pre_tol)
     steps, r, p = len(tup), sm.w.shape[1], sm.e.shape[1]
     a, beta = tup[:, :r, 0], tup[:, r:, 0]
     k0 = CoeffFn(r, a if steps else np.zeros((1, r))) if r else None
@@ -349,8 +335,6 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = 1e-10,
     return DecompResult(
         K0=k0,
         kj=kj,
-        A_trace=tuple(a) if r else (),
-        beta_trace=tuple(beta),
         gk_norms=tuple(float(x) for x in gk[:, 0]),
         max_step_residual=float(max_res[0]),
         norm_gap=abs(f.norm() ** 2 - total),
@@ -373,45 +357,37 @@ def certify_nearly(m: Subspace, p_max: int, tol: float | None = None,
     return defect_of(m, "S*", domain=domain, tol=tol, band=band, mode="nearly")
 
 
-def extract_K(m: Subspace, defect_basis, eps: float = 1e-10,
-              k_max: int | None = None, near_tol: float = DEFAULT_NEAR_TOL,
-              ambient_deg: int | None = None, iso_tol: float = 1e-6) -> Subspace:
+def extract_K(m: Subspace, defect_basis) -> Subspace:
     """Decompose every basis vector of M and span the coordinate tuples.
 
     The columns of Q are peeled together by one ``_peel`` run on M's
     coordinates, from c = I (they lie in M, so there is no membership
-    check), with the other checks of ``decompose``; a refusal reports the
-    earliest failing step, and on a tie the lowest failing column.  The
-    tuple map must be isometric (Gram matrix of the tuples matches the
-    Gram matrix of the basis within iso_tol) and the resulting space must
-    be invariant under the componentwise backward shift; violations raise
-    CertificationError.
+    check), with the checks and the default ``eps`` and ``k_max`` of
+    ``decompose``; a refusal reports the earliest failing step, and on a
+    tie the lowest failing column.  K's ambient degree is the number of
+    steps minus one.  The tuple map must be isometric (Gram matrix of the
+    tuples matches the Gram matrix of the basis within 1e-6) and the
+    resulting space must be invariant under the componentwise backward
+    shift; violations raise CertificationError.
     """
     defect_basis = list(defect_basis)
     if not m.dim:
-        return Subspace(max(len(defect_basis), 1), ambient_deg or 0, (), m.tol)
-    sm, k_max, pre_tol = _peel_setup(m, defect_basis, None, k_max)
-    # step k of column j is coefficient k of basis vector j's tuple (K0, k_1..k_p)
-    tup, *_ = _peel(m, sm, None, eps, k_max, pre_tol, near_tol)
-    width = tup.shape[1]
+        return Subspace(max(len(defect_basis), 1), 0, (), m.tol)
+    sm, k_max, pre_tol = _peel_setup(m, defect_basis, None, None)
+    # step k of column j is coefficient k of basis vector j's tuple
+    # (K0, k_1..k_p); Q's columns have norm 1 > eps, so at least one step runs
+    tup, *_ = _peel(m, sm, None, _EPS, k_max, pre_tol)
+    steps, width = tup.shape[:2]
     if not width:
         raise InvariantViolationError("decomposition carries no coordinates")
-    if ambient_deg is None:
-        ambient_deg = max(len(tup) - 1, 0)
-    if np.any(tup[ambient_deg + 1:] != 0):
-        raise TruncationOverflowError(
-            f"coordinate tuples exceed ambient degree {ambient_deg}"
-        )
-    cols = np.zeros((ambient_deg + 1, width, m.dim), dtype=complex)
-    cols[: len(tup)] = tup[: ambient_deg + 1]
-    cols = cols.reshape(-1, m.dim)
+    cols = tup.reshape(-1, m.dim)
     dev = _gram_deviation(cols)
-    if dev > iso_tol:
+    if dev > _ISO_TOL:
         raise CertificationError(
-            f"coordinate map is not isometric (Gram deviation {dev:.3g} > {iso_tol:.3g})"
+            f"coordinate map is not isometric (Gram deviation {dev:.3g} > {_ISO_TOL:.3g})"
         )
-    k = _span_columns(cols, width, ambient_deg, m.tol)
-    cert = defect_of(k, "S*", tol=max(m.tol, iso_tol))
+    k = _span_columns(cols, width, steps - 1, m.tol)
+    cert = defect_of(k, "S*", tol=max(m.tol, _ISO_TOL))
     if cert.defect_dim:
         raise CertificationError(
             f"extracted space is not backward-shift invariant "
@@ -463,9 +439,7 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
         )
     gen = _generator(m_dim, [c.padded(max_f0) for c in f0_cols],
                      [e.padded(max_e) for e in e_fns])
-    x = k.matrix.reshape(k.ambient_deg + 1, r + p, k.dim)
-    images = multiply(gen, x, ambient_deg).reshape(-1, k.dim)
-    m = _span_columns(images, m_dim, ambient_deg, tol)
+    m = _apply_space(gen, k, ambient_deg, tol)
     if check:
         cert = certify_nearly(m, p)
         if cert.defect_dim > p:
@@ -473,6 +447,14 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
                 f"synthesized space has defect {cert.defect_dim} > {p}"
             )
     return m
+
+
+def _apply_space(t: MatSymbol, space: Subspace, ambient_deg: int,
+                 tol: float) -> Subspace:
+    """Exact image of a subspace under a multiplier, re-orthonormalized."""
+    x = space.matrix.reshape(space.ambient_deg + 1, space.dim_m, space.dim)
+    images = multiply(t, x, ambient_deg).reshape(-1, space.dim)
+    return _span_columns(images, t.m_out, ambient_deg, tol)
 
 
 def _generator(m_dim: int, f0_cols, e_cols) -> MatSymbol:
@@ -506,17 +488,17 @@ def _direct_sum(m: Subspace, defect_basis) -> Subspace:
                         max(m.tol, 1e-9), m.band, check=True)
 
 
-def almost_invariant_Sstar_check(m: Subspace, defect_basis,
-                                 tol: float = 1e-8) -> tuple:
+def almost_invariant_Sstar_check(m: Subspace, defect_basis) -> tuple:
     """Whether every wandering vector stays in M (+) defect under S*.
 
     Near invariance constrains only the origin-vanishing part of M; this
     upgrade additionally requires S* W_i in M (+) span(defect) for every
-    wandering basis vector W_i.  Returns (ok, max residual).
+    wandering basis vector W_i.  Returns (ok, max residual); ok means a
+    residual of at most 1e-8.
     """
     x = _direct_sum(m, defect_basis)
     residual = _max_escape(x, _shift_rows(wandering(m).matrix, m.dim_m, "S*"))
-    return residual <= tol, residual
+    return residual <= _ALMOST_TOL, residual
 
 
 def _max_escape(target: Subspace, cols: np.ndarray) -> float:

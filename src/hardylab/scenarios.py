@@ -20,6 +20,7 @@ from .funcs import basis_vector, make_fn, monomial_fn, unflatten
 from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import MatSymbol, column_symbol, compose, multiply
 from .nearly import (
+    _apply_space,
     almost_invariant_Sstar_check,
     certify_nearly,
     decompose,
@@ -66,20 +67,31 @@ def _merge(defaults: dict, params: dict | None) -> dict:
             raise ParseError(
                 f"unknown parameter {key!r}; known: {sorted(defaults)}"
             )
-        _check_param(key, val)
+        _check_param(key, val, defaults[key])
         merged[key] = val
     return merged
 
 
-def _check_param(key: str, val) -> None:
-    """A tolerance (``tol``, ``*_tol``) must be finite and > 0, a seed an
-    integer >= 0; booleans are neither."""
-    if key == "seed":
-        want = "an integer >= 0"
-        ok = isinstance(val, numbers.Integral) and val >= 0
-    elif key == "tol" or key.endswith("_tol"):
-        want = "a finite number > 0"
-        ok = isinstance(val, numbers.Real) and math.isfinite(val) and val > 0
+def _check_param(key: str, val, default) -> None:
+    """Refuse a value of the wrong kind for its key; booleans never pass.
+
+    A tolerance (``tol``, ``*_tol``) must be finite and > 0, ``pairs`` and
+    ``draws`` integers >= 1, ``r`` null or an integer >= 0, any other key
+    with an integer default (``seed`` and the sizes) an integer >= 0, and
+    one with a float default a finite number.  Other keys are not checked.
+    """
+    whole = isinstance(val, numbers.Integral)
+    finite = isinstance(val, numbers.Real) and math.isfinite(val)
+    if key == "tol" or key.endswith("_tol"):
+        want, ok = "a finite number > 0", finite and val > 0
+    elif key in ("pairs", "draws"):
+        want, ok = "an integer >= 1", whole and val >= 1
+    elif key == "r":
+        want, ok = "null or an integer >= 0", val is None or (whole and val >= 0)
+    elif isinstance(default, numbers.Integral):
+        want, ok = "an integer >= 0", whole and val >= 0
+    elif isinstance(default, float):
+        want, ok = "a finite number", finite
     else:
         return
     if isinstance(val, bool) or not ok:
@@ -107,14 +119,6 @@ def _monomial_powers(t: MatSymbol):
             return None
         powers.append(k)
     return powers
-
-
-def _apply_space(t: MatSymbol, space: Subspace, ambient_deg: int,
-                 tol: float) -> Subspace:
-    """Exact image of a subspace under a multiplier, re-orthonormalized."""
-    x = space.matrix.reshape(space.ambient_deg + 1, space.dim_m, space.dim)
-    images = multiply(t, x, ambient_deg).reshape(-1, space.dim)
-    return _span_columns(images, t.m_out, ambient_deg, tol)
 
 
 def _projection(space: Subspace, cols: np.ndarray) -> np.ndarray:
@@ -434,27 +438,36 @@ def _roundtrip_passed(block: dict, pdim: int, dist_tol: float, gap_tol: float) -
     )
 
 
-def _sc_main_defect1(p: dict):
-    tol = p["tol"]
+def _roundtrips(p: dict, configs, single_p: int) -> tuple:
+    """Run the roundtrip configs (r, p, m, degrees, NK, F0 columns or None).
+
+    With the parameter ``r`` set, the configs are replaced by the single
+    one at that r and p = single_p, on window max(4, N - 2).  Returns
+    (passed, metrics): one ``config{idx}_r{r}_p{p}`` block per config and
+    ``norm_gap``, the largest of their norm gaps.
+    """
     if p["r"] is not None:
-        nk = max(4, p["N"] - 2)
-        r = p["r"]
-        degrees = [2] * r + [2]
-        configs = [(r, 1, r + 1, degrees, nk, None)]
-    else:
-        poly_col = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
-        configs = [
-            (1, 1, 2, (3, 2), p["NK"], None),
-            (1, 1, 3, (3, 2), p["NK"], [poly_col]),
-            (2, 1, 3, (2, 2, 3), p["NK"], None),
-        ]
+        r, m = p["r"], p["r"] + single_p
+        configs = [(r, single_p, m, [2] * m, max(4, p["N"] - 2), None)]
     metrics = {}
     passed = True
     for idx, (r, pdim, m, degrees, nk, f0) in enumerate(configs):
-        block = _roundtrip_config(r, pdim, m, degrees, nk, tol, f0_cols=f0)
+        block = _roundtrip_config(r, pdim, m, degrees, nk, p["tol"], f0_cols=f0)
         ok = _roundtrip_passed(block, pdim, p["distance_tol"], p["gap_tol"])
         metrics[f"config{idx}_r{r}_p{pdim}"] = block | {"passed": ok}
         passed = passed and ok
+    metrics["norm_gap"] = max(blk["max_norm_gap"] for blk in metrics.values())
+    return passed, metrics
+
+
+def _sc_main_defect1(p: dict):
+    tol = p["tol"]
+    poly_col = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
+    passed, metrics = _roundtrips(p, [
+        (1, 1, 2, (3, 2), p["NK"], None),
+        (1, 1, 3, (3, 2), p["NK"], [poly_col]),
+        (2, 1, 3, (2, 2, 3), p["NK"], None),
+    ], 1)
     # defect basis merely normalized, not orthogonal to the space: the
     # synthesis is still nearly invariant with defect <= p
     k_space = model_space(
@@ -464,39 +477,18 @@ def _sc_main_defect1(p: dict):
     slanted_m = synthesize_M(k_space, [basis_vector(2, 0)], [slanted],
                              p["NK"] + 2, tol=tol, check=False)
     slant_cert = certify_nearly(slanted_m, 1)
-    metrics["non_orthogonal_defect_dim"] = slant_cert.defect_dim
-    passed = passed and slant_cert.defect_dim <= 1
-    metrics["norm_gap"] = max(
-        blk["max_norm_gap"] for key, blk in metrics.items() if key.startswith("config")
-    )
-    return passed, metrics
+    # reported before the norm gap
+    gap = metrics.pop("norm_gap")
+    metrics |= {"non_orthogonal_defect_dim": slant_cert.defect_dim, "norm_gap": gap}
+    return passed and slant_cert.defect_dim <= 1, metrics
 
 
 def _sc_main_defectp(p: dict):
-    tol = p["tol"]
-    if p["r"] is not None:
-        nk = max(4, p["N"] - 2)
-        r, pdim = p["r"], p["p"]
-        degrees = [2] * r + [2] * pdim
-        configs = [(r, pdim, r + pdim, degrees, nk, None)]
-    else:
-        configs = [
-            (1, 2, 3, (3, 2, 1), p["NK"], None),
-            (2, 2, 4, (2, 2, 1, 3), p["NK"], None),
-            (0, 1, 1, (2,), 4, None),
-        ]
-    metrics = {}
-    passed = True
-    for idx, (r, pdim, m, degrees, nk, f0) in enumerate(configs):
-        f0_cols = [] if r == 0 else None
-        block = _roundtrip_config(r, pdim, m, degrees, nk, tol, f0_cols=f0_cols)
-        ok = _roundtrip_passed(block, pdim, p["distance_tol"], p["gap_tol"])
-        metrics[f"config{idx}_r{r}_p{pdim}"] = block | {"passed": ok}
-        passed = passed and ok
-    metrics["norm_gap"] = max(
-        blk["max_norm_gap"] for key, blk in metrics.items() if key.startswith("config")
-    )
-    return passed, metrics
+    return _roundtrips(p, [
+        (1, 2, 3, (3, 2, 1), p["NK"], None),
+        (2, 2, 4, (2, 2, 1, 3), p["NK"], None),
+        (0, 1, 1, (2,), 4, None),
+    ], p["p"])
 
 
 def _sc_corollary_almost(p: dict):

@@ -136,13 +136,14 @@ def _shift_rows(q: np.ndarray, dim_m: int, op: str) -> np.ndarray:
 class Subspace:
     """Closed subspace of the truncated ambient, stored as orthonormal Q.
 
-    ``Subspace(dim_m, ambient_deg, basis, tol, band)`` takes a caller's
+    ``Subspace(dim_m, ambient_deg, basis, tol)`` takes a caller's
     orthonormal basis of functions and checks it at tol.  ``band`` is the
     largest degree on which the construction faithfully represents its
-    infinite-dimensional counterpart (equal to ambient_deg for exact
-    constructions).  The per-instance ``_memo`` (a linked complement, the
-    wandering part, a peeling step map) is a cache, not state: pickling
-    drops it.
+    infinite-dimensional counterpart: ambient_deg for a caller's basis,
+    which is exact, and for the other exact constructions; spaces built by
+    this package (``_of``) may record a lower one.  The per-instance
+    ``_memo`` (a linked complement, the wandering part, a peeling step map)
+    is a cache, not state: pickling drops it.
     """
 
     dim_m: int
@@ -151,9 +152,8 @@ class Subspace:
     tol: float
     band: int
 
-    def __init__(self, dim_m: int, ambient_deg: int, basis=(),
-                 tol: float = DEFAULT_TOL, band: int | None = None):
-        self._assign(dim_m, ambient_deg, _columns(basis, dim_m, ambient_deg), tol, band)
+    def __init__(self, dim_m: int, ambient_deg: int, basis=(), tol: float = DEFAULT_TOL):
+        self._assign(dim_m, ambient_deg, _columns(basis, dim_m, ambient_deg), tol, None)
         self.__post_init__()
 
     def __post_init__(self):

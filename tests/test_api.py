@@ -1,5 +1,6 @@
-"""API audit: every public name has a caller inside the package, no
-relative import goes unused, and ``CoeffFn`` stays a boundary type.
+"""API audit: every public name has a caller inside the package, every
+public option is set by some caller inside the package, no relative import
+goes unused, and ``CoeffFn`` stays a boundary type.
 
 The audit reads the sources with ``ast``, so a word in a docstring or a
 comment never counts as a use.
@@ -19,6 +20,9 @@ RESULT_TYPES = {"DecompResult", "ScenarioReport"}
 # (JSON-like inputs, defect lists, decomposition results), they are not the
 # currency of the numerical work
 MAX_COEFFN_BUILDS = 600
+# defaulted parameters only callers outside the package bind: the console
+# entry point's argument list
+UNBOUND_OPTIONS = {"cli.main(argv)"}
 
 
 def _trees() -> dict:
@@ -51,6 +55,54 @@ def test_every_public_name_has_a_caller_in_the_package():
                for name in _exported(tree)
                if name not in RESULT_TYPES and (module, name) not in imported]
     assert orphans == []
+
+
+def _public_signatures(trees) -> dict:
+    """Name as called -> (label, positional parameter names, defaulted names).
+
+    The functions in a module's ``__all__``, ``Subspace.__init__`` (called
+    as ``Subspace``, ``self`` dropped) and the console entry ``cli.main``.
+    """
+    table = {}
+    for module, tree in trees.items():
+        wanted = set(_exported(tree)) | ({"main"} if module == "cli" else set())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "Subspace":
+                node = next(n for n in node.body
+                            if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+                name, label, skip = "Subspace", "subspaces.Subspace", 1
+            elif isinstance(node, ast.FunctionDef) and node.name in wanted:
+                name, label, skip = node.name, f"{module}.{node.name}", 0
+            else:
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            table[name] = (label, positional, defaulted)
+    return table
+
+
+def test_every_public_option_is_set_by_a_caller_in_the_package():
+    trees = _trees()
+    table = _public_signatures(trees)
+    bound = {name: set() for name in table}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in table:
+                continue
+            positional = table[name][1]
+            bound[name] |= set(positional[: len(node.args)])
+            bound[name] |= {kw.arg for kw in node.keywords}
+    unset = sorted(f"{label}({param})"
+                   for name, (label, _, defaulted) in table.items()
+                   for param in defaulted if param not in bound[name])
+    assert unset == sorted(UNBOUND_OPTIONS)
 
 
 def test_no_relative_import_goes_unused():

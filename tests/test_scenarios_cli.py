@@ -290,7 +290,9 @@ class TestInvalidNumbers:
 
 
 class TestParamValues:
-    """A --param tolerance must be finite and > 0, a seed an integer >= 0;
+    """A --param tolerance must be finite and > 0, pairs and draws integers
+    >= 1, r null or an integer >= 0, a key with an integer default (seed,
+    sizes) an integer >= 0 and one with a float default a finite number;
     anything else is a usage error naming the key (exit 2)."""
 
     BAD = [
@@ -307,6 +309,24 @@ class TestParamValues:
         ("duality", "seed", 1.5),
         ("duality", "seed", True),
         ("section4", "seed", "0"),
+        ("beurling", "N", "abc"),
+        ("beurling", "N", -1),
+        ("beurling", "N", 16.0),
+        ("beurling", "N", True),
+        ("main_defect1", "NK", None),
+        ("main_defect1", "r", "abc"),
+        ("main_defect1", "r", -1),
+        ("main_defect1", "r", 1.0),
+        ("main_defect1", "r", False),
+        ("main_defectp", "p", -2),
+        ("duality", "pairs", -3),
+        ("duality", "pairs", 0),
+        ("duality", "pairs", True),
+        ("section4", "draws", 0),
+        ("section4", "min_each_class", 2.5),
+        ("lemma_nearly", "zero1", float("nan")),
+        ("lemma_nearly", "zero1", "0.5"),
+        ("lemma_orthocomplement", "psi_zero", True),
     ]
 
     @pytest.mark.parametrize("sid, key, val", BAD)
@@ -323,6 +343,12 @@ class TestParamValues:
         ["scenario", "duality", "--param", "seed=0.5"],
         ["scenario", "all", "--param", "seed=-1"],
         ["scenario", "all", "--param", "tol=NaN", "--json"],
+        ["scenario", "beurling", "--param", "N=abc"],
+        ["scenario", "main_defect1", "--param", "r=abc"],
+        ["scenario", "duality", "--param", "pairs=-3"],
+        ["scenario", "section4", "--param", "draws=0"],
+        ["scenario", "lemma_nearly", "--param", "zero2=Infinity"],
+        ["scenario", "all", "--param", "N=abc", "--json"],
     ])
     def test_cli_refuses(self, capsys, argv):
         key = argv[3].split("=")[0]
@@ -337,6 +363,38 @@ class TestParamValues:
         assert main(["scenario", "duality", "--param", "seed=2",
                      "--param", "residual_tol=1e-7"]) == 0
         assert main(["scenario", "beurling", "--param", "tol=1e-9"]) == 0
+
+    def test_valid_size_overrides_still_run(self, capsys):
+        assert run_scenario("beurling", {"N": 12}).passed
+        assert run_scenario("main_defect1", {"r": None}).passed
+        assert run_scenario("main_defect1", {"r": 0, "N": 10}).passed
+        assert run_scenario("lemma_nearly", {"zero1": 0.25, "zero2": -0.5}).passed
+        # an integer is a valid float value; a zero at the origin is a
+        # mathematical failure, not a usage error
+        assert not run_scenario("lemma_nearly", {"zero2": 0}).passed
+        rep = run_scenario("duality", {"pairs": 24, "min_each_direction": 4})
+        assert rep.passed and rep.metrics["pairs"] == 24
+        assert main(["scenario", "main_defectp", "--param", "r=1", "--param", "p=1",
+                     "--param", "N=8"]) == 0
+        assert main(["scenario", "section4", "--param", "draws=60",
+                     "--param", "min_each_class=10"]) == 0
+        assert main(["scenario", "main_defect1", "--param", "r=null"]) == 0
+
+
+class TestScenarioAllKeys:
+    def test_key_no_scenario_knows_is_usage_error(self, capsys):
+        assert main(["scenario", "all", "--param", "foo=1"]) == 2
+        captured = capsys.readouterr()
+        assert "parameter 'foo'" in captured.err and captured.out == ""
+
+    def test_known_key_goes_only_to_its_scenarios(self, capsys):
+        assert main(["scenario", "all", "--param", "draws=60",
+                     "--param", "min_each_class=10", "--json"]) == 0
+        reports = {r["scenario_id"]: r for r in json.loads(capsys.readouterr().out)}
+        assert len(reports) == len(SCENARIOS)
+        assert reports["section4"]["parameters"]["draws"] == 60
+        with_draws = [sid for sid, r in reports.items() if "draws" in r["parameters"]]
+        assert with_draws == ["section4"]
 
 
 class TestCertifyP:
@@ -356,7 +414,7 @@ class TestCertifyP:
         assert main(["certify", "--space", str(space), "--op", "S", "--p", "0"]) == 1
 
 
-GOLDEN = Path(__file__).parent / "data" / "scenarios_seed0.json"
+DATA = Path(__file__).parent / "data"
 
 
 def _assert_report_matches(got, want, path="reports"):
@@ -381,11 +439,13 @@ def _assert_report_matches(got, want, path="reports"):
 
 
 class TestGoldenReports:
-    def test_scenario_all_seed0_matches_golden(self, capsys):
-        # the golden file is `hardylab --seed 0 scenario all --json` with
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_scenario_all_matches_golden(self, capsys, seed):
+        # each golden file is `hardylab --seed S scenario all --json` with
         # runtime_ms removed; a performance change must keep the reports
-        assert main(["--seed", "0", "scenario", "all", "--json"]) == 0
+        assert main(["--seed", str(seed), "scenario", "all", "--json"]) == 0
         reports = json.loads(capsys.readouterr().out)
         for rep in reports:
             rep.pop("runtime_ms")
-        _assert_report_matches(reports, json.loads(GOLDEN.read_text()))
+        golden = DATA / f"scenarios_seed{seed}.json"
+        _assert_report_matches(reports, json.loads(golden.read_text()))
