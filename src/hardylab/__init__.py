@@ -31,7 +31,6 @@ from .funcs import (
 from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import (
     MatSymbol,
-    column_symbol,
     compose,
     multiply,
     multiply_adjoint,

@@ -116,6 +116,16 @@ def monomial_inner(k: int, deg: int) -> MatSymbol:
     return scalar_symbol(coeffs, tail_bound=0.0, claimed_inner=True)
 
 
+def _cut_entry(e: MatSymbol, deg: int) -> tuple:
+    """A 1x1 entry's coefficients cut to deg, and its tail plus the cut's l1 norm."""
+    col = e.mats[:, 0, 0]
+    tail = e.tail_bound
+    if col.shape[0] > deg + 1:
+        tail += float(np.sum(np.abs(col[deg + 1 :])))
+        col = col[: deg + 1]
+    return col, tail
+
+
 def diag_inner(entries, deg: int) -> MatSymbol:
     """Diagonal symbol from 1x1 inner entries, padded/truncated to a common degree.
 
@@ -133,11 +143,7 @@ def diag_inner(entries, deg: int) -> MatSymbol:
             raise DimensionMismatchError(f"entry {i} is {e.m_out}x{e.m_in}, expected 1x1")
         if not e.claimed_inner:
             raise NotInnerError(f"entry {i} is not claimed inner")
-        col = e.mats[:, 0, 0]
-        entry_tail = e.tail_bound
-        if col.shape[0] > deg + 1:
-            entry_tail += float(np.sum(np.abs(col[deg + 1 :])))
-            col = col[: deg + 1]
+        col, entry_tail = _cut_entry(e, deg)
         mats[: col.shape[0], i, i] = col
         tail = max(tail, entry_tail)
     return MatSymbol(m, m, mats, tail_bound=tail, claimed_inner=True)

@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, TruncationOverflowError
-from .funcs import CoeffFn
 
 __all__ = [
     "MatSymbol",
     "scalar_symbol",
-    "column_symbol",
     "compose",
     "multiply",
     "multiply_adjoint",
@@ -89,11 +87,6 @@ def scalar_symbol(coeffs, tail_bound: float = 0.0, claimed_inner: bool = False) 
     """1x1 symbol from a list of scalar Taylor coefficients."""
     arr = np.asarray(coeffs, dtype=complex).reshape(-1, 1, 1)
     return MatSymbol(1, 1, arr, tail_bound, claimed_inner)
-
-
-def column_symbol(f: CoeffFn) -> MatSymbol:
-    """View an m-vector function as an m x 1 multiplier symbol."""
-    return MatSymbol(f.dim_m, 1, f.coeffs.reshape(-1, f.dim_m, 1))
 
 
 def _check_input(x: np.ndarray, m: int, label: str) -> np.ndarray:

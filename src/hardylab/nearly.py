@@ -21,7 +21,8 @@ kernel on one function, ``extract_K`` on every column of M's Q at once
 (from c = I), and ``synthesize_M`` rebuilds M from (K, F0, E) as one
 product of the generator symbol [F0 | zE] with K's Q.  The orthocomplement
 test ``orthocomplement_membership`` applies the adjoint of the same
-generator.
+generator, which ``_generator`` builds for both.  Every defect list, in
+the peeling and in the duality checks, passes ``_check_defect_basis``.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``DEFAULT_NEAR_TOL`` the
@@ -52,6 +53,7 @@ from .subspaces import (
     _columns,
     _gram_deviation,
     _rank,
+    _residual,
     _shift_rows,
     _span_columns,
     complement,
@@ -81,6 +83,11 @@ _EPS = 1e-10
 _ISO_TOL = 1e-6
 # almost_invariant_Sstar_check's bound on the escape of S* W
 _ALMOST_TOL = 1e-8
+# the least tolerance of the defect-basis check behind the duality and
+# almost-invariance checks
+_SUM_TOL = 1e-9
+# synthesize_M's bound on the Gram deviation of the F0 and E columns
+_ORTHONORMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,12 @@ def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
         raise PreconditionError(
             f"defect basis is not orthonormal (Gram deviation {dev:.3g})"
         )
-    if m.dim:
-        q = m.matrix
-        overlap = float(np.linalg.norm(np.conj(q.T) @ cols, 2))
+    if not m.dim:
+        return
+    inner = np.conj(m.matrix.T) @ cols
+    # the Frobenius norm bounds the 2-norm, so the SVD runs only near a refusal
+    if np.linalg.norm(inner) > tol:
+        overlap = float(np.linalg.norm(inner, 2))
         if overlap > tol:
             raise PreconditionError(
                 f"defect basis is not orthogonal to the space (overlap {overlap:.3g})"
@@ -191,6 +201,11 @@ def _build_step_map(m: Subspace, e: np.ndarray, key: bytes, pre_tol: float) -> _
     return _StepMap(key, w, e, stack, blocks)
 
 
+def _default_k_max(ambient_deg: int, p: int) -> int:
+    """The default step bound of the peeling: ambient degree + p + 8."""
+    return ambient_deg + p + 8
+
+
 def _peel_setup(m: Subspace, defect_basis: list, g: np.ndarray | None,
                 k_max: int | None):
     """The checks before peeling; returns (step map, k_max, pre_tol).
@@ -201,13 +216,12 @@ def _peel_setup(m: Subspace, defect_basis: list, g: np.ndarray | None,
     step map).
     """
     if k_max is None:
-        k_max = m.ambient_deg + len(defect_basis) + 8
+        k_max = _default_k_max(m.ambient_deg, len(defect_basis))
     if k_max < 1:
         raise PreconditionError("k_max must be at least 1")
     pre_tol = max(100.0 * m.tol, 1e-8)
     if g is not None:
-        q = m.matrix
-        resid = np.linalg.norm(g - q @ (np.conj(q.T) @ g), axis=0)
+        resid = np.linalg.norm(_residual(m, g), axis=0)
         outside = resid > pre_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
         if outside.any():
             raise PreconditionError(
@@ -397,15 +411,15 @@ def extract_K(m: Subspace, defect_basis) -> Subspace:
 
 
 def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
-                 tol: float | None = None, check: bool = True) -> Subspace:
+                 check: bool = True) -> Subspace:
     """Rebuild the function space from coordinates: F = F0 K0 + sum z k_j E_j.
 
     F0 columns must be orthonormal with linearly independent values at 0;
     E must be orthonormal.  Every image is one product: the m x (r+p)
-    generator symbol [F0 | zE] applied by ``multiply`` to the columns of
-    K's Q, then spanned by the ``from_spanning`` cut.  The output is
-    certified nearly invariant with defect at most p unless ``check`` is
-    disabled.
+    generator symbol [F0 | zE] (``_generator``) applied by ``multiply`` to
+    the columns of K's Q, then spanned by the ``from_spanning`` cut at K's
+    tol.  The output is certified nearly invariant with defect at most p
+    unless ``check`` is disabled.
     """
     f0_cols = list(f0_cols)
     e_fns = list(e_fns)
@@ -414,14 +428,7 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
         raise DimensionMismatchError(
             f"coordinate space over C^{k.dim_m}, expected C^{r + p}"
         )
-    if tol is None:
-        tol = k.tol
-    if r:
-        m_dim = f0_cols[0].dim_m
-    elif p:
-        m_dim = e_fns[0].dim_m
-    else:
-        raise PreconditionError("need at least one generator column")
+    gen = _generator(f0_cols, e_fns)
     _check_orthonormal(f0_cols, "F0 columns")
     _check_orthonormal(e_fns, "defect functions")
     if r:
@@ -430,16 +437,12 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
             raise PreconditionError(
                 "F0 values at the origin are linearly dependent"
             )
-    max_f0 = max((c.trimmed_deg() for c in f0_cols), default=0)
-    max_e = max((e.trimmed_deg() for e in e_fns), default=0)
-    need = k.ambient_deg + max(max_f0, max_e + 1)
+    need = k.ambient_deg + max(gen.deg, 1)
     if ambient_deg < need:
         raise TruncationOverflowError(
             f"ambient degree {ambient_deg} below required headroom {need}"
         )
-    gen = _generator(m_dim, [c.padded(max_f0) for c in f0_cols],
-                     [e.padded(max_e) for e in e_fns])
-    m = _apply_space(gen, k, ambient_deg, tol)
+    m = _apply_space(gen, k, ambient_deg, k.tol)
     if check:
         cert = certify_nearly(m, p)
         if cert.defect_dim > p:
@@ -457,35 +460,43 @@ def _apply_space(t: MatSymbol, space: Subspace, ambient_deg: int,
     return _span_columns(images, t.m_out, ambient_deg, tol)
 
 
-def _generator(m_dim: int, f0_cols, e_cols) -> MatSymbol:
-    """The m x (r+p) symbol [F0 | zE] from (deg+1, m) coefficient arrays.
+def _generator(f0_cols: list, e_fns: list) -> MatSymbol:
+    """The m x (r+p) symbol [F0 | zE] of the F0 columns and defect functions.
 
     F0's columns enter as they are, each E_j one degree up, so that
-    T_{zE} = S T_E and T*_{zE} = T*_E S*.
+    T_{zE} = S T_E and T*_{zE} = T*_E S*; the symbol ends at its last
+    nonzero coefficient.  Columns over different C^m are refused.
     """
-    cols = list(f0_cols) + [np.vstack([np.zeros((1, m_dim)), e]) for e in e_cols]
-    deg = max(c.shape[0] for c in cols) - 1
-    gen = np.zeros((deg + 1, m_dim, len(cols)), dtype=complex)
-    for i, c in enumerate(cols):
-        gen[: c.shape[0], :, i] = c
-    return MatSymbol(m_dim, len(cols), gen)
+    cols = f0_cols + e_fns
+    if not cols:
+        raise PreconditionError("need at least one generator column")
+    m, r = cols[0].dim_m, len(f0_cols)
+    gen = np.zeros((max(f.deg for f in cols) + 2, m, len(cols)), dtype=complex)
+    for i, f in enumerate(cols):
+        if f.dim_m != m:
+            raise DimensionMismatchError(f"generator column over C^{f.dim_m} among C^{m}")
+        up = int(i >= r)
+        gen[up : up + f.deg + 1, :, i] = f.coeffs
+    nz = np.flatnonzero(gen.any(axis=(1, 2)))
+    return MatSymbol(m, len(cols), gen[: nz[-1] + 1 if nz.size else 1])
 
 
-def _check_orthonormal(fns, label: str, tol: float = 1e-8) -> None:
+def _check_orthonormal(fns, label: str) -> None:
     if not fns:
         return
     dev = _gram_deviation(_columns(fns, fns[0].dim_m, max(f.deg for f in fns)))
-    if dev > tol:
+    if dev > _ORTHONORMAL_TOL:
         raise PreconditionError(f"{label} are not orthonormal (deviation {dev:.3g})")
 
 
 def _direct_sum(m: Subspace, defect_basis) -> Subspace:
-    """M (+) span(defect) as an orthonormal concatenation, checked."""
+    """M (+) span(defect), the defect basis checked by ``_check_defect_basis``."""
     cols = _columns(defect_basis, m.dim_m, m.ambient_deg)
     if not cols.shape[1]:
         return m
-    return Subspace._of(m.dim_m, m.ambient_deg, np.hstack([m.matrix, cols]),
-                        max(m.tol, 1e-9), m.band, check=True)
+    tol = max(m.tol, _SUM_TOL)
+    _check_defect_basis(m, cols, tol)
+    return Subspace._of(m.dim_m, m.ambient_deg, np.hstack([m.matrix, cols]), tol, m.band)
 
 
 def almost_invariant_Sstar_check(m: Subspace, defect_basis) -> tuple:
@@ -503,9 +514,7 @@ def almost_invariant_Sstar_check(m: Subspace, defect_basis) -> tuple:
 
 def _max_escape(target: Subspace, cols: np.ndarray) -> float:
     """Largest distance of the columns of cols from the target subspace."""
-    q = target.matrix
-    resid = cols - q @ (np.conj(q.T) @ cols)
-    return float(max(np.linalg.norm(resid, axis=0), default=0.0))
+    return float(max(np.linalg.norm(_residual(target, cols), axis=0), default=0.0))
 
 
 def duality_residuals(m: Subspace, defect_basis) -> tuple:
@@ -526,32 +535,19 @@ def duality_residuals(m: Subspace, defect_basis) -> tuple:
     return lhs_res, rhs_res
 
 
-def orthocomplement_membership(g: CoeffFn, f0: MatSymbol | None, e_syms,
-                               k_perp: Subspace, tol: float = 1e-7) -> tuple:
+def orthocomplement_membership(g: CoeffFn, f0_cols, e_fns, k_perp: Subspace,
+                               tol: float = 1e-7) -> tuple:
     """Membership of G in the orthocomplement via the coordinate adjoints.
 
     Computes the tuple (T*_{F0} G, T*_{E_1} S* G, ..., T*_{E_p} S* G), one
-    ``multiply_adjoint`` of the generator [F0 | zE] since T*_{zE} = T*_E S*,
-    and tests whether it lies in the given forward-shift invariant
-    coordinate complement; the F0 slot is omitted when the space has no
-    wandering part.  Returns (member, residual).
+    ``multiply_adjoint`` of the generator [F0 | zE] of ``synthesize_M``
+    (T*_{zE} = T*_E S*), and tests whether it lies in the given
+    forward-shift invariant coordinate complement; with no F0 columns the
+    F0 slot is omitted.  The columns are not checked for orthonormality;
+    G or a complement over the wrong C^m is refused by the kernel and by
+    ``project``.  Returns (member, residual).
     """
-    e_syms = list(e_syms)
-    if f0 is not None and f0.m_out != g.dim_m:
-        raise DimensionMismatchError(
-            f"F0 maps into C^{f0.m_out}, G lives in C^{g.dim_m}"
-        )
-    for j, ej in enumerate(e_syms):
-        if ej.m_in != 1 or ej.m_out != g.dim_m:
-            raise DimensionMismatchError(f"defect symbol {j} must be {g.dim_m}x1")
-    f0_cols = [f0.mats[:, :, i] for i in range(f0.m_in)] if f0 is not None else []
-    if not f0_cols and not e_syms:
-        raise PreconditionError("no coordinate slots: need F0 or defect symbols")
-    gen = _generator(g.dim_m, f0_cols, [ej.mats[:, :, 0] for ej in e_syms])
-    if gen.m_in != k_perp.dim_m:
-        raise DimensionMismatchError(
-            f"tuple has {gen.m_in} components, complement lives over C^{k_perp.dim_m}"
-        )
+    gen = _generator(list(f0_cols), list(e_fns))
     tup = CoeffFn(gen.m_in, multiply_adjoint(gen, g.coeffs[..., None])[:, :, 0])
     # the distance from the complement is the size of the K part; K padded
     # to the tuple's degree covers tuples that outgrow the coordinate

@@ -18,9 +18,10 @@ import numpy as np
 from .errors import NotNearlyInvariantError, ParseError
 from .funcs import basis_vector, make_fn, monomial_fn, unflatten
 from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
-from .multipliers import MatSymbol, column_symbol, compose, multiply
+from .multipliers import MatSymbol, compose, multiply
 from .nearly import (
     _apply_space,
+    _default_k_max,
     almost_invariant_Sstar_check,
     certify_nearly,
     decompose,
@@ -33,6 +34,7 @@ from .serialize import parse_symbol_spec
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _residual,
     _span_columns,
     beurling_space,
     complement,
@@ -75,16 +77,17 @@ def _merge(defaults: dict, params: dict | None) -> dict:
 def _check_param(key: str, val, default) -> None:
     """Refuse a value of the wrong kind for its key; booleans never pass.
 
-    A tolerance (``tol``, ``*_tol``) must be finite and > 0, ``pairs`` and
-    ``draws`` integers >= 1, ``r`` null or an integer >= 0, any other key
-    with an integer default (``seed`` and the sizes) an integer >= 0, and
-    one with a float default a finite number.  Other keys are not checked.
+    A tolerance (``tol``, ``*_tol``) must be finite and > 0, ``pairs``,
+    ``draws`` and ``m`` integers >= 1, ``r`` null or an integer >= 0, any
+    other key with an integer default (``seed`` and the sizes) an integer
+    >= 0, and one with a float default a finite number.  Other keys are not
+    checked.
     """
     whole = isinstance(val, numbers.Integral)
     finite = isinstance(val, numbers.Real) and math.isfinite(val)
     if key == "tol" or key.endswith("_tol"):
         want, ok = "a finite number > 0", finite and val > 0
-    elif key in ("pairs", "draws"):
+    elif key in ("pairs", "draws", "m"):
         want, ok = "an integer >= 1", whole and val >= 1
     elif key == "r":
         want, ok = "null or an integer >= 0", val is None or (whole and val >= 0)
@@ -121,10 +124,14 @@ def _monomial_powers(t: MatSymbol):
     return powers
 
 
-def _projection(space: Subspace, cols: np.ndarray) -> np.ndarray:
-    """P_A applied to flattened columns (or one flattened vector)."""
-    q = space.matrix
-    return q @ (np.conj(q.T) @ cols)
+def _certifying(threshold: float, blaschke_deg: int) -> float:
+    """The threshold, if a residual or distance of unit vectors (<= 1) can fail it."""
+    if threshold >= 1.0:
+        raise ParseError(
+            f"parameter 'blaschke_deg' = {blaschke_deg} leaves a tail whose "
+            f"threshold {threshold:.3g} >= 1 certifies nothing"
+        )
+    return threshold
 
 
 def _random_unit(rng, dim_m: int, deg: int) -> np.ndarray:
@@ -138,7 +145,7 @@ def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
     """Seeded flattened unit vector orthogonal to the space."""
     for _ in range(16):
         f = _random_unit(rng, space.dim_m, deg)
-        g = f - _projection(space, f)
+        g = _residual(space, f)
         norm = np.linalg.norm(g)
         if norm > 1e-6:
             return g * (1.0 / norm)
@@ -214,7 +221,7 @@ def _sc_prop_f0k_almost(p: dict):
     domain = degree_slice(space, n - 1)
     cert = defect_of(space, "S", domain=domain, tol=p["defect_tol"])
     images = multiply(v_sym, theta.mats, n).reshape(-1, rprime)
-    target = _span_columns(images - _projection(space, images), m, n, tol)
+    target = _span_columns(_residual(space, images), m, n, tol)
     found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
     dist = subspace_distance(found, target)
     # dimension-growth surrogate for the unreachable infinite-dimension
@@ -256,18 +263,18 @@ def _sc_lemma_ortho(p: dict):
     theta = diag_inner(
         [monomial_inner(2, d), blaschke_scalar(BlaschkeSpec([p["theta_zero"]]), d)], d
     )
+    prod = compose(psi, theta)
+    combined_tail = psi.tail_bound + theta.tail_bound + prod.tail_bound
+    threshold = _certifying(max(1e-8, 5.0 * combined_tail), d)
     nk = n - d
     k_theta = model_space(theta, nk, tol=tol)
     lhs = complement(_apply_space(psi, k_theta, n, tol))
-    prod = compose(psi, theta)
     rhs_parts = beurling_space(prod, n, tol=tol)
     rhs = _span_columns(
         np.hstack([rhs_parts.matrix, model_space(psi, n, tol=tol).matrix]),
         psi.m_out, n, tol,
     )
     band = n - 2 * d
-    combined_tail = psi.tail_bound + theta.tail_bound + prod.tail_bound
-    threshold = max(1e-8, 5.0 * combined_tail)
     dist = subspace_distance(lhs, rhs, band=band)
 
     # exact polynomial variant of the same identity
@@ -301,10 +308,10 @@ def _sc_lemma_nearly(p: dict):
          blaschke_scalar(BlaschkeSpec([p["zero2"]]), d)],
         d,
     )
+    threshold = _certifying(max(1e-8, 3.0 * psi.tail_bound), d)
     theta = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
     k_theta = model_space(theta, nk, tol=tol)
     space = _apply_space(psi, k_theta, nk + d, tol)
-    threshold = max(1e-8, 3.0 * psi.tail_bound)
     cert = certify_nearly(space, 0, tol=threshold)
     residual = cert.singular_values[0] if cert.singular_values else 0.0
     metrics = {
@@ -329,7 +336,7 @@ def _sc_prop_perp_almost(p: dict):
     # Psi's columns, padded to the window
     cols = np.zeros(((n + 1) * m, m), dtype=complex)
     cols[: psi.mats.shape[0] * m] = psi.mats.reshape(-1, m)
-    target = _span_columns(cols - _projection(x, cols), m, n, tol)
+    target = _span_columns(_residual(x, cols), m, n, tol)
     found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
     dist = subspace_distance(found, target)
     metrics = {
@@ -402,12 +409,12 @@ def _roundtrip_config(r: int, pdim: int, m: int, degrees, nk: int, tol: float,
         f0_cols = [basis_vector(m, i) for i in range(r)]
     e_fns = [basis_vector(m, m - pdim + j) for j in range(pdim)]
     ambient = nk + 2
-    space = synthesize_M(k_space, f0_cols, e_fns, ambient, tol=tol)
+    space = synthesize_M(k_space, f0_cols, e_fns, ambient)
     cert = certify_nearly(space, pdim)
     extracted = extract_K(space, e_fns)
     dist = subspace_distance(extracted, k_space)
     gaps, iters, monotone, summable = [], [], True, 0.0
-    bound = ambient + pdim + 8
+    bound = _default_k_max(ambient, pdim)
     for b in space.basis:
         res = decompose(space, e_fns, b)
         gaps.append(res.norm_gap)
@@ -448,6 +455,8 @@ def _roundtrips(p: dict, configs, single_p: int) -> tuple:
     """
     if p["r"] is not None:
         r, m = p["r"], p["r"] + single_p
+        if not m:
+            raise ParseError("parameters 'r' and 'p' are both 0: no coordinates")
         configs = [(r, single_p, m, [2] * m, max(4, p["N"] - 2), None)]
     metrics = {}
     passed = True
@@ -475,7 +484,7 @@ def _sc_main_defect1(p: dict):
     )
     slanted = make_fn(2, [[0, 2 ** -0.5], [0, 2 ** -0.5]])
     slanted_m = synthesize_M(k_space, [basis_vector(2, 0)], [slanted],
-                             p["NK"] + 2, tol=tol, check=False)
+                             p["NK"] + 2, check=False)
     slant_cert = certify_nearly(slanted_m, 1)
     # reported before the norm gap
     gap = metrics.pop("norm_gap")
@@ -579,24 +588,22 @@ def _sc_section4(p: dict):
         diag_inner([monomial_inner(3, 3), monomial_inner(2, 3)], 3), nk, tol=tol
     )
     ambient = nk + 2
-    space = synthesize_M(k_space, [f0_col], [e_fn], ambient, tol=tol)
+    space = synthesize_M(k_space, [f0_col], [e_fn], ambient)
     k_perp = complement(k_space)
     inv_cert = defect_of(k_perp, "S", domain=degree_slice(k_perp, nk - 1), tol=1e-8)
-    f0_sym = column_symbol(f0_col)
-    e_syms = [column_symbol(e_fn)]
     members = 0
     nonmembers = 0
     agreements = 0
     for i in range(p["draws"]):
         g = _random_unit(rng, 3, ambient)
         if i % 2 == 0:
-            h = g - _projection(space, g)
+            h = _residual(space, g)
             if np.linalg.norm(h) < 1e-6:
                 continue
             g = h * (1.0 / np.linalg.norm(h))
-        claimed, _ = orthocomplement_membership(unflatten(g, 3), f0_sym, e_syms,
+        claimed, _ = orthocomplement_membership(unflatten(g, 3), [f0_col], [e_fn],
                                                 k_perp, tol=p["membership_tol"])
-        direct = np.linalg.norm(_projection(space, g)) <= p["membership_tol"]
+        direct = np.linalg.norm(np.conj(space.matrix.T) @ g) <= p["membership_tol"]
         if direct:
             members += 1
         else:

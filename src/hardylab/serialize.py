@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParseError
 from .funcs import CoeffFn, make_fn
-from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
+from .inner import BlaschkeSpec, _cut_entry, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import MatSymbol, scalar_symbol
 from .subspaces import DEFAULT_TOL, Subspace, from_spanning
 
@@ -59,6 +59,29 @@ def _complex_at(node, path: str) -> complex:
     return complex(re, im)
 
 
+def _object(text) -> dict:
+    """A JSON document (text or already parsed) that must be an object."""
+    doc = load_json(text) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise ParseError("top level: expected an object")
+    return doc
+
+
+def _dim_m(doc: dict) -> int:
+    m = doc.get("m")
+    if not isinstance(m, int) or m < 1:
+        raise ParseError("m: expected a positive integer")
+    return m
+
+
+def _fn_list(doc: dict, key: str, m: int) -> list:
+    """The list of coefficient arrays under key, as functions over C^m."""
+    node = doc.get(key)
+    if not isinstance(node, list):
+        raise ParseError(f"{key}: expected a list of coefficient arrays")
+    return [make_fn(m, _coeff_rows(n, m, f"{key}[{i}]")) for i, n in enumerate(node)]
+
+
 def _coeff_rows(node, m: int, path: str) -> list:
     if not isinstance(node, list) or not node:
         raise ParseError(f"{path}: expected a nonempty list of coefficient vectors")
@@ -72,12 +95,8 @@ def _coeff_rows(node, m: int, path: str) -> list:
 
 def parse_function_spec(text: str) -> CoeffFn:
     """Parse a single coefficient function from JSON text."""
-    doc = load_json(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
-    m = doc.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise ParseError("m: expected a positive integer")
+    doc = _object(text)
+    m = _dim_m(doc)
     if "coeffs" not in doc:
         raise ParseError("coeffs: missing")
     return make_fn(m, _coeff_rows(doc["coeffs"], m, "coeffs"))
@@ -108,9 +127,7 @@ def _parse_scalar_symbol(doc, deg: int, path: str) -> MatSymbol:
 
 def parse_symbol_spec(text: str) -> MatSymbol:
     """Parse a multiplier symbol from JSON text."""
-    doc = load_json(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
+    doc = _object(text)
     deg = doc.get("deg", 0)
     if not isinstance(deg, int) or deg < 0:
         raise ParseError("deg: expected a non-negative integer")
@@ -144,11 +161,7 @@ def parse_symbol_spec(text: str) -> MatSymbol:
         tail = 0.0
         for i in range(m_out):
             for j in range(m_in):
-                col = scalars[i][j].mats[:, 0, 0]
-                entry_tail = scalars[i][j].tail_bound
-                if col.shape[0] > deg + 1:
-                    entry_tail += float(np.sum(np.abs(col[deg + 1:])))
-                    col = col[: deg + 1]
+                col, entry_tail = _cut_entry(scalars[i][j], deg)
                 mats[: col.shape[0], i, j] = col
                 tail += entry_tail
         return MatSymbol(m_out, m_in, mats, tail, claimed_inner=False)
@@ -157,43 +170,21 @@ def parse_symbol_spec(text: str) -> MatSymbol:
 
 def parse_space_spec(text: str) -> Subspace:
     """Parse a subspace from a spanning-set JSON document."""
-    doc = load_json(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
-    m = doc.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise ParseError("m: expected a positive integer")
+    doc = _object(text)
+    m = _dim_m(doc)
     ambient = doc.get("ambient_deg")
     if not isinstance(ambient, int) or ambient < 0:
         raise ParseError("ambient_deg: expected a non-negative integer")
     tol = doc.get("tol", DEFAULT_TOL)
     if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0:
         raise ParseError("tol: expected a finite positive number")
-    spanning = doc.get("spanning")
-    if not isinstance(spanning, list):
-        raise ParseError("spanning: expected a list of coefficient arrays")
-    fns = [
-        make_fn(m, _coeff_rows(node, m, f"spanning[{i}]"))
-        for i, node in enumerate(spanning)
-    ]
-    return from_spanning(fns, ambient, float(tol), dim_m=m)
+    return from_spanning(_fn_list(doc, "spanning", m), ambient, float(tol), dim_m=m)
 
 
 def parse_function_list(text: str) -> list:
     """Parse an ordered function list (defect bases and the like)."""
-    doc = load_json(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
-    m = doc.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise ParseError("m: expected a positive integer")
-    fns = doc.get("functions")
-    if not isinstance(fns, list):
-        raise ParseError("functions: expected a list of coefficient arrays")
-    return [
-        make_fn(m, _coeff_rows(node, m, f"functions[{i}]"))
-        for i, node in enumerate(fns)
-    ]
+    doc = _object(text)
+    return _fn_list(doc, "functions", _dim_m(doc))
 
 
 def _pairs(arr: np.ndarray) -> list:

@@ -111,6 +111,12 @@ def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
     return np.column_stack([flatten(f, ambient_deg) for f in fns])
 
 
+def _residual(space: Subspace, cols: np.ndarray) -> np.ndarray:
+    """(I - QQ*) cols: the part of each column orthogonal to the space."""
+    q = space.matrix
+    return cols - q @ (np.conj(q.T) @ cols)
+
+
 def _check_band(band: int | None) -> None:
     if band is not None and band < 0:
         raise PreconditionError(f"band {band} is negative")
@@ -566,8 +572,7 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
         resid = np.conj(frame.T) @ cols
     else:
         frame = None
-        q = m.matrix
-        resid = cols - q @ (np.conj(q.T) @ cols)
+        resid = _residual(m, cols)
         if band is not None:
             resid[m.dim_m * (band + 1):, :] = 0.0
     u, s, _ = np.linalg.svd(resid, full_matrices=False)

@@ -21,7 +21,6 @@ from hardylab.funcs import (
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.multipliers import (
     MatSymbol,
-    column_symbol,
     compose,
     multiply,
     multiply_adjoint,
@@ -34,6 +33,11 @@ from hardylab.subspaces import complement, model_space, project
 def _rng_fn(rng, m, deg):
     return CoeffFn(m, rng.standard_normal((deg + 1, m))
                    + 1j * rng.standard_normal((deg + 1, m)))
+
+
+def _column(f):
+    """An m-vector function as an m x 1 symbol."""
+    return MatSymbol(f.dim_m, 1, f.coeffs.reshape(-1, f.dim_m, 1))
 
 
 def _rng_symbol(rng, m_out, m_in, deg):
@@ -254,17 +258,7 @@ class TestCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            compose(scalar_symbol([1]), column_symbol(basis_vector(2, 0)))
-
-
-class TestColumns:
-    def test_symbol_column_roundtrip(self):
-        t = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
-        col = CoeffFn(2, t.mats[:, :, 1])
-        assert np.allclose(col.coeffs, monomial_fn(2, 1, 2).padded(2))
-        back = column_symbol(col)
-        assert back.m_out == 2 and back.m_in == 1
-        assert np.array_equal(back.mats, t.mats[:, :, 1:])
+            compose(scalar_symbol([1]), _column(basis_vector(2, 0)))
 
 
 # the kernel against the dense block Toeplitz oracle: m_out != m_in, symbol
@@ -344,11 +338,11 @@ class TestKernelOracle:
             multiply_adjoint(scalar_symbol([1]), np.ones((2, 1)))
 
 
-def _membership_reference(g, f0, e_syms, k_perp):
+def _membership_reference(g, f0_cols, e_fns, k_perp):
     """Residual of the tuple (T*_{F0} G, T*_{E_j} S* G), one part at a time."""
-    parts = [_adjoint_reference(f0, g.coeffs)] if f0 is not None else []
+    parts = [_adjoint_reference(_column(f), g.coeffs) for f in f0_cols]
     sg = g.coeffs[1:] if g.deg else np.zeros((1, g.dim_m))
-    parts += [_adjoint_reference(e, sg) for e in e_syms]
+    parts += [_adjoint_reference(_column(e), sg) for e in e_fns]
     deg = max(len(p) for p in parts) - 1
     padded = [np.vstack([p, np.zeros((deg + 1 - len(p), p.shape[1]))]) for p in parts]
     tup = CoeffFn(sum(p.shape[1] for p in parts), np.hstack(padded))
@@ -365,14 +359,13 @@ class TestMembershipOracle:
         e_fns = [basis_vector(3, 2)]
         degs = (3, 2) if with_f0 else (2,)
         k = model_space(diag_inner([monomial_inner(d, 3) for d in degs], 3), 6)
-        f0 = column_symbol(f0_col) if with_f0 else None
-        e_syms = [column_symbol(e) for e in e_fns]
-        space = synthesize_M(k, [f0_col] if with_f0 else [], e_fns, 8)
+        f0 = [f0_col] if with_f0 else []
+        space = synthesize_M(k, f0, e_fns, 8)
         k_perp = complement(k)
         for i in range(12):
             g = _rng_fn(rng, 3, 8 - i % 3)
             if i % 2 == 0:
                 g = g - project(space, g)
-            _, got = orthocomplement_membership(g, f0, e_syms, k_perp)
-            want = _membership_reference(g, f0, e_syms, k_perp)
+            _, got = orthocomplement_membership(g, f0, e_fns, k_perp)
+            want = _membership_reference(g, f0, e_fns, k_perp)
             assert abs(got - want) <= 1e-14

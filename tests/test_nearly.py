@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hardylab import nearly
 from hardylab.errors import (
+    DimensionMismatchError,
     InvariantViolationError,
     NotNearlyInvariantError,
     PreconditionError,
@@ -27,7 +28,7 @@ from hardylab.funcs import (
     zero_fn,
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
-from hardylab.multipliers import column_symbol
+from hardylab.multipliers import MatSymbol
 from hardylab.nearly import (
     DEFAULT_NEAR_TOL,
     DecompResult,
@@ -721,7 +722,8 @@ class TestExtractAndSynthesize:
 def _reference_synthesize(k, f0_cols, e_fns, ambient_deg):
     """Span of F0 K0 + sum_j z k_j E_j over K's basis, one product at a time."""
     shifted = [CoeffFn(e.dim_m, np.vstack([np.zeros((1, e.dim_m)), e.coeffs])) for e in e_fns]
-    gens = [column_symbol(c) for c in f0_cols] + [column_symbol(e) for e in shifted]
+    gens = [MatSymbol(f.dim_m, 1, f.coeffs.reshape(-1, f.dim_m, 1))
+            for f in list(f0_cols) + shifted]
     out = []
     for kappa in k.basis:
         parts = [_cauchy(t, CoeffFn(1, kappa.coeffs[:, i : i + 1]))
@@ -833,7 +835,7 @@ class TestDuality:
         assert _duality_agrees(Subspace(1, 4, (Z,)), [ONE])
 
     def test_defect_overlapping_the_space_is_refused(self):
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(PreconditionError):
             duality_residuals(Subspace(1, 4, (Z,)), [Z])
 
     def test_residuals_expose_both_sides(self):
@@ -860,16 +862,14 @@ class TestOrthocomplementMembership:
         space = from_spanning([Z], 2)
         k = from_spanning([ONE], 0)
         k_perp = complement(k)
-        e = [column_symbol(ONE)]
-        member, residual = orthocomplement_membership(ONE, None, e, k_perp)
+        member, residual = orthocomplement_membership(ONE, [], [ONE], k_perp)
         assert member and residual <= 1e-12
         assert (ONE - project(space, ONE)).norm() == pytest.approx(1.0)
 
     def test_scalar_line_nonmember(self):
         k = from_spanning([ONE], 0)
         k_perp = complement(k)
-        e = [column_symbol(ONE)]
-        member, residual = orthocomplement_membership(Z, None, e, k_perp)
+        member, residual = orthocomplement_membership(Z, [], [ONE], k_perp)
         assert not member
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -885,7 +885,85 @@ class TestOrthocomplementMembership:
             g = CoeffFn(2, rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))
             if i % 2 == 0:
                 g = g - project(space, g)
-            member, _ = orthocomplement_membership(
-                g, column_symbol(f0), [column_symbol(e)], k_perp
-            )
+            member, _ = orthocomplement_membership(g, [f0], [e], k_perp)
             assert member == (project(space, g).norm() <= 1e-7 * max(1.0, g.norm()))
+
+    def test_no_generator_column_is_refused(self):
+        k_perp = complement(from_spanning([ONE], 0))
+        with pytest.raises(PreconditionError):
+            orthocomplement_membership(ONE, [], [], k_perp)
+
+
+class TestOneGenerator:
+    """synthesize_M and the membership test build [F0 | zE] the same way."""
+
+    def test_mixed_dimensions_refused_by_synthesis(self):
+        k = model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4)
+        with pytest.raises(DimensionMismatchError):
+            synthesize_M(k, [basis_vector(2, 0)], [basis_vector(3, 2)], 4)
+
+    def test_mixed_dimensions_refused_by_membership(self):
+        k_perp = complement(model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4))
+        g = basis_vector(2, 1)
+        with pytest.raises(DimensionMismatchError):
+            orthocomplement_membership(g, [basis_vector(2, 0)], [basis_vector(3, 2)],
+                                       k_perp)
+
+    def test_membership_refuses_wrong_dimensions(self):
+        k_perp = complement(model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4))
+        f0, e = [basis_vector(2, 0)], [basis_vector(2, 1)]
+        with pytest.raises(DimensionMismatchError):
+            orthocomplement_membership(basis_vector(3, 0), f0, e, k_perp)
+        with pytest.raises(DimensionMismatchError):
+            orthocomplement_membership(basis_vector(2, 0), f0, [], k_perp)
+
+    def test_generator_layout(self):
+        # one column of each kind, the defect one degree up; trailing zero
+        # coefficients do not raise the symbol's degree
+        f0 = make_fn(2, [[1, 0], [0, 0], [0, 0]])
+        e = basis_vector(2, 1)
+        gen = nearly._generator([f0], [e])
+        assert (gen.m_out, gen.m_in, gen.deg) == (2, 2, 1)
+        assert np.array_equal(gen.mats[:, :, 0], [[1, 0], [0, 0]])
+        assert np.array_equal(gen.mats[:, :, 1], [[0, 0], [0, 1]])
+
+
+class TestDefectListCheck:
+    """The duality and almost-invariance checks refuse a bad E like decompose."""
+
+    SPACE = Subspace(1, 4, (Z,))
+    SLANTED = make_fn(1, [[1], [1]])  # norm sqrt 2, and overlaps Z
+
+    @pytest.mark.parametrize("check", [duality_residuals, almost_invariant_Sstar_check])
+    def test_non_orthonormal_defect_refused(self, check):
+        with pytest.raises(PreconditionError, match="not orthonormal"):
+            check(self.SPACE, [ONE * 2.0])
+        with pytest.raises(PreconditionError, match="not orthonormal"):
+            check(self.SPACE, [ONE, ONE])
+
+    @pytest.mark.parametrize("check", [duality_residuals, almost_invariant_Sstar_check])
+    def test_overlapping_defect_refused(self, check):
+        with pytest.raises(PreconditionError, match="not orthogonal"):
+            check(self.SPACE, [self.SLANTED * 2 ** -0.5])
+
+    @pytest.mark.parametrize("check", [duality_residuals, almost_invariant_Sstar_check])
+    def test_same_refusal_as_decompose(self, check):
+        with pytest.raises(PreconditionError) as ours:
+            check(self.SPACE, [Z])
+        with pytest.raises(PreconditionError) as theirs:
+            decompose(self.SPACE, [Z], Z)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("a, refused", [(8e-10, False), (1.2e-9, True)])
+    def test_overlap_is_the_two_norm(self, a, refused):
+        # Q*E = a' I for two columns: Frobenius norm a' sqrt 2, 2-norm a';
+        # the check is the 2-norm against 1e-9
+        space = Subspace(1, 6, (ONE, Z))
+        z2, z3 = monomial_fn(1, 0, 2), monomial_fn(1, 0, 3)
+        scale = (1 + a * a) ** -0.5
+        e = [(z2 + ONE * a) * scale, (z3 + Z * a) * scale]
+        if refused:
+            with pytest.raises(PreconditionError, match="not orthogonal"):
+                duality_residuals(space, e)
+        else:
+            duality_residuals(space, e)

@@ -290,8 +290,8 @@ class TestInvalidNumbers:
 
 
 class TestParamValues:
-    """A --param tolerance must be finite and > 0, pairs and draws integers
-    >= 1, r null or an integer >= 0, a key with an integer default (seed,
+    """A --param tolerance must be finite and > 0, pairs, draws and m
+    integers >= 1, r null or an integer >= 0, a key with an integer default (seed,
     sizes) an integer >= 0 and one with a float default a finite number;
     anything else is a usage error naming the key (exit 2)."""
 
@@ -379,6 +379,46 @@ class TestParamValues:
         assert main(["scenario", "section4", "--param", "draws=60",
                      "--param", "min_each_class=10"]) == 0
         assert main(["scenario", "main_defect1", "--param", "r=null"]) == 0
+
+
+class TestDegenerateParams:
+    """A zero size, or a truncation whose derived threshold is >= 1 (a
+    residual or distance of unit vectors is at most 1, so it certifies
+    nothing), is a usage error naming the key (exit 2), not a crash or a
+    vacuous pass."""
+
+    REFUSED = [
+        ("duality", {"m": 0}, "'m'"),
+        ("counterexample", {"m": 0}, "'m'"),
+        ("main_defectp", {"r": 0, "p": 0}, "'r' and 'p'"),
+        ("lemma_nearly", {"blaschke_deg": 0}, "'blaschke_deg'"),
+        ("lemma_nearly", {"blaschke_deg": 2}, "'blaschke_deg'"),
+        ("lemma_orthocomplement", {"blaschke_deg": 3, "N": 12}, "'blaschke_deg'"),
+        ("lemma_orthocomplement", {"blaschke_deg": 4, "N": 16}, "'blaschke_deg'"),
+    ]
+
+    @pytest.mark.parametrize("sid, params, named", REFUSED)
+    def test_run_scenario_refuses(self, sid, params, named):
+        with pytest.raises(ParseError, match=named):
+            run_scenario(sid, params)
+
+    @pytest.mark.parametrize("sid, params, named", REFUSED)
+    def test_cli_refuses(self, capsys, sid, params, named):
+        argv = ["scenario", sid]
+        for key, val in params.items():
+            argv += ["--param", f"{key}={val}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+    def test_smallest_valid_values_still_run(self):
+        assert run_scenario("duality", {"m": 1}).passed
+        assert run_scenario("main_defectp", {"r": 0, "p": 1}).passed
+        assert run_scenario("main_defectp", {"r": 1, "p": 0}).passed
+        rep = run_scenario("lemma_nearly", {"blaschke_deg": 3})
+        assert rep.passed and rep.metrics["threshold"] < 1
+        rep = run_scenario("lemma_orthocomplement", {"blaschke_deg": 5, "N": 20})
+        assert rep.passed and rep.metrics["threshold"] < 1
 
 
 class TestScenarioAllKeys:
