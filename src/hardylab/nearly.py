@@ -241,7 +241,7 @@ def _ambient_step(q: np.ndarray, sm: _StepMap, dim_m: int, g: np.ndarray):
     a = np.conj(sm.w.T) @ g
     f = g - sm.w @ a
     h = _shift_rows(f, dim_m, "S*")
-    c = np.conj(q.T) @ h
+    c = np.conj(q.T @ np.conj(h))  # Q* H without a copy of Q
     beta = np.conj(sm.e.T) @ h
     escape = h - q @ c - sm.e @ beta
     return (np.vstack([a, beta]), np.linalg.norm(f[:dim_m], axis=0), c, escape,

@@ -257,6 +257,10 @@ def _sc_prop_f0k_almost(p: dict):
 def _sc_lemma_ortho(p: dict):
     tol = p["tol"]
     d, n = p["blaschke_deg"], p["N"]
+    if d < 3:
+        raise ParseError(
+            f"parameter 'blaschke_deg' = {d} is below 3, the degree of Psi's z^3 entry"
+        )
     psi = diag_inner(
         [monomial_inner(3, d), blaschke_scalar(BlaschkeSpec([p["psi_zero"]]), d)], d
     )

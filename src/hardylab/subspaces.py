@@ -21,7 +21,11 @@ Beurling ranges and model spaces of an inner symbol come from one banded
 Householder QR of the symbol's kept Toeplitz columns (``_range_qr``), with
 no SVD: instead of a rank cut, the isometry defect of the stored symbol
 certifies that every kept column survives a cut at tol * top singular
-value, and a symbol without that certificate is refused.  Both record the
+value, and a symbol without that certificate is refused.  The kept
+columns are never stored as one matrix: each panel fills a window of the
+rows it reaches straight from the symbol's coefficients and takes over
+the rows the previous panel updated below its own (the carry), so memory
+grows with n times the band height, not with n x k.  Both record the
 degree band on which the truncation is faithful; comparisons can be
 compressed to that band.
 
@@ -112,9 +116,12 @@ def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
 
 
 def _residual(space: Subspace, cols: np.ndarray) -> np.ndarray:
-    """(I - QQ*) cols: the part of each column orthogonal to the space."""
+    """(I - QQ*) cols: the part of each column orthogonal to the space.
+
+    Q* cols is formed as conj(Q^T conj(cols)), which copies cols, not Q.
+    """
     q = space.matrix
-    return cols - q @ (np.conj(q.T) @ cols)
+    return cols - q @ np.conj(q.T @ np.conj(cols))
 
 
 def _check_band(band: int | None) -> None:
@@ -303,8 +310,18 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     tol * s_0 keeps every column, so C has full rank and its QR spans the
     range; otherwise the symbol is refused.
 
-    Each panel of columns is factored on the window of rows it reaches,
-    and its Q* is applied to the later columns that reach into the window.
+    C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
+    c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
+    starts at or below row r1), filled straight from Theta's coefficients.
+    Over its top left lies the carry of the previous panel: the rows from
+    c0 down of the columns that panel updated, with every earlier Q*
+    applied.  The rows above c0 are final R and are dropped, also from the
+    fill of a column that starts above c0 (possible when the panel width is
+    not a multiple of m_out).  The panel is factored on its own columns,
+    and its Q* applied to the rest of the window gives the next carry.
+    Memory grows with n times the band height m_out (deg + 1), not with
+    n x k.
+
     Returns (panels, n, k, band): Q = H_1 ... H_P with panel p acting as
     the unitary q on rows c0 ... r1 - 1; Q[:, :k] spans the range and
     Q[:, k:] its complement.
@@ -331,26 +348,34 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
                         <= ambient_deg - headroom)
     k = jj.size
     band = max(0, ambient_deg - headroom - top_deg)
-    # column (j, i) holds Theta_d e_i at degree j + d; rows past the ambient
-    # only ever receive the zero coefficients beyond deg_i and are cut off
-    cols = np.zeros(((ambient_deg + top_deg + 1) * m, k), dtype=complex)
-    d = np.arange(top_deg + 1)[:, None, None]
-    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = t.mats[: top_deg + 1][:, :, ii]
-    cols = cols[:n]
+    # column (j, i) holds Theta_d e_i at row (j + d) m + r: its start plus
+    # offset d m + r < tall, the entry of row d m + r of the stacked
+    # coefficients.  Column c starts at most m - 1 rows above row c.
+    tall = (top_deg + 1) * m
     starts = jj * m
+    offsets = np.arange(tall)[:, None]
+    stack = t.mats[: top_deg + 1].reshape(-1, t.m_in)
     reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
-    width = max(_PANEL_MIN, m * (top_deg + 1))
+    width = max(_PANEL_MIN, tall)
     panels = []
+    carry = np.zeros((0, 0), dtype=complex)
     for c0 in range(0, k, width):
         c1 = min(c0 + width, k)
         # rows c0 ... r1 - 1 hold every nonzero of the panel below row c0,
         # fill-in from earlier panels included (reach is a running maximum)
         r1 = int(reach[c1 - 1])
-        q, _ = np.linalg.qr(cols[c0:r1, c0:c1], mode="complete")
         # the later columns that start above r1; the rest are still zero there
         c2 = int(np.searchsorted(starts, r1))
-        if c2 > c1:
-            cols[c0:r1, c1:c2] = np.conj(q.T) @ cols[c0:r1, c1:c2]
+        # each column is filled whole into the window plus m rows above it
+        # and tall rows below: its entries above c0 (final R) and from r1
+        # on (later windows) land in those margins, so no index wraps
+        buf = np.zeros((m + r1 - c0 + tall, c2 - c0), dtype=complex)
+        buf[starts[c0:c2] - (c0 - m) + offsets, np.arange(c2 - c0)] = stack[:, ii[c0:c2]]
+        window = buf[m : m + r1 - c0]
+        window[: carry.shape[0], : carry.shape[1]] = carry
+        q, _ = np.linalg.qr(window[:, : c1 - c0], mode="complete")
+        # rows c0 ... c1 - 1 of the update are final R; the rest carry over
+        carry = (np.conj(q.T) @ window[:, c1 - c0:])[c1 - c0:]
         panels.append((c0, r1, q))
     return panels, n, k, band
 
@@ -471,9 +496,12 @@ def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> floa
     x[: len(qb), a.dim :] = qb
     if x.size == 0:
         return 0.0
+    # X and R are freed once used: held on, they raise the call's peak
     r = np.linalg.qr(x, mode="r")
-    j = np.repeat([1.0, -1.0], [a.dim, b.dim])
-    return float(np.max(np.abs(np.linalg.eigvalsh((r * j) @ np.conj(r.T)))))
+    del x
+    gram = (r * np.repeat([1.0, -1.0], [a.dim, b.dim])) @ np.conj(r.T)
+    del r
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def _split_combos(mat: np.ndarray, k: int, tol: float) -> tuple:

@@ -572,7 +572,8 @@ class TestStepMapCache:
         assert "step_map" not in back._memo
         assert np.array_equal(back.matrix, space.matrix)
 
-    def test_extract_K_peak_memory(self):
+    @staticmethod
+    def _roundtrip_r2p2():
         powers, nk = ROUNDTRIP_R2P2
         k = model_space(diag_inner([monomial_inner(d, max(powers)) for d in powers],
                                    max(powers)), nk)
@@ -580,6 +581,10 @@ class TestStepMapCache:
         e = [basis_vector(4, 2 + j) for j in range(2)]
         space = synthesize_M(k, f0, e, nk + 2)
         assert (space.dim, space.ambient_dim) == (56, 172)
+        return k, e, space
+
+    def test_extract_K_peak_memory(self):
+        k, e, space = self._roundtrip_r2p2()
         tracemalloc.start()
         try:
             back = extract_K(space, e)
@@ -588,6 +593,20 @@ class TestStepMapCache:
             tracemalloc.stop()
         assert subspace_distance(back, k) <= 1e-6
         assert peak <= EXTRACT_PEAK_BOUND
+
+    def test_decompose_copies_no_adjoint_of_q(self):
+        # with the step map cached, a call allocates only columns and
+        # coordinates; a copy of conj(Q)^T alone would be Q's 154 KB
+        _, e, space = self._roundtrip_r2p2()
+        f = space.basis[3]
+        decompose(space, e, f)
+        tracemalloc.start()
+        try:
+            assert decompose(space, e, f).converged
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < space.matrix.nbytes
 
 
 class TestNoAmbientSteps:

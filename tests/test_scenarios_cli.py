@@ -382,10 +382,10 @@ class TestParamValues:
 
 
 class TestDegenerateParams:
-    """A zero size, or a truncation whose derived threshold is >= 1 (a
-    residual or distance of unit vectors is at most 1, so it certifies
-    nothing), is a usage error naming the key (exit 2), not a crash or a
-    vacuous pass."""
+    """A zero size, a truncation below the degree of a fixed entry, or a
+    truncation whose derived threshold is >= 1 (a residual or distance of
+    unit vectors is at most 1, so it certifies nothing), is a usage error
+    naming the key (exit 2), not a crash or a vacuous pass."""
 
     REFUSED = [
         ("duality", {"m": 0}, "'m'"),
@@ -395,6 +395,8 @@ class TestDegenerateParams:
         ("lemma_nearly", {"blaschke_deg": 2}, "'blaschke_deg'"),
         ("lemma_orthocomplement", {"blaschke_deg": 3, "N": 12}, "'blaschke_deg'"),
         ("lemma_orthocomplement", {"blaschke_deg": 4, "N": 16}, "'blaschke_deg'"),
+        ("lemma_orthocomplement", {"blaschke_deg": 0}, "'blaschke_deg'"),
+        ("lemma_orthocomplement", {"blaschke_deg": 2}, "'blaschke_deg' = 2 is below 3"),
     ]
 
     @pytest.mark.parametrize("sid, params, named", REFUSED)

@@ -24,14 +24,17 @@ from hardylab.funcs import (
     monomial_fn,
 )
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
-from hardylab.multipliers import MatSymbol, multiply, scalar_symbol
+from hardylab.multipliers import MatSymbol, compose, multiply, scalar_symbol
 from hardylab.nearly import certify_nearly
 from hardylab.subspaces import (
+    _PANEL_MIN,
     DEFAULT_TOL,
     Subspace,
     _isometry_defect,
     _link,
     _linked_complement,
+    _q_columns,
+    _range_qr,
     _shift_rows,
     beurling_space,
     complement,
@@ -271,6 +274,108 @@ class TestDenseOracle:
         for s in (b, k):
             q = s.matrix
             assert np.max(np.abs(np.conj(q.T) @ q - np.eye(s.dim))) <= s.tol
+
+
+def _dense_range_qr(t, ambient_deg, headroom):
+    """The panel loop of ``_range_qr`` on the dense kept-column matrix C.
+
+    This is the construction the windowed loop replaced, kept as its
+    bitwise oracle: the same panels, each factored on cols[c0:r1, c0:c1],
+    with its Q* applied in place to the later columns it reaches.
+    """
+    m, n = t.m_out, t.m_out * (ambient_deg + 1)
+    col_degs = t.column_degrees()
+    top_deg = int(col_degs.max())
+    jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
+                        <= ambient_deg - headroom)
+    k = jj.size
+    cols = np.zeros(((ambient_deg + top_deg + 1) * m, k), dtype=complex)
+    d = np.arange(top_deg + 1)[:, None, None]
+    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = t.mats[: top_deg + 1][:, :, ii]
+    cols = cols[:n]
+    starts = jj * m
+    reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
+    width = max(_PANEL_MIN, m * (top_deg + 1))
+    panels = []
+    for c0 in range(0, k, width):
+        c1 = min(c0 + width, k)
+        r1 = int(reach[c1 - 1])
+        q, _ = np.linalg.qr(cols[c0:r1, c0:c1], mode="complete")
+        c2 = int(np.searchsorted(starts, r1))
+        if c2 > c1:
+            cols[c0:r1, c1:c2] = np.conj(q.T) @ cols[c0:r1, c1:c2]
+        panels.append((c0, r1, q))
+    return panels, n, k
+
+
+def _window_symbol(kind, m, gen):
+    """A seeded inner m x m symbol: monomial or Blaschke diagonal, or a
+    non-diagonal product of a conjugated Blaschke diagonal with a monomial one."""
+    def monomials():
+        d = int(gen.integers(1, 6))
+        return diag_inner([monomial_inner(int(p), d) for p in gen.integers(0, d + 1, m)], d)
+
+    def blaschkes():
+        d = int(gen.integers(3, 13))
+        zeros = [[complex(r * np.exp(2j * np.pi * gen.random()))
+                  for r in gen.uniform(0.0, 0.5, size=gen.integers(1, 3))]
+                 for _ in range(m)]
+        return diag_inner([blaschke_scalar(BlaschkeSpec(z), d) for z in zeros], d)
+
+    if kind == "monomial":
+        return monomials()
+    if kind == "blaschke":
+        return blaschkes()
+    mixed = _conjugated(blaschkes(), _random_unitary(gen, m), _random_unitary(gen, m))
+    return compose(mixed, monomials())
+
+
+class TestWindowedRangeQR:
+    """The windowed panel loop reproduces the dense one bit for bit."""
+
+    @pytest.mark.parametrize("headroom", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["monomial", "blaschke", "composed"])
+    def test_bitwise_equal_to_the_dense_loop(self, kind, m, headroom):
+        gen = np.random.default_rng([m, headroom, len(kind)])
+        for _ in range(3):
+            t = _window_symbol(kind, m, gen)
+            n = t.deg + headroom + int(gen.integers(0, 201))
+            panels, rows, k, band = _range_qr(t, n, headroom, DEFAULT_TOL)
+            oracle, rows_o, k_o = _dense_range_qr(t, n, headroom)
+            assert (rows, k) == (rows_o, k_o)
+            assert [p[:2] for p in panels] == [p[:2] for p in oracle]
+            assert all(np.array_equal(p[2], o[2]) for p, o in zip(panels, oracle))
+            assert np.array_equal(beurling_space(t, n, headroom).matrix,
+                                  _q_columns(oracle, rows, 0, k))
+            assert np.array_equal(model_space(t, n, headroom).matrix,
+                                  _q_columns(oracle, rows, k, rows))
+
+    def test_a_column_can_start_above_its_panel(self):
+        # m = 3 and 32-column panels: column 32 is z^10 Theta e_2, which
+        # starts at row 30, and a full Theta_0 puts nonzeros in rows 30 and
+        # 31, above its panel's first row; they must be dropped, not wrapped
+        gen = np.random.default_rng(3)
+        diag = diag_inner([blaschke_scalar(BlaschkeSpec([a]), 2) for a in (0.5, 0.3j, -0.4)], 2)
+        t = _conjugated(diag, _random_unitary(gen, 3), _random_unitary(gen, 3))
+        assert np.all(t.mats[0, :2, 2] != 0)
+        panels, rows, k, _ = _range_qr(t, 40, 0, DEFAULT_TOL)
+        assert panels[1][0] == 32
+        oracle, _, _ = _dense_range_qr(t, 40, 0)
+        assert all(np.array_equal(p[2], o[2]) for p, o in zip(panels, oracle))
+        assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, rows, k, rows))
+
+    def test_memory_grows_with_the_band_not_the_order(self):
+        # the dense C of Theta_4 at N = 2048 alone would take about 1 GB
+        t = ORACLE_SYMBOLS["monomial_diag4"]
+        tracemalloc.start()
+        try:
+            k = model_space(t, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert k.dim == 9
+        assert peak < 16 * 2 ** 20
 
 
 class TestRefusal:
@@ -813,3 +918,18 @@ class TestThinSideGuards:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_distance_releases_its_stack_before_the_eigenvalues(self):
+        # the shapes of the roundtrip r2p2 pair: 56 columns each, 164 and 64
+        # rows.  X = [Q_A | Q_B] is 0.28 MB and R, R J and R J R* are 0.19 MB
+        # each: X freed, the peak is the product; X kept, it adds 0.28 MB
+        gen = np.random.default_rng(21)
+        a = from_spanning(_random_fns(gen, 56, 4, 40), 40)
+        b = from_spanning(_random_fns(gen, 56, 4, 15), 15)
+        tracemalloc.start()
+        try:
+            subspace_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.9 * 2 ** 20
