@@ -261,6 +261,12 @@ def _sc_lemma_ortho(p: dict):
         raise ParseError(
             f"parameter 'blaschke_deg' = {d} is below 3, the degree of Psi's z^3 entry"
         )
+    if n < 2 * d:
+        # K_Theta needs the order N - d >= deg Theta = d; the band N - 2d >= 0
+        raise ParseError(
+            f"parameter 'N' = {n} is below {2 * d} = 2 * blaschke_deg, the least "
+            f"order with a comparison band"
+        )
     psi = diag_inner(
         [monomial_inner(3, d), blaschke_scalar(BlaschkeSpec([p["psi_zero"]]), d)], d
     )

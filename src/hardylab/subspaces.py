@@ -25,9 +25,12 @@ value, and a symbol without that certificate is refused.  The kept
 columns are never stored as one matrix: each panel fills a window of the
 rows it reaches straight from the symbol's coefficients and takes over
 the rows the previous panel updated below its own (the carry), so memory
-grows with n times the band height, not with n x k.  Both record the
-degree band on which the truncation is faithful; comparisons can be
-compressed to that band.
+grows with n times the band height, not with n x k.  The QR runs in the
+symbol's own field: when every stored coefficient has an imaginary part
+of exactly zero (no tolerance) the panels are real, otherwise complex;
+the Q handed out is complex either way.  Both record the degree band on
+which the truncation is faithful; comparisons can be compressed to that
+band.
 
 A subspace remembers its orthocomplement when it gets one for free:
 ``beurling_space`` builds the model-space columns of the same QR too, and
@@ -322,6 +325,12 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     Memory grows with n times the band height m_out (deg + 1), not with
     n x k.
 
+    The field is the symbol's: if no coefficient up to the top column
+    degree has a nonzero imaginary part (an exact test, no tolerance), the
+    stack, every window, the carry and each panel's q are float64, else
+    complex128.  A real symbol thus gets the real Householder QR of the
+    same C, which spans the same range.
+
     Returns (panels, n, k, band): Q = H_1 ... H_P with panel p acting as
     the unitary q on rows c0 ... r1 - 1; Q[:, :k] spans the range and
     Q[:, k:] its complement.
@@ -355,10 +364,13 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     starts = jj * m
     offsets = np.arange(tall)[:, None]
     stack = t.mats[: top_deg + 1].reshape(-1, t.m_in)
+    # the symbol's own field: exactly real coefficients factor in real arithmetic
+    if not stack.imag.any():
+        stack = stack.real
     reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
     width = max(_PANEL_MIN, tall)
     panels = []
-    carry = np.zeros((0, 0), dtype=complex)
+    carry = np.zeros((0, 0), dtype=stack.dtype)
     for c0 in range(0, k, width):
         c1 = min(c0 + width, k)
         # rows c0 ... r1 - 1 hold every nonzero of the panel below row c0,
@@ -369,7 +381,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
         # each column is filled whole into the window plus m rows above it
         # and tall rows below: its entries above c0 (final R) and from r1
         # on (later windows) land in those margins, so no index wraps
-        buf = np.zeros((m + r1 - c0 + tall, c2 - c0), dtype=complex)
+        buf = np.zeros((m + r1 - c0 + tall, c2 - c0), dtype=stack.dtype)
         buf[starts[c0:c2] - (c0 - m) + offsets, np.arange(c2 - c0)] = stack[:, ii[c0:c2]]
         window = buf[m : m + r1 - c0]
         window[: carry.shape[0], : carry.shape[1]] = carry
@@ -381,12 +393,17 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
 
 
 def _q_columns(panels, n: int, lo: int, hi: int) -> np.ndarray:
-    """Columns lo ... hi - 1 of Q: the panels applied in reverse to [0; I; 0]."""
+    """Columns lo ... hi - 1 of Q: the panels applied in reverse to [0; I; 0].
+
+    The result is complex; real panels work on its real part in place, so
+    no real n x (hi - lo) copy is made.
+    """
     x = np.zeros((n, hi - lo), dtype=complex)
-    x[lo:hi] = np.eye(hi - lo)
+    np.fill_diagonal(x[lo:hi], 1.0)
+    y = x.real if panels and not np.iscomplexobj(panels[0][2]) else x
     for c0, r1, q in reversed(panels):
         s = max(c0 - lo, 0)
-        x[c0:r1, s:] = q @ x[c0:r1, s:]
+        y[c0:r1, s:] = q @ y[c0:r1, s:]
     return x
 
 

@@ -397,6 +397,9 @@ class TestDegenerateParams:
         ("lemma_orthocomplement", {"blaschke_deg": 4, "N": 16}, "'blaschke_deg'"),
         ("lemma_orthocomplement", {"blaschke_deg": 0}, "'blaschke_deg'"),
         ("lemma_orthocomplement", {"blaschke_deg": 2}, "'blaschke_deg' = 2 is below 3"),
+        ("lemma_orthocomplement", {"blaschke_deg": 5, "N": 9}, "'N' = 9 is below 10"),
+        ("lemma_orthocomplement", {"blaschke_deg": 5, "N": 5}, "'N' = 5 is below 10"),
+        ("lemma_orthocomplement", {"N": 47}, "'N' = 47 is below 48"),
     ]
 
     @pytest.mark.parametrize("sid, params, named", REFUSED)
@@ -421,6 +424,9 @@ class TestDegenerateParams:
         assert rep.passed and rep.metrics["threshold"] < 1
         rep = run_scenario("lemma_orthocomplement", {"blaschke_deg": 5, "N": 20})
         assert rep.passed and rep.metrics["threshold"] < 1
+        # N = 2 * blaschke_deg: the comparison band is degree 0 alone
+        rep = run_scenario("lemma_orthocomplement", {"blaschke_deg": 5, "N": 10})
+        assert rep.passed and rep.metrics["comparison_band"] == 0
 
 
 class TestScenarioAllKeys:

@@ -276,12 +276,14 @@ class TestDenseOracle:
             assert np.max(np.abs(np.conj(q.T) @ q - np.eye(s.dim))) <= s.tol
 
 
-def _dense_range_qr(t, ambient_deg, headroom):
+def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
     """The panel loop of ``_range_qr`` on the dense kept-column matrix C.
 
     This is the construction the windowed loop replaced, kept as its
     bitwise oracle: the same panels, each factored on cols[c0:r1, c0:c1],
-    with its Q* applied in place to the later columns it reaches.
+    with its Q* applied in place to the later columns it reaches.  By
+    default C is in the symbol's own field, as in ``_range_qr``; with
+    dtype=complex a real symbol is factored in complex arithmetic.
     """
     m, n = t.m_out, t.m_out * (ambient_deg + 1)
     col_degs = t.column_degrees()
@@ -289,9 +291,14 @@ def _dense_range_qr(t, ambient_deg, headroom):
     jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
                         <= ambient_deg - headroom)
     k = jj.size
-    cols = np.zeros(((ambient_deg + top_deg + 1) * m, k), dtype=complex)
+    mats = t.mats[: top_deg + 1]
+    if dtype is None:
+        dtype = complex if mats.imag.any() else float
+    if dtype is float:
+        mats = mats.real
+    cols = np.zeros(((ambient_deg + top_deg + 1) * m, k), dtype=dtype)
     d = np.arange(top_deg + 1)[:, None, None]
-    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = t.mats[: top_deg + 1][:, :, ii]
+    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = mats[:, :, ii]
     cols = cols[:n]
     starts = jj * m
     reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
@@ -308,9 +315,16 @@ def _dense_range_qr(t, ambient_deg, headroom):
     return panels, n, k
 
 
+def _random_orthogonal(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
+
+
 def _window_symbol(kind, m, gen):
     """A seeded inner m x m symbol: monomial or Blaschke diagonal, or a
-    non-diagonal product of a conjugated Blaschke diagonal with a monomial one."""
+    non-diagonal product of a conjugated Blaschke diagonal with a monomial
+    one.  The real_ kinds have real zeros and real orthogonal factors, so
+    every coefficient is exactly real and not a unit vector."""
     def monomials():
         d = int(gen.integers(1, 6))
         return diag_inner([monomial_inner(int(p), d) for p in gen.integers(0, d + 1, m)], d)
@@ -322,10 +336,22 @@ def _window_symbol(kind, m, gen):
                  for _ in range(m)]
         return diag_inner([blaschke_scalar(BlaschkeSpec(z), d) for z in zeros], d)
 
+    def real_blaschkes():
+        # from degree 5 on, two zeros at 1/2 keep delta below 1 (0.84)
+        d = int(gen.integers(5, 13))
+        zeros = [gen.uniform(-0.5, 0.5, size=gen.integers(1, 3)) for _ in range(m)]
+        return diag_inner([blaschke_scalar(BlaschkeSpec(z), d) for z in zeros], d)
+
     if kind == "monomial":
         return monomials()
     if kind == "blaschke":
         return blaschkes()
+    if kind == "real_blaschke":
+        return real_blaschkes()
+    if kind == "real_composed":
+        mixed = _conjugated(real_blaschkes(), _random_orthogonal(gen, m),
+                            _random_orthogonal(gen, m))
+        return compose(mixed, monomials())
     mixed = _conjugated(blaschkes(), _random_unitary(gen, m), _random_unitary(gen, m))
     return compose(mixed, monomials())
 
@@ -335,11 +361,13 @@ class TestWindowedRangeQR:
 
     @pytest.mark.parametrize("headroom", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("kind", ["monomial", "blaschke", "composed"])
+    @pytest.mark.parametrize("kind", ["monomial", "blaschke", "composed",
+                                      "real_blaschke", "real_composed"])
     def test_bitwise_equal_to_the_dense_loop(self, kind, m, headroom):
         gen = np.random.default_rng([m, headroom, len(kind)])
         for _ in range(3):
             t = _window_symbol(kind, m, gen)
+            assert t.mats.imag.any() == (kind in ("blaschke", "composed"))
             n = t.deg + headroom + int(gen.integers(0, 201))
             panels, rows, k, band = _range_qr(t, n, headroom, DEFAULT_TOL)
             oracle, rows_o, k_o = _dense_range_qr(t, n, headroom)
@@ -376,6 +404,99 @@ class TestWindowedRangeQR:
             tracemalloc.stop()
         assert k.dim == 9
         assert peak < 16 * 2 ** 20
+
+
+_REAL_COMPOSED = compose(
+    _conjugated(diag_inner([blaschke_scalar(BlaschkeSpec([a]), 6) for a in (0.5, -0.3, 0.4)], 6),
+                _random_orthogonal(np.random.default_rng(7), 3),
+                _random_orthogonal(np.random.default_rng(8), 3)),
+    diag_inner([monomial_inner(k, 2) for k in (1, 0, 2)], 2))
+# exactly real symbols that are not monomials: their columns are not unit vectors
+REAL_SYMBOLS = {
+    "blaschke_diag": _BLASCHKE_DIAG,
+    "real_composed": _REAL_COMPOSED,
+    # the Theta_2 of the large_n benchmark workload
+    "theta2_large_n": diag_inner(
+        [monomial_inner(2, 48), blaschke_scalar(BlaschkeSpec([0.5, -1 / 3]), 48)], 48),
+}
+
+
+@pytest.fixture
+def qr_dtypes(monkeypatch):
+    """The dtype of every matrix handed to np.linalg.qr, in call order."""
+    seen = []
+    qr = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return seen
+
+
+class TestSymbolField:
+    """Exactly real symbols factor in real arithmetic, all others in complex."""
+
+    @pytest.mark.parametrize("headroom", [0, 1])
+    @pytest.mark.parametrize("name, n", [(name, n) for name in ("blaschke_diag", "real_composed")
+                                         for n in (12, 45, 256)]
+                             + [("theta2_large_n", 256)])
+    def test_complex_dense_loop_spans_the_same(self, name, n, headroom):
+        t = REAL_SYMBOLS[name]
+        assert not t.mats.imag.any()
+        oracle, rows, k = _dense_range_qr(t, n, headroom, dtype=complex)
+        assert all(np.iscomplexobj(q) for *_, q in oracle)
+        assert _projector_gap(beurling_space(t, n, headroom).matrix,
+                              _q_columns(oracle, rows, 0, k)) <= 1e-12
+        assert _projector_gap(model_space(t, n, headroom).matrix,
+                              _q_columns(oracle, rows, k, rows)) <= 1e-12
+
+    def test_a_tiny_imaginary_part_takes_the_complex_path(self, qr_dtypes):
+        t = REAL_SYMBOLS["blaschke_diag"]
+        mats = t.mats.copy()
+        mats[1, 1, 1] += 1e-300j
+        tc = MatSymbol(t.m_out, t.m_in, mats, t.tail_bound, claimed_inner=True)
+        kc = model_space(tc, 45)
+        assert qr_dtypes and set(qr_dtypes) == {np.dtype(complex)}
+        qr_dtypes.clear()
+        k = model_space(t, 45)
+        assert qr_dtypes and set(qr_dtypes) == {np.dtype(float)}
+        assert subspace_distance(k, kc) <= 1e-12
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    @pytest.mark.parametrize("name", sorted(REAL_SYMBOLS))
+    def test_real_panels_never_reach_a_complex_qr(self, qr_dtypes, name, build):
+        t = REAL_SYMBOLS[name]
+        s = build(t, t.deg + 40)
+        assert qr_dtypes and set(qr_dtypes) == {np.dtype(float)}
+        panels, _, _, _ = _range_qr(t, t.deg + 40, 0, DEFAULT_TOL)
+        assert all(q.dtype == np.float64 for *_, q in panels)
+        assert not s.matrix.imag.any()
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS.keys() | REAL_SYMBOLS.keys()))
+    def test_returned_matrix_is_complex_read_only_orthonormal(self, name, build):
+        t = {**ORACLE_SYMBOLS, **REAL_SYMBOLS}[name]
+        s = build(t, t.deg + 40)
+        # a fat linked complement that nothing else holds is already freed
+        for sp in filter(None, (s, _linked_complement(s))):
+            q = sp.matrix
+            assert q.dtype == np.complex128 and not q.flags.writeable
+            assert np.max(np.abs(np.conj(q.T) @ q - np.eye(sp.dim))) <= sp.tol
+
+    def test_real_panels_fill_q_in_place(self):
+        # a real copy of Q, or a k x k identity, would add half of Q's bytes
+        t = REAL_SYMBOLS["theta2_large_n"]
+        panels, n, k, _ = _range_qr(t, 512, 0, DEFAULT_TOL)
+        tracemalloc.start()
+        try:
+            q = _q_columns(panels, n, 0, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q.dtype == np.complex128
+        assert peak < 1.25 * q.nbytes
 
 
 class TestRefusal:
