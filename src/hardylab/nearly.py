@@ -22,7 +22,8 @@ kernel on one function, ``extract_K`` on every column of M's Q at once
 product of the generator symbol [F0 | zE] with K's Q.  The orthocomplement
 test ``orthocomplement_membership`` applies the adjoint of the same
 generator, which ``_generator`` builds for both.  Every defect list, in
-the peeling and in the duality checks, passes ``_check_defect_basis``.
+the peeling and in the duality checks, passes ``_check_defect_basis`` at
+one tolerance, ``_defect_tol``.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``DEFAULT_NEAR_TOL`` the
@@ -83,9 +84,6 @@ _EPS = 1e-10
 _ISO_TOL = 1e-6
 # almost_invariant_Sstar_check's bound on the escape of S* W
 _ALMOST_TOL = 1e-8
-# the least tolerance of the defect-basis check behind the duality and
-# almost-invariance checks
-_SUM_TOL = 1e-9
 # synthesize_M's bound on the Gram deviation of the F0 and E columns
 _ORTHONORMAL_TOL = 1e-8
 
@@ -109,6 +107,11 @@ class DecompResult:
     norm_gap: float
     iterations: int
     converged: bool
+
+
+def _defect_tol(tol: float) -> float:
+    """The tolerance of M's membership and defect-basis checks: max(100 tol, 1e-8)."""
+    return max(100.0 * tol, 1e-8)
 
 
 def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
@@ -219,7 +222,7 @@ def _peel_setup(m: Subspace, defect_basis: list, g: np.ndarray | None,
         k_max = _default_k_max(m.ambient_deg, len(defect_basis))
     if k_max < 1:
         raise PreconditionError("k_max must be at least 1")
-    pre_tol = max(100.0 * m.tol, 1e-8)
+    pre_tol = _defect_tol(m.tol)
     if g is not None:
         resid = np.linalg.norm(_residual(m, g), axis=0)
         outside = resid > pre_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
@@ -490,13 +493,12 @@ def _check_orthonormal(fns, label: str) -> None:
 
 
 def _direct_sum(m: Subspace, defect_basis) -> Subspace:
-    """M (+) span(defect), the defect basis checked by ``_check_defect_basis``."""
+    """M (+) span(defect), the defect basis checked as the peeling checks it."""
     cols = _columns(defect_basis, m.dim_m, m.ambient_deg)
     if not cols.shape[1]:
         return m
-    tol = max(m.tol, _SUM_TOL)
-    _check_defect_basis(m, cols, tol)
-    return Subspace._of(m.dim_m, m.ambient_deg, np.hstack([m.matrix, cols]), tol, m.band)
+    _check_defect_basis(m, cols, _defect_tol(m.tol))
+    return Subspace._of(m.dim_m, m.ambient_deg, np.hstack([m.matrix, cols]), m.tol, m.band)
 
 
 def almost_invariant_Sstar_check(m: Subspace, defect_basis) -> tuple:
@@ -535,24 +537,24 @@ def duality_residuals(m: Subspace, defect_basis) -> tuple:
     return lhs_res, rhs_res
 
 
-def orthocomplement_membership(g: CoeffFn, f0_cols, e_fns, k_perp: Subspace,
+def orthocomplement_membership(g: CoeffFn, f0_cols, e_fns, k: Subspace,
                                tol: float = 1e-7) -> tuple:
-    """Membership of G in the orthocomplement via the coordinate adjoints.
+    """Membership of G in the orthocomplement of M = [F0 | zE] K.
 
     Computes the tuple (T*_{F0} G, T*_{E_1} S* G, ..., T*_{E_p} S* G), one
     ``multiply_adjoint`` of the generator [F0 | zE] of ``synthesize_M``
-    (T*_{zE} = T*_E S*), and tests whether it lies in the given
-    forward-shift invariant coordinate complement; with no F0 columns the
-    F0 slot is omitted.  The columns are not checked for orthonormality;
-    G or a complement over the wrong C^m is refused by the kernel and by
-    ``project``.  Returns (member, residual).
+    (T*_{zE} = T*_E S*), which is the adjoint of the synthesis map.  G is
+    orthogonal to M iff that coordinate tuple has no component in the
+    parameter space K, the same K that ``synthesize_M`` takes; with no F0
+    columns the F0 slot is omitted.  The columns are not checked for
+    orthonormality; G or a K over the wrong C^m is refused by the kernel
+    and by ``project``.  Returns (member, residual).
     """
     gen = _generator(list(f0_cols), list(e_fns))
     tup = CoeffFn(gen.m_in, multiply_adjoint(gen, g.coeffs[..., None])[:, :, 0])
-    # the distance from the complement is the size of the K part; K padded
+    # the distance from K's complement is the size of the K part; K padded
     # to the tuple's degree covers tuples that outgrow the coordinate
     # window, since everything above it is orthogonal to K
-    k = complement(k_perp)
     k = k.padded(max(tup.trimmed_deg(), k.ambient_deg))
     residual = project(k, tup).norm()
     return residual <= tol * max(1.0, g.norm()), float(residual)

@@ -612,7 +612,7 @@ def _sc_section4(p: dict):
                 continue
             g = h * (1.0 / np.linalg.norm(h))
         claimed, _ = orthocomplement_membership(unflatten(g, 3), [f0_col], [e_fn],
-                                                k_perp, tol=p["membership_tol"])
+                                                k_space, tol=p["membership_tol"])
         direct = np.linalg.norm(np.conj(space.matrix.T) @ g) <= p["membership_tol"]
         if direct:
             members += 1

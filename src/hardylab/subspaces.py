@@ -32,18 +32,18 @@ the Q handed out is complex either way.  Both record the degree band on
 which the truncation is faithful; comparisons can be compressed to that
 band.
 
-A subspace remembers its orthocomplement when it gets one for free:
-``beurling_space`` builds the model-space columns of the same QR too, and
-``complement`` links its result to its input (only between spaces of equal
-window, tol and band).  The link never forms a reference cycle: the side
-with more columns holds the other strongly, the thinner side points back
-through a weakref, so a dropped fat space is freed at once.  A per-instance
-memo holds the link, ``wandering``'s result and ``nearly``'s peeling
-step map; it is not pickled.
+A subspace remembers its orthocomplement only when it is the fatter side
+(at least as many columns): the thin complement sits in the fat space's
+per-instance memo, and nothing points back from the thin side, so no
+reference cycle forms and a dropped fat space is freed at once.
+``complement`` stores the thinner of its input and its result on the
+fatter one, and ``beurling_space`` stores the model-space columns of the
+same QR when they are no more than the range's.  The memo also holds
+``nearly``'s peeling step map; it is not pickled.
 
-The fat side of such a pair is handled through its thin complement P:
-``defect_of`` reads the residual (I - QQ*) X as P (P* X) and factors the
-(n - dim) x b matrix P* X.  ``subspace_distance`` forms no n x n matrix:
+The fat side is handled through its thin complement P: ``defect_of``
+reads the residual (I - QQ*) X as P (P* X) and factors the (n - dim) x b
+matrix P* X.  ``subspace_distance`` forms no n x n matrix:
 P_A - P_B = X J X* with X = [Q_A | Q_B] and J = diag(I, -I), so the
 distance is the largest |eigenvalue| of R J R*, R from a QR of X.
 
@@ -55,7 +55,6 @@ certification.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -158,8 +157,8 @@ class Subspace:
     infinite-dimensional counterpart: ambient_deg for a caller's basis,
     which is exact, and for the other exact constructions; spaces built by
     this package (``_of``) may record a lower one.  The per-instance
-    ``_memo`` (a linked complement, the wandering part, a peeling step map)
-    is a cache, not state: pickling drops it.
+    ``_memo`` (a fat space's thin complement, a peeling step map) is a
+    cache, not state: pickling drops it.
     """
 
     dim_m: int
@@ -245,7 +244,9 @@ class DefectCertificate:
     ``defect_basis`` spans the minimal escape directions found (orthonormal,
     inside the orthocomplement); ``singular_values`` is the full residual
     spectrum so borderline ranks can be audited; ``max_residual`` is the
-    largest per-vector escape remaining after the defect basis is included.
+    operator norm of the escape remaining after the defect basis is
+    included, ``singular_values[defect_dim]`` (0.0 when every direction
+    is a defect).
     """
 
     op_tag: str
@@ -417,13 +418,14 @@ def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     the k kept columns (see ``_range_qr``); a claimed-inner symbol whose
     kept columns are not certified to have full rank is refused with
     ``NotInnerError``.  The recorded band is where the truncated range
-    agrees with the untruncated one.  The space is linked to its
-    complement Q[:, k:] (see ``complement``).
+    agrees with the untruncated one.  When the complement Q[:, k:] has no
+    more columns than the range, the range keeps it (see ``complement``).
     """
     panels, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
     rng = Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, 0, k), tol, band)
-    # the model-space columns of the same QR: n - k of them, usually few
-    _link(rng, Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, k, n), tol, band))
+    if n - k <= k:
+        rng._memo["complement"] = Subspace._of(t.m_out, ambient_deg,
+                                               _q_columns(panels, n, k, n), tol, band)
     return rng
 
 
@@ -439,34 +441,15 @@ def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     return Subspace._of(t.m_out, ambient_deg, _q_columns(panels, n, k, n), tol, band)
 
 
-def _link(a: Subspace, b: Subspace) -> None:
-    """Record a and b as each other's orthocomplement, without a cycle.
-
-    Made only when window, tol and band agree.  The side with more columns
-    (a on a tie) holds the other strongly; the other points back through
-    a weakref.
-    """
-    if ((a.dim_m, a.ambient_deg, a.tol, a.band)
-            != (b.dim_m, b.ambient_deg, b.tol, b.band)):
-        return
-    fat, thin = (a, b) if a.dim >= b.dim else (b, a)
-    fat._memo["complement"] = thin
-    thin._memo["complement"] = weakref.ref(fat)
-
-
-def _linked_complement(a: Subspace) -> Subspace | None:
-    """The remembered orthocomplement of a, if any is still alive."""
-    c = a._memo.get("complement")
-    return c() if isinstance(c, weakref.ref) else c
-
-
 def complement(a: Subspace) -> Subspace:
     """Orthocomplement in the flattened ambient; dims add up exactly.
 
-    A remembered complement is returned as it is; a computed one is linked
-    to a, so complement(complement(a)) is a.
+    The fatter side (at least as many columns) keeps the thinner one: a
+    kept complement is returned as it is, a computed one is stored on
+    whichever of a and the result is fatter.  So complement(complement(a))
+    is a for a thin a, and a thin complement is recomputed on every call.
     """
-    c = _linked_complement(a)
+    c = a._memo.get("complement")
     if c is not None:
         return c
     if a.dim == 0:
@@ -475,7 +458,8 @@ def complement(a: Subspace) -> Subspace:
         u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
         q = u[:, a.dim:]
     c = Subspace._of(a.dim_m, a.ambient_deg, q, a.tol, a.band)
-    _link(a, c)
+    fat, thin = (a, c) if a.dim >= c.dim else (c, a)
+    fat._memo["complement"] = thin
     return c
 
 
@@ -561,14 +545,11 @@ def wandering(m: Subspace) -> Subspace:
     """W = M minus (M cap zH^2): the part of M visible at the origin.
 
     dim W is at most the ambient vector dimension; its basis is the column
-    data for reconstructing M from its parameter space.  W is kept in M's
-    memo; the dimension check runs on every call.
+    data for reconstructing M from its parameter space.  It is computed on
+    every call; ``nearly``'s step map keeps the W it peels with.
     """
-    w = m._memo.get("wandering")
-    if w is None:
-        row, _ = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
-        w = Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ row, m.tol, m.band)
-        m._memo["wandering"] = w
+    row, _ = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
+    w = Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ row, m.tol, m.band)
     if w.dim > m.dim_m:
         raise InvariantViolationError(
             f"wandering dimension {w.dim} exceeds ambient vector dimension {m.dim_m}"
@@ -589,11 +570,13 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     residual components above the faithful band before rank decisions
     (truncation shadow of exact containments).
 
-    Without ``band``, when M remembers a complement P with fewer columns
-    than M, the residual (I - QQ*) X of the images X is P (P* X): the SVD
-    runs on the (n - dim M) x b matrix P* X, its left vectors map back
-    through P, and the spectrum is padded with exact zeros to length
-    min(n, b).
+    Without ``band``, when M keeps its thin complement P (see
+    ``complement``), the residual (I - QQ*) X of the images X is P (P* X):
+    the SVD runs on the (n - dim M) x b matrix P* X, its left vectors map
+    back through P, and the spectrum is padded with exact zeros to length
+    min(n, b).  ``max_residual`` is the operator norm of the residual left
+    after the defect directions, the first singular value below the cut
+    (0.0 when every direction is a defect).
     """
     _check_band(band)
     if domain is None:
@@ -611,23 +594,20 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     if domain.dim == 0:
         return DefectCertificate(op, mode, 0, (), (), 0.0)
     cols = _shift_rows(dq, m.dim_m, op)
-    perp = _linked_complement(m) if band is None else None
-    if perp is not None and perp.dim < m.dim:
-        frame = perp.matrix
-        resid = np.conj(frame.T) @ cols
+    perp = m._memo.get("complement") if band is None else None
+    if perp is not None:
+        resid = np.conj(perp.matrix.T) @ cols
     else:
-        frame = None
         resid = _residual(m, cols)
         if band is not None:
             resid[m.dim_m * (band + 1):, :] = 0.0
     u, s, _ = np.linalg.svd(resid, full_matrices=False)
     defect_dim = _rank(s, tol, 1.0)
     ud = u[:, :defect_dim]
-    leftover = resid - ud @ (np.conj(ud.T) @ resid) if defect_dim else resid
-    max_residual = float(max(np.linalg.norm(leftover, axis=0), default=0.0))
-    if frame is not None:
-        ud = frame @ ud
+    if perp is not None:
+        ud = perp.matrix @ ud
         s = np.concatenate([s, np.zeros(min(cols.shape) - s.size)])
+    max_residual = float(s[defect_dim]) if defect_dim < s.size else 0.0
     return DefectCertificate(op, mode, defect_dim,
                              tuple(unflatten(c, m.dim_m) for c in ud.T),
                              tuple(float(x) for x in s), max_residual)

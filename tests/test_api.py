@@ -1,6 +1,7 @@
 """API audit: every public name has a caller inside the package, every
 public option is set by some caller inside the package, no relative import
-goes unused, and ``CoeffFn`` stays a boundary type.
+goes unused, ``CoeffFn`` stays a boundary type, and ``Subspace._memo``
+holds only the caches named here.
 
 The audit reads the sources with ``ast``, so a word in a docstring or a
 comment never counts as a use.
@@ -23,6 +24,10 @@ MAX_COEFFN_BUILDS = 600
 # defaulted parameters only callers outside the package bind: the console
 # entry point's argument list
 UNBOUND_OPTIONS = {"cli.main(argv)"}
+# the keys a subspace's per-instance memo may hold, each with its reader:
+# a fat space's thin complement (``complement``, ``defect_of``) and the
+# peeling step map (``nearly._step_map``)
+MEMO_KEYS = {"complement", "step_map"}
 
 
 def _trees() -> dict:
@@ -127,3 +132,27 @@ def test_run_all_builds_few_coeff_fns(monkeypatch):
     monkeypatch.setattr(CoeffFn, "__post_init__", counting)
     assert all(report.passed for report in run_all())
     assert 0 < built[0] <= MAX_COEFFN_BUILDS
+
+
+def _memo_stores(tree) -> list:
+    """The key of every ``x._memo[key] = ...`` and every other write to a memo.
+
+    A non-literal key, or a write through a dict method, is returned as its
+    source text, so it never matches a name in MEMO_KEYS.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "_memo"):
+            key = node.slice
+            found.append(key.value if isinstance(key, ast.Constant) else ast.unparse(node))
+        elif (isinstance(node, ast.Attribute) and node.attr in
+              {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "_memo"):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_memo_holds_only_the_named_caches():
+    stored = {key for tree in _trees().values() for key in _memo_stores(tree)}
+    assert stored == MEMO_KEYS

@@ -880,15 +880,13 @@ class TestOrthocomplementMembership:
     def test_scalar_line_members(self):
         space = from_spanning([Z], 2)
         k = from_spanning([ONE], 0)
-        k_perp = complement(k)
-        member, residual = orthocomplement_membership(ONE, [], [ONE], k_perp)
+        member, residual = orthocomplement_membership(ONE, [], [ONE], k)
         assert member and residual <= 1e-12
         assert (ONE - project(space, ONE)).norm() == pytest.approx(1.0)
 
     def test_scalar_line_nonmember(self):
         k = from_spanning([ONE], 0)
-        k_perp = complement(k)
-        member, residual = orthocomplement_membership(Z, [], [ONE], k_perp)
+        member, residual = orthocomplement_membership(Z, [], [ONE], k)
         assert not member
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -899,18 +897,16 @@ class TestOrthocomplementMembership:
         f0 = basis_vector(2, 0)
         e = basis_vector(2, 1)
         space = synthesize_M(k, [f0], [e], 8)
-        k_perp = complement(k)
         for i in range(20):
             g = CoeffFn(2, rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))
             if i % 2 == 0:
                 g = g - project(space, g)
-            member, _ = orthocomplement_membership(g, [f0], [e], k_perp)
+            member, _ = orthocomplement_membership(g, [f0], [e], k)
             assert member == (project(space, g).norm() <= 1e-7 * max(1.0, g.norm()))
 
     def test_no_generator_column_is_refused(self):
-        k_perp = complement(from_spanning([ONE], 0))
         with pytest.raises(PreconditionError):
-            orthocomplement_membership(ONE, [], [], k_perp)
+            orthocomplement_membership(ONE, [], [], from_spanning([ONE], 0))
 
 
 class TestOneGenerator:
@@ -922,19 +918,18 @@ class TestOneGenerator:
             synthesize_M(k, [basis_vector(2, 0)], [basis_vector(3, 2)], 4)
 
     def test_mixed_dimensions_refused_by_membership(self):
-        k_perp = complement(model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4))
+        k = model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4)
         g = basis_vector(2, 1)
         with pytest.raises(DimensionMismatchError):
-            orthocomplement_membership(g, [basis_vector(2, 0)], [basis_vector(3, 2)],
-                                       k_perp)
+            orthocomplement_membership(g, [basis_vector(2, 0)], [basis_vector(3, 2)], k)
 
     def test_membership_refuses_wrong_dimensions(self):
-        k_perp = complement(model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4))
+        k = model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4)
         f0, e = [basis_vector(2, 0)], [basis_vector(2, 1)]
         with pytest.raises(DimensionMismatchError):
-            orthocomplement_membership(basis_vector(3, 0), f0, e, k_perp)
+            orthocomplement_membership(basis_vector(3, 0), f0, e, k)
         with pytest.raises(DimensionMismatchError):
-            orthocomplement_membership(basis_vector(2, 0), f0, [], k_perp)
+            orthocomplement_membership(basis_vector(2, 0), f0, [], k)
 
     def test_generator_layout(self):
         # one column of each kind, the defect one degree up; trailing zero
@@ -973,10 +968,10 @@ class TestDefectListCheck:
             decompose(self.SPACE, [Z], Z)
         assert str(ours.value) == str(theirs.value)
 
-    @pytest.mark.parametrize("a, refused", [(8e-10, False), (1.2e-9, True)])
+    @pytest.mark.parametrize("a, refused", [(8e-9, False), (1.2e-8, True)])
     def test_overlap_is_the_two_norm(self, a, refused):
         # Q*E = a' I for two columns: Frobenius norm a' sqrt 2, 2-norm a';
-        # the check is the 2-norm against 1e-9
+        # the check is the 2-norm against max(100 tol, 1e-8) = 1e-8
         space = Subspace(1, 6, (ONE, Z))
         z2, z3 = monomial_fn(1, 0, 2), monomial_fn(1, 0, 3)
         scale = (1 + a * a) ** -0.5
@@ -986,3 +981,19 @@ class TestDefectListCheck:
                 duality_residuals(space, e)
         else:
             duality_residuals(space, e)
+
+    @pytest.mark.parametrize("check", [
+        lambda m, e: decompose(m, e, Z),
+        duality_residuals,
+        almost_invariant_Sstar_check,
+    ], ids=["decompose", "duality_residuals", "almost_invariant_Sstar_check"])
+    @pytest.mark.parametrize("a, refused", [(5e-9, False), (5e-8, True)])
+    def test_one_tolerance_for_every_check(self, check, a, refused):
+        # E = normalized (1 + a z) overlaps M = span(z) by a / sqrt(1 + a^2):
+        # the peeling and both duality checks draw the line at the same 1e-8
+        e = [make_fn(1, [[1], [a]]) * (1 + a * a) ** -0.5]
+        if refused:
+            with pytest.raises(PreconditionError, match="not orthogonal"):
+                check(self.SPACE, e)
+        else:
+            check(self.SPACE, e)

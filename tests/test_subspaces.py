@@ -31,8 +31,6 @@ from hardylab.subspaces import (
     DEFAULT_TOL,
     Subspace,
     _isometry_defect,
-    _link,
-    _linked_complement,
     _q_columns,
     _range_qr,
     _shift_rows,
@@ -479,8 +477,8 @@ class TestSymbolField:
     def test_returned_matrix_is_complex_read_only_orthonormal(self, name, build):
         t = {**ORACLE_SYMBOLS, **REAL_SYMBOLS}[name]
         s = build(t, t.deg + 40)
-        # a fat linked complement that nothing else holds is already freed
-        for sp in filter(None, (s, _linked_complement(s))):
+        # a Beurling range keeps its thin complement, a model space nothing
+        for sp in filter(None, (s, s._memo.get("complement"))):
             q = sp.matrix
             assert q.dtype == np.complex128 and not q.flags.writeable
             assert np.max(np.abs(np.conj(q.T) @ q - np.eye(sp.dim))) <= sp.tol
@@ -736,7 +734,8 @@ def _dense_distance(a, b, band=None):
 def _ambient_defect(m, op, domain=None, tol=None, band=None):
     """Reference: the residual against M's Q in the ambient frame.
 
-    Returns (defect_dim, singular values, defect columns, max_residual).
+    Returns (defect_dim, singular values, defect columns, max_residual),
+    the last the first singular value below the cut (0.0 if there is none).
     """
     domain = m if domain is None else domain
     tol = m.tol if tol is None else tol
@@ -747,12 +746,10 @@ def _ambient_defect(m, op, domain=None, tol=None, band=None):
         resid[m.dim_m * (band + 1):, :] = 0.0
     u, s, _ = np.linalg.svd(resid, full_matrices=False)
     rank = int(np.sum(s > tol))
-    ud = u[:, :rank]
-    leftover = resid - ud @ (np.conj(ud.T) @ resid)
-    return rank, s, ud, float(max(np.linalg.norm(leftover, axis=0), default=0.0))
+    return rank, s, u[:, :rank], float(s[rank]) if rank < s.size else 0.0
 
 
-def _unlinked(s):
+def _without_memo(s):
     """The same Q, tol and band with an empty memo."""
     return pickle.loads(pickle.dumps(s))
 
@@ -761,22 +758,26 @@ def _theta_small():
     return diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
 
 
-def _prop_perp_space():
+def _prop_perp_space(n=12):
     # the almost-invariant complement of the prop_perp_almost scenario
     psi = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
     theta = diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2)
-    n = 12
     k = model_space(theta, n - 2)
     x = complement(_image(psi, k, n, dim_m=2))
     return x, degree_slice(x, n - 1), 1e-8
 
 
-def _section4_space():
+def _section4_space(nk=6):
     # the coordinate complement of the section4 scenario
-    nk = 6
     k = model_space(diag_inner([monomial_inner(3, 3), monomial_inner(2, 3)], 3), nk)
     k_perp = complement(k)
     return k_perp, degree_slice(k_perp, nk - 1), 1e-8
+
+
+def _counterexample_space(n=8):
+    # the counterexample scenario's space, a complement of Theta K_Theta
+    theta = diag_inner([monomial_inner(1, 1)] * 2, 1)
+    return complement(_image(theta, model_space(theta, n), n))
 
 
 def _beurling_shift():
@@ -811,7 +812,7 @@ class TestThinFrameDefect:
     def test_agrees_with_ambient_residual(self, name):
         op, build = THIN_CASES[name]
         m, domain, tol = build()
-        perp = _linked_complement(m)
+        perp = m._memo.get("complement")
         assert perp is not None and perp.dim < m.dim  # the thin frame is taken
         cert = defect_of(m, op, domain=domain, tol=tol)
         rank, s, ud, max_res = _ambient_defect(m, op, domain, tol)
@@ -824,10 +825,8 @@ class TestThinFrameDefect:
         assert _projector_gap(found, ud) <= 1e-12
 
     def test_certify_nearly_on_a_complement(self):
-        # the counterexample scenario's space: certify_nearly without band
-        theta = diag_inner([monomial_inner(1, 1)] * 2, 1)
-        k = model_space(theta, 8)
-        space = complement(_image(theta, k, 8))
+        # certify_nearly without band
+        space = _counterexample_space()
         cert = certify_nearly(space, 0)
         rank, s, ud, max_res = _ambient_defect(
             space, "S*", domain=vanishing_slice(space))
@@ -837,14 +836,34 @@ class TestThinFrameDefect:
         found = np.column_stack([flatten(f, 8) for f in cert.defect_basis])
         assert _projector_gap(found, ud) <= 1e-12
 
-    def test_linked_and_unlinked_certificates_agree(self):
+    def test_thin_and_ambient_frames_agree(self):
         m, domain, _ = _beurling_shift()
-        linked = defect_of(m, "S", domain=domain)
-        plain = defect_of(_unlinked(m), "S", domain=domain)
-        assert linked.defect_dim == plain.defect_dim == 0
-        assert len(linked.singular_values) == len(plain.singular_values)
-        assert np.allclose(linked.singular_values, plain.singular_values,
+        thin = defect_of(m, "S", domain=domain)
+        plain = defect_of(_without_memo(m), "S", domain=domain)
+        assert thin.defect_dim == plain.defect_dim == 0
+        assert len(thin.singular_values) == len(plain.singular_values)
+        assert np.allclose(thin.singular_values, plain.singular_values,
                            rtol=0, atol=1e-12)
+        assert abs(thin.max_residual - plain.max_residual) <= 1e-12
+
+    def test_max_residual_is_the_operator_norm(self):
+        # M = span((z - z^2)/sqrt 2) leaves both images z, z^2 of the domain
+        # span(1, z) the residual (z + z^2)/2: each column has norm
+        # 1/sqrt 2, the residual operator norm 1
+        z2 = monomial_fn(1, 0, 2)
+        m = Subspace(1, 3, ((Z - z2) * 2 ** -0.5,))
+        domain = Subspace(1, 3, (ONE, Z))
+        cert = defect_of(m, "S", domain=domain, tol=2.0)
+        assert cert.defect_dim == 0
+        assert cert.max_residual == pytest.approx(1.0, abs=1e-12)
+        cut = defect_of(m, "S", domain=domain, tol=1e-8)
+        assert cut.defect_dim == 1
+        assert cut.max_residual == cut.singular_values[1] <= 1e-12
+
+    def test_max_residual_is_zero_when_every_direction_is_a_defect(self):
+        cert = defect_of(Subspace(1, 3, (ONE,)), "S", domain=Subspace(1, 3, (ONE, Z)))
+        assert cert.defect_dim == len(cert.singular_values) == 2
+        assert cert.max_residual == 0.0
 
     def test_band_keeps_the_ambient_frame(self):
         m = beurling_space(monomial_inner(1, 1), 6, headroom=1)
@@ -923,20 +942,43 @@ class TestNegativeBand:
             certify_nearly(from_spanning([Z], 3), 0, band=-1)
 
 
-class TestComplementLink:
+class TestComplementCache:
+    """The fatter side keeps its thin complement; nothing points back."""
+
     @pytest.mark.parametrize("build", [
         lambda: from_spanning(_random_fns(np.random.default_rng(1), 3, 2, 4), 4),
-        lambda: complement(from_spanning([ONE], 6)),
         lambda: from_spanning([], 3, dim_m=2),
-        lambda: beurling_space(_theta_small(), 10),
         lambda: model_space(_theta_small(), 10),
     ])
-    def test_involution_is_identity(self, build):
+    def test_thin_space_is_its_complements_complement(self, build):
         a = build()
         c = complement(a)
+        assert a.dim < c.dim
         assert complement(c) is a
-        assert complement(a) is c
+        assert a._memo == {}  # no entry on the thin side
+        assert complement(a) is not c  # a thin space's complement is recomputed
         assert a.dim + c.dim == a.ambient_dim
+
+    @pytest.mark.parametrize("build", [
+        lambda: complement(from_spanning([ONE], 6)),
+        lambda: beurling_space(_theta_small(), 10),
+        lambda: from_spanning(_random_fns(np.random.default_rng(2), 4, 1, 5), 5),
+    ])
+    def test_fat_holder_returns_the_same_thin_object(self, build):
+        a = build()
+        c = complement(a)
+        assert c.dim <= a.dim
+        assert complement(a) is c
+        assert c._memo == {}
+        again = complement(c)
+        assert again is not a
+        assert _projector_gap(again.matrix, a.matrix) <= 1e-12
+
+    def test_tie_is_kept_by_the_input(self):
+        a = from_spanning([ONE, Z], 3)
+        c = complement(a)
+        assert a.dim == c.dim == 2
+        assert complement(a) is c and c._memo == {}
 
     def test_beurling_complement_is_the_model_space(self):
         t = _theta_small()
@@ -944,6 +986,13 @@ class TestComplementLink:
         k = complement(b)
         assert k.band == b.band and k.tol == b.tol
         assert _projector_gap(k.matrix, model_space(t, 16, headroom=2).matrix) <= 1e-12
+
+    @pytest.mark.parametrize("ambient_deg, kept", [(3, False), (4, True)])
+    def test_beurling_keeps_its_complement_only_when_thinner(self, ambient_deg, kept):
+        # diag(z^2, z^3): the model space has 5 columns, the range 2N - 3
+        b = beurling_space(_theta_small(), ambient_deg)
+        assert (b.ambient_dim - b.dim <= b.dim) == kept
+        assert ("complement" in b._memo) == kept
 
     def test_dropped_fat_space_is_freed_without_gc(self):
         enabled = gc.isenabled()
@@ -954,17 +1003,16 @@ class TestComplementLink:
             fat_ref, thin_ref = weakref.ref(b), weakref.ref(thin)
             del b
             assert fat_ref() is None
-            assert complement(thin) is not None  # recomputed, not the dead link
+            assert complement(thin) is not None  # recomputed
             del thin
             assert thin_ref() is None
         finally:
             if enabled:
                 gc.enable()
 
-    def test_linked_space_pickles_without_its_memo(self):
+    def test_space_pickles_without_its_memo(self):
         b = beurling_space(_theta_small(), 12)
         thin = complement(b)
-        wandering(thin)
         for s in (b, thin):
             copy = pickle.loads(pickle.dumps(s))
             assert copy._memo == {}
@@ -978,42 +1026,23 @@ class TestComplementLink:
         lambda: complement(from_spanning(_random_fns(np.random.default_rng(3), 2, 2, 6), 6)),
         lambda: model_space(_theta_small(), 14),
     ])
-    def test_unlinked_complement_spans_the_same(self, build):
+    def test_recomputed_complement_spans_the_same(self, build):
         a = build()
-        linked, fresh = complement(a), complement(_unlinked(a))
-        assert linked is not fresh
-        assert _projector_gap(linked.matrix, fresh.matrix) <= 1e-12
+        kept, fresh = complement(a), complement(_without_memo(a))
+        assert kept is not fresh
+        assert _projector_gap(kept.matrix, fresh.matrix) <= 1e-12
 
-    def test_link_needs_equal_tol_and_band(self):
-        a = from_spanning([ONE], 3)
-        for other in (Subspace._of(1, 3, complement(a).matrix, a.tol * 10),
-                      Subspace._of(1, 3, complement(a).matrix, a.tol, band=2)):
-            fresh = from_spanning([ONE], 3)
-            _link(fresh, other)
-            assert _linked_complement(fresh) is None
-            assert _linked_complement(other) is None
-
-
-class TestWanderingMemo:
-    def test_kept_per_instance(self):
+    def test_wandering_is_not_kept(self):
         s = model_space(monomial_inner(2, 2), 6)
-        assert wandering(s) is wandering(s)
-
-    def test_oversized_refused_on_every_call(self):
-        s = from_spanning([ONE, Z], 3)
-        s._memo["wandering"] = Subspace._of(1, 3, s.matrix, s.tol)
-        for _ in range(2):
-            with pytest.raises(InvariantViolationError):
-                wandering(s)
+        assert wandering(s).dim == 1
+        assert s._memo == {}
 
 
 class TestThinSideGuards:
     """Structural guards: the thin-side paths must not grow back to O(n^3)."""
 
-    def test_beurling_defect_factors_only_the_thin_side(self, monkeypatch):
-        t = _theta_small()
-        b = beurling_space(t, 512)
-        domain = beurling_space(t, 512, headroom=1)
+    @staticmethod
+    def _record_svd_shapes(monkeypatch) -> list:
         shapes = []
         svd = np.linalg.svd
 
@@ -1022,10 +1051,37 @@ class TestThinSideGuards:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        return shapes
+
+    def test_beurling_defect_factors_only_the_thin_side(self, monkeypatch):
+        t = _theta_small()
+        b = beurling_space(t, 512)
+        domain = beurling_space(t, 512, headroom=1)
+        shapes = self._record_svd_shapes(monkeypatch)
         cert = defect_of(b, "S", domain=domain)
         assert cert.defect_dim == 0
         assert shapes
         assert max(shape[0] for shape in shapes) <= b.ambient_dim - b.dim
+
+    @pytest.mark.parametrize("name", ["prop_perp_almost", "section4", "counterexample"])
+    def test_scenario_complements_factor_only_the_thin_side(self, name, monkeypatch):
+        # the three scenario spaces at N = 128: fat complements of a thin
+        # space, certified without an SVD of the ambient residual
+        if name == "counterexample":
+            m, domain, tol = _counterexample_space(128), None, None
+        elif name == "prop_perp_almost":
+            m, domain, tol = _prop_perp_space(128)
+        else:
+            m, domain, tol = _section4_space(128)
+        thin = m.ambient_dim - m.dim
+        assert thin < m.dim
+        shapes = self._record_svd_shapes(monkeypatch)
+        if domain is None:
+            certify_nearly(m, 0)
+        else:
+            defect_of(m, "S", domain=domain, tol=tol)
+        assert shapes
+        assert max(shape[0] for shape in shapes) <= thin
 
     def test_distance_of_thin_spaces_stays_small(self):
         n = 4095
