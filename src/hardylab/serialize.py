@@ -2,7 +2,8 @@
 
 All complex numbers travel as [re, im] pairs.  Parse errors carry the JSON
 path of the offending node (e.g. ``coeffs[2][0]``) so malformed files can
-be fixed without guesswork.
+be fixed without guesswork.  JSON booleans are never numbers here:
+``true`` as a dimension, degree, tolerance or [re, im] entry is refused.
 
 Formats
 -------
@@ -13,6 +14,8 @@ symbol:     {"kind": "monomial", "k": 2, "deg": 4}
             {"kind": "poly", "coeffs": [[re,im],...], "deg": 4}
             {"kind": "diag", "entries": [<scalar specs>], "deg": 4}
             {"kind": "matrix", "rows": [[<scalar spec>,...],...], "deg": 4}
+            A top-level monomial lifts deg to k; a monomial entry of a diag
+            or matrix must have k <= deg, since a cut entry would be zero.
 space:      {"m": 2, "ambient_deg": 8, "spanning": [<coeffs arrays>], "tol": 1e-10}
 functions:  {"m": 2, "functions": [<coeffs arrays>]}          ordered list,
             used for defect bases (must already be orthonormal).
@@ -48,11 +51,20 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
+def _number(x) -> bool:
+    """A JSON number; ``bool`` is an ``int`` subclass, but true is not 1 here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _whole(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _complex_at(node, path: str) -> complex:
     if not isinstance(node, (list, tuple)) or len(node) != 2:
         raise ParseError(f"{path}: expected a [re, im] pair, got {node!r}")
     re, im = node
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not _number(re) or not _number(im):
         raise ParseError(f"{path}: entries must be numbers, got {node!r}")
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ParseError(f"{path}: non-finite number")
@@ -69,8 +81,8 @@ def _object(text) -> dict:
 
 def _dim_m(doc: dict) -> int:
     m = doc.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise ParseError("m: expected a positive integer")
+    if not _whole(m) or m < 1:
+        raise ParseError(f"m: expected a positive integer, got {m!r}")
     return m
 
 
@@ -103,11 +115,13 @@ def parse_function_spec(text: str) -> CoeffFn:
 
 
 def _parse_scalar_symbol(doc, deg: int, path: str) -> MatSymbol:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a scalar spec object")
     kind = doc.get("kind")
     if kind == "monomial":
         k = doc.get("k")
-        if not isinstance(k, int) or k < 0:
-            raise ParseError(f"{path}.k: expected a non-negative integer")
+        if not _whole(k) or k < 0:
+            raise ParseError(f"{path}.k: expected a non-negative integer, got {k!r}")
         return monomial_inner(k, max(deg, k))
     if kind == "blaschke":
         zeros_node = doc.get("zeros", [])
@@ -125,19 +139,29 @@ def _parse_scalar_symbol(doc, deg: int, path: str) -> MatSymbol:
     raise ParseError(f"{path}.kind: unknown scalar kind {kind!r}")
 
 
+def _parse_entry(doc, deg: int, path: str) -> MatSymbol:
+    """A scalar spec inside a diag or matrix spec, which cuts every entry
+    to ``deg``: a monomial above deg would be cut to zero, so it is refused."""
+    entry = _parse_scalar_symbol(doc, deg, path)
+    if doc["kind"] == "monomial" and doc["k"] > deg:
+        raise ParseError(f"{path}.k: monomial degree {doc['k']} exceeds deg {deg}, "
+                         f"so the entry would be cut to zero")
+    return entry
+
+
 def parse_symbol_spec(text: str) -> MatSymbol:
     """Parse a multiplier symbol from JSON text."""
     doc = _object(text)
     deg = doc.get("deg", 0)
-    if not isinstance(deg, int) or deg < 0:
-        raise ParseError("deg: expected a non-negative integer")
+    if not _whole(deg) or deg < 0:
+        raise ParseError(f"deg: expected a non-negative integer, got {deg!r}")
     kind = doc.get("kind")
     if kind == "diag":
         entries = doc.get("entries")
         if not isinstance(entries, list) or not entries:
             raise ParseError("entries: expected a nonempty list of scalar specs")
         parsed = [
-            _parse_scalar_symbol(e, deg, f"entries[{i}]") for i, e in enumerate(entries)
+            _parse_entry(e, deg, f"entries[{i}]") for i, e in enumerate(entries)
         ]
         return diag_inner(parsed, deg)
     if kind == "matrix":
@@ -154,7 +178,7 @@ def parse_symbol_spec(text: str) -> MatSymbol:
             elif len(row) != width:
                 raise ParseError(f"rows[{i}]: ragged row, expected {width} entries")
             scalars.append([
-                _parse_scalar_symbol(s, deg, f"rows[{i}][{j}]") for j, s in enumerate(row)
+                _parse_entry(s, deg, f"rows[{i}][{j}]") for j, s in enumerate(row)
             ])
         m_out, m_in = len(rows), width
         mats = np.zeros((deg + 1, m_out, m_in), dtype=complex)
@@ -173,11 +197,11 @@ def parse_space_spec(text: str) -> Subspace:
     doc = _object(text)
     m = _dim_m(doc)
     ambient = doc.get("ambient_deg")
-    if not isinstance(ambient, int) or ambient < 0:
-        raise ParseError("ambient_deg: expected a non-negative integer")
+    if not _whole(ambient) or ambient < 0:
+        raise ParseError(f"ambient_deg: expected a non-negative integer, got {ambient!r}")
     tol = doc.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0:
-        raise ParseError("tol: expected a finite positive number")
+    if not _number(tol) or not math.isfinite(tol) or tol <= 0:
+        raise ParseError(f"tol: expected a finite positive number, got {tol!r}")
     return from_spanning(_fn_list(doc, "spanning", m), ambient, float(tol), dim_m=m)
 
 

@@ -116,6 +116,22 @@ class TestCli:
                      "--headroom", "-1"]) == 2
         assert "headroom" in capsys.readouterr().err
 
+    def test_cut_monomial_entry_is_usage_error(self, tmp_path, capsys):
+        # k = 5 above deg = 3 would leave a zero entry, refused as not inner
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"kind": "diag", "deg": 3, "entries": [
+            {"kind": "monomial", "k": 5}, {"kind": "monomial", "k": 1}]}))
+        assert main(["model-space", "--theta", str(theta), "--order", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "entries[0].k" in err and "deg 3" in err
+
+    def test_boolean_dimension_is_usage_error(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"m": True, "ambient_deg": 4,
+                                     "spanning": [[[[1, 0]]]]}))
+        assert main(["certify", "--space", str(space), "--op", "S*"]) == 2
+        assert "m:" in capsys.readouterr().err
+
     def test_certify_pass_and_fail(self, tmp_path, capsys):
         space = tmp_path / "space.json"
         space.write_text(json.dumps(

@@ -149,3 +149,44 @@ class TestSpaceFormat:
                 f'"tol":{tol}}}')
         with pytest.raises(ParseError, match="tol"):
             parse_space_spec(text)
+
+
+class TestBooleansAreNotNumbers:
+    """JSON true/false never pass as a dimension, degree, tolerance or entry."""
+
+    @pytest.mark.parametrize("parse, text, path", [
+        (parse_function_spec, '{"m":true,"coeffs":[[[1,0]]]}', "m"),
+        (parse_function_spec, '{"m":1,"coeffs":[[[true,false]]]}', r"coeffs\[0\]\[0\]"),
+        (parse_function_list, '{"m":1,"functions":[[[[1,false]]]]}', r"functions\[0\]\[0\]\[0\]"),
+        (parse_symbol_spec, '{"kind":"monomial","k":true}', r"\.k"),
+        (parse_symbol_spec, '{"kind":"monomial","k":1,"deg":true}', "deg"),
+        (parse_symbol_spec, '{"kind":"blaschke","zeros":[[0.5,0]],"rotation":[true,0],"deg":4}',
+         "rotation"),
+        (parse_symbol_spec, '{"kind":"poly","coeffs":[[1,0],[0,true]]}', r"coeffs\[1\]"),
+        (parse_space_spec, '{"m":1,"ambient_deg":true,"spanning":[[[[1,0]]]]}', "ambient_deg"),
+        (parse_space_spec, '{"m":1,"ambient_deg":2,"tol":true,"spanning":[[[[1,0]]]]}', "tol"),
+    ])
+    def test_refused_with_its_path(self, parse, text, path):
+        with pytest.raises(ParseError, match=path):
+            parse(text)
+
+
+class TestEntryDegree:
+    def test_monomial_entry_above_deg_is_refused(self):
+        text = ('{"kind":"diag","entries":[{"kind":"monomial","k":5},'
+                '{"kind":"monomial","k":1}],"deg":3}')
+        with pytest.raises(ParseError, match=r"entries\[0\]\.k.*deg 3"):
+            parse_symbol_spec(text)
+
+    def test_matrix_entry_above_deg_is_refused(self):
+        text = '{"kind":"matrix","rows":[[{"kind":"monomial","k":2}]],"deg":1}'
+        with pytest.raises(ParseError, match=r"rows\[0\]\[0\]\.k.*deg 1"):
+            parse_symbol_spec(text)
+
+    def test_top_level_monomial_lifts_deg(self):
+        t = parse_symbol_spec('{"kind":"monomial","k":5,"deg":3}')
+        assert t.deg == 5 and t.mats[5, 0, 0] == 1.0
+
+    def test_entry_that_is_not_an_object(self):
+        with pytest.raises(ParseError, match=r"entries\[1\]"):
+            parse_symbol_spec('{"kind":"diag","entries":[{"kind":"monomial","k":1},3],"deg":1}')
