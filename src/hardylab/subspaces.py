@@ -24,14 +24,15 @@ certifies that every kept column survives a cut at tol * top singular
 value, and a symbol without that certificate is refused.  The QR goes one
 block of the symbol's sparsity pattern at a time (a diagonal symbol has
 one block per entry), so the band is the largest block's, m_b (deg_b + 1),
-not m_out (deg + 1).  The kept columns are never stored as one matrix:
-each panel fills a window of the rows it reaches straight from the
-symbol's coefficients and takes over the rows the previous panel updated
-below its own (the carry), so memory grows with n times the band height,
-not with n x k.  The QR runs in the symbol's own field: when every stored
-coefficient has an imaginary part of exactly zero (no tolerance) the
-panels are real, otherwise complex; the Q handed out is complex either
-way.  Both record the degree band on which the truncation is faithful;
+not m_out (deg + 1); a symbol whose whole band fits a minimal panel, or
+whose kept columns fit one panel, is factored whole.  The kept columns are
+never stored as one matrix: each panel fills a window of the rows it
+reaches straight from the symbol's coefficients and takes over the rows
+the previous panel updated below its own (the carry), so memory grows
+with n times the band height, not with n x k.  The QR runs in the
+symbol's own field: when every stored coefficient has an imaginary part
+of exactly zero (no tolerance) the panels are real, otherwise complex;
+the Q handed out is complex either way.  Both record the degree band on which the truncation is faithful;
 comparisons can be compressed to that band.
 
 A subspace remembers its orthocomplement only when it is the fatter side
@@ -57,7 +58,6 @@ certification.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -304,27 +304,19 @@ def _isometry_defect(t: MatSymbol) -> float:
     return float(norms[0] + 2.0 * norms[1:].sum())
 
 
-def _block_layout(mats: np.ndarray, ambient_deg: int):
-    """The block order of ``_range_qr``, or None for a symbol of one block.
+def _blocks(mats: np.ndarray):
+    """The blocks of Theta's sparsity pattern, or None for a symbol of one.
 
     A block is a set of output rows and input columns linked by nonzero
     coefficients; the row-to-row links of the stored coefficients ``mats``
-    are closed by boolean squaring, and each block is labelled by its
-    first output row.  Blocks come by that row, rows and inputs keep their
-    order inside a block, and the output rows that no column touches come
-    last.  The per-row and per-input bookkeeping is plain Python over the
-    m_out rows and m_in inputs.
-
-    Returns (where, stack, table, base, size): the ambient row at each
-    position; the block-local stack, whose entry (d m_b + l, i) is
-    coefficient d of input i at the l-th output row of its block, as high
-    as the tallest block's band m_b (deg_b + 1); and per block, in order,
-    its inputs (a row of ``table``, padded with m_in), its first position
-    ((N + 1) times the rows of the blocks before it) and its output count
-    m_b.
+    are closed by boolean squaring, and each row is labelled by the first
+    row of its block.  Returns per block, by first row, (rows, inputs) as
+    lists, and last the output rows that no column touches, as a block
+    without inputs.  A symbol of one block that touches every output row
+    gives None.
     """
     link = mats.any(axis=0)
-    m, m_in = link.shape
+    m = link.shape[0]
     reach = link @ link.T
     # rows of one block are joined by a chain of at most m - 1 links
     for _ in range((m - 1).bit_length()):
@@ -332,33 +324,55 @@ def _block_layout(mats: np.ndarray, ambient_deg: int):
     label = np.where(reach.any(axis=1), reach.argmax(axis=1), m).tolist()
     if not any(label):
         return None
-    rows, ins = {}, {}
-    for r, b in enumerate(label):
-        rows.setdefault(b, []).append(r)
-    for i, r in enumerate(link.argmax(axis=0).tolist()):
-        ins.setdefault(label[r], []).append(i)
-    # per output row: its block's first position and row count, and its
-    # place in the block; ambient row d m + r sits at position
-    # first + d size + loc
-    first, size, loc = [0] * m, [0] * m, [0] * m
-    before = 0
-    for b in sorted(rows):
-        for place, r in enumerate(rows[b]):
-            first[r], size[r], loc[r] = (ambient_deg + 1) * before, len(rows[b]), place
-        before += len(rows[b])
-    first, size, loc = np.array(first), np.array(size), np.array(loc)
-    n = m * (ambient_deg + 1)
-    where = np.empty(n, dtype=int)
-    where[(first + np.arange(ambient_deg + 1)[:, None] * size + loc).ravel()] = np.arange(n)
-    # every nonzero lies inside a block, at degree d <= deg_b
-    d, r, i = np.nonzero(mats)
-    stack = np.zeros((int(((d + 1) * size[r]).max()), m_in), dtype=mats.dtype)
-    stack[d * size[r] + loc[r], i] = mats[d, r, i]
-    blocks = sorted(ins)
-    widest = max(len(ins[b]) for b in blocks)
-    table = np.array([ins[b] + [m_in] * (widest - len(ins[b])) for b in blocks])
-    return (where, stack, table, [int(first[b]) for b in blocks],
-            [int(size[b]) for b in blocks])
+    owner = [label[r] for r in link.argmax(axis=0).tolist()]
+    return [([r for r, b in enumerate(label) if b == head],
+             [i for i, b in enumerate(owner) if b == head])
+            for head in sorted(set(label))]
+
+
+def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
+              headroom: int, width: int):
+    """The panelled QR of one block's kept columns, in its own row order.
+
+    ``mats`` holds the block's coefficients, m_b outputs by its inputs, up
+    to its top column degree; row d m_b + l of the block is ambient degree
+    d of its l-th output.  Returns (panels, k): k kept columns and one
+    (c0, r1, q) per panel of ``width`` columns, q acting on rows
+    c0 ... r1 - 1.
+    """
+    m = mats.shape[1]
+    jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
+                        <= ambient_deg - headroom)
+    k = jj.size
+    # column (j, i) holds Theta_d e_i at row (j + d) m + r: its start plus
+    # offset d m + r < tall, the entry of row d m + r of the stacked
+    # coefficients.  Column c starts at most m - 1 rows above row c.
+    tall = mats.shape[0] * m
+    starts = jj * m
+    offsets = np.arange(tall)[:, None]
+    stack = mats.reshape(tall, -1)
+    reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
+    panels = []
+    carry = np.zeros((0, 0), dtype=stack.dtype)
+    for c0 in range(0, k, width):
+        c1 = min(c0 + width, k)
+        # rows c0 ... r1 - 1 hold every nonzero of the panel below row c0,
+        # fill-in from earlier panels included (reach is a running maximum)
+        r1 = int(reach[c1 - 1])
+        # the later columns that start above r1; the rest are still zero there
+        c2 = int(np.searchsorted(starts, r1))
+        # each column is filled whole into the window plus m rows above it
+        # and tall rows below: its entries above c0 (final R) and from r1
+        # on (later windows) land in those margins, so no index wraps
+        buf = np.zeros((m + r1 - c0 + tall, c2 - c0), dtype=stack.dtype)
+        buf[starts[c0:c2] - (c0 - m) + offsets, np.arange(c2 - c0)] = stack[:, ii[c0:c2]]
+        window = buf[m : m + r1 - c0]
+        window[: carry.shape[0], : carry.shape[1]] = carry
+        q, _ = np.linalg.qr(window[:, : c1 - c0], mode="complete")
+        # rows c0 ... c1 - 1 of the update are final R; the rest carry over
+        carry = (np.conj(q.T) @ window[:, c1 - c0:])[c1 - c0:]
+        panels.append((c0, r1, q))
+    return panels, k
 
 
 def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
@@ -374,32 +388,30 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     tol * s_0 keeps every column, so C has full rank and its QR spans the
     range; otherwise the symbol is refused.
 
-    The rows and columns of C are taken in block order: the connected
-    blocks of Theta's sparsity pattern (``_block_layout``) one after
-    another, each block's ambient rows and kept columns degree-major
-    inside it, and the output rows that no column touches last (they lie
-    wholly in the model space).  C is then block-diagonal, and a block of
-    m_b outputs and degree deg_b is banded with height m_b (deg_b + 1):
-    the band is one block's, not m_out (deg + 1).  A symbol of one block
-    keeps the plain degree-major order, and so do kept columns that the
-    degree-major order factors in one panel (k <= max(_PANEL_MIN,
-    m_out (deg + 1))), which then cost a single QR.
-    "Position" below is a row's place in the order used.
+    No kept column reaches outside its block of Theta's sparsity pattern
+    (``_blocks``), so C splits into one kept-column matrix per block, and
+    each is factored on its own (``_panel_qr``): its ambient rows and kept
+    columns degree-major inside the block, banded with height
+    m_b (deg_b + 1).  The band is one block's, not m_out (deg + 1); every
+    block shares one panel width, max(_PANEL_MIN, the largest band).  The
+    output rows that no column touches form a last block with no columns:
+    they lie wholly in the model space.  A symbol of one block is factored
+    whole, in the ambient row order, and so is any symbol whose band in
+    that order, m_out (deg + 1), is at most _PANEL_MIN or at least k: one
+    panel of width max(_PANEL_MIN, band) then has a window at most twice
+    as tall as its width, or takes every kept column, and splitting it by
+    block adds panels, each a QR call, for little arithmetic.
 
-    C is never formed.  Panel c0 ... c1 - 1 works on one window, positions
-    t0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
-    starts at or below r1), filled straight from Theta's coefficients; t0
-    is the block-local diagonal row of column c0.  Over its top left lies
-    the carry of the previous panel: the rows from t0 down of the columns
-    that panel updated, with every earlier Q* applied.  The rows above t0
-    are final R and are dropped, also from the fill of a column that
-    starts above t0 (possible when the panel width is not a multiple of
-    m_b).  The panel is factored on its own columns, and its Q* applied to
-    the rest of the window gives the next carry.  A panel that would run
-    past the end of its block takes whole blocks only and stops at the end
-    of one, so no carry crosses from one block to the next; several small
-    blocks share one panel.  Memory grows with n times the largest band
-    height, not with n x k.
+    C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
+    c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
+    starts at or below row r1), filled straight from Theta's coefficients.
+    Over its top left lies the carry of the previous panel: the rows from
+    c0 down of the columns that panel updated, with every earlier Q*
+    applied.  The rows above c0 are final R and are dropped, also from the
+    fill of a column that starts above c0 (possible when the panel width is
+    not a multiple of m_b).  The panel is factored on its own columns, and
+    its Q* applied to the rest of the window gives the next carry.  Memory
+    grows with n times the largest band height, not with n x k.
 
     The field is the symbol's: if no coefficient up to the top column
     degree has a nonzero imaginary part (an exact test, no tolerance), the
@@ -407,17 +419,11 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     complex128.  A real symbol thus gets the real Householder QR of the
     same C, which spans the same range.
 
-    Returns (panels, order, k, band).  Q = H_1 ... H_P, and its column j
-    is the product applied to the unit vector at ambient row order[j]:
-    columns 0 ... k - 1 span the range and k ... n - 1 its complement.
-    The range column c starts at its panel's diagonal position for c, the
-    model columns at the other positions, in order.  Each panel is
-    (spans, rows, q): the unitary q acts on the ambient rows ``rows`` (a
-    slice in the degree-major order, else an index array), and only on the
-    columns of Q in its two spans, a range and a model one: those that
-    start at or below its first position and above the end of the block
-    that closes its run of carrying panels.  No other column meets its
-    rows.
+    Returns (parts, n, k, band), one part (rows, panels, k_b) per block:
+    the block's Q_b = H_1 ... H_P acts on the ambient rows ``rows`` (None
+    for the whole ambient in its own order), with panel (c0, r1, q) acting
+    as the unitary q on rows[c0:r1]; Q_b[:, :k_b] spans the block's part of
+    the range and Q_b[:, k_b:] its complement there.
     """
     if not t.claimed_inner:
         raise NotInnerError("refusing to build a Beurling-type range from a non-isometry")
@@ -437,112 +443,76 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     m, n = t.m_out, t.m_out * (ambient_deg + 1)
     col_degs = t.column_degrees()
     top_deg = int(col_degs.max())
-    jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
-                        <= ambient_deg - headroom)
-    k = jj.size
     band = max(0, ambient_deg - headroom - top_deg)
     mats = t.mats[: top_deg + 1]
     # the symbol's own field: exactly real coefficients factor in real arithmetic
     if not mats.imag.any():
         mats = mats.real
-    # kept columns that the degree-major order factors in one panel keep
-    # that order: one QR, and no layout to build.  Per block: its first
-    # column (lo), its first position (base) and its output count; column
-    # (j, i) starts at position base + j size, and its entry offset
-    # d size + l below that start is row d size + l of the stack
-    one_panel = k <= max(_PANEL_MIN, m * (top_deg + 1))
-    layout = None if one_panel else _block_layout(mats, ambient_deg)
-    if layout is None:
-        where, stack = None, mats.reshape(-1, t.m_in)
-        starts, size = jj * m, m
-        lo, base, sizes = [0], [0], [m]
-    else:
-        where, stack, table, base, sizes = layout
-        # block by block, degree-major in each block: input t of block b
-        # is table[b, t], and the padding m_in keeps no column
-        degs = np.append(col_degs, ambient_deg + 1)[table]
-        bb, jj, tt = np.nonzero(np.arange(ambient_deg + 1)[:, None] + degs[:, None]
-                                <= ambient_deg - headroom)
-        ii = table[bb, tt]
-        size = np.array(sizes)[bb]
-        starts = np.array(base)[bb] + jj * size
-        lo = [0] + np.cumsum(np.bincount(bb, minlength=len(base)))[:-1].tolist()
-    hi = lo[1:] + [k]
-    reach = np.maximum.accumulate(starts + (col_degs[ii] + 1) * size)
-    tall = stack.shape[0]
-    width = max(_PANEL_MIN, tall)
-    offsets = np.arange(tall)[:, None]
-    cuts, qs = [], []
-    carry = np.zeros((0, 0), dtype=mats.dtype)
-    c0 = b = 0
-    while c0 < k:
-        while c0 >= hi[b]:
-            b += 1
-        c1 = min(c0 + width, k)
-        if c1 > hi[b]:
-            c1 = hi[bisect_right(hi, c0 + width) - 1]
-        # the diagonal position of column c0 inside its block
-        t0 = base[b] + c0 - lo[b]
-        # positions t0 ... r1 - 1 hold every nonzero of the panel below t0,
-        # fill-in from earlier panels included (reach is a running maximum)
-        r1 = int(reach[c1 - 1])
-        # the later columns that start above r1; the rest are still zero there
-        c2 = int(np.searchsorted(starts, r1))
-        # each column is filled whole into the window plus m rows above it
-        # and tall rows below: its entries above t0 (final R) and from r1
-        # on (later windows) land in those margins, so no index wraps
-        buf = np.zeros((m + r1 - t0 + tall, c2 - c0), dtype=mats.dtype)
-        buf[starts[c0:c2] - (t0 - m) + offsets, np.arange(c2 - c0)] = stack[:, ii[c0:c2]]
-        window = buf[m : m + r1 - t0]
-        window[: carry.shape[0], : carry.shape[1]] = carry
-        q, _ = np.linalg.qr(window[:, : c1 - c0], mode="complete")
-        # rows t0 ... t0 + c1 - c0 - 1 of the update are final R; the rest
-        # carry over, unless no later column reaches them (as at a block's end)
-        carry = (np.conj(q.T) @ window[:, c1 - c0:])[c1 - c0:] if c2 > c1 else carry[:0, :0]
-        # a panel that ends a block closes the run of panels before it that
-        # hand a carry on: no column of Q that starts at or past the end of
-        # that block, or above a panel's first position, meets its rows
-        last = bisect_right(hi, c1 - 1)
-        close = base[last] + (ambient_deg + 1) * sizes[last] if c1 == hi[last] else None
-        cuts.append((c0, c1, t0, r1, close))
-        qs.append(q)
-        c0 = c1
-    # Q's range column c starts at its panel's diagonal position, the model
-    # columns at every other position, in order; so before position p lie
-    # p - (the range columns before it) model columns
-    panels = []
-    for (c0, c1, t0, r1, close), q in zip(reversed(cuts), reversed(qs)):
-        if close is not None:
-            c_end, p_end = c1, close
-        rows = slice(t0, r1) if where is None else where[t0:r1]
-        panels.append((((c0, c_end), (k + t0 - c0, k + p_end - c_end)), rows, q))
-    panels.reverse()
-    if where is None:
-        return panels, np.arange(n), k, band
-    kept = np.arange(k) + np.repeat([t0 - c0 for c0, _, t0, _, _ in cuts],
-                                    [c1 - c0 for c0, c1, *_ in cuts])
-    free = np.ones(n, dtype=bool)
-    free[kept] = False
-    return panels, where[np.concatenate([kept, np.flatnonzero(free)])], k, band
+    # the ambient order stays where its band is no wider than a minimal
+    # panel, or one panel takes every kept column: there the blocks would
+    # add panels (a QR each) and save little arithmetic
+    tall = m * (top_deg + 1)
+    k = sum(max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist())
+    blocks = None if tall <= _PANEL_MIN or k <= tall else _blocks(mats)
+    if blocks is None:
+        panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom, max(_PANEL_MIN, tall))
+        return [(None, panels, k)], n, k, band
+    tops = [int(col_degs[ins].max()) if ins else -1 for _, ins in blocks]
+    width = max(_PANEL_MIN, max(len(rows) * (d + 1) for (rows, _), d in zip(blocks, tops)))
+    degree = np.arange(ambient_deg + 1)[:, None] * m
+    parts = []
+    for (rows, ins), d in zip(blocks, tops):
+        # the untouched rows keep no column: their Q_b is the identity
+        panels, k_b = _panel_qr(mats[: d + 1, rows][:, :, ins], col_degs[ins],
+                                ambient_deg, headroom, width) if ins else ([], 0)
+        parts.append(((degree + rows).ravel(), panels, k_b))
+    return parts, n, k, band
 
 
-def _q_columns(panels, order: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _unit_columns(panels, y: np.ndarray, a: int) -> np.ndarray:
+    """Columns a, a + 1, ... of one block's Q_b, written over the zeros y.
+
+    The panels are applied in reverse to the unit vectors at rows a, a + 1,
+    ..., in place.
+    """
+    np.fill_diagonal(y[a:], 1.0)
+    for c0, r1, q in reversed(panels):
+        # columns that start above the panel's first row stay as they are
+        s = max(c0 - a, 0)
+        y[c0:r1, s:] = q @ y[c0:r1, s:]
+    return y
+
+
+def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
     """Columns lo ... hi - 1 of Q, in ambient row order.
 
-    The panels are applied in reverse to the unit vectors at ambient rows
-    order[lo:hi], each only to the columns in its spans.  The result is
-    complex; real panels work on its real part in place, so no real
-    n x (hi - lo) copy is made, and a panel reaches its rows through its
-    row index, so no second n x (hi - lo) array is built either.
+    Q's columns are the blocks' range columns, block after block, then
+    their complement columns in the same order.  A block's columns are its
+    panels applied in reverse to unit vectors in its own row order, then
+    scattered to its ambient rows; a block of the whole ambient works in
+    the result itself.  The result is complex; real panels work on real
+    arrays and write the result's real part in place, so no real
+    n x (hi - lo) copy is made.
     """
-    x = np.zeros((order.size, hi - lo), dtype=complex)
-    x[order[lo:hi], np.arange(hi - lo)] = 1.0
-    y = x.real if panels and not np.iscomplexobj(panels[0][-1]) else x
-    for spans, rows, q in reversed(panels):
-        for a, b in spans:
-            a, b = max(a, lo) - lo, min(b, hi) - lo
-            if a < b:
-                y[rows, a:b] = q @ y[rows, a:b]
+    x = np.zeros((n, hi - lo), dtype=complex)
+    qs = [panels[0][2] for _, panels, _ in parts if panels]
+    out = x.real if qs and not np.iscomplexobj(qs[0]) else x
+    # a block's range columns follow the earlier blocks' range columns, and
+    # its complement columns, from k on, the earlier blocks' complements
+    r_at, c_at = -lo, sum(k_b for *_, k_b in parts) - lo
+    for rows, panels, k_b in parts:
+        n_b = n if rows is None else rows.size
+        # the block's columns a ... e - 1 are columns at + a ... at + e - 1 of x
+        for a, e, at in ((0, k_b, r_at), (k_b, n_b, c_at - k_b)):
+            a, e = max(a, -at), min(e, hi - lo - at)
+            if a >= e:
+                continue
+            if rows is None:
+                _unit_columns(panels, out[:, at + a : at + e], a)
+            else:
+                out[rows, at + a : at + e] = _unit_columns(
+                    panels, np.zeros((n_b, e - a), dtype=out.dtype), a)
+        r_at, c_at = r_at + k_b, c_at + n_b - k_b
     return x
 
 
@@ -559,12 +529,11 @@ def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     agrees with the untruncated one.  When the complement Q[:, k:] has no
     more columns than the range, the range keeps it (see ``complement``).
     """
-    panels, order, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    n = order.size
-    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(panels, order, 0, k), tol, band)
+    parts, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
+    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, 0, k), tol, band)
     if n - k <= k:
         rng._memo["complement"] = Subspace._of(t.m_out, ambient_deg,
-                                               _q_columns(panels, order, k, n), tol, band)
+                                               _q_columns(parts, n, k, n), tol, band)
     return rng
 
 
@@ -576,9 +545,8 @@ def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     The truncated complement over-approximates the model space in the top
     degree band; compare within degrees <= the recorded band.
     """
-    panels, order, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    return Subspace._of(t.m_out, ambient_deg, _q_columns(panels, order, k, order.size),
-                        tol, band)
+    parts, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
+    return Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, k, n), tol, band)
 
 
 def complement(a: Subspace) -> Subspace:

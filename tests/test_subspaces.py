@@ -225,11 +225,11 @@ def _blaschke_block_and_z2():
 
 
 def _column_isometry_with_a_zero_row():
-    """(1 / sqrt 2) [[z, -1], [0, 0], [z^2, z]]: inner, one block, and no
+    """(1 / sqrt 2) [[z, -1], [0, 0], [z^11, z^10]]: inner, one block, and no
     column touches output 1."""
-    mats = np.zeros((3, 3, 2), dtype=complex)
+    mats = np.zeros((12, 3, 2), dtype=complex)
     mats[0, 0, 1] = -1.0
-    mats[1, 0, 0] = mats[1, 2, 1] = mats[2, 2, 0] = 1.0
+    mats[1, 0, 0] = mats[10, 2, 1] = mats[11, 2, 0] = 1.0
     return MatSymbol(3, 2, mats * 2 ** -0.5, 0.0, claimed_inner=True)
 
 
@@ -299,16 +299,12 @@ class TestDenseOracle:
             assert np.max(np.abs(np.conj(q.T) @ q - np.eye(s.dim))) <= s.tol
 
 
-def _loop_block_order(t, ambient_deg, headroom, split=True):
-    """The block order of ``_range_qr``, by plain loops.
+def _loop_blocks(t):
+    """The blocks of ``_range_qr``, by plain loops.
 
-    Returns (rows, cols, blocks): the ambient rows in position order, the
-    kept columns (j, i) in column order, and per block its first position,
-    its output count m_b, its first and end column and its band height
-    m_b (deg_b + 1).  The blocks of Theta's sparsity pattern come by first
-    output row, each degree-major; the untouched output rows come last, as
-    a block of no columns.  With split=False all rows form one block: the
-    plain degree-major order.
+    Returns per block, by first output row, (rows, inputs), then the
+    output rows that no column touches as a block without inputs; None
+    when one block takes every output row.
     """
     m = t.m_out
     nz = np.any(t.mats != 0, axis=0)
@@ -317,103 +313,88 @@ def _loop_block_order(t, ambient_deg, headroom, split=True):
         linked = {label[r] for r in np.flatnonzero(nz[:, i])}
         if linked:
             label = [min(linked) if b in linked else b for b in label]
-    if split:
-        touched = [r for r in range(m) if nz[r].any()]
-        groups = [[r for r in touched if label[r] == b]
-                  for b in sorted({label[r] for r in touched})]
-    else:
-        touched, groups = list(range(m)), [list(range(m))]
+    touched = [r for r in range(m) if nz[r].any()]
+    groups = [[r for r in touched if label[r] == b] for b in sorted({label[r] for r in touched})]
+    if groups == [list(range(m))]:
+        return None
     untouched = [r for r in range(m) if r not in touched]
-    degs = t.column_degrees()
-    rows, cols, blocks = [], [], []
-    for g in groups + [untouched]:
-        ins = [i for i in range(t.m_in) if nz[g, i].any()]
-        block_cols = [(j, i) for j in range(ambient_deg + 1) for i in ins
-                      if j + degs[i] <= ambient_deg - headroom]
-        tall = len(g) * (max((int(degs[i]) for i in ins), default=-1) + 1)
-        blocks.append((len(rows), len(g), len(cols), len(cols) + len(block_cols), tall))
-        rows += [d * m + r for d in range(ambient_deg + 1) for r in g]
-        cols += block_cols
-    return rows, cols, blocks
+    return ([(g, [i for i in range(t.m_in) if nz[g, i].any()]) for g in groups]
+            + ([(untouched, [])] if untouched else []))
+
+
+def _dense_panels(mats, col_degs, ambient_deg, headroom, width):
+    """The panel loop on one block's dense kept-column matrix C."""
+    m = mats.shape[1]
+    jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
+                        <= ambient_deg - headroom)
+    k = jj.size
+    d = np.arange(mats.shape[0])[:, None, None]
+    cols = np.zeros(((ambient_deg + mats.shape[0]) * m, k), dtype=mats.dtype)
+    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = mats[:, :, ii]
+    cols = cols[: (ambient_deg + 1) * m]
+    starts = jj * m
+    reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
+    panels = []
+    for c0 in range(0, k, width):
+        c1 = min(c0 + width, k)
+        r1 = int(reach[c1 - 1])
+        q, _ = np.linalg.qr(cols[c0:r1, c0:c1], mode="complete")
+        c2 = int(np.searchsorted(starts, r1))
+        if c2 > c1:
+            cols[c0:r1, c1:c2] = np.conj(q.T) @ cols[c0:r1, c1:c2]
+        panels.append((c0, r1, q))
+    return panels, k
 
 
 def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
-    """The panel loop of ``_range_qr`` on the dense kept-column matrix C.
+    """The panel loop of ``_range_qr`` on the dense kept-column matrices.
 
     This is the construction the windowed loop replaced, kept as its
-    bitwise oracle: C is built whole, its rows and columns taken in block
-    order (``_loop_block_order``) unless one degree-major panel takes them
-    all, and factored in the same panels, each on C[t0:r1, c0:c1], with
-    its Q* applied in place to the later columns it reaches.  By default C
-    is in the symbol's own field, as in ``_range_qr``; with dtype=complex
-    a real symbol is factored in complex arithmetic.  Returns
-    (panels, order, k) in the form of ``_range_qr``.
+    bitwise oracle: per block of Theta's sparsity pattern
+    (``_loop_blocks``; the whole symbol when it is one block, its band is
+    at most _PANEL_MIN or one panel takes every kept column) the dense
+    kept-column matrix C is built whole, degree-major, and factored in the
+    same panels, each on C[c0:r1, c0:c1], with its Q* applied in place to
+    the later columns it reaches.  By default C is in the symbol's own
+    field, as in ``_range_qr``; with dtype=complex a real symbol is
+    factored in complex arithmetic.  Returns (parts, n, k) in the form of
+    ``_range_qr``.
     """
     m, n = t.m_out, t.m_out * (ambient_deg + 1)
-    rows, kept, blocks = _loop_block_order(t, ambient_deg, headroom)
-    if len(kept) <= max(_PANEL_MIN, m * (int(t.column_degrees().max()) + 1)):
-        # one degree-major panel takes every kept column: that order stays
-        rows, kept, blocks = _loop_block_order(t, ambient_deg, headroom, split=False)
-    one_block = len(blocks) == 2 and blocks[1][1] == 0
     col_degs = t.column_degrees()
-    top_deg = int(col_degs.max())
-    k = len(kept)
-    jj = np.array([j for j, _ in kept], dtype=int)
-    ii = np.array([i for _, i in kept], dtype=int)
-    mats = t.mats[: top_deg + 1]
+    mats = t.mats[: int(col_degs.max()) + 1]
     if dtype is None:
         dtype = complex if mats.imag.any() else float
     if dtype is float:
         mats = mats.real
-    cols = np.zeros(((ambient_deg + top_deg + 1) * m, k), dtype=dtype)
-    d = np.arange(top_deg + 1)[:, None, None]
-    cols[(jj + d) * m + np.arange(m)[:, None], np.arange(k)] = mats[:, :, ii]
-    cols = cols[:n][rows]
-    # per column: where its block's rows start, its output count, its
-    # block's first and end column
-    base, size, lo, hi = (np.array([next(b for b in blocks if b[2] <= c < b[3])[f]
-                                    for c in range(k)], dtype=int) for f in range(4))
-    starts = base + jj * size
-    reach = np.maximum.accumulate(starts + (col_degs[ii] + 1) * size)
-    home = base + np.arange(k) - lo
-    ends = sorted({b[3] for b in blocks if b[3] > b[2]})
-    width = max(_PANEL_MIN, max(b[4] for b in blocks))
-    cuts, qs = [], []
-    c0 = 0
-    while c0 < k:
-        c1 = min(c0 + width, k)
-        if c1 > hi[c0]:
-            c1 = max(e for e in ends if e <= c0 + width)
-        t0, r1 = int(home[c0]), int(reach[c1 - 1])
-        q, _ = np.linalg.qr(cols[t0:r1, c0:c1], mode="complete")
-        c2 = int(np.searchsorted(starts, r1))
-        if c2 > c1:
-            cols[t0:r1, c1:c2] = np.conj(q.T) @ cols[t0:r1, c1:c2]
-        cuts.append((c0, c1, t0, r1))
-        qs.append(q)
-        c0 = c1
-    kept_pos = [t0 + c - c0 for c0, c1, t0, _ in cuts for c in range(c0, c1)]
-    taken = set(kept_pos)
-    model_pos = [p for p in range(n) if p not in taken]
-    order = np.array(rows, dtype=int)[kept_pos + model_pos]
-    panels = []
-    for p, ((c0, c1, t0, r1), q) in enumerate(zip(cuts, qs)):
-        # the columns of Q whose unit vector starts from t0 to the end of
-        # the last block of the run of panels that hand a carry on
-        last = next(c for c in (cut[1] for cut in cuts[p:]) if c == hi[c - 1])
-        stop = next(b[0] + b[1] * (ambient_deg + 1) for b in blocks if b[2] < last <= b[3])
-        model = (k + sum(pos < t0 for pos in model_pos), k + sum(pos < stop for pos in model_pos))
-        rows_p = slice(t0, r1) if one_block else np.array(rows)[t0:r1]
-        panels.append((((c0, last), model), rows_p, q))
-    return panels, order, k
+    tall = m * mats.shape[0]
+    kept = sum(max(0, ambient_deg - headroom - int(d) + 1) for d in col_degs)
+    # a band of at most one minimal panel, or one panel for every kept
+    # column: the ambient order stays
+    blocks = None if tall <= _PANEL_MIN or kept <= tall else _loop_blocks(t)
+    if blocks is None:
+        panels, k = _dense_panels(mats, col_degs, ambient_deg, headroom,
+                                  max(_PANEL_MIN, tall))
+        return [(None, panels, k)], n, k
+    tops = [max((int(col_degs[i]) for i in ins), default=-1) for _, ins in blocks]
+    width = max(_PANEL_MIN, max(len(g) * (d + 1) for (g, _), d in zip(blocks, tops)))
+    parts = []
+    for (g, ins), d in zip(blocks, tops):
+        rows = np.array([j * m + r for j in range(ambient_deg + 1) for r in g])
+        panels, k_b = (_dense_panels(mats[: d + 1][:, g][:, :, ins], col_degs[ins],
+                                     ambient_deg, headroom, width) if ins else ([], 0))
+        parts.append((rows, panels, k_b))
+    return parts, n, sum(k_b for *_, k_b in parts)
 
 
-def _assert_same_panels(panels, oracle):
-    assert len(panels) == len(oracle)
-    for (spans, rows, q), (o_spans, o_rows, o_q) in zip(panels, oracle):
-        assert spans == o_spans
-        assert (rows == o_rows if isinstance(rows, slice) else np.array_equal(rows, o_rows))
-        assert np.array_equal(q, o_q)
+def _assert_same_parts(parts, oracle):
+    assert len(parts) == len(oracle)
+    for (rows, panels, k), (o_rows, o_panels, o_k) in zip(parts, oracle):
+        assert k == o_k and (rows is None) == (o_rows is None)
+        assert rows is None or np.array_equal(rows, o_rows)
+        assert len(panels) == len(o_panels)
+        for (c0, r1, q), (o_c0, o_r1, o_q) in zip(panels, o_panels):
+            assert (c0, r1) == (o_c0, o_r1) and np.array_equal(q, o_q)
 
 
 def _random_orthogonal(rng, m):
@@ -470,17 +451,17 @@ class TestWindowedRangeQR:
             t = _window_symbol(kind, m, gen)
             assert t.mats.imag.any() == (kind in ("blaschke", "composed"))
             n = t.deg + headroom + int(gen.integers(0, 201))
-            panels, order, k, band = _range_qr(t, n, headroom, DEFAULT_TOL)
-            oracle, order_o, k_o = _dense_range_qr(t, n, headroom)
-            assert k == k_o and np.array_equal(order, order_o)
+            parts, size, k, band = _range_qr(t, n, headroom, DEFAULT_TOL)
+            oracle, _, k_o = _dense_range_qr(t, n, headroom)
+            assert k == k_o
             if m == 1 or kind.endswith("composed"):
-                # one block: the degree-major order, as before blocks
-                assert np.array_equal(order, np.arange(order.size))
-            _assert_same_panels(panels, oracle)
+                # one block: factored whole, in the ambient row order
+                assert len(parts) == 1 and parts[0][0] is None
+            _assert_same_parts(parts, oracle)
             assert np.array_equal(beurling_space(t, n, headroom).matrix,
-                                  _q_columns(oracle, order, 0, k))
+                                  _q_columns(oracle, size, 0, k))
             assert np.array_equal(model_space(t, n, headroom).matrix,
-                                  _q_columns(oracle, order, k, order.size))
+                                  _q_columns(oracle, size, k, size))
 
     def test_a_column_can_start_above_its_panel(self):
         # m = 3 and 32-column panels: column 32 is z^10 Theta e_2, which
@@ -490,13 +471,11 @@ class TestWindowedRangeQR:
         diag = diag_inner([blaschke_scalar(BlaschkeSpec([a]), 2) for a in (0.5, 0.3j, -0.4)], 2)
         t = _conjugated(diag, _random_unitary(gen, 3), _random_unitary(gen, 3))
         assert np.all(t.mats[0, :2, 2] != 0)
-        panels, order, k, _ = _range_qr(t, 40, 0, DEFAULT_TOL)
-        (c0, _), _ = panels[1][0]
-        assert c0 == 32
+        [(_, panels, _)], n, k, _ = _range_qr(t, 40, 0, DEFAULT_TOL)
+        assert panels[1][0] == 32
         oracle, _, _ = _dense_range_qr(t, 40, 0)
-        _assert_same_panels(panels, oracle)
-        assert np.array_equal(model_space(t, 40).matrix,
-                              _q_columns(oracle, order, k, order.size))
+        _assert_same_parts([(None, panels, k)], oracle)
+        assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, n, k, n))
 
     def test_memory_grows_with_the_band_not_the_order(self):
         # the dense C of Theta_4 at N = 2048 alone would take about 1 GB
@@ -550,12 +529,12 @@ class TestSymbolField:
     def test_complex_dense_loop_spans_the_same(self, name, n, headroom):
         t = REAL_SYMBOLS[name]
         assert not t.mats.imag.any()
-        oracle, order, k = _dense_range_qr(t, n, headroom, dtype=complex)
-        assert all(np.iscomplexobj(q) for *_, q in oracle)
+        oracle, size, k = _dense_range_qr(t, n, headroom, dtype=complex)
+        assert all(np.iscomplexobj(q) for _, panels, _ in oracle for *_, q in panels)
         assert _projector_gap(beurling_space(t, n, headroom).matrix,
-                              _q_columns(oracle, order, 0, k)) <= 1e-12
+                              _q_columns(oracle, size, 0, k)) <= 1e-12
         assert _projector_gap(model_space(t, n, headroom).matrix,
-                              _q_columns(oracle, order, k, order.size)) <= 1e-12
+                              _q_columns(oracle, size, k, size)) <= 1e-12
 
     def test_a_tiny_imaginary_part_takes_the_complex_path(self, qr_dtypes):
         t = REAL_SYMBOLS["blaschke_diag"]
@@ -575,8 +554,8 @@ class TestSymbolField:
         t = REAL_SYMBOLS[name]
         s = build(t, t.deg + 40)
         assert qr_dtypes and set(qr_dtypes) == {np.dtype(float)}
-        panels, _, _, _ = _range_qr(t, t.deg + 40, 0, DEFAULT_TOL)
-        assert all(q.dtype == np.float64 for *_, q in panels)
+        parts, _, _, _ = _range_qr(t, t.deg + 40, 0, DEFAULT_TOL)
+        assert all(q.dtype == np.float64 for _, panels, _ in parts for *_, q in panels)
         assert not s.matrix.imag.any()
 
     @pytest.mark.parametrize("build", [beurling_space, model_space])
@@ -621,24 +600,33 @@ class TestBlockOrder:
         model_space(REAL_SYMBOLS["theta2_large_n"], 256)
         assert shapes and max(rows for rows, _ in shapes) <= 2 * 49
 
-    def test_a_panel_can_take_the_next_block_whole(self):
-        # at N = 38 the z^2 block keeps 37 columns and the Blaschke block
-        # 27; the second 32-column panel starts inside the first block and
-        # ends with the second, so no carry crosses a block boundary
-        t = REAL_SYMBOLS["blaschke_diag"]
-        panels, order, k, _ = _range_qr(t, 38, 0, DEFAULT_TOL)
-        assert k == 64 and [spans[0] for spans, _, _ in panels] == [(0, 64), (32, 64)]
-        oracle, order_o, _ = _dense_range_qr(t, 38, 0)
-        assert np.array_equal(order, order_o)
-        _assert_same_panels(panels, oracle)
-        rng, model = _dense_range_and_model(t, 38)
-        assert _projector_gap(beurling_space(t, 38).matrix, rng) <= 1e-12
-        assert _projector_gap(model_space(t, 38).matrix, model) <= 1e-12
+    def test_each_block_is_factored_on_its_own_rows(self):
+        # at N = 128 the z^2 block keeps 127 columns and the Blaschke block
+        # 81; each is factored on its own ambient rows, in 49-column panels
+        t = REAL_SYMBOLS["theta2_large_n"]
+        parts, n, k, _ = _range_qr(t, 128, 0, DEFAULT_TOL)
+        assert k == 208 and [k_b for *_, k_b in parts] == [127, 81]
+        for r, (rows, _, _) in enumerate(parts):
+            assert np.array_equal(rows, np.arange(r, n, 2))
+        assert [c0 for c0, _, _ in parts[0][1]] == [0, 49, 98]
+        oracle, _, _ = _dense_range_qr(t, 128, 0)
+        _assert_same_parts(parts, oracle)
+        rng, model = _dense_range_and_model(t, 128)
+        assert _projector_gap(beurling_space(t, 128).matrix, rng) <= 1e-12
+        assert _projector_gap(model_space(t, 128).matrix, model) <= 1e-12
+
+    @pytest.mark.parametrize("name, n", [("blaschke_diag", 200), ("theta2_large_n", 64)])
+    def test_the_ambient_order_stays_where_blocks_cannot_pay(self, name, n):
+        # blaschke_diag's band 2 * 13 is below a minimal panel; at N = 64
+        # one 98-column panel takes Theta_2's 80 kept columns
+        parts, _, _, _ = _range_qr(REAL_SYMBOLS[name], n, 0, DEFAULT_TOL)
+        assert len(parts) == 1 and parts[0][0] is None
 
     def test_untouched_outputs_come_last_and_stay_in_the_model_space(self):
         t = ORACLE_SYMBOLS["zero_row_isometry"]
-        _, order, _, _ = _range_qr(t, 45, 0, DEFAULT_TOL)
-        assert np.array_equal(order[-46:], np.arange(1, 3 * 46, 3))
+        parts, _, _, _ = _range_qr(t, 45, 0, DEFAULT_TOL)
+        rows, panels, k_b = parts[-1]
+        assert np.array_equal(rows, np.arange(1, 3 * 46, 3)) and panels == [] and k_b == 0
         assert not beurling_space(t, 45).matrix[1::3].any()
         k_space = model_space(t, 45)
         unit = np.zeros((3 * 46, 46))
