@@ -395,12 +395,13 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     m_b (deg_b + 1).  The band is one block's, not m_out (deg + 1); every
     block shares one panel width, max(_PANEL_MIN, the largest band).  The
     output rows that no column touches form a last block with no columns:
-    they lie wholly in the model space.  A symbol of one block is factored
-    whole, in the ambient row order, and so is any symbol whose band in
-    that order, m_out (deg + 1), is at most _PANEL_MIN or at least k: one
-    panel of width max(_PANEL_MIN, band) then has a window at most twice
-    as tall as its width, or takes every kept column, and splitting it by
-    block adds panels, each a QR call, for little arithmetic.
+    they lie wholly in the model space.  A symbol of one block that
+    touches every output row is factored whole, in the ambient row order,
+    and so is any symbol whose band in that order, m_out (deg + 1), is at
+    most _PANEL_MIN or at least k: one panel of width max(_PANEL_MIN,
+    band) then has a window at most twice as tall as its width, or takes
+    every kept column, and splitting it by block adds panels, each a QR
+    call, for little arithmetic.
 
     C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
     c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
