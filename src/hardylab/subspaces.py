@@ -421,10 +421,11 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     same C, which spans the same range.
 
     Returns (parts, n, k, band), one part (rows, panels, k_b) per block:
-    the block's Q_b = H_1 ... H_P acts on the ambient rows ``rows`` (None
-    for the whole ambient in its own order), with panel (c0, r1, q) acting
-    as the unitary q on rows[c0:r1]; Q_b[:, :k_b] spans the block's part of
-    the range and Q_b[:, k_b:] its complement there.
+    the block's Q_b = H_1 ... H_P acts on the ambient rows ``rows`` (a
+    slice for the whole ambient or a block of one output, else an index
+    array), with panel (c0, r1, q) acting as the unitary q on the block's
+    rows c0 ... r1 - 1; Q_b[:, :k_b] spans the block's part of the range
+    and Q_b[:, k_b:] its complement there.
     """
     if not t.claimed_inner:
         raise NotInnerError("refusing to build a Beurling-type range from a non-isometry")
@@ -457,7 +458,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     blocks = None if tall <= _PANEL_MIN or k <= tall else _blocks(mats)
     if blocks is None:
         panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom, max(_PANEL_MIN, tall))
-        return [(None, panels, k)], n, k, band
+        return [(slice(0, n, 1), panels, k)], n, k, band
     tops = [int(col_degs[ins].max()) if ins else -1 for _, ins in blocks]
     width = max(_PANEL_MIN, max(len(rows) * (d + 1) for (rows, _), d in zip(blocks, tops)))
     degree = np.arange(ambient_deg + 1)[:, None] * m
@@ -466,7 +467,9 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
         # the untouched rows keep no column: their Q_b is the identity
         panels, k_b = _panel_qr(mats[: d + 1, rows][:, :, ins], col_degs[ins],
                                 ambient_deg, headroom, width) if ins else ([], 0)
-        parts.append(((degree + rows).ravel(), panels, k_b))
+        # the ambient rows of a one-output block are every m-th: a slice
+        parts.append((slice(rows[0], n, m) if len(rows) == 1 else (degree + rows).ravel(),
+                      panels, k_b))
     return parts, n, k, band
 
 
@@ -489,11 +492,13 @@ def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
 
     Q's columns are the blocks' range columns, block after block, then
     their complement columns in the same order.  A block's columns are its
-    panels applied in reverse to unit vectors in its own row order, then
-    scattered to its ambient rows; a block of the whole ambient works in
-    the result itself.  The result is complex; real panels work on real
-    arrays and write the result's real part in place, so no real
-    n x (hi - lo) copy is made.
+    panels applied in reverse to unit vectors in its own row order.  A
+    block whose rows are a slice (the whole ambient, or one output) works
+    in a view of the result; a block of several outputs is built apart
+    and scattered to its rows, so only its share of the columns is held
+    twice.  The result is complex; real panels work on real arrays and
+    write the result's real part in place, so no real n x (hi - lo) copy
+    is made.
     """
     x = np.zeros((n, hi - lo), dtype=complex)
     qs = [panels[0][2] for _, panels, _ in parts if panels]
@@ -502,14 +507,14 @@ def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
     # its complement columns, from k on, the earlier blocks' complements
     r_at, c_at = -lo, sum(k_b for *_, k_b in parts) - lo
     for rows, panels, k_b in parts:
-        n_b = n if rows is None else rows.size
+        n_b = n // rows.step if isinstance(rows, slice) else rows.size
         # the block's columns a ... e - 1 are columns at + a ... at + e - 1 of x
         for a, e, at in ((0, k_b, r_at), (k_b, n_b, c_at - k_b)):
             a, e = max(a, -at), min(e, hi - lo - at)
             if a >= e:
                 continue
-            if rows is None:
-                _unit_columns(panels, out[:, at + a : at + e], a)
+            if isinstance(rows, slice):
+                _unit_columns(panels, out[rows, at + a : at + e], a)
             else:
                 out[rows, at + a : at + e] = _unit_columns(
                     panels, np.zeros((n_b, e - a), dtype=out.dtype), a)

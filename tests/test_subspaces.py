@@ -375,12 +375,13 @@ def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
     if blocks is None:
         panels, k = _dense_panels(mats, col_degs, ambient_deg, headroom,
                                   max(_PANEL_MIN, tall))
-        return [(None, panels, k)], n, k
+        return [(slice(0, n, 1), panels, k)], n, k
     tops = [max((int(col_degs[i]) for i in ins), default=-1) for _, ins in blocks]
     width = max(_PANEL_MIN, max(len(g) * (d + 1) for (g, _), d in zip(blocks, tops)))
     parts = []
     for (g, ins), d in zip(blocks, tops):
-        rows = np.array([j * m + r for j in range(ambient_deg + 1) for r in g])
+        rows = (slice(g[0], n, m) if len(g) == 1
+                else np.array([j * m + r for j in range(ambient_deg + 1) for r in g]))
         panels, k_b = (_dense_panels(mats[: d + 1][:, g][:, :, ins], col_degs[ins],
                                      ambient_deg, headroom, width) if ins else ([], 0))
         parts.append((rows, panels, k_b))
@@ -390,8 +391,8 @@ def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
 def _assert_same_parts(parts, oracle):
     assert len(parts) == len(oracle)
     for (rows, panels, k), (o_rows, o_panels, o_k) in zip(parts, oracle):
-        assert k == o_k and (rows is None) == (o_rows is None)
-        assert rows is None or np.array_equal(rows, o_rows)
+        assert k == o_k and isinstance(rows, slice) == isinstance(o_rows, slice)
+        assert rows == o_rows if isinstance(rows, slice) else np.array_equal(rows, o_rows)
         assert len(panels) == len(o_panels)
         for (c0, r1, q), (o_c0, o_r1, o_q) in zip(panels, o_panels):
             assert (c0, r1) == (o_c0, o_r1) and np.array_equal(q, o_q)
@@ -456,7 +457,7 @@ class TestWindowedRangeQR:
             assert k == k_o
             if m == 1 or kind.endswith("composed"):
                 # one block: factored whole, in the ambient row order
-                assert len(parts) == 1 and parts[0][0] is None
+                assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
             _assert_same_parts(parts, oracle)
             assert np.array_equal(beurling_space(t, n, headroom).matrix,
                                   _q_columns(oracle, size, 0, k))
@@ -474,7 +475,7 @@ class TestWindowedRangeQR:
         [(_, panels, _)], n, k, _ = _range_qr(t, 40, 0, DEFAULT_TOL)
         assert panels[1][0] == 32
         oracle, _, _ = _dense_range_qr(t, 40, 0)
-        _assert_same_parts([(None, panels, k)], oracle)
+        _assert_same_parts([(slice(0, n, 1), panels, k)], oracle)
         assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, n, k, n))
 
     def test_memory_grows_with_the_band_not_the_order(self):
@@ -606,8 +607,7 @@ class TestBlockOrder:
         t = REAL_SYMBOLS["theta2_large_n"]
         parts, n, k, _ = _range_qr(t, 128, 0, DEFAULT_TOL)
         assert k == 208 and [k_b for *_, k_b in parts] == [127, 81]
-        for r, (rows, _, _) in enumerate(parts):
-            assert np.array_equal(rows, np.arange(r, n, 2))
+        assert [rows for rows, _, _ in parts] == [slice(0, n, 2), slice(1, n, 2)]
         assert [c0 for c0, _, _ in parts[0][1]] == [0, 49, 98]
         oracle, _, _ = _dense_range_qr(t, 128, 0)
         _assert_same_parts(parts, oracle)
@@ -619,14 +619,14 @@ class TestBlockOrder:
     def test_the_ambient_order_stays_where_blocks_cannot_pay(self, name, n):
         # blaschke_diag's band 2 * 13 is below a minimal panel; at N = 64
         # one 98-column panel takes Theta_2's 80 kept columns
-        parts, _, _, _ = _range_qr(REAL_SYMBOLS[name], n, 0, DEFAULT_TOL)
-        assert len(parts) == 1 and parts[0][0] is None
+        parts, size, _, _ = _range_qr(REAL_SYMBOLS[name], n, 0, DEFAULT_TOL)
+        assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
 
     def test_untouched_outputs_come_last_and_stay_in_the_model_space(self):
         t = ORACLE_SYMBOLS["zero_row_isometry"]
         parts, _, _, _ = _range_qr(t, 45, 0, DEFAULT_TOL)
-        rows, panels, k_b = parts[-1]
-        assert np.array_equal(rows, np.arange(1, 3 * 46, 3)) and panels == [] and k_b == 0
+        assert np.array_equal(parts[0][0], np.ravel(3 * np.arange(46)[:, None] + [0, 2]))
+        assert parts[1] == (slice(1, 3 * 46, 3), [], 0)
         assert not beurling_space(t, 45).matrix[1::3].any()
         k_space = model_space(t, 45)
         unit = np.zeros((3 * 46, 46))
