@@ -454,8 +454,9 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     # panel, or one panel takes every kept column: there the blocks would
     # add panels (a QR each) and save little arithmetic
     tall = m * (top_deg + 1)
-    k = sum(max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist())
-    blocks = None if tall <= _PANEL_MIN or k <= tall else _blocks(mats)
+    whole = tall <= _PANEL_MIN or sum(
+        max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist()) <= tall
+    blocks = None if whole else _blocks(mats)
     if blocks is None:
         panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom, max(_PANEL_MIN, tall))
         return [(slice(0, n, 1), panels, k)], n, k, band
@@ -470,7 +471,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
         # the ambient rows of a one-output block are every m-th: a slice
         parts.append((slice(rows[0], n, m) if len(rows) == 1 else (degree + rows).ravel(),
                       panels, k_b))
-    return parts, n, k, band
+    return parts, n, sum(k_b for *_, k_b in parts), band
 
 
 def _unit_columns(panels, y: np.ndarray, a: int) -> np.ndarray:
