@@ -504,6 +504,10 @@ def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
     x = np.zeros((n, hi - lo), dtype=complex)
     qs = [panels[0][2] for _, panels, _ in parts if panels]
     out = x.real if qs and not np.iscomplexobj(qs[0]) else x
+    if len(parts) == 1:
+        # the whole ambient as one block: its columns are Q's
+        _unit_columns(parts[0][1], out, lo)
+        return x
     # a block's range columns follow the earlier blocks' range columns, and
     # its complement columns, from k on, the earlier blocks' complements
     r_at, c_at = -lo, sum(k_b for *_, k_b in parts) - lo
