@@ -61,7 +61,7 @@ class CoeffFn:
                 f"coefficient vectors have length {arr.shape[1]}, expected dim_m={self.dim_m}"
             )
         arr = arr.copy(order="C")
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)

@@ -15,21 +15,26 @@ coordinates c (G = Q c): one step is one product of a step map, built
 once per (M, E) and kept in M's memo, with the running columns of c.  In
 coordinates, coefficient k of the tuple of G = Q c is C A^k c, with A the
 dim M x dim M block and C the r + p coordinate rows of the step map.
-Only the first step of an input that may lie off M, by up to the
-membership tolerance, runs in the ambient frame.  ``decompose`` runs the
-kernel on one function, ``extract_K`` on every column of M's Q at once
-(from c = I), and ``synthesize_M`` rebuilds M from (K, F0, E) as one
-product of the generator symbol [F0 | zE] with K's Q.  The orthocomplement
-test ``orthocomplement_membership`` applies the adjoint of the same
-generator, which ``_generator`` builds for both.  Every defect list, in
-the peeling and in the duality checks, passes ``_check_defect_basis`` at
-one tolerance, ``_defect_tol``.
+The loop body is that product and, once every ``_STOP_STRIDE`` column
+products, a test for a stop; the stop steps, remainder norms, escape
+norms and any refusal are read after the loop from the coordinates and
+three norms kept per step.  Only the first step of an input that may lie off M, by
+up to the membership tolerance, runs in the ambient frame.
+``decompose`` runs the kernel on one function, ``extract_K`` on every
+column of M's Q at once (from c = I), and ``synthesize_M`` rebuilds M
+from (K, F0, E) as one product of the generator symbol [F0 | zE] with
+K's Q.  The orthocomplement test ``orthocomplement_membership`` applies
+the adjoint of the same generator, which ``_generator`` builds for both.
+Every defect list, in the peeling and in the duality checks, passes
+``_check_defect_basis`` at one tolerance, ``_defect_tol``.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``DEFAULT_NEAR_TOL`` the
 decomposition refuses with NotNearlyInvariantError instead of silently
 projecting.  With several columns, the refusal is the one at the earliest
-failing step, and on a tie the one of the lowest failing column.
+failing step.  Within that step an origin failure (InvariantViolationError)
+in any column comes before an escape, and then the lowest failing column
+wins.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ __all__ = [
 DEFAULT_NEAR_TOL = 1e-6
 # decompose's default stopping norm, and extract_K's
 _EPS = 1e-10
+# the column products the peeling takes between two stop tests: a run of
+# one column tests every 8 steps, a run of 8 columns or more every step
+_STOP_STRIDE = 8
 # extract_K's bound on the Gram deviation of the coordinate map
 _ISO_TOL = 1e-6
 # almost_invariant_Sstar_check's bound on the escape of S* W
@@ -149,12 +157,12 @@ class _StepMap:
                             (I - QQ* - EE*) S* Q Pi         (dim M rows)
 
     so ||T c|| is the escape norm of the step.  ``blocks`` (3 x rows, 0/1)
-    sums the squared entries of the A, origin and T blocks.  ``key`` is
-    E's flattened coefficients; ``w`` and ``e`` serve the steps taken in
-    the ambient frame.
+    sums the squared entries of the A, origin and T blocks.  ``fns`` are
+    the defect functions the map was built from; ``w`` and ``e`` serve the
+    steps taken in the ambient frame.
     """
 
-    key: bytes
+    fns: tuple
     w: np.ndarray
     e: np.ndarray
     stack: np.ndarray
@@ -162,26 +170,30 @@ class _StepMap:
 
 
 def _step_map(m: Subspace, defect_basis: list, pre_tol: float) -> _StepMap:
-    """M's step map for this defect basis, from M's memo when E is unchanged.
+    """M's step map for this defect basis, from M's memo when E is the same.
 
-    The memo has one slot, which a new E replaces.  The defect-basis checks
-    run when a map is built, so a refused E is refused on every call.
+    The memo has one slot, which another E replaces.  E is the same when it
+    is the same CoeffFn objects, which are immutable, so a hit costs no
+    flattening; an E rebuilt from equal coefficients builds the map again.
+    The defect-basis checks run when a map is built, so a refused E is
+    refused on every call.
     """
-    e = _columns(defect_basis, m.dim_m, m.ambient_deg)
-    key = e.tobytes()
+    fns = tuple(defect_basis)
     sm = m._memo.get("step_map")
-    if sm is None or sm.key != key:
-        sm = _build_step_map(m, e, key, pre_tol)
+    if (sm is None or len(sm.fns) != len(fns)
+            or any(x is not y for x, y in zip(sm.fns, fns))):
+        sm = _build_step_map(m, fns, pre_tol)
         m._memo["step_map"] = sm
     return sm
 
 
-def _build_step_map(m: Subspace, e: np.ndarray, key: bytes, pre_tol: float) -> _StepMap:
-    """Check the defect columns e, then fill the blocks of ``_StepMap``.
+def _build_step_map(m: Subspace, fns: tuple, pre_tol: float) -> _StepMap:
+    """Check the defect functions, then fill the blocks of ``_StepMap``.
 
     The stack outlives the call, so it is allocated first and filled in
     place, not stacked from copies of its blocks.
     """
+    e = _columns(fns, m.dim_m, m.ambient_deg)
     _check_defect_basis(m, e, pre_tol)
     q, d, dim_m = m.matrix, m.dim, m.dim_m
     w = wandering(m).matrix
@@ -201,7 +213,7 @@ def _build_step_map(m: Subspace, e: np.ndarray, key: bytes, pre_tol: float) -> _
     stack[i_t:] = np.linalg.qr(h, mode="r")
     blocks = np.zeros((3, len(stack)))
     blocks[0, :d] = blocks[1, i_origin:i_t] = blocks[2, i_t:] = 1.0
-    return _StepMap(key, w, e, stack, blocks)
+    return _StepMap(fns, w, e, stack, blocks)
 
 
 def _default_k_max(ambient_deg: int, p: int) -> int:
@@ -239,16 +251,18 @@ def _ambient_step(q: np.ndarray, sm: _StepMap, dim_m: int, g: np.ndarray):
         a = W* G,   F = G - W a,   H = S* F,
         c = Q* H,   beta = E* H,   escape = H - Q c - E beta.
 
-    Returns ((a; beta), ||F(0)||, c, escape, ||escape||), norms per column.
+    Returns ((a; beta), c, escape, norms), with norms (3, b) the column
+    norms ||c||, ||F(0)||, ||escape|| in the order of ``_StepMap.blocks``.
     """
     a = np.conj(sm.w.T) @ g
     f = g - sm.w @ a
     h = _shift_rows(f, dim_m, "S*")
     c = np.conj(q.T @ np.conj(h))  # Q* H without a copy of Q
     beta = np.conj(sm.e.T) @ h
-    escape = h - q @ c - sm.e @ beta
-    return (np.vstack([a, beta]), np.linalg.norm(f[:dim_m], axis=0), c, escape,
-            np.linalg.norm(escape, axis=0))
+    h -= q @ c
+    h -= sm.e @ beta
+    norms = np.array([np.linalg.norm(x, axis=0) for x in (c, f[:dim_m], h)])
+    return np.concatenate((a, beta)), c, h, norms
 
 
 def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
@@ -256,24 +270,33 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
     """The peeling iteration on b columns of M, all in one pass.
 
     g is the n x b matrix of the columns, or None for the columns of Q.
-    One step, on the columns still running, with W the wandering basis,
-    Q the basis of M and E the defect basis (all as column matrices):
+    One step, with W the wandering basis, Q the basis of M and E the
+    defect basis (all as column matrices):
 
         a = W* G,   F = G - W a,   F(0) = F[:m] must vanish,
         H = S* F,   G' = Q Q* H,   beta = E* H,   escape = H - G' - E beta.
 
-    Every G' is Q c, so the steps run on M's coordinates: one product of
-    the step map ``sm.stack`` with the running columns of c gives c', a,
-    beta, F(0) and T c, where ||T c|| = ||escape||.  A first step on g
-    runs in the ambient frame, since g may lie off M by up to pre_tol;
-    Q's own columns start from c = I.  No n-row array is formed after the
-    first step, except to rebuild a refused escape vector.
+    Every G' is Q c, so the steps run on M's coordinates.  The loop body
+    is one product of the step map ``sm.stack`` with the running columns
+    of c, which gives c', a, beta, F(0) and T c, where ||T c|| =
+    ||escape||, and a test for a stop (a column at eps, an origin failure
+    or an escape) once every ``_STOP_STRIDE`` column products, after
+    which the stopped columns leave c.  Of each product only (a; beta)
+    and the norms ||c'||, ||F(0)|| and ||T c|| are kept, so the batch of
+    products between two tests is all the loop holds; the stop steps, the
+    remainder norms, the largest escape norms and the refusal are read
+    from the kept values after the loop.  A first step on g runs in the
+    ambient frame, since g may lie off M by up to pre_tol; Q's own columns
+    start from c = I.  No n-row array is formed after the first step,
+    except to rebuild a refused escape vector from the c of its step.
 
-    A column stops once its ||G'|| <= eps, or after k_max steps.  An
-    origin value above pre_tol * max(1, ||G||) raises
-    InvariantViolationError, and an escape norm above DEFAULT_NEAR_TOL raises
-    NotNearlyInvariantError.  Both report the earliest failing step, and
-    on a tie the lowest failing column.
+    A column stops at its first step with ||G'|| <= eps, or after k_max
+    steps; the steps it ran past that are discarded, so the results do
+    not depend on the stride.  An origin value above pre_tol * max(1, ||G||)
+    raises InvariantViolationError, and an escape norm above
+    DEFAULT_NEAR_TOL raises NotNearlyInvariantError.  The earliest failing
+    step wins; within it, an origin failure in any column comes before an
+    escape, and then the lowest failing column wins.
 
     Returns (tup, gk, max_res): tup (steps, r + p, b) holds the per-step
     coordinates (a, then beta), zero after a column stopped; gk
@@ -282,44 +305,117 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
     """
     q, dim_m, d = m.matrix, m.dim_m, m.dim
     width = sm.w.shape[1] + sm.e.shape[1]
-    norms = np.ones(d) if g is None else np.linalg.norm(g, axis=0)
-    b = norms.size
-    run = np.flatnonzero(norms > eps)
-    if g is None:
-        c = np.eye(d, dtype=complex)[:, run]
-    gk, tup = [norms.copy()], []
-    max_res = np.zeros(b)
-    while run.size and len(gk) <= k_max:
-        lim = pre_tol * np.maximum(1.0, norms[run])
-        if g is not None:
-            coords, at_zero, c_next, escape, esc = _ambient_step(q, sm, dim_m, g[:, run])
-            now = np.linalg.norm(c_next, axis=0)
-            g = None
+    g0 = np.ones(d) if g is None else np.linalg.norm(g, axis=0)
+    b = g0.size
+    # per batch of steps, over every column (zero where a column left c in
+    # an earlier batch): (a; beta) as (n, r + p, b) and the norms ||c'||,
+    # ||F(0)||, ||T c|| as (n, 3, b)
+    coords, norms = [], []
+    # the running columns, c and ||G|| on them
+    run0 = run = (g0 > eps).nonzero()[0]
+    c = c1 = np.eye(d, dtype=complex)[:, run] if g is None else None
+    last, steps, refused = g0[run], 0, False
+    screen = np.array([[pre_tol], [DEFAULT_NEAR_TOL]])
+    while run.size and steps < k_max:
+        if g is not None and not steps:
+            cb, c1, escape1, nb = _ambient_step(q, sm, dim_m,
+                                                g if run.size == b else g[:, run])
+            c, cb, nb = c1, cb[None], nb[None]
         else:
-            y = sm.stack @ c
-            coords, c_next, escape = y[d : d + width], y[:d], None
-            now, at_zero, esc = np.sqrt(sm.blocks @ np.square(np.abs(y)))
-        if ((at_zero > lim) | (esc > DEFAULT_NEAR_TOL)).any():
-            bad = at_zero > lim
-            if bad.any():
-                raise InvariantViolationError(
-                    f"wandering removal left value {at_zero[bad.argmax()]:.3g} at the origin"
-                )
-            j = int((esc > DEFAULT_NEAR_TOL).argmax())
-            vec = (escape[:, j] if escape is not None
-                   else _ambient_step(q, sm, dim_m, q @ c[:, j : j + 1])[3][:, 0])
-            raise NotNearlyInvariantError(len(gk), float(esc[j]), unflatten(vec, dim_m))
-        row = np.zeros((width, b), dtype=complex)
-        row[:, run] = coords
-        tup.append(row)
-        norms[run] = now
-        max_res[run] = np.maximum(max_res[run], esc)
-        gk.append(norms.copy())
-        keep = now > eps
-        c = c_next if keep.all() else c_next[:, keep]
-        run = run[keep]
-    return (np.array(tup, dtype=complex).reshape(len(tup), width, b),
-            np.array(gk), max_res)
+            # at most _STOP_STRIDE column products between two stop tests
+            n = min(max(1, _STOP_STRIDE // run.size), k_max - steps)
+            ys = np.empty((n, len(sm.stack), run.size), dtype=complex)
+            for y in ys:
+                np.matmul(sm.stack, c, out=y)
+                c = y[:d]
+            cb = ys[:, d : d + width].copy()
+            # the block sums of |y|^2, over real and imaginary parts
+            sq = sm.blocks @ np.square(ys.view(float))
+            nb = np.sqrt(sq[..., ::2] + sq[..., 1::2])
+        coords.append(_widen(cb, run, b))
+        norms.append(_widen(nb, run, b))
+        steps += len(nb)
+        now = nb[:, 0]
+        # an origin failure needs ||F(0)|| > pre_tol, so most batches need
+        # only the stop test
+        if (nb[:, 1:] > screen).any():
+            first, origin_failed, escaped = _first_events(nb, last, eps, pre_tol)
+            refused = bool(origin_failed.any() or escaped.any())
+            if refused:
+                break
+            hit = first > 0
+        else:
+            hit = (now <= eps).any(axis=0)
+        if hit.any():
+            if hit.all():
+                break
+            keep = ~hit
+            run, c, now = run[keep], c[:, keep], now[:, keep]
+        last = now[-1]
+    if not norms:
+        return np.zeros((0, width, b), dtype=complex), g0[None], np.zeros(b)
+    nb = np.concatenate(norms)
+    if refused:
+        end, origin_failed, escaped = _first_events(nb, g0, eps, pre_tol)
+        s = int(end[origin_failed | escaped].min())
+        j = ((end == s) & origin_failed).nonzero()[0]
+        if j.size:
+            raise InvariantViolationError(
+                f"wandering removal left value {nb[s - 1, 1, j[0]]:.3g} at the origin"
+            )
+        j = int(((end == s) & escaped).nonzero()[0][0])
+        if g is not None and s == 1:
+            vec = escape1[:, np.searchsorted(run0, j)]
+        else:
+            # the c of step s, recomputed for column j alone
+            c = c1[:, np.searchsorted(run0, j)].reshape(-1, 1)
+            for _ in range(s - (1 if g is None else 2)):
+                c = (sm.stack @ c)[:d]
+            vec = _ambient_step(q, sm, dim_m, q @ c)[2][:, 0]
+        raise NotNearlyInvariantError(s, float(nb[s - 1, 2, j]), unflatten(vec, dim_m))
+    # each column's last step: its first stop, else the last step taken
+    below = nb[:, 0] <= eps
+    end = np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
+    end[g0 <= eps] = 0
+    top = int(end.max())
+    tup = np.concatenate(coords)[:top]
+    gk = np.concatenate((g0[None], nb[:top, 0]))
+    esc = nb[:top, 2]
+    if end.min() < top:
+        ran = np.arange(1, top + 1)[:, None] <= end
+        tup *= ran[:, None]
+        gk[1:] = np.where(ran, gk[1:], gk[end, np.arange(b)])
+        esc = esc * ran
+    return tup, gk, esc.max(axis=0, initial=0.0)
+
+
+def _first_events(nb: np.ndarray, g0: np.ndarray, eps: float, pre_tol: float):
+    """Each column's first stop or failure among n peeling steps.
+
+    nb (n, 3, b) holds the norms ||c'||, ||F(0)||, ||T c|| of the steps and
+    g0 the norms ||G|| before the first.  An event is ||c'|| <= eps, an
+    origin value above pre_tol * max(1, ||G||) or an escape norm above
+    DEFAULT_NEAR_TOL.  Returns (step, origin_failed, escaped) per column:
+    the step of the first event (1-based, 0 for none) and whether it
+    failed the origin test or escaped.
+    """
+    now, at_zero, esc = nb[:, 0], nb[:, 1], nb[:, 2]
+    origin = at_zero > pre_tol * np.maximum(1.0, np.concatenate((g0[None], now[:-1])))
+    escape = esc > DEFAULT_NEAR_TOL
+    event = origin | escape | (now <= eps)
+    first, cols = event.argmax(axis=0), np.arange(nb.shape[2])
+    hit = event[first, cols]
+    return (np.where(hit, first + 1, 0), origin[first, cols] & hit,
+            escape[first, cols] & hit)
+
+
+def _widen(x: np.ndarray, run: np.ndarray, b: int) -> np.ndarray:
+    """x over the columns run (last axis), as b columns with zeros elsewhere."""
+    if run.size == b:
+        return x
+    out = np.zeros(x.shape[:-1] + (b,), dtype=x.dtype)
+    out[..., run] = x
+    return out
 
 
 def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
@@ -343,18 +439,16 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
     g = flatten(f, m.ambient_deg).reshape(-1, 1)
     sm, k_max, pre_tol = _peel_setup(m, defect_basis, g, k_max)
     tup, gk, max_res = _peel(m, sm, g, eps, k_max, pre_tol)
-    steps, r, p = len(tup), sm.w.shape[1], sm.e.shape[1]
-    a, beta = tup[:, :r, 0], tup[:, r:, 0]
-    k0 = CoeffFn(r, a if steps else np.zeros((1, r))) if r else None
-    kj = tuple(CoeffFn(1, beta[:, j : j + 1] if steps else np.zeros((1, 1)))
-               for j in range(p))
-    total = (k0.norm() ** 2 if k0 is not None else 0.0) + sum(k.norm() ** 2 for k in kj)
+    steps, r = len(tup), sm.w.shape[1]
+    # the tuple (K0, k_1..k_p), one row per coefficient
+    coef = tup[:, :, 0] if steps else np.zeros((1, tup.shape[1]), dtype=complex)
     return DecompResult(
-        K0=k0,
-        kj=kj,
-        gk_norms=tuple(float(x) for x in gk[:, 0]),
+        K0=CoeffFn(r, coef[:, :r]) if r else None,
+        kj=tuple(CoeffFn(1, coef[:, j : j + 1]) for j in range(r, coef.shape[1])),
+        gk_norms=tuple(gk[:, 0].tolist()),
         max_step_residual=float(max_res[0]),
-        norm_gap=abs(f.norm() ** 2 - total),
+        # ||K0||^2 + sum ||k_j||^2 is the squared norm of the whole tuple
+        norm_gap=abs(f.norm() ** 2 - float(np.vdot(coef, coef).real)),
         iterations=steps,
         converged=bool(gk[-1, 0] <= eps),
     )
@@ -380,12 +474,13 @@ def extract_K(m: Subspace, defect_basis) -> Subspace:
     The columns of Q are peeled together by one ``_peel`` run on M's
     coordinates, from c = I (they lie in M, so there is no membership
     check), with the checks and the default ``eps`` and ``k_max`` of
-    ``decompose``; a refusal reports the earliest failing step, and on a
-    tie the lowest failing column.  K's ambient degree is the number of
-    steps minus one.  The tuple map must be isometric (Gram matrix of the
-    tuples matches the Gram matrix of the basis within 1e-6) and the
-    resulting space must be invariant under the componentwise backward
-    shift; violations raise CertificationError.
+    ``decompose``; a refusal reports the earliest failing step, within it
+    an origin failure before an escape, and then the lowest failing
+    column.  K's ambient degree is the number of steps minus one.  The
+    tuple map must be isometric (Gram matrix of the tuples matches the
+    Gram matrix of the basis within 1e-6) and the resulting space must be
+    invariant under the componentwise backward shift; violations raise
+    CertificationError.
     """
     defect_basis = list(defect_basis)
     if not m.dim:

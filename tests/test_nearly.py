@@ -189,6 +189,30 @@ def _counterexample_space(n=10):
     return complement(theta_k)
 
 
+# the escape of the chain space's v_1 under S*, above DEFAULT_NEAR_TOL
+CHAIN_LEAK = 1.6e-6
+
+
+def _chain_space():
+    """M = span(1, v_1, .., v_4) at ambient degree 9, with no defect, where
+    v_k = s z^k + t z^(k+5), t = CHAIN_LEAK and s = sqrt(1 - t^2).
+
+    S* v_k = v_(k-1) and S* v_1 = s + t z^5, with z^5 outside M, so an
+    iterate escapes by t times its v_1 part.  Q's first column is v_4,
+    which escapes at step 4.  The others mix 1, v_1, v_2, v_3 with weights
+    of modulus 1/2, so each escapes by t / 2 < DEFAULT_NEAR_TOL at most.
+    Returns (M, the columns 1, v_1, .., v_4).
+    """
+    t = CHAIN_LEAK
+    cols = np.zeros((10, 5), dtype=complex)
+    cols[0, 0] = 1.0
+    for k in range(1, 5):
+        cols[k, k], cols[k + 5, k] = np.sqrt(1 - t * t), t
+    mix = (1j ** np.outer(range(4), range(4))) / 2
+    q = np.column_stack([cols[:, 4], cols[:, :4] @ mix])
+    return Subspace(1, 9, [unflatten(x, 1) for x in q.T]), cols
+
+
 class TestDecompose:
     def test_model_space_hand_iteration(self):
         space = Subspace(1, 4, (ONE, Z))
@@ -417,8 +441,17 @@ class TestCoordinateKernel:
     """``nearly._peel`` on M's coordinates against the ambient-frame oracle."""
 
     @pytest.mark.parametrize("case", range(3))
-    @pytest.mark.parametrize("columns", ["one", "all_from_I", "all_ambient"])
-    def test_matches_ambient_oracle(self, case, columns):
+    @pytest.mark.parametrize("columns", [
+        "one", "all_from_I", "all_ambient",
+        # the steps a column runs past its stop are discarded, so how often
+        # the stop is tested does not show in the results: a stop test
+        # after every step, or batches of several steps of several columns
+        "one_stride1", "all_from_I_stride16", "all_ambient_stride16",
+    ])
+    def test_matches_ambient_oracle(self, monkeypatch, case, columns):
+        columns, _, stride = columns.partition("_stride")
+        if stride:
+            monkeypatch.setattr(nearly, "_STOP_STRIDE", int(stride))
         space, e = _kernel_spaces()[case]
         if columns == "one":
             g = _unit_column(space, np.arange(1, space.dim + 1) * (1 + 1j))
@@ -428,12 +461,33 @@ class TestCoordinateKernel:
         assert len(got[0]) > 1
         _assert_same_peel(got, want)
 
-    @pytest.mark.parametrize("columns", ["one", "all_from_I"])
-    def test_k_max_cut_off(self, columns):
+    @pytest.mark.parametrize("columns, k_max", [
+        pytest.param("one", 2, id="one"),
+        pytest.param("all_from_I", 2, id="all_from_I"),
+        # only the ambient first step runs
+        pytest.param("one", 1, id="one-k_max_1"),
+        # one column is tested for a stop after its ambient step and then
+        # every _STOP_STRIDE steps, so k_max 3 ends between two tests
+        pytest.param("one", 3, id="one-k_max_3"),
+    ])
+    def test_k_max_cut_off(self, columns, k_max):
         space, e = _kernel_spaces()[2]
         g = _unit_column(space, np.ones(space.dim)) if columns == "one" else None
-        got, want = _peel_both(space, e, g, k_max=2)
-        assert len(got[0]) == 2 and np.max(got[1][-1]) > 1e-10
+        got, want = _peel_both(space, e, g, k_max=k_max)
+        assert len(got[0]) == k_max and np.max(got[1][-1]) > 1e-10
+        _assert_same_peel(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2, nearly._STOP_STRIDE])
+    def test_steps_past_a_stop_are_discarded(self, monkeypatch, stride):
+        # in span(1, z, .., z^4), column 0 stops at step 2 with ||G'|| =
+        # 0.7 <= eps, and would go on to a wandering coordinate 0.7 at step
+        # 4; z^4 runs to step 5
+        monkeypatch.setattr(nearly, "_STOP_STRIDE", stride)
+        space = Subspace(1, 4, [monomial_fn(1, 0, k) for k in range(5)])
+        g = np.zeros((5, 2), dtype=complex)
+        g[[0, 1, 3], 0], g[4, 1] = [0.51, 0.5, 0.7], 1.0
+        got, want = _peel_both(space, [], g, eps=0.8)
+        assert list((got[1] > 0.8).sum(axis=0)) == [2, 5]
         _assert_same_peel(got, want)
 
     @pytest.mark.parametrize("columns", ["one", "all_from_I"])
@@ -461,22 +515,44 @@ class TestCoordinateKernel:
         # the first step of an ambient input
         ("counterexample", "one", 1),
         ("counterexample", "all_from_I", 1),
+        # v_4 escapes at step 4: the escape vector is rebuilt from the c of
+        # step 4, two or three coordinate steps in
+        ("chain", "one", 4),
+        ("chain", "all_from_I", 4),
+        # column 0 stops at step 2 and would escape at step 3; v_4 escapes
+        # at step 4, in the same batch of steps
+        ("chain", "stopped_and_escaping", 4),
     ])
     def test_escape_refusal(self, setting):
         which, columns, step = setting
+        eps = 1e-10
         if which == "span":
             space = Subspace(1, 5, (ONE, monomial_fn(1, 0, 3), monomial_fn(1, 0, 2)))
-            f = monomial_fn(1, 0, 3)
+            g = flatten(monomial_fn(1, 0, 3), space.ambient_deg).reshape(-1, 1)
+        elif which == "counterexample":
+            space = _counterexample_space()
+            g = flatten(monomial_fn(2, 0, 2), space.ambient_deg).reshape(-1, 1)
         else:
-            space, f = _counterexample_space(), monomial_fn(2, 0, 2)
-        g = flatten(f, space.ambient_deg).reshape(-1, 1) if columns == "one" else None
-        got = _refusal(lambda: _peel_both(space, [], g))
+            space, cols = _chain_space()
+            g = cols[:, 4:]
+        if columns == "all_from_I":
+            g = None
+        elif columns == "stopped_and_escaping":
+            # ||G'|| is 0.86 after step 1 and 0.7 <= eps after step 2, when
+            # 0.7 v_1 is left, which escapes by 0.7 CHAIN_LEAK at step 3
+            stopping = cols[:, :4] @ [0.51, 0.5, 0.0, 0.7]
+            g, eps = np.column_stack([stopping, cols[:, 4]]), 0.8
+            assert 0.7 * CHAIN_LEAK > DEFAULT_NEAR_TOL
+        got = _refusal(lambda: _peel_both(space, [], g, eps=eps))
         want = _refusal(lambda: _ambient_peel(
             space.matrix, wandering(space).matrix,
             np.zeros((space.ambient_dim, 0), dtype=complex), space.dim_m,
-            space.matrix if g is None else g, 1e-10, 20, 1e-8, DEFAULT_NEAR_TOL))
+            space.matrix if g is None else g, eps, 20, 1e-8, DEFAULT_NEAR_TOL))
         assert isinstance(got, NotNearlyInvariantError)
         assert got.step == want.step == step
+        if which == "chain":
+            # the refusal is v_4's, not the stopped column's
+            assert want.residual == pytest.approx(CHAIN_LEAK, rel=1e-9)
         assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-12)
         assert got.escape.deg == want.escape.deg == space.ambient_deg
         assert np.allclose(got.escape.coeffs, want.escape.coeffs, rtol=0, atol=1e-12)
