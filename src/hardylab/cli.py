@@ -15,6 +15,7 @@ failed, decomposition refused), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -199,7 +200,9 @@ def _bounded(kind, low, strict: bool):
     return check
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="Numerical workbench for truncated vector-valued Hardy spaces",

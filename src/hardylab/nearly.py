@@ -57,7 +57,9 @@ from .subspaces import (
     DefectCertificate,
     Subspace,
     _columns,
+    _field,
     _gram_deviation,
+    _mul,
     _rank,
     _residual,
     _shift_rows,
@@ -132,7 +134,7 @@ def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
         )
     if not m.dim:
         return
-    inner = np.conj(m.matrix.T) @ cols
+    inner = _mul(m.matrix, cols, adjoint=True)
     # the Frobenius norm bounds the 2-norm, so the SVD runs only near a refusal
     if np.linalg.norm(inner) > tol:
         overlap = float(np.linalg.norm(inner, 2))
@@ -154,12 +156,14 @@ class _StepMap:
         E* S* Q Pi          the defect coordinates beta     (p rows)
         (Q Pi)[:m]          the value at the origin         (m rows)
         T                   the triangular factor of the escape map
-                            (I - QQ* - EE*) S* Q Pi         (dim M rows)
+                            (I - QQ* - EE*) S* Q Pi, without its
+                            exactly zero rows            (at most dim M rows)
 
     so ||T c|| is the escape norm of the step.  ``blocks`` (3 x rows, 0/1)
     sums the squared entries of the A, origin and T blocks.  ``fns`` are
     the defect functions the map was built from; ``w`` and ``e`` serve the
-    steps taken in the ambient frame.
+    steps taken in the ambient frame.  The stack is real when Q and E are
+    (see ``subspaces``), else complex.
     """
 
     fns: tuple
@@ -190,27 +194,31 @@ def _step_map(m: Subspace, defect_basis: list, pre_tol: float) -> _StepMap:
 def _build_step_map(m: Subspace, fns: tuple, pre_tol: float) -> _StepMap:
     """Check the defect functions, then fill the blocks of ``_StepMap``.
 
-    The stack outlives the call, so it is allocated first and filled in
-    place, not stacked from copies of its blocks.
+    The rows of T that are exactly zero are dropped: they add nothing to
+    ||T c||.
     """
     e = _columns(fns, m.dim_m, m.ambient_deg)
     _check_defect_basis(m, e, pre_tol)
     q, d, dim_m = m.matrix, m.dim, m.dim_m
     w = wandering(m).matrix
+    # V_r* = W* Q, formed as (Q* W)*, which copies W, not Q
+    vh = np.conj(_mul(q, w, adjoint=True).T)
+    h = q - w @ vh
+    origin = h[:dim_m]
+    h = _shift_rows(h, dim_m, "S*")
+    a = _mul(q, h, adjoint=True)
+    beta = _mul(e, h, adjoint=True)
+    # h and a are in Q's field, beta in that of Q and E together
+    h -= q @ a
+    h = h - _mul(e, beta)
+    t = np.linalg.qr(h, mode="r")
+    t = t[t.any(axis=1)]
     i_beta = d + w.shape[1]
     i_origin = i_beta + e.shape[1]
     i_t = i_origin + dim_m
-    stack = np.empty((i_t + d, d), dtype=complex)
-    a, vh, beta = stack[:d], stack[d:i_beta], stack[i_beta:i_origin]
-    np.matmul(np.conj(w.T), q, out=vh)
-    h = q - w @ vh
-    stack[i_origin:i_t] = h[:dim_m]
-    h = _shift_rows(h, dim_m, "S*")
-    np.matmul(np.conj(q.T), h, out=a)
-    np.matmul(np.conj(e.T), h, out=beta)
-    h -= q @ a
-    h -= e @ beta
-    stack[i_t:] = np.linalg.qr(h, mode="r")
+    stack = np.empty((i_t + len(t), d), dtype=np.result_type(q, e))
+    stack[:d], stack[d:i_beta], stack[i_beta:i_origin] = a, vh, beta
+    stack[i_origin:i_t], stack[i_t:] = origin, t
     blocks = np.zeros((3, len(stack)))
     blocks[0, :d] = blocks[1, i_origin:i_t] = blocks[2, i_t:] = 1.0
     return _StepMap(fns, w, e, stack, blocks)
@@ -254,13 +262,20 @@ def _ambient_step(q: np.ndarray, sm: _StepMap, dim_m: int, g: np.ndarray):
     Returns ((a; beta), c, escape, norms), with norms (3, b) the column
     norms ||c||, ||F(0)||, ||escape|| in the order of ``_StepMap.blocks``.
     """
-    a = np.conj(sm.w.T) @ g
-    f = g - sm.w @ a
+    # a real step map has real Q, W and E, so the whole step is real: it
+    # takes complex columns as float64 pairs, as ``_mul`` does
+    pairs = g.dtype.kind == "c" and sm.stack.dtype.kind != "c"
+    if pairs:
+        g = np.ascontiguousarray(g).view(float)
+    a = _mul(sm.w, g, adjoint=True)
+    f = g - _mul(sm.w, a)
     h = _shift_rows(f, dim_m, "S*")
-    c = np.conj(q.T @ np.conj(h))  # Q* H without a copy of Q
-    beta = np.conj(sm.e.T) @ h
-    h -= q @ c
-    h -= sm.e @ beta
+    c = _mul(q, h, adjoint=True)
+    beta = _mul(sm.e, h, adjoint=True)
+    # not in place: a real H meets a complex E
+    h = h - _mul(q, c) - _mul(sm.e, beta)
+    if pairs:
+        a, beta, c, f, h = (x.view(complex) for x in (a, beta, c, f, h))
     norms = np.array([np.linalg.norm(x, axis=0) for x in (c, f[:dim_m], h)])
     return np.concatenate((a, beta)), c, h, norms
 
@@ -289,6 +304,8 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
     ambient frame, since g may lie off M by up to pre_tol; Q's own columns
     start from c = I.  No n-row array is formed after the first step,
     except to rebuild a refused escape vector from the c of its step.
+    The products run in the field of the step map and the columns; a real
+    map takes complex columns as float64 pairs.
 
     A column stops at its first step with ||G'|| <= eps, or after k_max
     steps; the steps it ran past that are discarded, so the results do
@@ -313,7 +330,7 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
     coords, norms = [], []
     # the running columns, c and ||G|| on them
     run0 = run = (g0 > eps).nonzero()[0]
-    c = c1 = np.eye(d, dtype=complex)[:, run] if g is None else None
+    c = c1 = np.eye(d, dtype=sm.stack.dtype)[:, run] if g is None else None
     last, steps, refused = g0[run], 0, False
     screen = np.array([[pre_tol], [DEFAULT_NEAR_TOL]])
     while run.size and steps < k_max:
@@ -324,14 +341,22 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
         else:
             # at most _STOP_STRIDE column products between two stop tests
             n = min(max(1, _STOP_STRIDE // run.size), k_max - steps)
-            ys = np.empty((n, len(sm.stack), run.size), dtype=complex)
-            for y in ys:
-                np.matmul(sm.stack, c, out=y)
-                c = y[:d]
+            ys = np.empty((n, len(sm.stack), run.size), dtype=np.result_type(sm.stack, c))
+            # a real stack takes complex columns through their float64 view,
+            # as in ``_mul``: one real product per step
+            out, cw = ys, c
+            if sm.stack.dtype != ys.dtype:
+                out, cw = ys.view(float), np.ascontiguousarray(c).view(float)
+            for y in out:
+                np.matmul(sm.stack, cw, out=y)
+                cw = y[:d]
+            c = ys[-1, :d]
             cb = ys[:, d : d + width].copy()
             # the block sums of |y|^2, over real and imaginary parts
             sq = sm.blocks @ np.square(ys.view(float))
-            nb = np.sqrt(sq[..., ::2] + sq[..., 1::2])
+            if ys.dtype.kind == "c":
+                sq = sq[..., ::2] + sq[..., 1::2]
+            nb = np.sqrt(sq)
         coords.append(_widen(cb, run, b))
         norms.append(_widen(nb, run, b))
         steps += len(nb)
@@ -353,7 +378,7 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
             run, c, now = run[keep], c[:, keep], now[:, keep]
         last = now[-1]
     if not norms:
-        return np.zeros((0, width, b), dtype=complex), g0[None], np.zeros(b)
+        return np.zeros((0, width, b), dtype=sm.stack.dtype), g0[None], np.zeros(b)
     nb = np.concatenate(norms)
     if refused:
         end, origin_failed, escaped = _first_events(nb, g0, eps, pre_tol)
@@ -370,8 +395,8 @@ def _peel(m: Subspace, sm: _StepMap, g: np.ndarray | None, eps: float,
             # the c of step s, recomputed for column j alone
             c = c1[:, np.searchsorted(run0, j)].reshape(-1, 1)
             for _ in range(s - (1 if g is None else 2)):
-                c = (sm.stack @ c)[:d]
-            vec = _ambient_step(q, sm, dim_m, q @ c)[2][:, 0]
+                c = _mul(sm.stack, c)[:d]
+            vec = _ambient_step(q, sm, dim_m, _mul(q, c))[2][:, 0]
         raise NotNearlyInvariantError(s, float(nb[s - 1, 2, j]), unflatten(vec, dim_m))
     # each column's last step: its first stop, else the last step taken
     below = nb[:, 0] <= eps
@@ -436,7 +461,7 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
     defect_basis = list(defect_basis)
     if f.dim_m != m.dim_m:
         raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{m.dim_m}")
-    g = flatten(f, m.ambient_deg).reshape(-1, 1)
+    g = _field(flatten(f, m.ambient_deg).reshape(-1, 1))
     sm, k_max, pre_tol = _peel_setup(m, defect_basis, g, k_max)
     tup, gk, max_res = _peel(m, sm, g, eps, k_max, pre_tol)
     steps, r = len(tup), sm.w.shape[1]

@@ -34,6 +34,7 @@ from .serialize import parse_symbol_spec
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _mul,
     _residual,
     _span_columns,
     beurling_space,
@@ -163,7 +164,7 @@ def _sc_beurling(p: dict):
     rng_res = beurling_space(theta, n, headroom=1, tol=tol)
     cert = defect_of(rng_full, "S", domain=rng_res, tol=tol)
     model = model_space(theta, n, tol=tol)
-    overlap = float(np.linalg.norm(np.conj(rng_full.matrix.T) @ model.matrix, 2)) \
+    overlap = float(np.linalg.norm(_mul(rng_full.matrix, model.matrix, adjoint=True), 2)) \
         if rng_full.dim and model.dim else 0.0
     dims_exact = rng_full.dim + model.dim == theta.m_out * (n + 1)
     metrics = {
@@ -613,7 +614,7 @@ def _sc_section4(p: dict):
             g = h * (1.0 / np.linalg.norm(h))
         claimed, _ = orthocomplement_membership(unflatten(g, 3), [f0_col], [e_fn],
                                                 k_space, tol=p["membership_tol"])
-        direct = np.linalg.norm(np.conj(space.matrix.T) @ g) <= p["membership_tol"]
+        direct = np.linalg.norm(_mul(space.matrix, g, adjoint=True)) <= p["membership_tol"]
         if direct:
             members += 1
         else:

@@ -29,11 +29,21 @@ whose kept columns fit one panel, is factored whole.  The kept columns are
 never stored as one matrix: each panel fills a window of the rows it
 reaches straight from the symbol's coefficients and takes over the rows
 the previous panel updated below its own (the carry), so memory grows
-with n times the band height, not with n x k.  The QR runs in the
-symbol's own field: when every stored coefficient has an imaginary part
-of exactly zero (no tolerance) the panels are real, otherwise complex;
-the Q handed out is complex either way.  Both record the degree band on which the truncation is faithful;
-comparisons can be compressed to that band.
+with n times the band height, not with n x k.  Both record the degree
+band on which the truncation is faithful; comparisons can be compressed
+to that band.
+
+A Q lives in the field of its data, by one rule: it is float64 when the
+data it is built from is exactly real (every imaginary part exactly
+zero, no tolerance: ``_field``), complex128 otherwise.  The data is an
+inner symbol's coefficients for ``beurling_space``/``model_space``, whose
+QR runs in that field, and the columns given to ``from_spanning`` or the
+``Subspace`` constructor.  Everything built from a Q inherits its field:
+complements, paddings, slices, wandering parts, residuals, defect bases
+and ``nearly``'s step map.  A real matrix that meets a complex operand
+multiplies through the operand's float64 view (``_mul``), so a real Q is
+never cast to a complex copy.  ``CoeffFn`` and ``MatSymbol`` stay
+complex: they hold small coefficient arrays.
 
 A subspace remembers its orthocomplement only when it is the fatter side
 (at least as many columns): the thin complement sits in the fat space's
@@ -103,12 +113,41 @@ def _gram_deviation(cols: np.ndarray) -> float:
     """max |Q*Q - I| over the entries; 0 for no columns."""
     if not cols.shape[1]:
         return 0.0
-    gram = np.conj(cols.T) @ cols
+    gram = _mul(cols, cols, adjoint=True)
     return float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
 
 
+def _field(x: np.ndarray) -> np.ndarray:
+    """x in the field of its data: float64 when no entry has a nonzero
+    imaginary part (an exact test, no tolerance), else as it is."""
+    if np.iscomplexobj(x) and not x.imag.any():
+        return np.ascontiguousarray(x.real)
+    return x
+
+
+def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """a @ x, or a* @ x with ``adjoint``, copying neither a nor a*.
+
+    x is a vector or a matrix.  A real a meets a complex x through x's
+    float64 view: with x of shape (d, b), a @ x is
+    (a @ x.view(float).reshape(d, 2b)).view(complex), so a real a is never
+    cast to a complex copy.  A complex a* is formed as conj(a^T conj(x)),
+    which copies x, not a.
+    """
+    if a.dtype.kind == "c":
+        return np.conj(a.T @ np.conj(x)) if adjoint else a @ x
+    if adjoint:
+        a = a.T
+    if x.dtype.kind != "c":
+        return a @ x
+    b = x.shape[1] if x.ndim == 2 else 1
+    pairs = np.ascontiguousarray(x).view(float).reshape(len(x), 2 * b)
+    return (a @ pairs).view(complex).reshape(a.shape[:-1] + x.shape[1:])
+
+
 def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
-    """Flattened functions as the columns of a (m(N+1), len) matrix."""
+    """Flattened functions as the columns of a (m(N+1), len) matrix, in
+    the field of their coefficients (``_field``)."""
     fns = tuple(fns)
     for f in fns:
         if f.dim_m != dim_m:
@@ -116,17 +155,17 @@ def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
                 f"function over C^{f.dim_m} among C^{dim_m} functions"
             )
     if not fns:
-        return np.zeros((dim_m * (ambient_deg + 1), 0), dtype=complex)
-    return np.column_stack([flatten(f, ambient_deg) for f in fns])
+        return np.zeros((dim_m * (ambient_deg + 1), 0))
+    return _field(np.column_stack([flatten(f, ambient_deg) for f in fns]))
 
 
 def _residual(space: Subspace, cols: np.ndarray) -> np.ndarray:
     """(I - QQ*) cols: the part of each column orthogonal to the space.
 
-    Q* cols is formed as conj(Q^T conj(cols)), which copies cols, not Q.
+    Both products go through ``_mul``, so Q is not copied.
     """
     q = space.matrix
-    return cols - q @ np.conj(q.T @ np.conj(cols))
+    return cols - _mul(q, _mul(q, cols, adjoint=True))
 
 
 def _check_band(band: int | None) -> None:
@@ -140,7 +179,7 @@ def _shift_rows(q: np.ndarray, dim_m: int, op: str) -> np.ndarray:
     S moves coefficients up one degree and drops the top one (the
     compressed shift), S* moves them down and zero-fills the top.
     """
-    out = np.zeros(q.shape, dtype=complex)
+    out = np.zeros(q.shape, dtype=q.dtype)
     if op == "S":
         out[dim_m:] = q[:-dim_m]
     elif op == "S*":
@@ -159,9 +198,11 @@ class Subspace:
     largest degree on which the construction faithfully represents its
     infinite-dimensional counterpart: ambient_deg for a caller's basis,
     which is exact, and for the other exact constructions; spaces built by
-    this package (``_of``) may record a lower one.  The per-instance
-    ``_memo`` (a fat space's thin complement, a peeling step map) is a
-    cache, not state: pickling drops it.
+    this package (``_of``) may record a lower one.  ``matrix`` is
+    float64 for an exactly real basis and complex128 otherwise (the
+    module's field rule).  The per-instance ``_memo`` (a fat space's thin
+    complement, a peeling step map) is a cache, not state: pickling drops
+    it.
     """
 
     dim_m: int
@@ -201,7 +242,7 @@ class Subspace:
             band = ambient_deg
         if not 0 <= band <= ambient_deg:
             raise PreconditionError(f"band {band} outside [0, {ambient_deg}]")
-        q = np.ascontiguousarray(q, dtype=complex)
+        q = np.ascontiguousarray(q, dtype=complex if np.iscomplexobj(q) else float)
         q.flags.writeable = False
         for name, value in (("dim_m", dim_m), ("ambient_deg", ambient_deg),
                             ("matrix", q), ("tol", tol), ("band", band),
@@ -235,7 +276,7 @@ class Subspace:
             )
         if ambient_deg == self.ambient_deg:
             return self
-        q = np.zeros((self.dim_m * (ambient_deg + 1), self.dim), dtype=complex)
+        q = np.zeros((self.dim_m * (ambient_deg + 1), self.dim), dtype=self.matrix.dtype)
         q[: self.ambient_dim] = self.matrix
         return Subspace._of(self.dim_m, ambient_deg, q, self.tol, self.band)
 
@@ -277,7 +318,11 @@ def from_spanning(fns, ambient_deg: int, tol: float = DEFAULT_TOL,
 
 def _span_columns(cols: np.ndarray, dim_m: int, ambient_deg: int,
                   tol: float) -> Subspace:
-    """``from_spanning`` on flattened columns: the SVD cut at tol * largest norm."""
+    """``from_spanning`` on flattened columns: the SVD cut at tol * largest norm.
+
+    Exactly real columns are spanned in real arithmetic (``_field``).
+    """
+    cols = _field(cols)
     scale = float(np.linalg.norm(cols, axis=0).max(initial=0.0))
     if scale == 0.0:
         return Subspace._of(dim_m, ambient_deg, cols[:, :0], tol)
@@ -289,16 +334,24 @@ def _isometry_defect(t: MatSymbol) -> float:
     """delta = sum over l of ||(Theta* Theta - I)^(l)||_2, for the stored Theta.
 
     The Fourier coefficient l >= 0 of Theta* Theta - I is
-    sum_j Theta_j^H Theta_{j+l} - [l = 0] I, one product of the stacked
-    coefficient blocks with a copy shifted by l blocks; coefficient -l is
-    its adjoint, of the same norm.  Each 2-norm is the square root of the
-    largest eigenvalue of the coefficient's Gram matrix.
+    sum_j Theta_j^H Theta_{j+l} - [l = 0] I; coefficient -l is its
+    adjoint, of the same norm.  One Gram product of the coefficients side
+    by side, m_out x (deg + 1) m_in, gives every Theta_i^H Theta_j as block
+    (i, j), and coefficient l is the sum of block diagonal l: the block
+    rows are sheared, row i moved i blocks left over zeros, and summed.
+    Each 2-norm is the square root of the largest eigenvalue of the
+    coefficient's Gram matrix.
     """
-    stack = t.mats.reshape(-1, t.m_in)
-    rows = stack.shape[0]
-    coef = np.stack([np.conj(stack[: rows - l * t.m_out]).T @ stack[l * t.m_out:]
-                     for l in range(t.deg + 1)])
-    coef[0] -= np.eye(t.m_in)
+    d1, m = t.deg + 1, t.m_in
+    side = _field(t.mats).transpose(1, 0, 2).reshape(t.m_out, d1 * m)
+    gram = _mul(side, side, adjoint=True).reshape(d1, m, d1, m).transpose(0, 2, 1, 3)
+    # in rows of 2 d1 blocks, block (i, j) sits at flat block i (2 d1) + j;
+    # read in rows of 2 d1 + 1, row i starts at flat block i (2 d1) + i, so
+    # its block l is block (i, i + l), zero once i + l >= d1
+    shear = np.zeros((d1 * (2 * d1 + 1), m, m), dtype=gram.dtype)
+    shear[: 2 * d1 * d1].reshape(d1, 2 * d1, m, m)[:, :d1] = gram
+    coef = shear.reshape(d1, 2 * d1 + 1, m, m)[:, :d1].sum(axis=0)
+    coef[0] -= np.eye(m)
     top = np.linalg.eigvalsh(np.conj(coef.transpose(0, 2, 1)) @ coef)[:, -1]
     norms = np.sqrt(np.maximum(top, 0.0))
     return float(norms[0] + 2.0 * norms[1:].sum())
@@ -446,10 +499,8 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     col_degs = t.column_degrees()
     top_deg = int(col_degs.max())
     band = max(0, ambient_deg - headroom - top_deg)
-    mats = t.mats[: top_deg + 1]
     # the symbol's own field: exactly real coefficients factor in real arithmetic
-    if not mats.imag.any():
-        mats = mats.real
+    mats = _field(t.mats[: top_deg + 1])
     # the ambient order stays where its band is no wider than a minimal
     # panel, or one panel takes every kept column: there the blocks would
     # add panels (a QR each) and save little arithmetic
@@ -497,17 +548,14 @@ def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
     block whose rows are a slice (the whole ambient, or one output) works
     in a view of the result; a block of several outputs is built apart
     and scattered to its rows, so only its share of the columns is held
-    twice.  The result is complex; real panels work on real arrays and
-    write the result's real part in place, so no real n x (hi - lo) copy
-    is made.
+    twice.  The result is in the panels' field, the symbol's (float64
+    when there are none: unit vectors are real).
     """
-    x = np.zeros((n, hi - lo), dtype=complex)
     qs = [panels[0][2] for _, panels, _ in parts if panels]
-    out = x.real if qs and not np.iscomplexobj(qs[0]) else x
+    x = np.zeros((n, hi - lo), dtype=qs[0].dtype if qs else float)
     if len(parts) == 1:
         # the whole ambient as one block: its columns are Q's
-        _unit_columns(parts[0][1], out, lo)
-        return x
+        return _unit_columns(parts[0][1], x, lo)
     # a block's range columns follow the earlier blocks' range columns, and
     # its complement columns, from k on, the earlier blocks' complements
     r_at, c_at = -lo, sum(k_b for *_, k_b in parts) - lo
@@ -519,10 +567,10 @@ def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
             if a >= e:
                 continue
             if isinstance(rows, slice):
-                _unit_columns(panels, out[rows, at + a : at + e], a)
+                _unit_columns(panels, x[rows, at + a : at + e], a)
             else:
-                out[rows, at + a : at + e] = _unit_columns(
-                    panels, np.zeros((n_b, e - a), dtype=out.dtype), a)
+                x[rows, at + a : at + e] = _unit_columns(
+                    panels, np.zeros((n_b, e - a), dtype=x.dtype), a)
         r_at, c_at = r_at + k_b, c_at + n_b - k_b
     return x
 
@@ -572,7 +620,7 @@ def complement(a: Subspace) -> Subspace:
     if c is not None:
         return c
     if a.dim == 0:
-        q = np.eye(a.ambient_dim, dtype=complex)
+        q = np.eye(a.ambient_dim, dtype=a.matrix.dtype)
     else:
         u, _, _ = np.linalg.svd(a.matrix, full_matrices=True)
         q = u[:, a.dim:]
@@ -590,7 +638,7 @@ def project(a: Subspace, f: CoeffFn) -> CoeffFn:
         return zero_fn(a.dim_m)
     q = a.matrix
     vec = flatten(f, a.ambient_deg)
-    return unflatten(q @ (np.conj(q.T) @ vec), a.dim_m)
+    return unflatten(_mul(q, _mul(q, vec, adjoint=True)), a.dim_m)
 
 
 def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> float:
@@ -611,7 +659,7 @@ def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> floa
     if band is not None:
         rows = min(rows, a.dim_m * (band + 1))
     qa, qb = a.matrix[:rows], b.matrix[:rows]
-    x = np.zeros((rows, a.dim + b.dim), dtype=complex)
+    x = np.zeros((rows, a.dim + b.dim), dtype=np.result_type(qa, qb))
     x[: len(qa), : a.dim] = qa
     x[: len(qb), a.dim :] = qb
     if x.size == 0:
@@ -630,7 +678,7 @@ def _split_combos(mat: np.ndarray, k: int, tol: float) -> tuple:
     One SVD; the rank is decided at tol * max(1, top singular value).
     """
     if k == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=mat.dtype), np.zeros((0, 0), dtype=mat.dtype)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     rank = _rank(s, tol, max(1.0, s[0]))
     v = np.conj(vh).T
@@ -715,7 +763,7 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     cols = _shift_rows(dq, m.dim_m, op)
     perp = m._memo.get("complement") if band is None else None
     if perp is not None:
-        resid = np.conj(perp.matrix.T) @ cols
+        resid = _mul(perp.matrix, cols, adjoint=True)
     else:
         resid = _residual(m, cols)
         if band is not None:
@@ -724,7 +772,7 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     defect_dim = _rank(s, tol, 1.0)
     ud = u[:, :defect_dim]
     if perp is not None:
-        ud = perp.matrix @ ud
+        ud = _mul(perp.matrix, ud)
         s = np.concatenate([s, np.zeros(min(cols.shape) - s.size)])
     max_residual = float(s[defect_dim]) if defect_dim < s.size else 0.0
     return DefectCertificate(op, mode, defect_dim,

@@ -43,10 +43,13 @@ from hardylab.nearly import (
 from hardylab.subspaces import (
     Subspace,
     complement,
+    defect_of,
+    degree_slice,
     from_spanning,
     model_space,
     project,
     subspace_distance,
+    vanishing_slice,
     wandering,
 )
 
@@ -670,6 +673,16 @@ class TestStepMapCache:
         assert subspace_distance(back, k) <= 1e-6
         assert peak <= EXTRACT_PEAK_BOUND
 
+    def test_step_map_keeps_the_nonzero_rows_of_t(self):
+        _, e, space = self._roundtrip_r2p2()
+        sm = nearly._step_map(_fresh(space), e, 1e-8)
+        # a synthesized space escapes by exactly zero: T keeps no row
+        assert sm.stack.shape == (56 + 2 + 2 + 4, 56) and not sm.blocks[2].any()
+        chain, _ = _chain_space()
+        sm = nearly._step_map(chain, [], 1e-8)
+        t = sm.stack[sm.blocks[2] == 1]
+        assert 0 < len(t) <= chain.dim and t.any(axis=1).all()
+
     def test_decompose_copies_no_adjoint_of_q(self):
         # with the step map cached, a call allocates only columns and
         # coordinates; a copy of conj(Q)^T alone would be Q's 154 KB
@@ -1073,3 +1086,75 @@ class TestDefectListCheck:
                 check(self.SPACE, e)
         else:
             check(self.SPACE, e)
+
+
+def _complexified(space):
+    """The same Q stored as complex128, which sends it down the complex path."""
+    return Subspace._of(space.dim_m, space.ambient_deg, space.matrix.astype(complex),
+                        space.tol, space.band)
+
+
+@cache
+def _real_spaces():
+    """(M, E) synthesized from real data, and a real model space of Theta_2's kind."""
+    m, e = _roundtrip_space(2, 2, 4, (4, 4, 3, 3), 6)
+    theta = diag_inner([monomial_inner(2, 12),
+                        blaschke_scalar(BlaschkeSpec([0.5, -1 / 3]), 12)], 12)
+    return m, e, model_space(theta, 40)
+
+
+def _certificate_parts(cert):
+    basis = (np.column_stack([b.coeffs.reshape(-1) for b in cert.defect_basis])
+             if cert.defect_dim else np.zeros((1, 0)))
+    return cert.defect_dim, np.array(cert.singular_values), cert.max_residual, basis
+
+
+# each case maps (M, E, K) to a Subspace, a certificate, a number or a
+# decomposition; M and K are both real or both complexified
+FIELD_CASES = {
+    "vanishing_slice": lambda m, e, k: vanishing_slice(k),
+    "degree_slice": lambda m, e, k: degree_slice(k, k.ambient_deg - 1),
+    "wandering": lambda m, e, k: wandering(m),
+    "complement": lambda m, e, k: complement(k),
+    "defect_of_S*": lambda m, e, k: defect_of(k, "S*"),
+    "defect_of_S_on_a_slice": lambda m, e, k: defect_of(
+        k, "S", domain=degree_slice(k, k.ambient_deg - 1)),
+    "defect_of_band": lambda m, e, k: defect_of(m, "S*", band=m.ambient_deg - 2),
+    "subspace_distance": lambda m, e, k: subspace_distance(
+        k, degree_slice(k, k.ambient_deg - 1), band=30),
+    "certify_nearly": lambda m, e, k: certify_nearly(m, len(e)),
+    "certify_nearly_band": lambda m, e, k: certify_nearly(k, 0, band=k.band),
+    "decompose_complex_F": lambda m, e, k: decompose(
+        m, e, _unit_element(m, np.linspace(1, 2, m.dim) - 0.5j)),
+    "extract_K": lambda m, e, k: extract_K(m, e),
+}
+
+
+class TestRealAndComplexified:
+    """Real data in real arithmetic gives what its complexified copy gives."""
+
+    @pytest.mark.parametrize("case", sorted(FIELD_CASES))
+    def test_same_result(self, case):
+        m, e, k = _real_spaces()
+        assert m.matrix.dtype == k.matrix.dtype == np.float64
+        got = FIELD_CASES[case](_fresh(m), e, _fresh(k))
+        want = FIELD_CASES[case](_complexified(m), e, _complexified(k))
+        if isinstance(got, Subspace):
+            # a span of exactly real columns is real in either field
+            field = np.float64 if case == "extract_K" else np.complex128
+            assert (got.matrix.dtype, want.matrix.dtype) == (np.float64, field)
+            assert got.dim == want.dim and got.band == want.band
+            q, p = got.matrix, want.matrix
+            assert np.linalg.norm(q @ q.T - p @ np.conj(p.T), 2) <= 1e-12
+        elif isinstance(got, DecompResult):
+            _assert_same_decomposition(got, want)
+        elif isinstance(got, float):
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+        else:
+            dim, s, top, basis = _certificate_parts(got)
+            dim_c, s_c, top_c, basis_c = _certificate_parts(want)
+            assert dim == dim_c and s.shape == s_c.shape
+            assert np.allclose(s, s_c, rtol=0, atol=1e-12)
+            assert top == pytest.approx(top_c, rel=0, abs=1e-12)
+            gap = basis @ np.conj(basis.T) - basis_c @ np.conj(basis_c.T)
+            assert np.linalg.norm(gap, 2) <= 1e-12

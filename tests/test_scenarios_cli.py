@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hardylab import cli
 from hardylab.cli import main
 from hardylab.errors import ParseError
 from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
@@ -96,6 +97,20 @@ class TestCli:
 
     def test_bad_arguments(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_one_parser_serves_every_call_unchanged(self, capsys):
+        parser = cli._build_parser()
+        assert main(["frobnicate"]) == 2
+        refusal = capsys.readouterr().err
+        assert "invalid choice: 'frobnicate'" in refusal
+        # an appended --param does not carry over to the next call
+        assert main(["scenario", "counterexample", "--param", "m=3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["parameters"]["m"] == 3
+        assert main(["scenario", "counterexample", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["parameters"]["m"] != 3
+        assert main(["frobnicate"]) == 2
+        assert capsys.readouterr().err == refusal
+        assert cli._build_parser() is parser
 
     def test_model_space_output(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"

@@ -561,17 +561,18 @@ class TestSymbolField:
 
     @pytest.mark.parametrize("build", [beurling_space, model_space])
     @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS.keys() | REAL_SYMBOLS.keys()))
-    def test_returned_matrix_is_complex_read_only_orthonormal(self, name, build):
+    def test_returned_matrix_in_the_symbols_field_read_only_orthonormal(self, name, build):
         t = {**ORACLE_SYMBOLS, **REAL_SYMBOLS}[name]
         s = build(t, t.deg + 40)
+        field = np.complex128 if t.mats.imag.any() else np.float64
         # a Beurling range keeps its thin complement, a model space nothing
         for sp in filter(None, (s, s._memo.get("complement"))):
             q = sp.matrix
-            assert q.dtype == np.complex128 and not q.flags.writeable
+            assert q.dtype == field and not q.flags.writeable
             assert np.max(np.abs(np.conj(q.T) @ q - np.eye(sp.dim))) <= sp.tol
 
     def test_real_panels_fill_q_in_place(self):
-        # a real copy of Q, or a k x k identity, would add half of Q's bytes
+        # a second copy of Q, or a k x k identity, would about double the peak
         t = REAL_SYMBOLS["theta2_large_n"]
         panels, n, k, _ = _range_qr(t, 512, 0, DEFAULT_TOL)
         tracemalloc.start()
@@ -580,7 +581,7 @@ class TestSymbolField:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert q.dtype == np.complex128
+        assert q.dtype == np.float64
         assert peak < 1.25 * q.nbytes
 
 
@@ -672,6 +673,41 @@ class TestRefusal:
         # headroom -1 would admit products cut off at the ambient degree
         with pytest.raises(PreconditionError):
             build(monomial_inner(2, 2), 6, headroom=-1)
+
+
+def _isometry_defect_by_lags(t):
+    """delta of ``_isometry_defect``, one product per lag l of the stacked
+    coefficients with a copy shifted by l blocks."""
+    stack = t.mats.reshape(-1, t.m_in)
+    rows = stack.shape[0]
+    coef = np.stack([np.conj(stack[: rows - l * t.m_out]).T @ stack[l * t.m_out:]
+                     for l in range(t.deg + 1)])
+    coef[0] -= np.eye(t.m_in)
+    top = np.linalg.eigvalsh(np.conj(coef.transpose(0, 2, 1)) @ coef)[:, -1]
+    norms = np.sqrt(np.maximum(top, 0.0))
+    return float(norms[0] + 2.0 * norms[1:].sum())
+
+
+def _random_symbol(seed, m_out, m_in, deg):
+    rng = np.random.default_rng(seed)
+    shape = (deg + 1, m_out, m_in)
+    return MatSymbol(m_out, m_in, 0.3 * (rng.standard_normal(shape)
+                                         + 1j * rng.standard_normal(shape)))
+
+
+class TestIsometryDefect:
+    """The Gram-and-shear delta against one product per lag."""
+
+    @pytest.mark.parametrize("t", [
+        *ORACLE_SYMBOLS.values(), *REAL_SYMBOLS.values(),
+        blaschke_scalar(BlaschkeSpec([0.5]), 3),
+        # complex and non-square, taller and wider, and of degree 0
+        _random_symbol(1, 3, 2, 6), _random_symbol(2, 2, 3, 4), _random_symbol(3, 2, 2, 0),
+    ], ids=[*ORACLE_SYMBOLS, *REAL_SYMBOLS, "blaschke_deg3",
+            "random_3x2", "random_2x3", "random_deg0"])
+    def test_matches_the_lag_loop(self, t):
+        want = _isometry_defect_by_lags(t)
+        assert _isometry_defect(t) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 class TestModel:
