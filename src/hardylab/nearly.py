@@ -201,8 +201,7 @@ def _build_step_map(m: Subspace, fns: tuple, pre_tol: float) -> _StepMap:
     _check_defect_basis(m, e, pre_tol)
     q, d, dim_m = m.matrix, m.dim, m.dim_m
     w = wandering(m).matrix
-    # V_r* = W* Q, formed as (Q* W)*, which copies W, not Q
-    vh = np.conj(_mul(q, w, adjoint=True).T)
+    vh = _mul(w, q, adjoint=True)
     h = q - w @ vh
     origin = h[:dim_m]
     h = _shift_rows(h, dim_m, "S*")

@@ -109,14 +109,6 @@ def _rank(s: np.ndarray, tol: float, scale: float) -> int:
     return int(np.sum(s > tol * scale))
 
 
-def _gram_deviation(cols: np.ndarray) -> float:
-    """max |Q*Q - I| over the entries; 0 for no columns."""
-    if not cols.shape[1]:
-        return 0.0
-    gram = _mul(cols, cols, adjoint=True)
-    return float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
-
-
 def _field(x: np.ndarray) -> np.ndarray:
     """x in the field of its data: float64 when no entry has a nonzero
     imaginary part (an exact test, no tolerance), else as it is."""
@@ -126,16 +118,18 @@ def _field(x: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """a @ x, or a* @ x with ``adjoint``, copying neither a nor a*.
+    """a @ x, or a* @ x with ``adjoint``, without copying an a larger than x.
 
     x is a vector or a matrix.  A real a meets a complex x through x's
     float64 view: with x of shape (d, b), a @ x is
     (a @ x.view(float).reshape(d, 2b)).view(complex), so a real a is never
-    cast to a complex copy.  A complex a* is formed as conj(a^T conj(x)),
-    which copies x, not a.
+    cast to a complex copy.  For a complex a, a* x conjugates the smaller
+    operand: conj(a^T conj(x)) copies x, conj(a)^T x copies a.
     """
     if a.dtype.kind == "c":
-        return np.conj(a.T @ np.conj(x)) if adjoint else a @ x
+        if not adjoint:
+            return a @ x
+        return np.conj(a.T) @ x if a.size < x.size else np.conj(a.T @ np.conj(x))
     if adjoint:
         a = a.T
     if x.dtype.kind != "c":
@@ -143,6 +137,14 @@ def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     b = x.shape[1] if x.ndim == 2 else 1
     pairs = np.ascontiguousarray(x).view(float).reshape(len(x), 2 * b)
     return (a @ pairs).view(complex).reshape(a.shape[:-1] + x.shape[1:])
+
+
+def _gram_deviation(cols: np.ndarray) -> float:
+    """max |Q*Q - I| over the entries; 0 for no columns."""
+    if not cols.shape[1]:
+        return 0.0
+    gram = _mul(cols, cols, adjoint=True)
+    return float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
 
 
 def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
