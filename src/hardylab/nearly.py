@@ -203,7 +203,7 @@ def _build_step_map(m: Subspace, fns: tuple, pre_tol: float) -> _StepMap:
     w = wandering(m).matrix
     vh = _mul(w, q, adjoint=True)
     h = q - w @ vh
-    origin = h[:dim_m]
+    origin = h[:dim_m].copy()
     h = _shift_rows(h, dim_m, "S*")
     a = _mul(q, h, adjoint=True)
     beta = _mul(e, h, adjoint=True)

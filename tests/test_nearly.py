@@ -1120,6 +1120,8 @@ FIELD_CASES = {
     "defect_of_S_on_a_slice": lambda m, e, k: defect_of(
         k, "S", domain=degree_slice(k, k.ambient_deg - 1)),
     "defect_of_band": lambda m, e, k: defect_of(m, "S*", band=m.ambient_deg - 2),
+    # the fat complement keeps K: its residual is read through K
+    "defect_of_thin_frame": lambda m, e, k: defect_of(complement(k), "S*"),
     "subspace_distance": lambda m, e, k: subspace_distance(
         k, degree_slice(k, k.ambient_deg - 1), band=30),
     "certify_nearly": lambda m, e, k: certify_nearly(m, len(e)),
