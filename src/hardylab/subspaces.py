@@ -760,9 +760,10 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
             f"shift needs one degree of headroom: a domain vector has a nonzero "
             f"coefficient at the ambient degree {m.ambient_deg}"
         )
+    # the shift refuses an unknown tag, so an empty domain certifies none
+    cols = _shift_rows(dq, m.dim_m, op)
     if domain.dim == 0:
         return DefectCertificate(op, mode, 0, (), (), 0.0)
-    cols = _shift_rows(dq, m.dim_m, op)
     perp = m._memo.get("complement") if band is None else None
     if perp is not None:
         resid = _mul(perp.matrix, cols, adjoint=True)

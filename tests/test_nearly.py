@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab import nearly
+from hardylab import nearly, scenarios, subspaces
 from hardylab.errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -408,8 +408,10 @@ def _fresh(space):
 def _peel_both(space, e, g, k_max=None, eps=1e-10):
     """(coordinate kernel, ambient oracle) on the columns g of M; g = None
     peels the columns of Q, as extract_K does."""
-    sm, k_max, pre_tol = nearly._peel_setup(space, list(e), g, k_max)
-    got = nearly._peel(space, sm, g, eps, k_max, pre_tol)
+    got = nearly._peel(space, list(e), g, eps, k_max)
+    if k_max is None:
+        k_max = nearly._default_k_max(space.ambient_deg, len(e))
+    pre_tol = nearly._defect_tol(space.tol)
     e_cols = (np.column_stack([flatten(f, space.ambient_deg) for f in e]) if e
               else np.zeros((space.ambient_dim, 0), dtype=complex))
     want = _ambient_peel(space.matrix, wandering(space).matrix, e_cols, space.dim_m,
@@ -523,11 +525,19 @@ class TestCoordinateKernel:
         ("chain", "one", 4),
         ("chain", "all_from_I", 4),
         # column 0 stops at step 2 and would escape at step 3; v_4 escapes
-        # at step 4, in the same batch of steps
-        ("chain", "stopped_and_escaping", 4),
+        # at step 4, in the same batch of steps or in a later one
+        ("chain", "stopped_and_escaping_stride1", 4),
+        ("chain", "stopped_and_escaping_stride2", 4),
+        ("chain", f"stopped_and_escaping_stride{nearly._STOP_STRIDE}", 4),
+        # column 0 starts at eps, so it takes no step, though it would
+        # escape at step 1; v_4 escapes at step 4
+        ("chain", "at_eps_and_escaping", 4),
     ])
-    def test_escape_refusal(self, setting):
+    def test_escape_refusal(self, monkeypatch, setting):
         which, columns, step = setting
+        columns, _, stride = columns.partition("_stride")
+        if stride:
+            monkeypatch.setattr(nearly, "_STOP_STRIDE", int(stride))
         eps = 1e-10
         if which == "span":
             space = Subspace(1, 5, (ONE, monomial_fn(1, 0, 3), monomial_fn(1, 0, 2)))
@@ -546,6 +556,8 @@ class TestCoordinateKernel:
             stopping = cols[:, :4] @ [0.51, 0.5, 0.0, 0.7]
             g, eps = np.column_stack([stopping, cols[:, 4]]), 0.8
             assert 0.7 * CHAIN_LEAK > DEFAULT_NEAR_TOL
+        elif columns == "at_eps_and_escaping":
+            g, eps = np.column_stack([0.7 * cols[:, 1], cols[:, 4]]), 0.8
         got = _refusal(lambda: _peel_both(space, [], g, eps=eps))
         want = _refusal(lambda: _ambient_peel(
             space.matrix, wandering(space).matrix,
@@ -559,6 +571,22 @@ class TestCoordinateKernel:
         assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-12)
         assert got.escape.deg == want.escape.deg == space.ambient_deg
         assert np.allclose(got.escape.coeffs, want.escape.coeffs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2, nearly._STOP_STRIDE])
+    def test_stopped_column_is_not_refused(self, monkeypatch, stride):
+        # column 0 stops at step 2 with 0.7 v_1 left, which would escape by
+        # 0.7 CHAIN_LEAK at step 3; column 1, 0.6 (v_1 + .. + v_4), runs to
+        # step 4 and escapes by 0.6 CHAIN_LEAK at each step.  Both advance
+        # in lockstep, so column 0 takes step 3 but is not refused for it
+        monkeypatch.setattr(nearly, "_STOP_STRIDE", stride)
+        space, cols = _chain_space()
+        g = np.column_stack([cols[:, :4] @ [0.51, 0.5, 0.0, 0.7],
+                             0.6 * cols[:, 1:].sum(axis=1)])
+        assert 0.6 * CHAIN_LEAK < DEFAULT_NEAR_TOL < 0.7 * CHAIN_LEAK
+        got, want = _peel_both(space, [], g, eps=0.8)
+        assert list((got[1] > 0.8).sum(axis=0)) == [2, 4]
+        assert np.max(got[2]) < DEFAULT_NEAR_TOL
+        _assert_same_peel(got, want)
 
     @pytest.mark.parametrize("case", range(3))
     def test_input_off_the_space(self, case):
@@ -946,6 +974,9 @@ class TestDuality:
         with pytest.raises(PreconditionError):
             duality_residuals(Subspace(1, 4, (Z,)), [Z])
 
+    def test_empty_space_has_nothing_to_escape(self):
+        assert duality_residuals(Subspace(1, 4, ()), [ONE]) == (0.0, 0.0)
+
     def test_residuals_expose_both_sides(self):
         lhs, rhs = duality_residuals(Subspace(1, 4, (ONE, Z)), [])
         assert lhs <= 1e-12 and rhs <= 1e-12
@@ -963,6 +994,92 @@ class TestDuality:
             perp = probe - project(space, probe)
             defect = [perp * (1.0 / perp.norm())]
             assert _duality_agrees(space, defect)
+
+
+def _fat_duality(space, defect):
+    """The residuals read in the fat frame, the oracle for the adjoint
+    identity: X = M (+) span E from [Q | E], its full complement X^perp,
+    and the compressed shift on X^perp against X^perp (+) span E.
+
+    Returns (largest column escape of S* Q from X, 2-norm of the escape of
+    S_c X^perp from X^perp (+) span E).
+    """
+    dim_m = space.dim_m
+    e = np.column_stack([flatten(f, space.ambient_deg) for f in defect])
+    qe = np.hstack([space.matrix, e])
+    down = np.zeros_like(space.matrix)
+    down[:-dim_m] = space.matrix[dim_m:]
+    forward = np.linalg.norm(down - qe @ (np.conj(qe.T) @ down), axis=0).max()
+    x = Subspace._of(dim_m, space.ambient_deg, qe, space.tol, space.band)
+    x_perp = complement(x).matrix
+    up = np.zeros_like(x_perp)
+    up[dim_m:] = x_perp[:-dim_m]
+    y = np.hstack([x_perp, e])
+    rest = up - y @ (np.conj(y.T) @ up)
+    return forward, np.linalg.norm(rest, 2)
+
+
+class TestDualityAdjointIdentity:
+    """The complement residual ||P_M S_c P_{X^perp}|| is read off the thin
+    n x dim M residual of S* Q, since S_c* = S*."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_scenario_pairs_match_the_fat_oracle(self, monkeypatch, seed):
+        pairs = []
+
+        def recording(space, defect):
+            out = duality_residuals(space, defect)
+            pairs.append((space, defect, out))
+            return out
+
+        monkeypatch.setattr(scenarios, "duality_residuals", recording)
+        assert scenarios.run_scenario("duality", {"seed": seed}).passed
+        assert len(pairs) == 50
+        for space, defect, (forward, rest) in pairs:
+            want_forward, want_rest = _fat_duality(space, defect)
+            assert forward == pytest.approx(want_forward, rel=0, abs=1e-12)
+            assert rest == pytest.approx(want_rest, rel=0, abs=1e-12)
+
+    def test_factors_nothing_wider_than_m(self, monkeypatch):
+        # M = span(z^5 e_0, z^3 e_1) in an ambient of n = 130 rows and
+        # E = z^4 e_0: S* z^5 e_0 lies in E, S* z^3 e_1 = z^2 e_1 escapes
+        space = Subspace(2, 64, (monomial_fn(2, 0, 5), monomial_fn(2, 1, 3)))
+        defect = [monomial_fn(2, 0, 4)]
+        # (what, columns): each SVD by the width of its widest factor (a
+        # full SVD of an n-row matrix has an n x n one), each 2-norm of a
+        # matrix (an SVD), each basis built as a Subspace
+        log = []
+        svd, norm, built = np.linalg.svd, np.linalg.norm, Subspace._of.__func__
+
+        def recording_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+            log.append(("svd", max(np.shape(a)) if full_matrices and compute_uv
+                        else np.shape(a)[-1]))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+        def recording_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                log.append(("norm", np.shape(x)[1]))
+            return norm(x, ord, *args, **kwargs)
+
+        def recording_of(cls, dim_m, ambient_deg, q, *args, **kwargs):
+            log.append(("basis", q.shape[1]))
+            return built(cls, dim_m, ambient_deg, q, *args, **kwargs)
+
+        def recording_complement(a):
+            log.append(("complement", a.ambient_dim - a.dim))
+            return complement(a)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "norm", recording_norm)
+        monkeypatch.setattr(Subspace, "_of", classmethod(recording_of))
+        monkeypatch.setattr(subspaces, "complement", recording_complement)
+        monkeypatch.setattr(nearly, "complement", recording_complement, raising=False)
+        forward, rest = duality_residuals(space, defect)
+        assert forward == rest == 1.0
+        # one 2-norm of the n x dim M residual, and nothing wider
+        assert ("norm", space.dim) in log
+        assert all(label in ("svd", "norm") and width <= space.dim
+                   for label, width in log), log
 
 
 class TestOrthocomplementMembership:

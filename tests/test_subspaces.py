@@ -900,6 +900,15 @@ class TestDefect:
         cert_banded = defect_of(full, "S", band=full.band)
         assert cert_banded.defect_dim == 0
 
+    @pytest.mark.parametrize("domain", ["default", "empty", "non_empty"])
+    def test_unknown_operator_refused_on_any_domain(self, domain):
+        # an empty domain has nothing to shift, but an unknown tag is still
+        # refused rather than certified
+        m = Subspace(1, 4, ()) if domain != "non_empty" else Subspace(1, 4, (ONE,))
+        kwargs = {"domain": Subspace(1, 4, ())} if domain == "empty" else {}
+        with pytest.raises(PreconditionError, match="unknown operator tag 'bogus'"):
+            defect_of(m, "bogus", **kwargs)
+
 
 # --------------------------------------------------------------------------
 # thin-side algebra: the remembered complement, the thin defect frame and
