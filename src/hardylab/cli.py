@@ -22,11 +22,8 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    CertificationError,
     DimensionMismatchError,
     DomainError,
-    InvariantViolationError,
-    NotInnerError,
     NotNearlyInvariantError,
     ParseError,
     PreconditionError,
@@ -51,12 +48,6 @@ _USAGE_ERRORS = (
     DomainError,
     PreconditionError,
     TruncationOverflowError,
-)
-_MATH_ERRORS = (
-    NotNearlyInvariantError,
-    CertificationError,
-    NotInnerError,
-    InvariantViolationError,
 )
 
 
@@ -261,15 +252,9 @@ def main(argv=None) -> int:
             "escape": serialize_function(exc.escape),
         })
         return 1
-    except _MATH_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 def run() -> None:

@@ -13,11 +13,14 @@ columns together.  Each step applies the compressed backward shift
 P_M S* (I - P_W) to an iterate that lies in M, so the kernel runs on M's
 coordinates c (G = Q c): one step is one product of a step map, built
 once per (M, E) and kept in M's memo, with the columns of c, which all
-advance in lockstep.  In coordinates, coefficient k of the tuple of
-G = Q c is C A^k c, with A the dim M x dim M block and C the r + p
-coordinate rows of the step map.  The loop body is that product and,
-once every ``_STOP_STRIDE`` column products, a test for a stop; a
-stopped column stays in c and is left out of the refusal test.  The stop
+advance in lockstep.  The step map is one ambient step,
+``_ambient_step``, taken on the columns of Q, its escape kept as a
+triangular factor; the same function takes the first step of an input
+and rebuilds a refused escape vector.  In coordinates, coefficient k of
+the tuple of G = Q c is C A^k c, with A the dim M x dim M block and C
+the r + p coordinate rows of the step map.  The loop body is that
+product and, once every ``_STOP_STRIDE`` column products, a test for a
+stop; a stopped column stays in c and is left out of the refusal test.  The stop
 steps, remainder norms, escape norms and any refusal are read after the
 loop from the coordinates and three norms kept per step.  Only the first
 step of an input that may lie off M, by up to the membership tolerance,
@@ -27,10 +30,12 @@ column of M's Q at once (from c = I), and ``synthesize_M`` rebuilds M
 from (K, F0, E) as one product of the generator symbol [F0 | zE] with
 K's Q.  The orthocomplement test ``orthocomplement_membership`` applies
 the adjoint of the same generator, which ``_generator`` builds for both.
-Every defect list, in the peeling and in the duality checks, passes
-``_check_defect_basis`` at one tolerance, ``_defect_tol``.  The duality
-checks read their residuals off the n x dim M (or n x r) residual of S*
-on M's (or W's) basis against M (+) span(E), without a complement.
+Every defect list is checked at one tolerance, ``_defect_tol``: in the
+peeling and in the duality checks by ``_check_defect_basis``, and in
+``synthesize_M`` (with the F0 columns) by its Gram deviation.  The
+duality checks read their residuals off the n x dim M (or n x r)
+residual of S* on M's (or W's) basis against M (+) span(E), without a
+complement.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``DEFAULT_NEAR_TOL`` the
@@ -43,7 +48,7 @@ wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,8 +103,6 @@ _STOP_STRIDE = 8
 _ISO_TOL = 1e-6
 # almost_invariant_Sstar_check's bound on the escape of S* W
 _ALMOST_TOL = 1e-8
-# synthesize_M's bound on the Gram deviation of the F0 and E columns
-_ORTHONORMAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -198,32 +201,21 @@ def _step_map(m: Subspace, defect_basis: list, pre_tol: float) -> _StepMap:
 def _build_step_map(m: Subspace, fns: tuple, pre_tol: float) -> _StepMap:
     """Check the defect functions, then fill the blocks of ``_StepMap``.
 
-    The rows of T that are exactly zero are dropped: they add nothing to
-    ||T c||.
+    The step map is one ambient step (``_ambient_step``) on the columns of
+    Q: the step's rows are the A, V_r*, E* S* Q Pi and origin blocks, and T
+    is the triangular factor of its escape, without the rows that are
+    exactly zero (they add nothing to ||T c||).
     """
     e = _columns(fns, m.dim_m, m.ambient_deg)
     _check_defect_basis(m, e, pre_tol)
-    q, d, dim_m = m.matrix, m.dim, m.dim_m
     w = wandering(m).matrix
-    vh = _mul(w, q, adjoint=True)
-    h = q - w @ vh
-    origin = h[:dim_m].copy()
-    h = _shift_rows(h, dim_m, "S*")
-    a = _mul(q, h, adjoint=True)
-    beta = _mul(e, h, adjoint=True)
-    # h and a are in Q's field, beta in that of Q and E together
-    h -= q @ a
-    h = h - _mul(e, beta)
-    t = np.linalg.qr(h, mode="r")
-    t = t[t.any(axis=1)]
-    i_beta = d + w.shape[1]
-    i_origin = i_beta + e.shape[1]
-    i_t = i_origin + dim_m
-    stack = np.empty((i_t + len(t), d), dtype=np.result_type(q, e))
-    stack[:d], stack[d:i_beta], stack[i_beta:i_origin] = a, vh, beta
-    stack[i_origin:i_t], stack[i_t:] = origin, t
+    rows, escape, _ = _ambient_step(m.matrix, w, e, m.dim_m, m.matrix)
+    # an escape that is exactly zero (a synthesized M) has no nonzero R row
+    t = np.linalg.qr(escape, mode="r") if escape.any() else escape[:0]
+    stack = np.concatenate((rows, t[t.any(axis=1)]))
     blocks = np.zeros((3, len(stack)))
-    blocks[0, :d] = blocks[1, i_origin:i_t] = blocks[2, i_t:] = 1.0
+    i_origin = len(rows) - m.dim_m
+    blocks[0, : m.dim] = blocks[1, i_origin : len(rows)] = blocks[2, len(rows) :] = 1.0
     return _StepMap(fns, w, e, stack, blocks)
 
 
@@ -232,31 +224,40 @@ def _default_k_max(ambient_deg: int, p: int) -> int:
     return ambient_deg + p + 8
 
 
-def _ambient_step(q: np.ndarray, sm: _StepMap, dim_m: int, g: np.ndarray):
-    """One step on ambient columns g.
+def _ambient_step(q: np.ndarray, w: np.ndarray, e: np.ndarray, dim_m: int,
+                  g: np.ndarray):
+    """One peeling step on ambient columns g, with M's basis Q, the
+    wandering basis W and the defect basis E:
 
         a = W* G,   F = G - W a,   H = S* F,
         c = Q* H,   beta = E* H,   escape = H - Q c - E beta.
 
-    Returns ((a; beta), c, escape, norms), with norms (3, b) the column
-    norms ||c||, ||F(0)||, ||escape|| in the order of ``_StepMap.blocks``.
+    Returns (rows, escape, norms): rows stacks c, a, beta and F(0) in the
+    order of ``_StepMap.stack``, and norms (3, b) holds the column norms
+    ||c||, ||F(0)||, ||escape|| in the order of ``_StepMap.blocks``.
     """
-    # a real step map has real Q, W and E, so the whole step is real: it
-    # takes complex columns as float64 pairs, as ``_mul`` does
-    pairs = g.dtype.kind == "c" and sm.stack.dtype.kind != "c"
+    # real Q, W and E make the whole step real: it takes complex columns
+    # as float64 pairs, as ``_mul`` does
+    pairs = g.dtype.kind == "c" and np.result_type(q, e).kind != "c"
     if pairs:
         g = np.ascontiguousarray(g).view(float)
-    a = _mul(sm.w, g, adjoint=True)
-    f = g - _mul(sm.w, a)
+    a = _mul(w, g, adjoint=True)
+    f = g - _mul(w, a)
     h = _shift_rows(f, dim_m, "S*")
     c = _mul(q, h, adjoint=True)
-    beta = _mul(sm.e, h, adjoint=True)
-    # not in place: a real H meets a complex E
-    h = h - _mul(q, c) - _mul(sm.e, beta)
+    beta = _mul(e, h, adjoint=True)
+    rows = np.concatenate((c, a, beta, f[:dim_m]))
+    # not in place, since a real H meets a complex E, but one product at a
+    # time and with F released: the step map's build holds no more than
+    # three n x dim M arrays
+    del f
+    h = h - _mul(q, c)
+    h = h - _mul(e, beta)
     if pairs:
-        a, beta, c, f, h = (x.view(complex) for x in (a, beta, c, f, h))
-    norms = np.array([np.linalg.norm(x, axis=0) for x in (c, f[:dim_m], h)])
-    return np.concatenate((a, beta)), c, h, norms
+        rows, h = rows.view(complex), h.view(complex)
+    norms = np.array([np.linalg.norm(x, axis=0)
+                      for x in (rows[: q.shape[1]], rows[-dim_m:], h)])
+    return rows, h, norms
 
 
 def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
@@ -336,8 +337,9 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
     screen = np.array([[pre_tol], [DEFAULT_NEAR_TOL]])
     while steps < k_max and not done.all():
         if g is not None and not steps:
-            cb, c1, escape1, nb = _ambient_step(q, sm, dim_m, g)
-            c, cb, nb = c1, cb[None], nb[None]
+            rows, escape1, nb = _ambient_step(q, sm.w, sm.e, dim_m, g)
+            c = c1 = rows[:d]
+            cb, nb = rows[None, d : d + width], nb[None]
         else:
             # at most _STOP_STRIDE column products between two stop tests
             n = min(max(1, _STOP_STRIDE // b), k_max - steps)
@@ -364,14 +366,11 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
         # an origin failure needs ||F(0)|| > pre_tol, so most batches need
         # only the stop test; a column that stopped fails nothing
         if (nb[:, 1:] > screen).any():
-            first, origin_failed, escaped = _first_events(nb, last, eps, pre_tol)
+            _, origin_failed, escaped = _first_events(nb, last, eps, pre_tol)
             refused = bool(((origin_failed | escaped) & ~done).any())
             if refused:
                 break
-            hit = first > 0
-        else:
-            hit = (now <= eps).any(axis=0)
-        done |= hit
+        done |= (now <= eps).any(axis=0)
         last = now[-1]
     if not norms:
         return np.zeros((0, width, b), dtype=sm.stack.dtype), g0[None], np.zeros(b)
@@ -392,7 +391,7 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
             c = c1[:, j].reshape(-1, 1)
             for _ in range(s - (1 if g is None else 2)):
                 c = _mul(sm.stack, c)[:d]
-            vec = _ambient_step(q, sm, dim_m, _mul(q, c))[2][:, 0]
+            vec = _ambient_step(q, sm.w, sm.e, dim_m, _mul(q, c))[1][:, 0]
         raise NotNearlyInvariantError(s, float(nb[s - 1, 2, j]), unflatten(vec, dim_m))
     # each column's last step: its first stop, else the last step taken
     below = nb[:, 0] <= eps
@@ -477,7 +476,7 @@ def certify_nearly(m: Subspace, p_max: int, tol: float | None = None,
     domain = vanishing_slice(m)
     if band is not None:
         domain = degree_slice(domain, band)
-    return defect_of(m, "S*", domain=domain, tol=tol, band=band, mode="nearly")
+    return replace(defect_of(m, "S*", domain=domain, tol=tol, band=band), mode="nearly")
 
 
 def extract_K(m: Subspace, defect_basis) -> Subspace:
@@ -524,7 +523,8 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
     """Rebuild the function space from coordinates: F = F0 K0 + sum z k_j E_j.
 
     F0 columns must be orthonormal with linearly independent values at 0;
-    E must be orthonormal.  Every image is one product: the m x (r+p)
+    E must be orthonormal, both at the tolerance of every defect list,
+    ``_defect_tol(k.tol)``.  Every image is one product: the m x (r+p)
     generator symbol [F0 | zE] (``_generator``) applied by ``multiply`` to
     the columns of K's Q, then spanned by the ``from_spanning`` cut at K's
     tol.  The output is certified nearly invariant with defect at most p
@@ -538,8 +538,12 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
             f"coordinate space over C^{k.dim_m}, expected C^{r + p}"
         )
     gen = _generator(f0_cols, e_fns)
-    _check_orthonormal(f0_cols, "F0 columns")
-    _check_orthonormal(e_fns, "defect functions")
+    # the columns of [F0 | zE] as flat vectors: E's shift keeps its Gram matrix
+    cols = gen.mats.reshape(-1, r + p)
+    for part, label in ((cols[:, :r], "F0 columns"), (cols[:, r:], "defect functions")):
+        dev = _gram_deviation(part)
+        if dev > _defect_tol(k.tol):
+            raise PreconditionError(f"{label} are not orthonormal (deviation {dev:.3g})")
     if r:
         vals = np.column_stack([c.value_at_zero() for c in f0_cols])
         if _rank(np.linalg.svd(vals, compute_uv=False), 1e-10, 1.0) < r:
@@ -588,14 +592,6 @@ def _generator(f0_cols: list, e_fns: list) -> MatSymbol:
         gen[up : up + f.deg + 1, :, i] = f.coeffs
     nz = np.flatnonzero(gen.any(axis=(1, 2)))
     return MatSymbol(m, len(cols), gen[: nz[-1] + 1 if nz.size else 1])
-
-
-def _check_orthonormal(fns, label: str) -> None:
-    if not fns:
-        return
-    dev = _gram_deviation(_columns(fns, fns[0].dim_m, max(f.deg for f in fns)))
-    if dev > _ORTHONORMAL_TOL:
-        raise PreconditionError(f"{label} are not orthonormal (deviation {dev:.3g})")
 
 
 def _escape(m: Subspace, defect_basis, cols: np.ndarray) -> np.ndarray:

@@ -199,6 +199,16 @@ def _isometry_columns(m: int, r: int) -> list:
     return cols[:r]
 
 
+def _shift_defect(space: Subspace, cols: np.ndarray, defect_tol: float) -> tuple:
+    """S's defect on the degree <= N - 1 slice of the space, and the
+    distance of the defect's span from span (I - P_M) cols."""
+    n, m, tol = space.ambient_deg, space.dim_m, space.tol
+    cert = defect_of(space, "S", domain=degree_slice(space, n - 1), tol=defect_tol)
+    target = _span_columns(_residual(space, cols), m, n, tol)
+    found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
+    return cert.defect_dim, subspace_distance(found, target)
+
+
 def _sc_prop_f0k_almost(p: dict):
     m, rprime, n, tol = p["m"], p["rprime"], p["N"], p["tol"]
     r = 2
@@ -219,12 +229,8 @@ def _sc_prop_f0k_almost(p: dict):
     k_theta = model_space(theta, n, tol=tol)
     space = _apply_space(v_sym, k_theta, n, tol)
     nearly_cert = certify_nearly(space, 0, band=k_theta.band)
-    domain = degree_slice(space, n - 1)
-    cert = defect_of(space, "S", domain=domain, tol=p["defect_tol"])
-    images = multiply(v_sym, theta.mats, n).reshape(-1, rprime)
-    target = _span_columns(_residual(space, images), m, n, tol)
-    found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
-    dist = subspace_distance(found, target)
+    defect_dim, dist = _shift_defect(
+        space, multiply(v_sym, theta.mats, n).reshape(-1, rprime), p["defect_tol"])
     # dimension-growth surrogate for the unreachable infinite-dimension
     # claims: a Blaschke entry truncated at the window scale keeps feeding
     # new model directions as the window widens, a monomial entry does not
@@ -242,7 +248,7 @@ def _sc_prop_f0k_almost(p: dict):
     flat_constant = len(set(flat_dims)) == 1
     metrics = {
         "nearly_invariant_defect": nearly_cert.defect_dim,
-        "defect_dim": cert.defect_dim,
+        "defect_dim": defect_dim,
         "expected_defect": rprime,
         "defect_span_distance": dist,
         "defect_span_threshold": p["span_tol"],
@@ -250,9 +256,22 @@ def _sc_prop_f0k_almost(p: dict):
         "growth_strictly_increasing": increasing,
         "rational_model_dim_constant": flat_constant,
     }
-    passed = (nearly_cert.defect_dim == 0 and cert.defect_dim == rprime
+    passed = (nearly_cert.defect_dim == 0 and defect_dim == rprime
               and dist <= p["span_tol"] and increasing and flat_constant)
     return passed, metrics
+
+
+def _ortho_distance(psi: MatSymbol, theta: MatSymbol, n: int, tol: float) -> float:
+    """Distance of (Psi K_Theta)^perp from Psi Theta H^2 (+) K_Psi at order
+    n, compared within degrees <= n - deg Psi - deg Theta."""
+    k_theta = model_space(theta, n - theta.deg, tol=tol)
+    lhs = complement(_apply_space(psi, k_theta, n, tol))
+    rhs = _span_columns(
+        np.hstack([beurling_space(compose(psi, theta), n, tol=tol).matrix,
+                   model_space(psi, n, tol=tol).matrix]),
+        psi.m_out, n, tol,
+    )
+    return subspace_distance(lhs, rhs, band=n - psi.deg - theta.deg)
 
 
 def _sc_lemma_ortho(p: dict):
@@ -277,34 +296,16 @@ def _sc_lemma_ortho(p: dict):
     prod = compose(psi, theta)
     combined_tail = psi.tail_bound + theta.tail_bound + prod.tail_bound
     threshold = _certifying(max(1e-8, 5.0 * combined_tail), d)
-    nk = n - d
-    k_theta = model_space(theta, nk, tol=tol)
-    lhs = complement(_apply_space(psi, k_theta, n, tol))
-    rhs_parts = beurling_space(prod, n, tol=tol)
-    rhs = _span_columns(
-        np.hstack([rhs_parts.matrix, model_space(psi, n, tol=tol).matrix]),
-        psi.m_out, n, tol,
-    )
-    band = n - 2 * d
-    dist = subspace_distance(lhs, rhs, band=band)
-
+    dist = _ortho_distance(psi, theta, n, tol)
     # exact polynomial variant of the same identity
-    psi_m = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
-    theta_m = diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2)
-    nm = p["poly_N"]
-    k_m = model_space(theta_m, nm - 2, tol=tol)
-    lhs_m = complement(_apply_space(psi_m, k_m, nm, tol))
-    rhs_m = _span_columns(
-        np.hstack([beurling_space(compose(psi_m, theta_m), nm, tol=tol).matrix,
-                   model_space(psi_m, nm, tol=tol).matrix]),
-        psi_m.m_out, nm, tol,
-    )
-    dist_m = subspace_distance(lhs_m, rhs_m, band=nm - 4)
+    dist_m = _ortho_distance(diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2),
+                             diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2),
+                             p["poly_N"], tol)
     metrics = {
         "distance": dist,
         "threshold": threshold,
         "combined_tail_bound": combined_tail,
-        "comparison_band": band,
+        "comparison_band": n - 2 * d,
         "poly_distance": dist_m,
         "poly_threshold": p["poly_tol"],
     }
@@ -342,21 +343,17 @@ def _sc_prop_perp_almost(p: dict):
     m = psi.m_out
     k_theta = model_space(theta, n - 2, tol=tol)
     x = complement(_apply_space(psi, k_theta, n, tol))
-    domain = degree_slice(x, n - 1)
-    cert = defect_of(x, "S", domain=domain, tol=p["defect_tol"])
     # Psi's columns, padded to the window
     cols = np.zeros(((n + 1) * m, m), dtype=complex)
     cols[: psi.mats.shape[0] * m] = psi.mats.reshape(-1, m)
-    target = _span_columns(_residual(x, cols), m, n, tol)
-    found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
-    dist = subspace_distance(found, target)
+    defect_dim, dist = _shift_defect(x, cols, p["defect_tol"])
     metrics = {
-        "defect_dim": cert.defect_dim,
+        "defect_dim": defect_dim,
         "expected_defect": m,
         "defect_span_distance": dist,
         "defect_span_threshold": p["span_tol"],
     }
-    return cert.defect_dim == m and dist <= p["span_tol"], metrics
+    return defect_dim == m and dist <= p["span_tol"], metrics
 
 
 def _sc_counterexample(p: dict):
@@ -550,9 +547,8 @@ def _random_unitary(rng, m: int) -> np.ndarray:
 def _sc_duality(p: dict):
     tol, n, m = p["tol"], p["N"], p["m"]
     rng = np.random.default_rng(p["seed"])
-    agreements = 0
-    forward_true = 0
-    forward_false = 0
+    # per pair: (forward containment, complement containment)
+    verdicts = []
     for i in range(p["pairs"]):
         if i % 2 == 0:
             powers = [int(k) for k in rng.integers(1, 4, size=m)]
@@ -568,14 +564,11 @@ def _sc_duality(p: dict):
                 m, n, tol,
             )
         defect = [unflatten(_perp_unit(rng, space, n), m)]
-        lhs_res, rhs_res = duality_residuals(space, defect)
-        forward = lhs_res <= p["residual_tol"]
-        if forward:
-            forward_true += 1
-        else:
-            forward_false += 1
-        if forward == (rhs_res <= p["residual_tol"]):
-            agreements += 1
+        verdicts.append(tuple(res <= p["residual_tol"]
+                              for res in duality_residuals(space, defect)))
+    agreements = sum(fwd == comp for fwd, comp in verdicts)
+    forward_true = sum(fwd for fwd, _ in verdicts)
+    forward_false = len(verdicts) - forward_true
     metrics = {
         "pairs": p["pairs"],
         "agreements": agreements,
@@ -602,9 +595,8 @@ def _sc_section4(p: dict):
     space = synthesize_M(k_space, [f0_col], [e_fn], ambient)
     k_perp = complement(k_space)
     inv_cert = defect_of(k_perp, "S", domain=degree_slice(k_perp, nk - 1), tol=1e-8)
-    members = 0
-    nonmembers = 0
-    agreements = 0
+    # per draw: (claimed member, direct member)
+    verdicts = []
     for i in range(p["draws"]):
         g = _random_unit(rng, 3, ambient)
         if i % 2 == 0:
@@ -615,13 +607,11 @@ def _sc_section4(p: dict):
         claimed, _ = orthocomplement_membership(unflatten(g, 3), [f0_col], [e_fn],
                                                 k_space, tol=p["membership_tol"])
         direct = np.linalg.norm(_mul(space.matrix, g, adjoint=True)) <= p["membership_tol"]
-        if direct:
-            members += 1
-        else:
-            nonmembers += 1
-        if claimed == direct:
-            agreements += 1
-    total = members + nonmembers
+        verdicts.append((claimed, bool(direct)))
+    total = len(verdicts)
+    agreements = sum(claimed == direct for claimed, direct in verdicts)
+    members = sum(direct for _, direct in verdicts)
+    nonmembers = total - members
     metrics = {
         "coordinate_complement_shift_defect": inv_cert.defect_dim,
         "draws": total,

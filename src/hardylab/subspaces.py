@@ -231,12 +231,10 @@ class Subspace:
 
     @classmethod
     def _of(cls, dim_m: int, ambient_deg: int, q: np.ndarray, tol: float,
-            band: int | None = None, check: bool = False) -> "Subspace":
-        """Wrap a Q built by this package; checked only if asked."""
+            band: int | None = None) -> "Subspace":
+        """Wrap a Q built by this package, unchecked."""
         s = cls.__new__(cls)
         s._assign(dim_m, ambient_deg, q, tol, band)
-        if check:
-            s.__post_init__()
         return s
 
     def _assign(self, dim_m, ambient_deg, q, tol, band) -> None:
@@ -541,39 +539,36 @@ def _unit_columns(panels, y: np.ndarray, a: int) -> np.ndarray:
     return y
 
 
-def _q_columns(parts, n: int, lo: int, hi: int) -> np.ndarray:
-    """Columns lo ... hi - 1 of Q, in ambient row order.
+def _q_columns(parts, n: int, complement: bool = False) -> np.ndarray:
+    """Q's range columns, or with ``complement`` its complement columns,
+    in ambient row order.
 
-    Q's columns are the blocks' range columns, block after block, then
-    their complement columns in the same order.  A block's columns are its
-    panels applied in reverse to unit vectors in its own row order.  A
-    block whose rows are a slice (the whole ambient, or one output) works
-    in a view of the result; a block of several outputs is built apart
-    and scattered to its rows, so only its share of the columns is held
-    twice.  The result is in the panels' field, the symbol's (float64
-    when there are none: unit vectors are real).
+    The range columns are the blocks' range columns, block after block,
+    and the complement columns their complement columns in the same order.
+    A block's columns are its panels applied in reverse to unit vectors in
+    its own row order.  A block whose rows are a slice (the whole ambient,
+    or one output) works in a view of the result; a block of several
+    outputs is built apart and scattered to its rows, so only its share of
+    the columns is held twice.  The result is in the panels' field, the
+    symbol's (float64 when there are none: unit vectors are real).
     """
+    k = sum(k_b for *_, k_b in parts)
     qs = [panels[0][2] for _, panels, _ in parts if panels]
-    x = np.zeros((n, hi - lo), dtype=qs[0].dtype if qs else float)
+    x = np.zeros((n, n - k if complement else k), dtype=qs[0].dtype if qs else float)
     if len(parts) == 1:
         # the whole ambient as one block: its columns are Q's
-        return _unit_columns(parts[0][1], x, lo)
-    # a block's range columns follow the earlier blocks' range columns, and
-    # its complement columns, from k on, the earlier blocks' complements
-    r_at, c_at = -lo, sum(k_b for *_, k_b in parts) - lo
+        return _unit_columns(parts[0][1], x, k if complement else 0)
+    at = 0
     for rows, panels, k_b in parts:
         n_b = n // rows.step if isinstance(rows, slice) else rows.size
-        # the block's columns a ... e - 1 are columns at + a ... at + e - 1 of x
-        for a, e, at in ((0, k_b, r_at), (k_b, n_b, c_at - k_b)):
-            a, e = max(a, -at), min(e, hi - lo - at)
-            if a >= e:
-                continue
-            if isinstance(rows, slice):
-                _unit_columns(panels, x[rows, at + a : at + e], a)
-            else:
-                x[rows, at + a : at + e] = _unit_columns(
-                    panels, np.zeros((n_b, e - a), dtype=x.dtype), a)
-        r_at, c_at = r_at + k_b, c_at + n_b - k_b
+        # the block's columns a ... e - 1 are columns at ... at + e - a - 1 of x
+        a, e = (k_b, n_b) if complement else (0, k_b)
+        if isinstance(rows, slice):
+            _unit_columns(panels, x[rows, at : at + e - a], a)
+        else:
+            x[rows, at : at + e - a] = _unit_columns(
+                panels, np.zeros((n_b, e - a), dtype=x.dtype), a)
+        at += e - a
     return x
 
 
@@ -591,10 +586,10 @@ def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     more columns than the range, the range keeps it (see ``complement``).
     """
     parts, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, 0, k), tol, band)
+    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n), tol, band)
     if n - k <= k:
-        rng._memo["complement"] = Subspace._of(t.m_out, ambient_deg,
-                                               _q_columns(parts, n, k, n), tol, band)
+        rng._memo["complement"] = Subspace._of(
+            t.m_out, ambient_deg, _q_columns(parts, n, complement=True), tol, band)
     return rng
 
 
@@ -607,7 +602,7 @@ def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     degree band; compare within degrees <= the recorded band.
     """
     parts, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    return Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, k, n), tol, band)
+    return Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, complement=True), tol, band)
 
 
 def complement(a: Subspace) -> Subspace:
@@ -706,8 +701,9 @@ def degree_slice(m: Subspace, max_deg: int) -> Subspace:
     _, null = _split_combos(m.matrix[cut:], m.dim, m.tol)
     q = m.matrix @ null
     q[cut:] = 0.0
-    return Subspace._of(m.dim_m, m.ambient_deg, q, m.tol, min(m.band, max_deg),
-                        check=True)
+    s = Subspace._of(m.dim_m, m.ambient_deg, q, m.tol, min(m.band, max_deg))
+    s.__post_init__()
+    return s
 
 
 def wandering(m: Subspace) -> Subspace:
@@ -727,8 +723,7 @@ def wandering(m: Subspace) -> Subspace:
 
 
 def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
-              tol: float | None = None, band: int | None = None,
-              mode: str = "almost") -> DefectCertificate:
+              tol: float | None = None, band: int | None = None) -> DefectCertificate:
     """Minimal escape space of op applied to (a slice of) M.
 
     Applies op to every basis vector of ``domain`` (default: M itself),
@@ -737,7 +732,8 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     op = 'S' the domain must leave one degree of headroom: its top block
     of rows must vanish; there is no silent truncation.  ``band`` zeroes
     residual components above the faithful band before rank decisions
-    (truncation shadow of exact containments).
+    (truncation shadow of exact containments).  The certificate's mode is
+    'almost' (``certify_nearly`` restamps its own 'nearly').
 
     Without ``band``, when M keeps its thin complement P (see
     ``complement``), the residual (I - QQ*) X of the images X is P (P* X):
@@ -763,7 +759,7 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     # the shift refuses an unknown tag, so an empty domain certifies none
     cols = _shift_rows(dq, m.dim_m, op)
     if domain.dim == 0:
-        return DefectCertificate(op, mode, 0, (), (), 0.0)
+        return DefectCertificate(op, "almost", 0, (), (), 0.0)
     perp = m._memo.get("complement") if band is None else None
     if perp is not None:
         resid = _mul(perp.matrix, cols, adjoint=True)
@@ -778,6 +774,6 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
         ud = _mul(perp.matrix, ud)
         s = np.concatenate([s, np.zeros(min(cols.shape) - s.size)])
     max_residual = float(s[defect_dim]) if defect_dim < s.size else 0.0
-    return DefectCertificate(op, mode, defect_dim,
+    return DefectCertificate(op, "almost", defect_dim,
                              tuple(unflatten(c, m.dim_m) for c in ud.T),
                              tuple(float(x) for x in s), max_residual)

@@ -732,6 +732,9 @@ class TestNoAmbientSteps:
     def test_decompose_at_large_order(self, monkeypatch):
         space = model_space(diag_inner([monomial_inner(24, 24)] * 2, 24), 512)
         n = space.ambient_dim
+        f = monomial_fn(2, 0, 23)
+        # the step map is itself an ambient step on Q: build it before recording
+        decompose(space, [], f)
         log = []
 
         def recording(label, fn, shape_of=lambda a, *_, **__: np.shape(a)):
@@ -746,7 +749,7 @@ class TestNoAmbientSteps:
         monkeypatch.setattr(nearly, "_shift_rows", recording("shift", nearly._shift_rows))
         monkeypatch.setattr(nearly, "_ambient_step",
                             recording("step 1", nearly._ambient_step, lambda *_: ()))
-        res = decompose(space, [], monomial_fn(2, 0, 23))
+        res = decompose(space, [], f)
         assert res.converged and res.iterations == 24
         labels = [label for label, _ in log]
         assert labels.count("step 1") == 1
@@ -1187,6 +1190,24 @@ class TestDefectListCheck:
                 duality_residuals(space, e)
         else:
             duality_residuals(space, e)
+
+    @pytest.mark.parametrize("dev, refused", [(5e-8, False), (2e-7, True)])
+    def test_synthesize_checks_e_at_the_same_tolerance(self, dev, refused):
+        # at K tol 1e-9 the line is max(100 tol, 1e-8) = 1e-7 for synthesize_M
+        # as for the peeling of the space it builds
+        k = model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4, tol=1e-9)
+        f0 = [basis_vector(2, 0)]
+        # E = sqrt(1 + dev) e_1 has Gram deviation dev
+        e = [basis_vector(2, 1) * (1 + dev) ** 0.5]
+        if refused:
+            space = synthesize_M(k, f0, [basis_vector(2, 1)], 6)
+            with pytest.raises(PreconditionError, match="not orthonormal"):
+                synthesize_M(k, f0, e, 6)
+            with pytest.raises(PreconditionError, match="not orthonormal"):
+                decompose(space, e, space.basis[0])
+        else:
+            space = synthesize_M(k, f0, e, 6)
+            assert decompose(space, e, space.basis[0]).converged
 
     @pytest.mark.parametrize("check", [
         lambda m, e: decompose(m, e, Z),

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from hardylab import cli
+from hardylab import cli, errors
 from hardylab.cli import main
 from hardylab.errors import ParseError
+from hardylab.funcs import basis_vector
 from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -515,6 +516,48 @@ def _assert_report_matches(got, want, path="reports"):
             assert abs(got - want) <= 1e-12 * abs(want), path
     else:
         assert got == want, path
+
+
+# every workbench error and its exit code: 2 for a usage error, 1 for a
+# mathematical failure (the base class included)
+EXIT_CODES = {
+    "ParseError": 2,
+    "DimensionMismatchError": 2,
+    "DomainError": 2,
+    "PreconditionError": 2,
+    "TruncationOverflowError": 2,
+    "NotInnerError": 1,
+    "InvariantViolationError": 1,
+    "CertificationError": 1,
+    "NotNearlyInvariantError": 1,
+    "WorkbenchError": 1,
+}
+
+
+class TestErrorExitCodes:
+    def test_every_error_class_is_mapped(self):
+        subclasses = {c.__name__ for c in errors.WorkbenchError.__subclasses__()}
+        assert set(EXIT_CODES) == subclasses | {"WorkbenchError"}
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_raised_by_a_command(self, monkeypatch, capsys, name):
+        cls = getattr(errors, name)
+        exc = (cls(3, 0.5, basis_vector(1, 0)) if cls is errors.NotNearlyInvariantError
+               else cls("planted failure"))
+
+        def failing(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "_read", failing)
+        assert main(["model-space", "--theta", "theta.json", "--order", "4"]) == EXIT_CODES[name]
+        out, err = capsys.readouterr()
+        if cls is errors.NotNearlyInvariantError:
+            # the refusal is a report on stdout, not a message
+            doc = json.loads(out)
+            assert (doc["error"], doc["step"], doc["residual"]) == ("NOT-NEARLY-INVARIANT", 3, 0.5)
+            assert err == ""
+        else:
+            assert out == "" and err == "error: planted failure\n"
 
 
 class TestGoldenReports:

@@ -274,6 +274,10 @@ class TestDenseOracle:
         k = model_space(t, 3, 1)
         assert _projector_gap(k.matrix, model) <= 1e-12
         assert k.dim == 4
+        # z^0 keeps every column: the range is the ambient, its complement empty
+        b = beurling_space(monomial_inner(0, 0), 3)
+        assert b.dim == 4 and b._memo["complement"].dim == 0
+        assert model_space(monomial_inner(0, 0), 3).dim == 0
 
     @given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1), st.integers(10, 40))
     @settings(max_examples=25, deadline=None)
@@ -460,9 +464,9 @@ class TestWindowedRangeQR:
                 assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
             _assert_same_parts(parts, oracle)
             assert np.array_equal(beurling_space(t, n, headroom).matrix,
-                                  _q_columns(oracle, size, 0, k))
+                                  _q_columns(oracle, size))
             assert np.array_equal(model_space(t, n, headroom).matrix,
-                                  _q_columns(oracle, size, k, size))
+                                  _q_columns(oracle, size, complement=True))
 
     def test_a_column_can_start_above_its_panel(self):
         # m = 3 and 32-column panels: column 32 is z^10 Theta e_2, which
@@ -476,7 +480,7 @@ class TestWindowedRangeQR:
         assert panels[1][0] == 32
         oracle, _, _ = _dense_range_qr(t, 40, 0)
         _assert_same_parts([(slice(0, n, 1), panels, k)], oracle)
-        assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, n, k, n))
+        assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, n, complement=True))
 
     def test_memory_grows_with_the_band_not_the_order(self):
         # the dense C of Theta_4 at N = 2048 alone would take about 1 GB
@@ -533,9 +537,9 @@ class TestSymbolField:
         oracle, size, k = _dense_range_qr(t, n, headroom, dtype=complex)
         assert all(np.iscomplexobj(q) for _, panels, _ in oracle for *_, q in panels)
         assert _projector_gap(beurling_space(t, n, headroom).matrix,
-                              _q_columns(oracle, size, 0, k)) <= 1e-12
+                              _q_columns(oracle, size)) <= 1e-12
         assert _projector_gap(model_space(t, n, headroom).matrix,
-                              _q_columns(oracle, size, k, size)) <= 1e-12
+                              _q_columns(oracle, size, complement=True)) <= 1e-12
 
     def test_a_tiny_imaginary_part_takes_the_complex_path(self, qr_dtypes):
         t = REAL_SYMBOLS["blaschke_diag"]
@@ -577,7 +581,7 @@ class TestSymbolField:
         panels, n, k, _ = _range_qr(t, 512, 0, DEFAULT_TOL)
         tracemalloc.start()
         try:
-            q = _q_columns(panels, n, 0, k)
+            q = _q_columns(panels, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -899,6 +903,13 @@ class TestDefect:
         full = beurling_space(monomial_inner(1, 1), 6, headroom=1)
         cert_banded = defect_of(full, "S", band=full.band)
         assert cert_banded.defect_dim == 0
+
+    def test_mode_is_stamped_not_taken(self):
+        m = Subspace(1, 4, (ONE,))
+        with pytest.raises(TypeError):
+            defect_of(m, "S*", mode="bogus")
+        assert defect_of(m, "S*").mode == "almost"
+        assert certify_nearly(m, 0).mode == "nearly"
 
     @pytest.mark.parametrize("domain", ["default", "empty", "non_empty"])
     def test_unknown_operator_refused_on_any_domain(self, domain):
