@@ -11,7 +11,14 @@ once: ``multiply`` is the banded block Cauchy product T_Theta X, and
 reshaped ``Subspace.matrix``, a ``CoeffFn.coeffs[..., None]`` or another
 symbol's ``mats``.  Both are exact for polynomial data, so the adjoint
 identity <T X, Y> = <X, T* Y> holds up to rounding, and no Toeplitz
-matrix is ever formed.
+matrix is ever formed.  Each coefficient acts as one broadcast matrix
+product over the degrees of its operand, a BLAS call per coefficient.
+
+A symbol's field is decided once, when it is built: ``mats`` is float64
+when every imaginary part is exactly zero (no tolerance: ``_field``),
+complex128 otherwise.  Both functions work in the field of their
+operands, so a real symbol on real columns never touches complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ class MatSymbol:
     m_out, m_in : int
         Row and column dimension of each coefficient matrix.
     mats : np.ndarray
-        Complex array of shape (deg + 1, m_out, m_in).
+        Read-only array of shape (deg + 1, m_out, m_in) in the field of
+        the coefficients: float64 when they are exactly real, else
+        complex128.
     tail_bound : float
         Certified bound on the sup-norm of the discarded tail
         (0 for exactly polynomial symbols).
@@ -55,7 +64,7 @@ class MatSymbol:
     claimed_inner: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.mats, dtype=complex)
+        arr = np.array(self.mats, dtype=complex, order="C")
         if arr.ndim != 3 or arr.shape[0] < 1:
             raise DimensionMismatchError(
                 f"symbol coefficients must be (deg+1, m_out, m_in), got {arr.shape}"
@@ -65,8 +74,8 @@ class MatSymbol:
                 f"coefficient blocks are {arr.shape[1]}x{arr.shape[2]}, "
                 f"expected {self.m_out}x{self.m_in}"
             )
-        arr = arr.copy(order="C")
-        if not np.all(np.isfinite(arr.view(float))):
+        arr = _field(arr)
+        if not np.all(np.isfinite(arr)):
             raise ValueError("symbol coefficients must be finite")
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be non-negative")
@@ -83,19 +92,28 @@ class MatSymbol:
         return np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
 
 
+def _field(x: np.ndarray) -> np.ndarray:
+    """x in the field of its data: float64 when no entry has a nonzero
+    imaginary part (an exact test, no tolerance), else as it is."""
+    if np.iscomplexobj(x) and not x.imag.any():
+        return np.ascontiguousarray(x.real)
+    return x
+
+
 def scalar_symbol(coeffs, tail_bound: float = 0.0, claimed_inner: bool = False) -> MatSymbol:
     """1x1 symbol from a list of scalar Taylor coefficients."""
     arr = np.asarray(coeffs, dtype=complex).reshape(-1, 1, 1)
     return MatSymbol(1, 1, arr, tail_bound, claimed_inner)
 
 
-def _check_input(x: np.ndarray, m: int, label: str) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
+def _check_input(t: MatSymbol, x: np.ndarray, m: int, label: str) -> np.ndarray:
+    """x checked for shape, in the field of the product with t's coefficients."""
+    x = np.asarray(x)
     if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] != m:
         raise DimensionMismatchError(
             f"{label} expects coefficients of shape (deg+1, {m}, b), got {x.shape}"
         )
-    return x
+    return x.astype(np.result_type(t.mats, x), copy=False)
 
 
 def multiply(t: MatSymbol, x: np.ndarray, out_deg: int | None = None) -> np.ndarray:
@@ -106,15 +124,15 @@ def multiply(t: MatSymbol, x: np.ndarray, out_deg: int | None = None) -> np.ndar
     with exact zeros; a smaller one must only cut exact zeros, and a
     nonzero coefficient above it raises TruncationOverflowError.
     """
-    x = _check_input(x, t.m_in, "symbol")
+    x = _check_input(t, x, t.m_in, "symbol")
     if out_deg is not None and out_deg < 0:
         raise DimensionMismatchError(f"output degree {out_deg} is negative")
     d = x.shape[0] - 1
     full = t.deg + d
     rows = full if out_deg is None else max(out_deg, full)
-    out = np.zeros((rows + 1, t.m_out, x.shape[2]), dtype=complex)
+    out = np.zeros((rows + 1, t.m_out, x.shape[2]), dtype=x.dtype)
     for j in range(t.deg + 1):
-        out[j : j + d + 1] += np.einsum("oi,dib->dob", t.mats[j], x)
+        out[j : j + d + 1] += t.mats[j] @ x
     if out_deg is not None and out_deg < full:
         if np.any(out[out_deg + 1:] != 0):
             raise TruncationOverflowError(
@@ -129,11 +147,11 @@ def multiply_adjoint(t: MatSymbol, y: np.ndarray) -> np.ndarray:
 
     y has shape (d+1, m_out, b); the result has shape (d+1, m_in, b).
     """
-    y = _check_input(y, t.m_out, "adjoint")
+    y = _check_input(t, y, t.m_out, "adjoint")
     d = y.shape[0] - 1
-    out = np.zeros((d + 1, t.m_in, y.shape[2]), dtype=complex)
+    out = np.zeros((d + 1, t.m_in, y.shape[2]), dtype=y.dtype)
     for j in range(min(t.deg, d) + 1):
-        out[: d + 1 - j] += np.einsum("oi,dob->dib", np.conj(t.mats[j]), y[j:])
+        out[: d + 1 - j] += np.conj(t.mats[j].T) @ y[j:]
     return out
 
 

@@ -61,12 +61,11 @@ from .errors import (
     TruncationOverflowError,
 )
 from .funcs import CoeffFn, flatten, unflatten
-from .multipliers import MatSymbol, multiply, multiply_adjoint
+from .multipliers import MatSymbol, _field, multiply, multiply_adjoint
 from .subspaces import (
     DefectCertificate,
     Subspace,
     _columns,
-    _field,
     _gram_deviation,
     _mul,
     _rank,
@@ -518,8 +517,7 @@ def extract_K(m: Subspace, defect_basis) -> Subspace:
     return k
 
 
-def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
-                 check: bool = True) -> Subspace:
+def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int) -> Subspace:
     """Rebuild the function space from coordinates: F = F0 K0 + sum z k_j E_j.
 
     F0 columns must be orthonormal with linearly independent values at 0;
@@ -527,8 +525,8 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
     ``_defect_tol(k.tol)``.  Every image is one product: the m x (r+p)
     generator symbol [F0 | zE] (``_generator``) applied by ``multiply`` to
     the columns of K's Q, then spanned by the ``from_spanning`` cut at K's
-    tol.  The output is certified nearly invariant with defect at most p
-    unless ``check`` is disabled.
+    tol.  The output is certified nearly invariant with defect at most p,
+    and refused otherwise.
     """
     f0_cols = list(f0_cols)
     e_fns = list(e_fns)
@@ -556,12 +554,11 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int,
             f"ambient degree {ambient_deg} below required headroom {need}"
         )
     m = _apply_space(gen, k, ambient_deg, k.tol)
-    if check:
-        cert = certify_nearly(m, p)
-        if cert.defect_dim > p:
-            raise CertificationError(
-                f"synthesized space has defect {cert.defect_dim} > {p}"
-            )
+    cert = certify_nearly(m, p)
+    if cert.defect_dim > p:
+        raise CertificationError(
+            f"synthesized space has defect {cert.defect_dim} > {p}"
+        )
     return m
 
 

@@ -344,8 +344,7 @@ def _sc_prop_perp_almost(p: dict):
     k_theta = model_space(theta, n - 2, tol=tol)
     x = complement(_apply_space(psi, k_theta, n, tol))
     # Psi's columns, padded to the window
-    cols = np.zeros(((n + 1) * m, m), dtype=complex)
-    cols[: psi.mats.shape[0] * m] = psi.mats.reshape(-1, m)
+    cols = multiply(psi, np.eye(m)[None], n).reshape(-1, m)
     defect_dim, dist = _shift_defect(x, cols, p["defect_tol"])
     metrics = {
         "defect_dim": defect_dim,
@@ -491,8 +490,7 @@ def _sc_main_defect1(p: dict):
         diag_inner([monomial_inner(3, 3), monomial_inner(2, 3)], 3), p["NK"], tol=tol
     )
     slanted = make_fn(2, [[0, 2 ** -0.5], [0, 2 ** -0.5]])
-    slanted_m = synthesize_M(k_space, [basis_vector(2, 0)], [slanted],
-                             p["NK"] + 2, check=False)
+    slanted_m = synthesize_M(k_space, [basis_vector(2, 0)], [slanted], p["NK"] + 2)
     slant_cert = certify_nearly(slanted_m, 1)
     # reported before the norm gap
     gap = metrics.pop("norm_gap")

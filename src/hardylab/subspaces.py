@@ -35,15 +35,17 @@ to that band.
 
 A Q lives in the field of its data, by one rule: it is float64 when the
 data it is built from is exactly real (every imaginary part exactly
-zero, no tolerance: ``_field``), complex128 otherwise.  The data is an
-inner symbol's coefficients for ``beurling_space``/``model_space``, whose
-QR runs in that field, and the columns given to ``from_spanning`` or the
-``Subspace`` constructor.  Everything built from a Q inherits its field:
-complements, paddings, slices, wandering parts, residuals, defect bases
-and ``nearly``'s step map.  A real matrix that meets a complex operand
-multiplies through the operand's float64 view (``_mul``), so a real Q is
-never cast to a complex copy.  ``CoeffFn`` and ``MatSymbol`` stay
-complex: they hold small coefficient arrays.
+zero, no tolerance: ``multipliers._field``), complex128 otherwise.  The
+data is an inner symbol's coefficients for ``beurling_space``/
+``model_space``, whose field the ``MatSymbol`` fixed when it was built
+and whose QR runs in that field, and the columns given to
+``from_spanning`` or the ``Subspace`` constructor.  Everything built
+from a Q inherits its field: complements, paddings, slices, wandering
+parts, residuals, defect bases and ``nearly``'s step map.  A real matrix
+that meets a complex operand multiplies through the operand's float64
+view (``_mul``), so a real Q is never cast to a complex copy.  Only
+``CoeffFn``, the boundary type, stays complex: it holds small
+coefficient arrays.
 
 A subspace remembers its orthocomplement only when it is the fatter side
 (at least as many columns): the thin complement sits in the fat space's
@@ -81,7 +83,7 @@ from .errors import (
     TruncationOverflowError,
 )
 from .funcs import CoeffFn, flatten, unflatten, zero_fn
-from .multipliers import MatSymbol
+from .multipliers import MatSymbol, _field
 
 __all__ = [
     "DEFAULT_TOL",
@@ -107,14 +109,6 @@ _PANEL_MIN = 32
 def _rank(s: np.ndarray, tol: float, scale: float) -> int:
     """Number of singular values above tol * scale: the one rank cut."""
     return int(np.sum(s > tol * scale))
-
-
-def _field(x: np.ndarray) -> np.ndarray:
-    """x in the field of its data: float64 when no entry has a nonzero
-    imaginary part (an exact test, no tolerance), else as it is."""
-    if np.iscomplexobj(x) and not x.imag.any():
-        return np.ascontiguousarray(x.real)
-    return x
 
 
 def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -343,7 +337,7 @@ def _isometry_defect(t: MatSymbol) -> float:
     coefficient's Gram matrix.
     """
     d1, m = t.deg + 1, t.m_in
-    side = _field(t.mats).transpose(1, 0, 2).reshape(t.m_out, d1 * m)
+    side = t.mats.transpose(1, 0, 2).reshape(t.m_out, d1 * m)
     gram = _mul(side, side, adjoint=True).reshape(d1, m, d1, m).transpose(0, 2, 1, 3)
     # in rows of 2 d1 blocks, block (i, j) sits at flat block i (2 d1) + j;
     # read in rows of 2 d1 + 1, row i starts at flat block i (2 d1) + i, so
@@ -467,11 +461,10 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     its Q* applied to the rest of the window gives the next carry.  Memory
     grows with n times the largest band height, not with n x k.
 
-    The field is the symbol's: if no coefficient up to the top column
-    degree has a nonzero imaginary part (an exact test, no tolerance), the
-    stack, every window, the carry and each panel's q are float64, else
-    complex128.  A real symbol thus gets the real Householder QR of the
-    same C, which spans the same range.
+    The field is the symbol's, read from ``t.mats`` as stored: for a real
+    symbol the stack, every window, the carry and each panel's q are
+    float64, else complex128.  A real symbol thus gets the real
+    Householder QR of the same C, which spans the same range.
 
     Returns (parts, n, k, band), one part (rows, panels, k_b) per block:
     the block's Q_b = H_1 ... H_P acts on the ambient rows ``rows`` (a
@@ -499,8 +492,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     col_degs = t.column_degrees()
     top_deg = int(col_degs.max())
     band = max(0, ambient_deg - headroom - top_deg)
-    # the symbol's own field: exactly real coefficients factor in real arithmetic
-    mats = _field(t.mats[: top_deg + 1])
+    mats = t.mats[: top_deg + 1]
     # the ambient order stays where its band is no wider than a minimal
     # panel, or one panel takes every kept column: there the blocks would
     # add panels (a QR each) and save little arithmetic

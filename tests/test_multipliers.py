@@ -2,7 +2,7 @@
 
 The references below are the implementations the kernel replaced: the
 dense block Toeplitz matrix, the per-function Cauchy and correlation
-loops, and the einsum loop of ``compose``.
+loops, and the block-product loop of ``compose``.
 """
 
 import numpy as np
@@ -40,15 +40,16 @@ def _column(f):
     return MatSymbol(f.dim_m, 1, f.coeffs.reshape(-1, f.dim_m, 1))
 
 
-def _rng_symbol(rng, m_out, m_in, deg):
-    return MatSymbol(m_out, m_in,
-                     rng.standard_normal((deg + 1, m_out, m_in))
-                     + 1j * rng.standard_normal((deg + 1, m_out, m_in)))
+def _rng_symbol(rng, m_out, m_in, deg, real=False):
+    mats = (rng.standard_normal((deg + 1, m_out, m_in))
+            + 1j * rng.standard_normal((deg + 1, m_out, m_in)))
+    return MatSymbol(m_out, m_in, mats.real if real else mats)
 
 
-def _rng_coeffs(rng, deg, m, b):
-    return (rng.standard_normal((deg + 1, m, b))
-            + 1j * rng.standard_normal((deg + 1, m, b)))
+def _rng_coeffs(rng, deg, m, b, real=False):
+    x = (rng.standard_normal((deg + 1, m, b))
+         + 1j * rng.standard_normal((deg + 1, m, b)))
+    return x.real if real else x
 
 
 def _geometric_blaschke_half(deg):
@@ -85,10 +86,11 @@ def _adjoint_reference(t, coeffs):
 
 
 def _compose_reference(a, b):
-    """The block Cauchy product of two symbols, one einsum per block of a."""
-    out = np.zeros((a.deg + b.deg + 1, a.m_out, b.m_in), dtype=complex)
+    """The block Cauchy product of two symbols, one product per block of a."""
+    out = np.zeros((a.deg + b.deg + 1, a.m_out, b.m_in),
+                   dtype=np.result_type(a.mats, b.mats))
     for j in range(a.deg + 1):
-        out[j : j + b.deg + 1] += np.einsum("oi,dij->doj", a.mats[j], b.mats)
+        out[j : j + b.deg + 1] += a.mats[j] @ b.mats
     return out
 
 
@@ -244,14 +246,17 @@ class TestCompose:
         prod = compose(b, b)
         assert prod.tail_bound >= 2 * b.tail_bound - 1e-15
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_einsum_loop_exactly(self, seed):
+    @pytest.mark.parametrize("seed, real", [pytest.param(seed, real, id=f"{seed}-real" if real else str(seed))
+                                            for seed in range(4) for real in (False, True)])
+    def test_matches_block_product_loop_exactly(self, seed, real):
         rng = np.random.default_rng(seed)
-        a = _rng_symbol(rng, 2, 3, int(rng.integers(0, 5)))
-        b = _rng_symbol(rng, 3, 2, int(rng.integers(0, 5)))
-        assert np.array_equal(compose(a, b).mats, _compose_reference(a, b))
+        a = _rng_symbol(rng, 2, 3, int(rng.integers(0, 5)), real)
+        b = _rng_symbol(rng, 3, 2, int(rng.integers(0, 5)), real)
+        ab = compose(a, b)
+        assert ab.mats.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(ab.mats, _compose_reference(a, b))
 
-    def test_blaschke_product_matches_einsum_loop_exactly(self):
+    def test_blaschke_product_matches_block_product_loop_exactly(self):
         b = blaschke_scalar(BlaschkeSpec([0.5, -0.3j]), 16)
         d = diag_inner([b, monomial_inner(2, 16)], 16)
         assert np.array_equal(compose(d, d).mats, _compose_reference(d, d))
@@ -261,34 +266,58 @@ class TestCompose:
             compose(scalar_symbol([1]), _column(basis_vector(2, 0)))
 
 
+class TestSymbolField:
+    """A symbol's field is decided once, when it is built (the kernel's
+    field is checked against the dense oracle below)."""
+
+    @pytest.mark.parametrize("imag, field", [(0.0, np.float64), (1e-300, np.complex128)])
+    def test_stored_in_the_field_of_its_coefficients(self, imag, field):
+        mats = np.zeros((2, 2, 2), dtype=complex)
+        mats[1] = [[1, 2], [3, 4]]
+        mats[0, 1, 0] = imag * 1j
+        t = MatSymbol(2, 2, mats)
+        assert t.mats.dtype == field and not t.mats.flags.writeable
+        assert np.array_equal(t.mats, mats)
+
+
 # the kernel against the dense block Toeplitz oracle: m_out != m_in, symbol
 # degree above and below the input degree, one and several columns
 KERNEL_GRID = [(m_out, m_in, sym_deg, in_deg, b)
                for m_out, m_in in ((2, 3), (3, 1))
                for sym_deg, in_deg in ((4, 1), (1, 4))
                for b in (1, 5)]
+# each grid case in every pairing of the fields of symbol and input, as
+# (real symbol, real input, id suffix); the complex pair keeps the grid's ids
+FIELDS = [(False, False, ""), (True, True, "-real"),
+          (True, False, "-real_symbol"), (False, True, "-real_input")]
+KERNEL_CASES = [pytest.param(*case, real_t, real_x, id="-".join(map(str, case)) + tag)
+                for case in KERNEL_GRID for real_t, real_x, tag in FIELDS]
 
 
 class TestKernelOracle:
-    @pytest.mark.parametrize("m_out, m_in, sym_deg, in_deg, b", KERNEL_GRID)
-    def test_multiply_matches_dense_toeplitz(self, m_out, m_in, sym_deg, in_deg, b):
+    @pytest.mark.parametrize("m_out, m_in, sym_deg, in_deg, b, real_t, real_x", KERNEL_CASES)
+    def test_multiply_matches_dense_toeplitz(self, m_out, m_in, sym_deg, in_deg, b,
+                                             real_t, real_x):
         rng = np.random.default_rng(m_out + 10 * sym_deg + 100 * b)
-        t = _rng_symbol(rng, m_out, m_in, sym_deg)
-        x = _rng_coeffs(rng, in_deg, m_in, b)
+        t = _rng_symbol(rng, m_out, m_in, sym_deg, real_t)
+        x = _rng_coeffs(rng, in_deg, m_in, b, real_x)
         n = sym_deg + in_deg
         dense = _dense_toeplitz(t, n)[:, : m_in * (in_deg + 1)] @ x.reshape(-1, b)
         got = multiply(t, x)
         assert got.shape == (n + 1, m_out, b)
+        assert got.dtype == (np.float64 if real_t and real_x else np.complex128)
         assert np.allclose(got.reshape(-1, b), dense, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("m_out, m_in, sym_deg, in_deg, b", KERNEL_GRID)
-    def test_adjoint_is_dense_conjugate_transpose(self, m_out, m_in, sym_deg, in_deg, b):
+    @pytest.mark.parametrize("m_out, m_in, sym_deg, in_deg, b, real_t, real_y", KERNEL_CASES)
+    def test_adjoint_is_dense_conjugate_transpose(self, m_out, m_in, sym_deg, in_deg, b,
+                                                  real_t, real_y):
         rng = np.random.default_rng(m_in + 10 * in_deg + 100 * b)
-        t = _rng_symbol(rng, m_out, m_in, sym_deg)
-        y = _rng_coeffs(rng, in_deg, m_out, b)
+        t = _rng_symbol(rng, m_out, m_in, sym_deg, real_t)
+        y = _rng_coeffs(rng, in_deg, m_out, b, real_y)
         dense = np.conj(_dense_toeplitz(t, in_deg).T) @ y.reshape(-1, b)
         got = multiply_adjoint(t, y)
         assert got.shape == (in_deg + 1, m_in, b)
+        assert got.dtype == (np.float64 if real_t and real_y else np.complex128)
         assert np.allclose(got.reshape(-1, b), dense, rtol=0, atol=1e-12)
         for c in range(b):
             assert np.allclose(got[:, :, c], _adjoint_reference(t, y[:, :, c]),

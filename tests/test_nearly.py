@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hardylab import nearly, scenarios, subspaces
 from hardylab.errors import (
+    CertificationError,
     DimensionMismatchError,
     InvariantViolationError,
     NotNearlyInvariantError,
@@ -852,6 +853,13 @@ class TestExtractAndSynthesize:
         k = from_spanning([ONE, Z], 4)
         with pytest.raises(TruncationOverflowError):
             synthesize_M(k, [ONE], [], 3)
+
+    def test_a_defect_above_p_is_refused(self):
+        # z e_0 alone: S* z e_0 = e_0 leaves the space, a defect of 1 with
+        # no defect function to carry it
+        k = Subspace(1, 4, (monomial_fn(1, 0, 1),))
+        with pytest.raises(CertificationError, match="synthesized space has defect 1 > 0"):
+            synthesize_M(k, [basis_vector(2, 0)], [], 6)
 
     def test_propagates_decomposition_refusal(self):
         with pytest.raises(NotNearlyInvariantError):
