@@ -538,7 +538,7 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int) -> Subspace:
         raise TruncationOverflowError(
             f"ambient degree {ambient_deg} below required headroom {need}"
         )
-    m = _apply_space(gen, k, ambient_deg, k.tol)
+    m = _apply_space(gen, k, ambient_deg)
     cert = certify_nearly(m, p)
     if cert.defect_dim > p:
         raise CertificationError(
@@ -547,12 +547,12 @@ def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int) -> Subspace:
     return m
 
 
-def _apply_space(t: MatSymbol, space: Subspace, ambient_deg: int,
-                 tol: float) -> Subspace:
-    """Exact image of a subspace under a multiplier, re-orthonormalized."""
+def _apply_space(t: MatSymbol, space: Subspace, ambient_deg: int) -> Subspace:
+    """Exact image of a subspace under a multiplier, re-orthonormalized at
+    the space's tol."""
     x = space.matrix.reshape(space.ambient_deg + 1, space.dim_m, space.dim)
     images = multiply(t, x, ambient_deg).reshape(-1, space.dim)
-    return _span_columns(images, t.m_out, ambient_deg, tol)
+    return _span_columns(images, t.m_out, ambient_deg, space.tol)
 
 
 def _generator(f0_cols: list, e_fns: list) -> MatSymbol:

@@ -109,12 +109,6 @@ def _check_param(key: str, val, default) -> None:
         raise ParseError(f"parameter {key!r} must be {want}, got {val!r}")
 
 
-def _symbol(spec) -> MatSymbol:
-    if isinstance(spec, MatSymbol):
-        return spec
-    return parse_symbol_spec(spec)
-
-
 def _monomial_powers(t: MatSymbol):
     """Per-column powers if the symbol is a diagonal of monomials, else None."""
     if t.m_out != t.m_in:
@@ -165,12 +159,16 @@ def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
 
 
 def _sc_beurling(p: dict):
-    theta = _symbol(p["theta"])
+    theta = parse_symbol_spec(p["theta"])
     n, tol = p["N"], p["tol"]
+    if n < theta.deg:
+        raise ParseError(
+            f"parameter 'N' = {n} is below {theta.deg}, the degree of 'theta'"
+        )
     rng_full = beurling_space(theta, n, tol=tol)
     rng_res = beurling_space(theta, n, headroom=1, tol=tol)
     cert = defect_of(rng_full, "S", domain=rng_res, tol=tol)
-    model = model_space(theta, n, tol=tol)
+    model = complement(rng_full)
     overlap = float(np.linalg.norm(_mul(rng_full.matrix, model.matrix, adjoint=True), 2)) \
         if rng_full.dim and model.dim else 0.0
     dims_exact = rng_full.dim + model.dim == theta.m_out * (n + 1)
@@ -221,6 +219,13 @@ def _sc_prop_f0k_almost(p: dict):
     r = 2
     if m < r:
         raise ParseError(f"need m >= {r} to embed {r} isometric columns")
+    # the growth symbol holds z^2 at degree order - margin, the flat one z^3
+    first, least = p["growth_orders"][0], max(3, p["growth_margin"] + 2)
+    if first < least:
+        raise ParseError(
+            f"parameter 'growth_orders' starts at {first}, below "
+            f"{least} = max(3, 'growth_margin' + 2)"
+        )
     if rprime == 2:
         theta = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
     elif rprime == 1:
@@ -234,7 +239,7 @@ def _sc_prop_f0k_almost(p: dict):
     v_mats = np.stack([np.column_stack([c.coeffs[0] for c in v_cols])])
     v_sym = MatSymbol(m, r, v_mats)
     k_theta = model_space(theta, n, tol=tol)
-    space = _apply_space(v_sym, k_theta, n, tol)
+    space = _apply_space(v_sym, k_theta, n)
     nearly_cert = certify_nearly(space, 0, band=k_theta.band)
     defect_dim, dist = _shift_defect(
         space, multiply(v_sym, theta.mats, n).reshape(-1, rprime), p["defect_tol"])
@@ -272,7 +277,7 @@ def _ortho_distance(psi: MatSymbol, theta: MatSymbol, n: int, tol: float) -> flo
     """Distance of (Psi K_Theta)^perp from Psi Theta H^2 (+) K_Psi at order
     n, compared within degrees <= n - deg Psi - deg Theta."""
     k_theta = model_space(theta, n - theta.deg, tol=tol)
-    lhs = complement(_apply_space(psi, k_theta, n, tol))
+    lhs = complement(_apply_space(psi, k_theta, n))
     rhs = _span_columns(
         np.hstack([beurling_space(compose(psi, theta), n, tol=tol).matrix,
                    model_space(psi, n, tol=tol).matrix]),
@@ -330,7 +335,7 @@ def _sc_lemma_nearly(p: dict):
     threshold = _certifying(max(1e-8, 3.0 * psi.tail_bound), d)
     theta = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
     k_theta = model_space(theta, nk, tol=tol)
-    space = _apply_space(psi, k_theta, nk + d, tol)
+    space = _apply_space(psi, k_theta, nk + d)
     cert = certify_nearly(space, 0, tol=threshold)
     residual = cert.singular_values[0] if cert.singular_values else 0.0
     metrics = {
@@ -349,7 +354,7 @@ def _sc_prop_perp_almost(p: dict):
     theta = diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2)
     m = psi.m_out
     k_theta = model_space(theta, n - 2, tol=tol)
-    x = complement(_apply_space(psi, k_theta, n, tol))
+    x = complement(_apply_space(psi, k_theta, n))
     # Psi's columns, padded to the window
     cols = multiply(psi, np.eye(m)[None], n).reshape(-1, m)
     defect_dim, dist = _shift_defect(x, cols, p["defect_tol"])
@@ -366,7 +371,7 @@ def _sc_counterexample(p: dict):
     tol, n, m = p["tol"], p["N"], p["m"]
     theta = diag_inner([monomial_inner(1, 1)] * m, 1)
     k_theta = model_space(theta, n, tol=tol)
-    theta_k = _apply_space(theta, k_theta, n, tol)
+    theta_k = _apply_space(theta, k_theta, n)
     space = complement(theta_k)
     cert = certify_nearly(space, 0)
     raised = False
@@ -401,7 +406,7 @@ def _sc_wandering_bound(p: dict):
     )
     theta = diag_inner([monomial_inner(1, 1)] * 2, 1)
     k_theta = model_space(theta, p["inner_N"], tol=tol)
-    m2 = _apply_space(psi, k_theta, p["inner_N"] + d, tol)
+    m2 = _apply_space(psi, k_theta, p["inner_N"] + d)
     dim2 = wandering(m2).dim
     m3 = from_spanning([monomial_fn(2, 0, 1), monomial_fn(2, 1, 2)], n, tol)
     dim3 = wandering(m3).dim
@@ -557,6 +562,9 @@ def _sc_duality(p: dict):
             f"parameters 'm' = {m} and 'N' = {n} leave an ambient of dimension "
             f"m (N + 1) = {m * (n + 1)} <= 4: no room for a defect direction"
         )
+    if n < 3:
+        # the even pairs draw monomial powers up to 3
+        raise ParseError(f"parameter 'N' = {n} is below 3, the largest drawn monomial power")
     rng = np.random.default_rng(p["seed"])
     # per pair: (forward containment, complement containment)
     verdicts = []
@@ -567,7 +575,7 @@ def _sc_duality(p: dict):
                                max(powers))
             base = model_space(theta, n, tol=tol)
             u_sym = MatSymbol(m, m, _random_unitary(rng, m).reshape(1, m, m))
-            space = _apply_space(u_sym, base, n, tol)
+            space = _apply_space(u_sym, base, n)
         else:
             count = int(rng.integers(2, 5))
             space = _span_columns(

@@ -11,11 +11,11 @@ function:   {"m": 2, "coeffs": [[[re,im],[re,im]], ...]}     one inner list
             of m pairs per degree.
 symbol:     {"kind": "monomial", "k": 2, "deg": 4}
             {"kind": "blaschke", "zeros": [[re,im],...], "rotation": [re,im], "deg": 32}
-            {"kind": "poly", "coeffs": [[re,im],...], "deg": 4}
             {"kind": "diag", "entries": [<scalar specs>], "deg": 4}
-            {"kind": "matrix", "rows": [[<scalar spec>,...],...], "deg": 4}
-            A top-level monomial lifts deg to k; a monomial entry of a diag
-            or matrix must have k <= deg, since a cut entry would be zero.
+            Every kind is inner, so every parsed symbol is claimed inner;
+            any other kind is a parse error.  A top-level monomial lifts
+            deg to k; a monomial entry of a diag must have k <= deg, since
+            a cut entry would be zero.
 space:      {"m": 2, "ambient_deg": 8, "spanning": [<coeffs arrays>], "tol": 1e-10}
 functions:  {"m": 2, "functions": [<coeffs arrays>]}          ordered list,
             used for defect bases (must already be orthonormal).
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ParseError
 from .funcs import CoeffFn, make_fn
-from .inner import BlaschkeSpec, _cut_entry, blaschke_scalar, diag_inner, monomial_inner
-from .multipliers import MatSymbol, scalar_symbol
+from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
+from .multipliers import MatSymbol
 from .subspaces import DEFAULT_TOL, Subspace, from_spanning
 
 __all__ = [
@@ -130,18 +130,12 @@ def _parse_scalar_symbol(doc, deg: int, path: str) -> MatSymbol:
         zeros = [_complex_at(z, f"{path}.zeros[{i}]") for i, z in enumerate(zeros_node)]
         rot = _complex_at(doc["rotation"], f"{path}.rotation") if "rotation" in doc else 1.0
         return blaschke_scalar(BlaschkeSpec(zeros, rot), deg)
-    if kind == "poly":
-        coeffs_node = doc.get("coeffs")
-        if not isinstance(coeffs_node, list) or not coeffs_node:
-            raise ParseError(f"{path}.coeffs: expected a nonempty list of [re, im] pairs")
-        coeffs = [_complex_at(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs_node)]
-        return scalar_symbol(coeffs)
     raise ParseError(f"{path}.kind: unknown scalar kind {kind!r}")
 
 
 def _parse_entry(doc, deg: int, path: str) -> MatSymbol:
-    """A scalar spec inside a diag or matrix spec, which cuts every entry
-    to ``deg``: a monomial above deg would be cut to zero, so it is refused."""
+    """A scalar spec inside a diag spec, which cuts every entry to
+    ``deg``: a monomial above deg would be cut to zero, so it is refused."""
     entry = _parse_scalar_symbol(doc, deg, path)
     if doc["kind"] == "monomial" and doc["k"] > deg:
         raise ParseError(f"{path}.k: monomial degree {doc['k']} exceeds deg {deg}, "
@@ -150,7 +144,11 @@ def _parse_entry(doc, deg: int, path: str) -> MatSymbol:
 
 
 def parse_symbol_spec(text: str) -> MatSymbol:
-    """Parse a multiplier symbol from JSON text."""
+    """Parse an inner symbol from JSON text (or a parsed object).
+
+    The kinds are ``monomial``, ``blaschke`` and a ``diag`` of those two,
+    each claimed inner; any other kind is a ``ParseError`` naming ``kind``.
+    """
     doc = _object(text)
     deg = doc.get("deg", 0)
     if not _whole(deg) or deg < 0:
@@ -164,31 +162,6 @@ def parse_symbol_spec(text: str) -> MatSymbol:
             _parse_entry(e, deg, f"entries[{i}]") for i, e in enumerate(entries)
         ]
         return diag_inner(parsed, deg)
-    if kind == "matrix":
-        rows = doc.get("rows")
-        if not isinstance(rows, list) or not rows:
-            raise ParseError("rows: expected a nonempty list of rows")
-        width = None
-        scalars = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or not row:
-                raise ParseError(f"rows[{i}]: expected a nonempty list of scalar specs")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(f"rows[{i}]: ragged row, expected {width} entries")
-            scalars.append([
-                _parse_entry(s, deg, f"rows[{i}][{j}]") for j, s in enumerate(row)
-            ])
-        m_out, m_in = len(rows), width
-        mats = np.zeros((deg + 1, m_out, m_in), dtype=complex)
-        tail = 0.0
-        for i in range(m_out):
-            for j in range(m_in):
-                col, entry_tail = _cut_entry(scalars[i][j], deg)
-                mats[: col.shape[0], i, j] = col
-                tail += entry_tail
-        return MatSymbol(m_out, m_in, mats, tail, claimed_inner=False)
     return _parse_scalar_symbol(doc, deg, "")
 
 

@@ -10,6 +10,8 @@ from hardylab.cli import main
 from hardylab.errors import ParseError
 from hardylab.funcs import basis_vector
 from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
+from hardylab.serialize import parse_symbol_spec
+from hardylab.subspaces import model_space
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -140,6 +142,31 @@ class TestCli:
         assert main(["model-space", "--theta", str(theta), "--order", "8"]) == 2
         err = capsys.readouterr().err
         assert "entries[0].k" in err and "deg 3" in err
+
+    def test_symbol_kinds_are_exactly_the_inner_ones(self, tmp_path, capsys):
+        # every accepted kind is inner, so the model space builds from it
+        for spec in ({"kind": "monomial", "k": 1},
+                     {"kind": "blaschke", "zeros": [[0.5, 0]], "deg": 4},
+                     {"kind": "diag", "deg": 1, "entries": [{"kind": "monomial", "k": 1}]}):
+            t = parse_symbol_spec(spec)
+            assert t.claimed_inner
+            assert model_space(t, t.deg + 2).dim >= 1
+        # a kind never claimed inner is refused where it enters
+        theta = tmp_path / "theta.json"
+        for spec in ({"kind": "poly", "coeffs": [[1, 0]]},
+                     {"kind": "matrix", "deg": 1, "rows": [[{"kind": "monomial", "k": 1}]]},
+                     {"kind": "diag", "deg": 0,
+                      "entries": [{"kind": "poly", "coeffs": [[1, 0]]}]}):
+            with pytest.raises(ParseError, match="kind"):
+                parse_symbol_spec(spec)
+            theta.write_text(json.dumps(spec))
+            assert main(["model-space", "--theta", str(theta), "--order", "4"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "kind" in err
+            assert main(["scenario", "beurling", "--param",
+                         f"theta={json.dumps(spec)}"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "kind" in err
 
     def test_boolean_dimension_is_usage_error(self, tmp_path, capsys):
         space = tmp_path / "space.json"
@@ -447,6 +474,15 @@ class TestDegenerateParams:
         ("lemma_orthocomplement", {"blaschke_deg": 5, "N": 9}, "'N' = 9 is below 10"),
         ("lemma_orthocomplement", {"blaschke_deg": 5, "N": 5}, "'N' = 5 is below 10"),
         ("lemma_orthocomplement", {"N": 47}, "'N' = 47 is below 48"),
+        # every order >= max(3, growth_margin + 2): z^2 at order - margin, z^3 flat
+        ("prop_F0K_almost", {"growth_orders": [5, 8]}, "'growth_orders'"),
+        ("prop_F0K_almost", {"growth_orders": [5, 8]}, "'growth_margin'"),
+        ("prop_F0K_almost", {"growth_orders": [2, 4], "growth_margin": 0},
+         "starts at 2, below 3"),
+        # the even pairs draw monomial powers up to 3
+        ("duality", {"N": 2}, "'N' = 2 is below 3"),
+        ("duality", {"m": 3, "N": 2, "seed": 5}, "'N' = 2 is below 3"),
+        ("beurling", {"N": 2}, "'N' = 2 is below 3, the degree of 'theta'"),
     ]
 
     @pytest.mark.parametrize("sid, params, named", REFUSED)
@@ -474,6 +510,12 @@ class TestDegenerateParams:
         # N = 2 * blaschke_deg: the comparison band is degree 0 alone
         rep = run_scenario("lemma_orthocomplement", {"blaschke_deg": 5, "N": 10})
         assert rep.passed and rep.metrics["comparison_band"] == 0
+        for params in ({"growth_orders": [6, 7]},
+                       {"growth_orders": [3, 4], "growth_margin": 0},
+                       {"growth_orders": [3, 4], "growth_margin": 1}):
+            assert run_scenario("prop_F0K_almost", params).passed
+        assert run_scenario("duality", {"N": 3}).passed
+        assert run_scenario("beurling", {"N": 3}).passed
 
 
 class TestEveryKeyIsChecked:

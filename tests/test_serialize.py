@@ -89,22 +89,6 @@ class TestSymbolFormat:
         assert np.allclose(t.mats, direct.mats)
         assert t.tail_bound == pytest.approx(direct.tail_bound)
 
-    def test_poly_constant(self):
-        t = parse_symbol_spec('{"kind":"poly","coeffs":[[1,0]]}')
-        assert t.m_out == t.m_in == 1
-        assert t.mats[0, 0, 0] == 1.0
-        assert not t.claimed_inner
-
-    def test_matrix_assembly(self):
-        t = parse_symbol_spec(
-            '{"kind":"matrix","deg":2,"rows":'
-            '[[{"kind":"monomial","k":1},{"kind":"poly","coeffs":[[0,0]]}],'
-            '[{"kind":"poly","coeffs":[[0,0]]},{"kind":"monomial","k":2}]]}'
-        )
-        assert t.m_out == t.m_in == 2
-        assert t.mats[1, 0, 0] == 1.0
-        assert t.mats[2, 1, 1] == 1.0
-
     def test_unknown_kind(self):
         with pytest.raises(ParseError, match="unknown scalar kind"):
             parse_symbol_spec('{"kind":"outer","deg":2}')
@@ -112,13 +96,6 @@ class TestSymbolFormat:
     def test_zero_outside_disc(self):
         with pytest.raises(DomainError):
             parse_symbol_spec('{"kind":"blaschke","zeros":[[1.5,0]],"deg":4}')
-
-    def test_ragged_matrix(self):
-        with pytest.raises(ParseError, match=r"rows\[1\]"):
-            parse_symbol_spec(
-                '{"kind":"matrix","deg":1,"rows":[[{"kind":"monomial","k":0},'
-                '{"kind":"monomial","k":0}],[{"kind":"monomial","k":0}]]}'
-            )
 
 
 class TestSpaceFormat:
@@ -162,7 +139,7 @@ class TestBooleansAreNotNumbers:
         (parse_symbol_spec, '{"kind":"monomial","k":1,"deg":true}', "deg"),
         (parse_symbol_spec, '{"kind":"blaschke","zeros":[[0.5,0]],"rotation":[true,0],"deg":4}',
          "rotation"),
-        (parse_symbol_spec, '{"kind":"poly","coeffs":[[1,0],[0,true]]}', r"coeffs\[1\]"),
+        (parse_symbol_spec, '{"kind":"blaschke","zeros":[[0.5,true]],"deg":4}', r"zeros\[0\]"),
         (parse_space_spec, '{"m":1,"ambient_deg":true,"spanning":[[[[1,0]]]]}', "ambient_deg"),
         (parse_space_spec, '{"m":1,"ambient_deg":2,"tol":true,"spanning":[[[[1,0]]]]}', "tol"),
     ])
@@ -176,11 +153,6 @@ class TestEntryDegree:
         text = ('{"kind":"diag","entries":[{"kind":"monomial","k":5},'
                 '{"kind":"monomial","k":1}],"deg":3}')
         with pytest.raises(ParseError, match=r"entries\[0\]\.k.*deg 3"):
-            parse_symbol_spec(text)
-
-    def test_matrix_entry_above_deg_is_refused(self):
-        text = '{"kind":"matrix","rows":[[{"kind":"monomial","k":2}]],"deg":1}'
-        with pytest.raises(ParseError, match=r"rows\[0\]\[0\]\.k.*deg 1"):
             parse_symbol_spec(text)
 
     def test_top_level_monomial_lifts_deg(self):
