@@ -28,8 +28,14 @@ not m_out (deg + 1); a symbol whose whole band fits a minimal panel, or
 whose kept columns fit one panel, is factored whole.  The kept columns are
 never stored as one matrix: each panel fills a window of the rows it
 reaches straight from the symbol's coefficients and takes over the rows
-the previous panel updated below its own (the carry), so memory grows
-with n times the band height, not with n x k.  Both record the degree
+the previous panel updated below its own (the carry).  The kept columns
+are block Toeplitz, so after a short transient most windows repeat the
+previous one byte for byte.  A repeated window is not factored: equal
+bytes in give the same q and carry out, so it reuses the previous q
+object, and a run of panels with the same fill pattern is, by
+induction, appended without even being filled.  QR calls thus grow with
+the distinct windows, not with the order, and memory with the transient
+windows plus one (c0, r1, q) entry per panel.  Both record the degree
 band on which the truncation is faithful; comparisons can be compressed
 to that band.
 
@@ -386,6 +392,18 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
     d of its l-th output.  Returns (panels, k): k kept columns and one
     (c0, r1, q) per panel of ``width`` columns, q acting on rows
     c0 ... r1 - 1.
+
+    A window equal byte for byte to the previous panel's (carry included)
+    is not factored again: equal bytes in give the same q and the same
+    carry out, so the panel takes the previous q object and the carry
+    stays.  A window's fill, before the carry, depends only on the panel's
+    fill pattern: r1 - c0, c2 - c0, c1 - c0, the column starts less c0
+    and the column inputs.  So once a panel has repeated its predecessor,
+    the next panel of the same pattern meets the same fill and the same
+    carry, its window is that panel's again, and by induction it is
+    appended without being filled.  The pattern is read only after a
+    repeat.  QR calls thus grow with the distinct windows, the transient
+    panels of the band's start and end, not with the order.
     """
     m = mats.shape[1]
     jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
@@ -399,8 +417,16 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
     offsets = np.arange(tall)[:, None]
     stack = mats.reshape(tall, -1)
     reach = np.maximum.accumulate((jj + col_degs[ii] + 1) * m)
+
+    def fill_pattern(c0, c1, r1, c2):
+        # what the window holds before the carry is written in
+        return (r1 - c0, c2 - c0, c1 - c0, (starts[c0:c2] - c0).tobytes(), ii[c0:c2].tobytes())
+
     panels = []
     carry = np.zeros((0, 0), dtype=stack.dtype)
+    # the last factored window, and the fill pattern of the last panel
+    # once it has repeated that window (None before a repeat)
+    last, pattern = None, None
     for c0 in range(0, k, width):
         c1 = min(c0 + width, k)
         # rows c0 ... r1 - 1 hold every nonzero of the panel below row c0,
@@ -408,6 +434,12 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
         r1 = int(reach[c1 - 1])
         # the later columns that start above r1; the rest are still zero there
         c2 = int(np.searchsorted(starts, r1))
+        if pattern is not None:
+            if fill_pattern(c0, c1, r1, c2) == pattern:
+                # the same fill under the same carry: the last window again
+                panels.append((c0, r1, q))
+                continue
+            pattern = None
         # each column is filled whole into the window plus m rows above it
         # and tall rows below: its entries above c0 (final R) and from r1
         # on (later windows) land in those margins, so no index wraps
@@ -415,9 +447,14 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
         buf[starts[c0:c2] - (c0 - m) + offsets, np.arange(c2 - c0)] = stack[:, ii[c0:c2]]
         window = buf[m : m + r1 - c0]
         window[: carry.shape[0], : carry.shape[1]] = carry
-        q, _ = np.linalg.qr(window[:, : c1 - c0], mode="complete")
-        # rows c0 ... c1 - 1 of the update are final R; the rest carry over
-        carry = (np.conj(q.T) @ window[:, c1 - c0:])[c1 - c0:]
+        if last is not None and np.array_equal(last.view(np.uint8), window.view(np.uint8)):
+            # equal bytes in: the same q, and the carry out is the carry in
+            pattern = fill_pattern(c0, c1, r1, c2)
+        else:
+            q, _ = np.linalg.qr(window[:, : c1 - c0], mode="complete")
+            # rows c0 ... c1 - 1 of the update are final R; the rest carry over
+            carry = (np.conj(q.T) @ window[:, c1 - c0:])[c1 - c0:]
+            last = window
         panels.append((c0, r1, q))
     return panels, k
 
@@ -458,8 +495,17 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     applied.  The rows above c0 are final R and are dropped, also from the
     fill of a column that starts above c0 (possible when the panel width is
     not a multiple of m_b).  The panel is factored on its own columns, and
-    its Q* applied to the rest of the window gives the next carry.  Memory
-    grows with n times the largest band height, not with n x k.
+    its Q* applied to the rest of the window gives the next carry.
+
+    A window that repeats the previous panel's byte for byte (carry
+    included) is not factored but shares the previous q, and a run of
+    panels of the same fill pattern after it is not even filled
+    (``_panel_qr`` gives the rule and why it is exact): the result is that
+    of one QR per panel, bit for bit.  Past the transient panels of the
+    band's start and end, Theta's block Toeplitz columns give such runs,
+    so QR calls grow with the distinct windows, not with n, and memory
+    with the transient windows plus one (c0, r1, q) entry per panel, not
+    with n x k.
 
     The field is the symbol's, read from ``t.mats`` as stored: for a real
     symbol the stack, every window, the carry and each panel's q are

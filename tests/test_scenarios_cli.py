@@ -3,12 +3,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardylab import cli, errors
 from hardylab.cli import main
 from hardylab.errors import ParseError
 from hardylab.funcs import basis_vector
+from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
 from hardylab.serialize import parse_symbol_spec
 from hardylab.subspaces import model_space
@@ -634,6 +636,23 @@ class TestErrorExitCodes:
             assert err == ""
         else:
             assert out == "" and err == "error: planted failure\n"
+
+
+class TestSymbolSpecFiles:
+    # the specs whose `model-space --order 1024` output CI compares across
+    # two processes: Theta_4 and Theta_2 of the large_n benchmark workload
+    SPECS = {
+        "theta4": lambda: diag_inner([monomial_inner(k, 3) for k in (1, 2, 3, 3)], 3),
+        "theta2": lambda: diag_inner(
+            [monomial_inner(2, 48), blaschke_scalar(BlaschkeSpec([0.5, -1 / 3]), 48)], 48),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_spec_file_parses_to_its_symbol(self, name):
+        t = parse_symbol_spec((DATA / f"{name}.json").read_text())
+        want = self.SPECS[name]()
+        assert t.claimed_inner and t.mats.dtype == want.mats.dtype
+        assert np.array_equal(t.mats, want.mats) and t.tail_bound == want.tail_bound
 
 
 class TestGoldenReports:

@@ -441,6 +441,15 @@ def _window_symbol(kind, m, gen):
     return compose(mixed, monomials())
 
 
+def _column_above_panel():
+    """The m = 3 symbol of ``test_a_column_can_start_above_its_panel``: a
+    32-column panel is not a multiple of m, so each panel's fill pattern
+    shifts."""
+    gen = np.random.default_rng(3)
+    diag = diag_inner([blaschke_scalar(BlaschkeSpec([a]), 2) for a in (0.5, 0.3j, -0.4)], 2)
+    return _conjugated(diag, _random_unitary(gen, 3), _random_unitary(gen, 3))
+
+
 class TestWindowedRangeQR:
     """The windowed panel loop reproduces the dense one bit for bit."""
 
@@ -481,16 +490,54 @@ class TestWindowedRangeQR:
         assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, n, complement=True))
 
     def test_memory_grows_with_the_band_not_the_order(self):
-        # the dense C of Theta_4 at N = 2048 alone would take about 1 GB
+        # the dense C of Theta_4 at N = 2048 alone would take about 1 GB; at
+        # N = 8192 the returned Q alone takes 2.4 MB, and storing one q per
+        # panel peaks at 17.6 MB
         t = ORACLE_SYMBOLS["monomial_diag4"]
-        tracemalloc.start()
-        try:
-            k = model_space(t, 2048)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert k.dim == 9
-        assert peak < 16 * 2 ** 20
+        for n, mb in ((2048, 16), (8192, 6)):
+            tracemalloc.start()
+            try:
+                k = model_space(t, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert k.dim == 9
+            assert peak < mb * 2 ** 20
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_a_repeated_window_reuses_its_q(self, n):
+        # after the first two panels every window of Theta_4 is the same
+        # bytes, so one q object serves the rest of the panels
+        [(_, panels, _)], _, _, _ = _range_qr(ORACLE_SYMBOLS["monomial_diag4"], n, 0,
+                                              DEFAULT_TOL)
+        assert len(panels) == n // 8
+        assert len({id(q) for *_, q in panels}) <= 2
+        parts, _, _, _ = _range_qr(REAL_SYMBOLS["theta2_large_n"], n, 0, DEFAULT_TOL)
+        assert len(parts) == 2
+        for _, panels, _ in parts:
+            assert len({id(q) for *_, q in panels}) <= 5
+
+    @pytest.mark.parametrize("name, n, headroom", [
+        ("monomial_diag4", 256, 0), ("monomial_diag4", 256, 2),
+        ("theta2_large_n", 256, 0), ("theta2_large_n", 256, 2),
+        ("column_above_panel", 200, 0),
+    ])
+    def test_stationary_runs_are_bitwise_the_dense_loop(self, name, n, headroom):
+        # Theta_4's and Theta_2's runs end where inputs of unequal degree stop
+        # being kept; on the m = 3 symbol the 32-column panels shift the fill
+        # pattern every panel, so no window repeats its predecessor
+        t = (_column_above_panel() if name == "column_above_panel"
+             else {**ORACLE_SYMBOLS, **REAL_SYMBOLS}[name])
+        parts, size, k, _ = _range_qr(t, n, headroom, DEFAULT_TOL)
+        oracle, _, k_o = _dense_range_qr(t, n, headroom)
+        assert k == k_o
+        _assert_same_parts(parts, oracle)
+        if name == "column_above_panel":
+            [(_, panels, _)] = parts
+            assert len({id(q) for *_, q in panels}) == len(panels) > 2
+        assert np.array_equal(beurling_space(t, n, headroom).matrix, _q_columns(oracle, size))
+        assert np.array_equal(model_space(t, n, headroom).matrix,
+                              _q_columns(oracle, size, complement=True))
 
 
 _REAL_COMPOSED = compose(
