@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotNearlyInvariantError, ParseError
+from .errors import DomainError, NotNearlyInvariantError, ParseError
 from .funcs import basis_vector, make_fn, monomial_fn, unflatten
 from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import MatSymbol, compose, multiply
@@ -63,50 +63,60 @@ class ScenarioReport:
         return asdict(self)
 
 
-def _merge(defaults: dict, params: dict | None) -> dict:
-    merged = dict(defaults)
-    for key, val in (params or {}).items():
-        if key not in defaults:
-            raise ParseError(
-                f"unknown parameter {key!r}; known: {sorted(defaults)}"
-            )
-        _check_param(key, val, defaults[key])
-        merged[key] = val
-    return merged
+def _whole(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
 
 
-def _check_param(key: str, val, default) -> None:
-    """Refuse a value of the wrong kind for its key; booleans never pass.
+def _finite(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
 
-    A tolerance (``tol``, ``*_tol``) must be finite and > 0, ``pairs``,
-    ``draws`` and ``m`` integers >= 1, ``r`` null or an integer >= 0,
-    ``growth_orders`` a list of at least two integers in strictly
-    increasing order (one order certifies no growth), any other key with an
-    integer default (``seed`` and the sizes) an integer >= 0, and one with a
-    float default a finite number.  Other keys are not checked.
+
+# a scenario's table maps each key to (default, kind) or (default, kind,
+# least, why); kind -> (what a value must be, its test); booleans pass none
+_KINDS = {
+    "tol": ("a finite number > 0", lambda v: _finite(v) and v > 0),
+    "zero": ("a finite number of modulus < 1", lambda v: _finite(v) and abs(v) < 1),
+    "size": ("an integer", _whole),
+    "r": ("null or an integer >= 0", lambda v: v is None or _whole(v) and v >= 0),
+    "rprime": ("1 or 2", lambda v: _whole(v) and v in (1, 2)),
+    "orders": ("a list of at least two integers in strictly increasing order",
+               lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_whole, v))
+               and all(a < b for a, b in zip(v, v[1:]))),
+    # a bad symbol spec raises, naming its own path
+    "symbol": ("an inner symbol spec", lambda v: parse_symbol_spec(v) is not None),
+}
+
+
+def _merge(table: dict, params: dict | None) -> dict:
+    """The table's defaults with params laid over them, every value checked
+    against its row: first its kind, then its least value.
+
+    A size (or the first of the orders) below its row's least, an int or a
+    function of the merged values (0 if the row gives none), is refused
+    with the row's reason.
     """
-    whole = isinstance(val, numbers.Integral)
-    finite = isinstance(val, numbers.Real) and math.isfinite(val)
-    if key == "tol" or key.endswith("_tol"):
-        want, ok = "a finite number > 0", finite and val > 0
-    elif key in ("pairs", "draws", "m"):
-        want, ok = "an integer >= 1", whole and val >= 1
-    elif key == "r":
-        want, ok = "null or an integer >= 0", val is None or (whole and val >= 0)
-    elif key == "growth_orders":
-        want = "a list of at least two integers in strictly increasing order"
-        ok = (isinstance(val, list) and len(val) >= 2
-              and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                      for x in val)
-              and all(a < b for a, b in zip(val, val[1:])))
-    elif isinstance(default, numbers.Integral):
-        want, ok = "an integer >= 0", whole and val >= 0
-    elif isinstance(default, float):
-        want, ok = "a finite number", finite
-    else:
-        return
-    if isinstance(val, bool) or not ok:
-        raise ParseError(f"parameter {key!r} must be {want}, got {val!r}")
+    merged = {key: row[0] for key, row in table.items()}
+    for key, val in (params or {}).items():
+        if key not in table:
+            raise ParseError(f"unknown parameter {key!r}; known: {sorted(table)}")
+        merged[key] = val
+    for key, (_, kind, *_) in table.items():
+        want, test = _KINDS[kind]
+        try:
+            ok = test(merged[key])
+        except (ParseError, DomainError) as exc:
+            raise ParseError(f"parameter {key!r}: {exc}") from exc
+        if not ok:
+            raise ParseError(f"parameter {key!r} must be {want}, got {merged[key]!r}")
+    for key, (_, kind, *rest) in table.items():
+        if kind in ("size", "orders"):
+            least, why = rest or (0, "no size is negative")
+            least = least(merged) if callable(least) else least
+            first = merged[key][0] if kind == "orders" else merged[key]
+            if first < least:
+                head = f"starts at {first}," if kind == "orders" else f"= {first} is"
+                raise ParseError(f"parameter {key!r} {head} below {least}, {why}")
+    return merged
 
 
 def _monomial_powers(t: MatSymbol):
@@ -126,11 +136,16 @@ def _monomial_powers(t: MatSymbol):
     return powers
 
 
-def _certifying(threshold: float, blaschke_deg: int) -> float:
-    """The threshold, if a residual or distance of unit vectors (<= 1) can fail it."""
+def _certifying(threshold: float, p: dict, *zeros: str) -> float:
+    """The threshold, if a residual or distance of unit vectors (<= 1) can fail it.
+
+    It derives from the tail of Blaschke factors truncated at
+    ``blaschke_deg``, so a refusal names that key and the zero keys.
+    """
     if threshold >= 1.0:
+        named = ", ".join(f"{key!r} = {p[key]}" for key in ("blaschke_deg", *zeros))
         raise ParseError(
-            f"parameter 'blaschke_deg' = {blaschke_deg} leaves a tail whose "
+            f"parameters {named} leave a tail whose "
             f"threshold {threshold:.3g} >= 1 certifies nothing"
         )
     return threshold
@@ -161,10 +176,6 @@ def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
 def _sc_beurling(p: dict):
     theta = parse_symbol_spec(p["theta"])
     n, tol = p["N"], p["tol"]
-    if n < theta.deg:
-        raise ParseError(
-            f"parameter 'N' = {n} is below {theta.deg}, the degree of 'theta'"
-        )
     rng_full = beurling_space(theta, n, tol=tol)
     rng_res = beurling_space(theta, n, headroom=1, tol=tol)
     cert = defect_of(rng_full, "S", domain=rng_res, tol=tol)
@@ -194,14 +205,11 @@ def _sc_beurling(p: dict):
     return passed, metrics
 
 
-def _isometry_columns(m: int, r: int) -> list:
-    """Deterministic constant isometry columns in C^m."""
-    cols = [basis_vector(m, 0)]
-    if r > 1:
-        mixed = (basis_vector(m, 1) + basis_vector(m, 2)) * (2 ** -0.5) if m >= 3 \
-            else basis_vector(m, 1)
-        cols.append(mixed)
-    return cols[:r]
+def _isometry_columns(m: int) -> list:
+    """Two deterministic orthonormal constant columns in C^m, m >= 2."""
+    mixed = (basis_vector(m, 1) + basis_vector(m, 2)) * (2 ** -0.5) if m >= 3 \
+        else basis_vector(m, 1)
+    return [basis_vector(m, 0), mixed]
 
 
 def _shift_defect(space: Subspace, cols: np.ndarray, defect_tol: float) -> tuple:
@@ -216,28 +224,16 @@ def _shift_defect(space: Subspace, cols: np.ndarray, defect_tol: float) -> tuple
 
 def _sc_prop_f0k_almost(p: dict):
     m, rprime, n, tol = p["m"], p["rprime"], p["N"], p["tol"]
-    r = 2
-    if m < r:
-        raise ParseError(f"need m >= {r} to embed {r} isometric columns")
-    # the growth symbol holds z^2 at degree order - margin, the flat one z^3
-    first, least = p["growth_orders"][0], max(3, p["growth_margin"] + 2)
-    if first < least:
-        raise ParseError(
-            f"parameter 'growth_orders' starts at {first}, below "
-            f"{least} = max(3, 'growth_margin' + 2)"
-        )
     if rprime == 2:
         theta = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
-    elif rprime == 1:
+    else:
         mats = np.zeros((3, 2, 1), dtype=complex)
         mats[1, 0, 0] = 2 ** -0.5
         mats[2, 1, 0] = 2 ** -0.5
         theta = MatSymbol(2, 1, mats, 0.0, claimed_inner=True)
-    else:
-        raise ParseError("rprime must be 1 or 2")
-    v_cols = _isometry_columns(m, r)
+    v_cols = _isometry_columns(m)
     v_mats = np.stack([np.column_stack([c.coeffs[0] for c in v_cols])])
-    v_sym = MatSymbol(m, r, v_mats)
+    v_sym = MatSymbol(m, 2, v_mats)
     k_theta = model_space(theta, n, tol=tol)
     space = _apply_space(v_sym, k_theta, n)
     nearly_cert = certify_nearly(space, 0, band=k_theta.band)
@@ -289,16 +285,6 @@ def _ortho_distance(psi: MatSymbol, theta: MatSymbol, n: int, tol: float) -> flo
 def _sc_lemma_ortho(p: dict):
     tol = p["tol"]
     d, n = p["blaschke_deg"], p["N"]
-    if d < 3:
-        raise ParseError(
-            f"parameter 'blaschke_deg' = {d} is below 3, the degree of Psi's z^3 entry"
-        )
-    if n < 2 * d:
-        # K_Theta needs the order N - d >= deg Theta = d; the band N - 2d >= 0
-        raise ParseError(
-            f"parameter 'N' = {n} is below {2 * d} = 2 * blaschke_deg, the least "
-            f"order with a comparison band"
-        )
     psi = diag_inner(
         [monomial_inner(3, d), blaschke_scalar(BlaschkeSpec([p["psi_zero"]]), d)], d
     )
@@ -307,7 +293,7 @@ def _sc_lemma_ortho(p: dict):
     )
     prod = compose(psi, theta)
     combined_tail = psi.tail_bound + theta.tail_bound + prod.tail_bound
-    threshold = _certifying(max(1e-8, 5.0 * combined_tail), d)
+    threshold = _certifying(max(1e-8, 5.0 * combined_tail), p, "psi_zero", "theta_zero")
     dist = _ortho_distance(psi, theta, n, tol)
     # exact polynomial variant of the same identity
     dist_m = _ortho_distance(diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2),
@@ -332,7 +318,7 @@ def _sc_lemma_nearly(p: dict):
          blaschke_scalar(BlaschkeSpec([p["zero2"]]), d)],
         d,
     )
-    threshold = _certifying(max(1e-8, 3.0 * psi.tail_bound), d)
+    threshold = _certifying(max(1e-8, 3.0 * psi.tail_bound), p, "zero1", "zero2")
     theta = diag_inner([monomial_inner(2, 3), monomial_inner(3, 3)], 3)
     k_theta = model_space(theta, nk, tol=tol)
     space = _apply_space(psi, k_theta, nk + d)
@@ -474,8 +460,6 @@ def _roundtrips(p: dict, configs, single_p: int) -> tuple:
     """
     if p["r"] is not None:
         r, m = p["r"], p["r"] + single_p
-        if not m:
-            raise ParseError("parameters 'r' and 'p' are both 0: no coordinates")
         configs = [(r, single_p, m, [2] * m, max(4, p["N"] - 2), None)]
     metrics = {}
     passed = True
@@ -556,15 +540,6 @@ def _random_unitary(rng, m: int) -> np.ndarray:
 
 def _sc_duality(p: dict):
     tol, n, m = p["tol"], p["N"], p["m"]
-    if m * (n + 1) <= 4:
-        # a drawn span of up to 4 functions can fill the whole ambient
-        raise ParseError(
-            f"parameters 'm' = {m} and 'N' = {n} leave an ambient of dimension "
-            f"m (N + 1) = {m * (n + 1)} <= 4: no room for a defect direction"
-        )
-    if n < 3:
-        # the even pairs draw monomial powers up to 3
-        raise ParseError(f"parameter 'N' = {n} is below 3, the largest drawn monomial power")
     rng = np.random.default_rng(p["seed"])
     # per pair: (forward containment, complement containment)
     verdicts = []
@@ -657,81 +632,113 @@ _MONO_DIAG_23 = {
     "deg": 3,
 }
 
+_TOL = (DEFAULT_TOL, "tol")
+
+# scenario id -> (runner, parameter table, verified statement); the table
+# maps each key to (default, kind) or (default, kind, least, why), as _merge
+# reads it
 SCENARIOS = {
     "beurling": (
         _sc_beurling,
-        {"theta": _MONO_DIAG_23, "N": 16, "tol": DEFAULT_TOL, "distance_tol": 1e-10},
+        {"theta": (_MONO_DIAG_23, "symbol"),
+         "N": (16, "size", lambda p: parse_symbol_spec(p["theta"]).deg,
+               "the degree of 'theta'"),
+         "tol": _TOL, "distance_tol": (1e-10, "tol")},
         "shift-invariant ranges of inner multipliers and their complements",
     ),
     "prop_F0K_almost": (
         _sc_prop_f0k_almost,
-        {"m": 3, "rprime": 2, "N": 12, "tol": DEFAULT_TOL, "defect_tol": 1e-8,
-         "span_tol": 1e-6, "growth_margin": 4, "growth_orders": [16, 32, 48]},
+        {"m": (3, "size", 2, "the number of isometric columns V embeds"),
+         "rprime": (2, "rprime"), "N": (12, "size", 2, "the degree of Theta"),
+         "tol": _TOL, "defect_tol": (1e-8, "tol"), "span_tol": (1e-6, "tol"),
+         "growth_margin": (4, "size"),
+         "growth_orders": ([16, 32, 48], "orders", lambda p: max(3, p["growth_margin"] + 2),
+                           "max(3, 'growth_margin' + 2): the growth symbol holds z^2 "
+                           "at degree order - margin, the flat one z^3")},
         "image of a model space under an isometric column map is almost "
         "shift-invariant with defect equal to the inner multiplier width",
     ),
     "lemma_orthocomplement": (
         _sc_lemma_ortho,
-        {"blaschke_deg": 24, "N": 64, "psi_zero": 0.5, "theta_zero": -1 / 3,
-         "poly_N": 12, "poly_tol": 1e-10, "tol": DEFAULT_TOL},
+        {"blaschke_deg": (24, "size", 3, "the degree of Psi's z^3 entry"),
+         "N": (64, "size", lambda p: 2 * p["blaschke_deg"],
+               "2 * 'blaschke_deg', the least order with a comparison band"),
+         "psi_zero": (0.5, "zero"), "theta_zero": (-1 / 3, "zero"),
+         "poly_N": (12, "size", 4, "deg Psi + deg Theta of the polynomial pair"),
+         "poly_tol": (1e-10, "tol"), "tol": _TOL},
         "orthocomplement of a multiplied model space splits as product range "
         "plus outer model space",
     ),
     "lemma_nearly": (
         _sc_lemma_nearly,
-        {"blaschke_deg": 24, "inner_N": 16, "zero1": 0.5, "zero2": 1 / 3,
-         "tol": DEFAULT_TOL},
+        {"blaschke_deg": (24, "size"), "inner_N": (16, "size", 3, "the degree of Theta"),
+         "zero1": (0.5, "zero"), "zero2": (1 / 3, "zero"), "tol": _TOL},
         "multiplied model spaces with non-vanishing diagonal at the origin "
         "are nearly backward-shift invariant (defect 0)",
     ),
     "prop_perp_almost": (
         _sc_prop_perp_almost,
-        {"N": 12, "tol": DEFAULT_TOL, "defect_tol": 1e-8, "span_tol": 1e-9},
+        {"N": (12, "size", 4, "deg Psi + deg Theta"), "tol": _TOL,
+         "defect_tol": (1e-8, "tol"), "span_tol": (1e-9, "tol")},
         "the orthocomplement of a multiplied model space is almost "
         "shift-invariant with defect equal to the ambient dimension",
     ),
     "counterexample": (
         _sc_counterexample,
-        {"m": 2, "N": 12, "tol": DEFAULT_TOL},
+        {"m": (2, "size", 1, "the least vector dimension"),
+         "N": (12, "size", 2, "the degree of the decomposed z^2 e_0"), "tol": _TOL},
         "an almost shift-invariant complement that is not nearly backward-"
         "shift invariant: the decomposition refuses with a unit escape",
     ),
     "wandering_bound": (
         _sc_wandering_bound,
-        {"N": 10, "blaschke_deg": 16, "inner_N": 4, "tol": DEFAULT_TOL},
+        {"N": (10, "size", 2, "the degree of the scalar model space's z^2"),
+         "blaschke_deg": (16, "size"),
+         "inner_N": (4, "size", 1, "the degree of Theta = z I"), "tol": _TOL},
         "the origin-visible part of a subspace has dimension between 1 and "
         "the ambient vector dimension (0 only if everything vanishes)",
     ),
     "main_defect1": (
         _sc_main_defect1,
-        {"NK": 6, "r": None, "N": 8, "tol": DEFAULT_TOL, "distance_tol": 1e-6,
-         "gap_tol": 1e-6},
+        {"NK": (6, "size", 3, "the largest degree of K's symbols"), "r": (None, "r"),
+         "N": (8, "size"), "tol": _TOL, "distance_tol": (1e-6, "tol"),
+         "gap_tol": (1e-6, "tol")},
         "defect-1 synthesis/extraction roundtrip with Parseval norm identity",
     ),
     "main_defectp": (
         _sc_main_defectp,
-        {"NK": 6, "r": None, "p": 2, "N": 8, "tol": DEFAULT_TOL,
-         "distance_tol": 1e-6, "gap_tol": 1e-6},
+        {"NK": (6, "size", 3, "the largest degree of K's symbols"), "r": (None, "r"),
+         "p": (2, "size", lambda p: int(p["r"] == 0),
+               "1 when 'r' = 0 ('r' and 'p' both 0 leave no coordinates), else 0"),
+         "N": (8, "size"), "tol": _TOL, "distance_tol": (1e-6, "tol"),
+         "gap_tol": (1e-6, "tol")},
         "defect-p synthesis/extraction roundtrip, including the all-"
         "vanishing (wandering-free) case",
     ),
     "corollary_almost": (
         _sc_corollary_almost,
-        {"N": 4, "tol": DEFAULT_TOL, "closed_form_tol": 1e-10},
+        {"N": (4, "size", 3, "the degree of the z^3 model space"), "tol": _TOL,
+         "closed_form_tol": (1e-10, "tol")},
         "nearly invariant with defect vs almost invariant for the backward "
         "shift: the wandering vectors decide, with closed-form residuals",
     ),
     "duality": (
         _sc_duality,
-        {"pairs": 50, "m": 2, "N": 8, "seed": 0, "tol": DEFAULT_TOL,
-         "residual_tol": 1e-8, "min_each_direction": 10},
+        {"pairs": (50, "size", 1, "at least one pair"),
+         "m": (2, "size", 1, "the least vector dimension"),
+         "N": (8, "size", lambda p: max(3, 4 // p["m"]),
+               "max(3, 4 // 'm'): the ambient m (N + 1) must exceed the up to 4 "
+               "drawn functions, and the even pairs draw z^3"),
+         "seed": (0, "size"), "tol": _TOL, "residual_tol": (1e-8, "tol"),
+         "min_each_direction": (10, "size")},
         "forward containment under the backward shift is equivalent to the "
         "complement containment under the compressed shift",
     ),
     "section4": (
         _sc_section4,
-        {"NK": 6, "seed": 0, "draws": 100, "tol": DEFAULT_TOL,
-         "membership_tol": 1e-7, "min_each_class": 20},
+        {"NK": (6, "size", 3, "the degree of K's symbol"), "seed": (0, "size"),
+         "draws": (100, "size", 1, "at least one draw"), "tol": _TOL,
+         "membership_tol": (1e-7, "tol"), "min_each_class": (20, "size")},
         "membership in the orthocomplement via coordinate adjoints matches "
         "direct projection on random draws",
     ),
@@ -744,8 +751,8 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
         raise ParseError(
             f"unknown scenario {scenario_id!r}; known: {sorted(SCENARIOS)}"
         )
-    runner, defaults, _ = SCENARIOS[scenario_id]
-    merged = _merge(defaults, params)
+    runner, table, _ = SCENARIOS[scenario_id]
+    merged = _merge(table, params)
     start = time.perf_counter()
     passed, metrics = runner(merged)
     runtime_ms = (time.perf_counter() - start) * 1000.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardylab import cli, errors
+from hardylab import cli, errors, scenarios
 from hardylab.cli import main
 from hardylab.errors import ParseError
 from hardylab.funcs import basis_vector
@@ -353,8 +353,8 @@ class TestInvalidNumbers:
 class TestParamValues:
     """A --param tolerance must be finite and > 0, pairs, draws and m
     integers >= 1, r null or an integer >= 0, growth_orders a list of at
-    least two strictly increasing integers, a key with an integer default (seed,
-    sizes) an integer >= 0 and one with a float default a finite number;
+    least two strictly increasing integers, a size (seed included) an
+    integer >= 0 and a Blaschke zero a finite number of modulus < 1;
     anything else is a usage error naming the key (exit 2)."""
 
     BAD = [
@@ -463,8 +463,8 @@ class TestDegenerateParams:
     REFUSED = [
         ("duality", {"m": 0}, "'m'"),
         # m (N + 1) <= 4: a drawn span of up to 4 functions can fill the ambient
-        ("duality", {"m": 1, "N": 3}, "'m' = 1 and 'N' = 3"),
-        ("duality", {"m": 2, "N": 1}, "'m' = 2 and 'N' = 1"),
+        ("duality", {"m": 1, "N": 3}, "'N' = 3 is below 4"),
+        ("duality", {"m": 2, "N": 1}, "'N' = 1 is below 3"),
         ("counterexample", {"m": 0}, "'m'"),
         ("main_defectp", {"r": 0, "p": 0}, "'r' and 'p'"),
         ("lemma_nearly", {"blaschke_deg": 0}, "'blaschke_deg'"),
@@ -485,6 +485,9 @@ class TestDegenerateParams:
         ("duality", {"N": 2}, "'N' = 2 is below 3"),
         ("duality", {"m": 3, "N": 2, "seed": 5}, "'N' = 2 is below 3"),
         ("beurling", {"N": 2}, "'N' = 2 is below 3, the degree of 'theta'"),
+        # the derived threshold is >= 1 because of the zero, not the degree
+        ("lemma_nearly", {"zero1": 0.999999}, "'zero1' = 0.999999"),
+        ("lemma_orthocomplement", {"psi_zero": 0.9999}, "'psi_zero' = 0.9999"),
     ]
 
     @pytest.mark.parametrize("sid, params, named", REFUSED)
@@ -526,10 +529,10 @@ class TestEveryKeyIsChecked:
 
     CASES = [
         pytest.param(sid, key, raw, id=f"{sid}-{key}-{raw}")
-        for sid, (_, defaults, _) in SCENARIOS.items()
-        for key in defaults
-        # null is a valid r
-        for raw in ('"x"', "true", "null") if (key, raw) != ("r", "null")
+        for sid, (_, table, _) in SCENARIOS.items()
+        for key, (_, kind, *_) in table.items()
+        # null is a valid value of kind r
+        for raw in ('"x"', "true", "null") if (kind, raw) != ("r", "null")
     ]
 
     @pytest.mark.parametrize("sid, key, raw", CASES)
@@ -537,6 +540,109 @@ class TestEveryKeyIsChecked:
         assert main(["scenario", sid, "--param", f"{key}={raw}"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def _defaults(table: dict) -> dict:
+    return {key: row[0] for key, row in table.items()}
+
+
+def _least(table: dict, key: str) -> int:
+    """A size key's least value, the other keys at their defaults."""
+    least = (table[key][2:] or (0,))[0]
+    return least(_defaults(table)) if callable(least) else least
+
+
+SIZE_KEYS = [
+    pytest.param(sid, key, id=f"{sid}-{key}")
+    for sid, (_, table, _) in SCENARIOS.items()
+    for key, (_, kind, *_) in table.items() if kind == "size"
+]
+
+# at the default zeros the derived tail threshold, not the table, decides
+# how low blaschke_deg may go: the table's least is refused by _certifying
+DERIVED_LEAST = {("lemma_nearly", "blaschke_deg"), ("lemma_orthocomplement", "blaschke_deg")}
+
+
+class TestParameterTable:
+    """Every size key of every scenario, the other keys at their defaults:
+    the table's least value runs, one below it is a usage error naming the
+    key and the least value (exit 2), and every default satisfies its row."""
+
+    # sizes that, unchecked, fail inside a builder with a message naming no key
+    BUILDER_REFUSED = [
+        ("prop_F0K_almost", "N", 2),
+        ("lemma_orthocomplement", "poly_N", 4),
+        ("lemma_nearly", "inner_N", 3),
+        ("prop_perp_almost", "N", 4),
+        ("counterexample", "N", 2),
+        ("wandering_bound", "N", 2),
+        ("wandering_bound", "inner_N", 1),
+        ("main_defect1", "NK", 3),
+        ("main_defectp", "NK", 3),
+        ("corollary_almost", "N", 3),
+        ("section4", "NK", 3),
+    ]
+
+    @pytest.mark.parametrize("sid, key, least", BUILDER_REFUSED)
+    def test_builder_sizes_are_refused_by_name(self, sid, key, least):
+        assert _least(SCENARIOS[sid][1], key) == least
+        with pytest.raises(ParseError, match=f"parameter '{key}' = {least - 1} is below {least}"):
+            run_scenario(sid, {key: least - 1})
+
+    @pytest.mark.parametrize("sid, key", SIZE_KEYS)
+    def test_least_value_runs(self, capsys, sid, key):
+        least = _least(SCENARIOS[sid][1], key)
+        code = main(["scenario", sid, "--param", f"{key}={least}"])
+        err = capsys.readouterr().err
+        if (sid, key) in DERIVED_LEAST:
+            assert code == 2 and f"'{key}' = {least}," in err and "certifies nothing" in err
+        else:
+            assert code in (0, 1), err
+
+    @pytest.mark.parametrize("sid, key", SIZE_KEYS)
+    def test_one_below_least_is_refused(self, capsys, sid, key):
+        least = _least(SCENARIOS[sid][1], key)
+        named = f"parameter '{key}' = {least - 1} is below {least}, "
+        with pytest.raises(ParseError, match=named):
+            run_scenario(sid, {key: least - 1})
+        assert main(["scenario", sid, "--param", f"{key}={least - 1}"]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("sid", list(SCENARIOS))
+    def test_every_default_satisfies_its_row(self, sid):
+        table = SCENARIOS[sid][1]
+        assert scenarios._merge(table, None) == _defaults(table)
+
+    @pytest.mark.parametrize("sid, key, raw", [
+        ("lemma_nearly", "zero1", "1.0"),
+        ("lemma_nearly", "zero2", "-1.0"),
+        ("lemma_orthocomplement", "psi_zero", "1.0"),
+        ("lemma_orthocomplement", "theta_zero", "1.5"),
+        ("beurling", "theta", "5"),
+    ])
+    def test_bad_zero_or_symbol_names_its_key(self, capsys, sid, key, raw):
+        assert main(["scenario", sid, "--param", f"{key}={raw}"]) == 2
+        captured = capsys.readouterr()
+        assert f"parameter '{key}'" in captured.err and captured.out == ""
+
+
+def _readme_rows():
+    """README's parameter and kind table rows, rendered from SCENARIOS."""
+    for sid, (_, table, _) in SCENARIOS.items():
+        for key, (_, kind, *rest) in table.items():
+            least, why = rest or ((0 if kind == "size" else ""), "")
+            if callable(least):
+                least = f"{least(_defaults(table))} at the defaults"
+            yield f"| `{sid}` | `{key}` | {kind} | {least} | {why} |"
+    for kind, (want, _) in scenarios._KINDS.items():
+        yield f"| {kind} | {want} |"
+
+
+def test_readme_parameter_table_matches_scenarios():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    missing = [row for row in _readme_rows() if row not in readme]
+    assert not missing, "\n".join(missing)
 
 
 class TestScenarioAllKeys:
