@@ -21,10 +21,14 @@ Q, its escape kept as a triangular factor; the same function rebuilds a
 refused escape vector.  In coordinates, coefficient k of the tuple of
 G = Q c is C A^k c, with A the dim M x dim M block and C the r + p
 coordinate rows of the step map.  The loop body is that product and,
-once every ``_STOP_STRIDE`` column products, a test for a stop; a
-stopped column stays in c and is left out of the refusal test.  The stop
-steps, remainder norms, escape norms and any refusal are read after the
-loop from the coordinates and three norms kept per step.
+after each batch of steps, a test for a stop; a stopped column stays in
+c and is left out of the refusal test.  The first batch runs as many
+column products as the deepest stop step of the last peel with the same
+step map (so a decompose after an ``extract_K`` of the same M, or after
+a decompose as deep, is one batch), every later one ``_STOP_STRIDE``;
+no run takes more than k_max steps.  The stop steps, remainder norms,
+escape norms and any refusal are read after the loop from the
+coordinates and three norms kept per step.
 ``decompose`` runs the kernel on one function, ``extract_K`` on every
 column of M's Q at once (from c = I), and ``synthesize_M`` rebuilds M
 from (K, F0, E) as one product of the generator symbol [F0 | zE] with
@@ -94,9 +98,10 @@ __all__ = [
 DEFAULT_NEAR_TOL = 1e-6
 # decompose's default stopping norm, and extract_K's
 _EPS = 1e-10
-# the column products the peeling takes between two stop tests; a call
-# peels a fixed set of b columns, so one column is tested every 8 steps
-# and 8 columns or more every step
+# the column products the peeling takes between two stop tests after its
+# first batch (and in the first batch of a new step map); a call peels a
+# fixed set of b columns, so one column is tested every 8 steps and 8
+# columns or more every step
 _STOP_STRIDE = 8
 # extract_K's bound on the Gram deviation of the coordinate map
 _ISO_TOL = 1e-6
@@ -150,7 +155,7 @@ def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _StepMap:
     """One peeling step on M's coordinates c (g = Q c), for one defect basis E.
 
@@ -169,7 +174,10 @@ class _StepMap:
     sums the squared entries of the A, origin and T blocks.  ``fns`` are
     the defect functions the map was built from; ``w`` and ``e`` serve only
     the rebuild of a refused escape vector.  The stack is real when Q and E
-    are (see ``subspaces``), else complex.
+    are (see ``subspaces``), else complex.  ``depth``, the one field a
+    peel writes, is the deepest stop step of the last peel with the map
+    that took a step and returned (0 before one): the column products
+    ``_peel`` runs before its first stop test.
     """
 
     fns: tuple
@@ -177,6 +185,7 @@ class _StepMap:
     e: np.ndarray
     stack: np.ndarray
     blocks: np.ndarray
+    depth: int = 0
 
 
 def _step_map(m: Subspace, defect_basis: list, pre_tol: float) -> _StepMap:
@@ -273,25 +282,34 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
     b columns advance in lockstep: the loop body is one product of the
     step map ``sm.stack`` with the b columns of c per step, which gives c',
     a, beta, F(0) and T c, where ||T c|| = ||escape||, and a test for a
-    stop (a column at eps, an origin failure or an escape) once every
-    ``_STOP_STRIDE`` column products.  A stopped column stays in c, but its
-    later steps are excluded from the refusal test and discarded after the
-    loop.  Of each product only (a; beta) and the norms ||c'||, ||F(0)||
-    and ||T c|| are kept, so the batch of products between two tests is
-    all the loop holds; the stop steps, the remainder norms, the largest
-    escape norms and the refusal are read from the kept values after the
-    loop.  No n-row array is formed after the membership check, except to
-    rebuild a refused escape vector from the c of its step.  The products
-    run in the field of the step map and the columns; a real map takes
-    complex columns as float64 pairs.
+    stop (a column at eps, an origin failure or an escape) after each
+    batch of steps.  The first batch runs d column products, where d is
+    the step map's ``depth``, the deepest stop step of the last peel with
+    it that returned (``_STOP_STRIDE`` for a new map), so a decompose
+    after an ``extract_K`` of the same M is one batch; every later batch
+    runs ``_STOP_STRIDE``.  A batch of b columns is a whole number of
+    steps, at least one, and no run takes more than k_max steps; a column
+    that stops early after a deep run takes at most d steps before its
+    first test.  A stopped column stays in c, but its later steps are
+    excluded from the refusal test and discarded after the loop.  Of each
+    product only (a; beta) and the norms ||c'||, ||F(0)|| and ||T c|| are
+    kept, so the batch of products between two tests is all the loop
+    holds: d column products of the stack's height in the first batch,
+    ``_STOP_STRIDE`` in each later one.  The stop steps, the remainder
+    norms, the largest escape norms and the refusal are read from the kept
+    values after the loop.  No n-row array is formed after the membership
+    check, except to rebuild a refused escape vector from the c of its
+    step.  The products run in the field of the step map and the columns;
+    a real map takes complex columns as float64 pairs.
 
     A column stops at its first step with ||G'|| <= eps, or after k_max
-    steps; the steps it ran past that are discarded, so the results do
-    not depend on the stride.  An origin value above pre_tol * max(1, ||G||)
-    raises InvariantViolationError, and an escape norm above
-    DEFAULT_NEAR_TOL raises NotNearlyInvariantError.  The earliest failing
-    step wins; within it, an origin failure in any column comes before an
-    escape, and then the lowest failing column wins.
+    steps; the steps it ran past that are discarded, and every step is the
+    same product whatever the batch, so the results do not depend on the
+    batch sizes or on earlier calls.  An origin value above
+    pre_tol * max(1, ||G||) raises InvariantViolationError, and an escape
+    norm above DEFAULT_NEAR_TOL raises NotNearlyInvariantError.  The
+    earliest failing step wins; within it, an origin failure in any column
+    comes before an escape, and then the lowest failing column wins.
 
     Returns (tup, gk, max_res): tup (steps, r + p, b) holds the per-step
     coordinates (a, then beta), zero after a column stopped; gk
@@ -316,33 +334,33 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
                 f"function is not in the subspace (residual {resid[outside.argmax()]:.3g})"
             )
     sm = _step_map(m, defect_basis, pre_tol)
-    width = sm.w.shape[1] + sm.e.shape[1]
-    b = g0.size
+    stack, width, b = sm.stack, sm.w.shape[1] + sm.e.shape[1], g0.size
+    # the columns that stopped; one at eps from the start peels as zero
+    at_eps = done = g0 <= eps
+    c1 = c * ~at_eps
+    # decided once per call: a real stack takes complex columns through
+    # their float64 view (as in ``_mul``, one real product per step), so
+    # every product is in the stack's field; the block sums of |y|^2 fold
+    # a real and an imaginary part when the columns' field is complex
+    field = np.result_type(stack, c1)
+    cw = c1 if stack.dtype == field else np.ascontiguousarray(c1).view(float)
+    fold = field.kind == "c"
+    screen = np.array([[pre_tol], [DEFAULT_NEAR_TOL]])
+    stride = max(1, _STOP_STRIDE // b)
     # per batch of steps, over every column: (a; beta) as (n, r + p, b) and
     # the norms ||c'||, ||F(0)||, ||T c|| as (n, 3, b)
     coords, norms = [], []
-    # the columns that stopped; one at eps from the start peels as zero
-    done = g0 <= eps
-    c = c1 = c * ~done
     last, steps, refused = g0, 0, False
-    screen = np.array([[pre_tol], [DEFAULT_NEAR_TOL]])
-    while steps < k_max and not done.all():
-        # at most _STOP_STRIDE column products between two stop tests
-        n = min(max(1, _STOP_STRIDE // b), k_max - steps)
-        ys = np.empty((n, len(sm.stack), b), dtype=np.result_type(sm.stack, c))
-        # a real stack takes complex columns through their float64 view,
-        # as in ``_mul``: one real product per step
-        out, cw = ys, c
-        if sm.stack.dtype != ys.dtype:
-            out, cw = ys.view(float), np.ascontiguousarray(c).view(float)
-        for y in out:
-            np.matmul(sm.stack, cw, out=y)
+    n = min(max(1, (sm.depth or _STOP_STRIDE) // b), k_max)
+    while n and not done.all():
+        ys = np.empty((n, len(stack), cw.shape[1]), dtype=stack.dtype)
+        # np.dot into a row block of ys costs less per call than np.matmul
+        for y in ys:
+            np.dot(stack, cw, out=y)
             cw = y[:d]
-        c = ys[-1, :d]
         coords.append(ys[:, d : d + width].copy())
-        # the block sums of |y|^2, over real and imaginary parts
         sq = sm.blocks @ np.square(ys.view(float))
-        if ys.dtype.kind == "c":
+        if fold:
             sq = sq[..., ::2] + sq[..., 1::2]
         nb = np.sqrt(sq)
         norms.append(nb)
@@ -355,11 +373,12 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
             refused = bool(((origin_failed | escaped) & ~done).any())
             if refused:
                 break
-        done |= (now <= eps).any(axis=0)
+        done = done | (now <= eps).any(axis=0)
         last = now[-1]
+        n = min(stride, k_max - steps)
     if not norms:
-        return np.zeros((0, width, b), dtype=sm.stack.dtype), g0[None], np.zeros(b)
-    nb = np.concatenate(norms)
+        return np.zeros((0, width, b), dtype=stack.dtype), g0[None], np.zeros(b)
+    nb = norms[0] if len(norms) == 1 else np.concatenate(norms)
     if refused:
         end, origin_failed, escaped = _first_events(nb, g0, eps, pre_tol)
         s = int(end[origin_failed | escaped].min())
@@ -372,15 +391,14 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
         # the c that step s starts from, recomputed for column j alone
         c = c1[:, j].reshape(-1, 1)
         for _ in range(s - 1):
-            c = _mul(sm.stack, c)[:d]
+            c = _mul(stack, c)[:d]
         vec = _ambient_step(q, sm.w, sm.e, m.dim_m, _mul(q, c))[1][:, 0]
         raise NotNearlyInvariantError(s, float(nb[s - 1, 2, j]), unflatten(vec, m.dim_m))
-    # each column's last step: its first stop, else the last step taken
-    below = nb[:, 0] <= eps
-    end = np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
-    end[g0 <= eps] = 0
-    top = int(end.max())
-    tup = np.concatenate(coords)[:top]
+    # each column's last step: its first stop, else the last step taken; a
+    # column at eps from the start has ||c'|| = 0 at step 1, and ends at 0
+    end = np.where(done, (nb[:, 0] <= eps).argmax(axis=0) + ~at_eps, steps)
+    top = sm.depth = int(end.max())
+    tup = (coords[0] if len(coords) == 1 else np.concatenate(coords))[:top].view(field)
     gk = np.concatenate((g0[None], nb[:top, 0]))
     esc = nb[:top, 2]
     if end.min() < top:
@@ -455,12 +473,21 @@ def certify_nearly(m: Subspace, p_max: int, tol: float | None = None,
     Always returns a certificate; the caller compares defect_dim against
     p_max, which this function does not read.  ``band`` restricts both the
     analyzed slice and the counted residuals to the faithful degree band of
-    a truncated construction.
+    a truncated construction.  The certificate is kept in M's memo under
+    its resolved tol and its band, one slot that another (tol, band)
+    replaces, so certifying a space again (``synthesize_M`` certifies its
+    output) is a lookup.
     """
+    key = (m.tol if tol is None else tol, band)
+    kept = m._memo.get("certificate")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     domain = vanishing_slice(m)
     if band is not None:
         domain = degree_slice(domain, band)
-    return replace(defect_of(m, "S*", domain=domain, tol=tol, band=band), mode="nearly")
+    cert = replace(defect_of(m, "S*", domain=domain, tol=tol, band=band), mode="nearly")
+    m._memo["certificate"] = (key, cert)
+    return cert
 
 
 def extract_K(m: Subspace, defect_basis) -> Subspace:

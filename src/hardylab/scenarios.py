@@ -82,24 +82,28 @@ _KINDS = {
     "orders": ("a list of at least two integers in strictly increasing order",
                lambda v: isinstance(v, list) and len(v) >= 2 and all(map(_whole, v))
                and all(a < b for a, b in zip(v, v[1:]))),
-    # a bad symbol spec raises, naming its own path
-    "symbol": ("an inner symbol spec", lambda v: parse_symbol_spec(v) is not None),
+    # a bad symbol spec raises, naming its own path; a good one is parsed
+    # once, here, into the symbol that the least values and the runner read
+    "symbol": ("an inner symbol spec", parse_symbol_spec),
 }
 
 
-def _merge(table: dict, params: dict | None) -> dict:
+def _merge(table: dict, params: dict | None) -> tuple:
     """The table's defaults with params laid over them, every value checked
     against its row: first its kind, then its least value.
 
-    A size (or the first of the orders) below its row's least, an int or a
-    function of the merged values (0 if the row gives none), is refused
-    with the row's reason.
+    Returns (merged, values): merged holds the values as given, which the
+    report echoes, and values the same values as the runner reads them,
+    with each symbol spec parsed into its symbol.  A size (or the first of
+    the orders) below its row's least, an int or a function of values (0
+    if the row gives none), is refused with the row's reason.
     """
     merged = {key: row[0] for key, row in table.items()}
     for key, val in (params or {}).items():
         if key not in table:
             raise ParseError(f"unknown parameter {key!r}; known: {sorted(table)}")
         merged[key] = val
+    values = dict(merged)
     for key, (_, kind, *_) in table.items():
         want, test = _KINDS[kind]
         try:
@@ -108,15 +112,18 @@ def _merge(table: dict, params: dict | None) -> dict:
             raise ParseError(f"parameter {key!r}: {exc}") from exc
         if not ok:
             raise ParseError(f"parameter {key!r} must be {want}, got {merged[key]!r}")
+        if kind == "symbol":
+            # the test of a symbol spec returns its symbol
+            values[key] = ok
     for key, (_, kind, *rest) in table.items():
         if kind in ("size", "orders"):
             least, why = rest or (0, "no size is negative")
-            least = least(merged) if callable(least) else least
+            least = least(values) if callable(least) else least
             first = merged[key][0] if kind == "orders" else merged[key]
             if first < least:
                 head = f"starts at {first}," if kind == "orders" else f"= {first} is"
                 raise ParseError(f"parameter {key!r} {head} below {least}, {why}")
-    return merged
+    return merged, values
 
 
 def _monomial_powers(t: MatSymbol):
@@ -174,7 +181,7 @@ def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
 
 
 def _sc_beurling(p: dict):
-    theta = parse_symbol_spec(p["theta"])
+    theta = p["theta"]
     n, tol = p["N"], p["tol"]
     rng_full = beurling_space(theta, n, tol=tol)
     rng_res = beurling_space(theta, n, headroom=1, tol=tol)
@@ -641,7 +648,7 @@ SCENARIOS = {
     "beurling": (
         _sc_beurling,
         {"theta": (_MONO_DIAG_23, "symbol"),
-         "N": (16, "size", lambda p: parse_symbol_spec(p["theta"]).deg,
+         "N": (16, "size", lambda p: p["theta"].deg,
                "the degree of 'theta'"),
          "tol": _TOL, "distance_tol": (1e-10, "tol")},
         "shift-invariant ranges of inner multipliers and their complements",
@@ -752,9 +759,9 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
             f"unknown scenario {scenario_id!r}; known: {sorted(SCENARIOS)}"
         )
     runner, table, _ = SCENARIOS[scenario_id]
-    merged = _merge(table, params)
+    merged, values = _merge(table, params)
     start = time.perf_counter()
-    passed, metrics = runner(merged)
+    passed, metrics = runner(values)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ScenarioReport(scenario_id, bool(passed), metrics, merged, runtime_ms)
 

@@ -710,11 +710,13 @@ def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> floa
 def _split_combos(mat: np.ndarray, k: int, tol: float) -> tuple:
     """Orthonormal column combinations (row space, null space) of mat.
 
-    One SVD; the rank is decided at tol * max(1, top singular value).
+    One SVD; the rank is decided at tol * max(1, top singular value).  A
+    matrix with at least k rows has all k right singular vectors in its
+    reduced SVD, so only a wide one takes the full SVD.
     """
     if k == 0:
         return np.zeros((0, 0), dtype=mat.dtype), np.zeros((0, 0), dtype=mat.dtype)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    _, s, vh = np.linalg.svd(mat, full_matrices=len(mat) < k)
     rank = _rank(s, tol, max(1.0, s[0]))
     v = np.conj(vh).T
     return v[:, :rank], v[:, rank:]

@@ -25,9 +25,10 @@ MAX_COEFFN_BUILDS = 600
 # entry point's argument list
 UNBOUND_OPTIONS = {"cli.main(argv)"}
 # the keys a subspace's per-instance memo may hold, each with its reader:
-# a fat space's thin complement (``complement``, ``defect_of``) and the
-# peeling step map (``nearly._step_map``)
-MEMO_KEYS = {"complement", "step_map"}
+# a fat space's thin complement (``complement``, ``defect_of``), the
+# peeling step map (``nearly._step_map``) and the nearly-invariance
+# certificate (``nearly.certify_nearly``)
+MEMO_KEYS = {"certificate", "complement", "step_map"}
 
 
 def _trees() -> dict:

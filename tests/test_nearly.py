@@ -619,6 +619,162 @@ class TestCoordinateKernel:
             return
         _assert_same_peel(*_peel_both(space, e, _unit_column(space, coords)))
 
+    @pytest.mark.parametrize("depth", ["one", "exact", "past_k_max"])
+    @pytest.mark.parametrize("run", [
+        "converges-one", "converges-all_from_I",
+        # v_4 escapes at step 4
+        "escapes-one", "escapes-all_from_I",
+        # a wandering basis missing one direction fails at the origin
+        "origin-one", "origin-all_from_I",
+    ])
+    def test_first_batch_depth(self, monkeypatch, run, depth):
+        # the first batch runs the step map's depth in column products:
+        # one step, exactly the run, or more than k_max steps (cut at
+        # k_max); later batches run the stride
+        which, columns = run.split("-")
+        space, e = _kernel_spaces()[2]
+        w = wandering(_fresh(space))
+        g = _unit_column(space, np.arange(1, space.dim + 1) * (1 - 1j))
+        if which == "escapes":
+            space, cols = _chain_space()
+            e, w, g = [], wandering(space), cols[:, 4:]
+        elif which == "origin":
+            w = from_spanning(list(w.basis)[:-1], space.ambient_deg, space.tol)
+            monkeypatch.setattr(nearly, "wandering", lambda m: w)
+        if columns == "all_from_I":
+            g = None
+        b = space.dim if g is None else g.shape[1]
+        k_max = nearly._default_k_max(space.ambient_deg, len(e))
+        length = _run_length(space, e, g, k_max)
+        space = _fresh(space)
+        sm = nearly._step_map(space, list(e), nearly._defect_tol(space.tol))
+        sm.depth = {"one": 1, "exact": length, "past_k_max": k_max + 1}[depth] * b
+        if which == "converges":
+            got, want = _peel_both(space, e, g)
+            _assert_same_peel(got, want)
+            assert sm.depth == len(got[0]) == length
+            return
+        start = sm.depth
+        got = _refusal(lambda: nearly._peel(space, list(e), g, 1e-10, None))
+        e_cols = (np.column_stack([flatten(f, space.ambient_deg) for f in e]) if e
+                  else np.zeros((space.ambient_dim, 0), dtype=complex))
+        want = _refusal(lambda: _ambient_peel(
+            space.matrix, w.matrix, e_cols, space.dim_m,
+            space.matrix if g is None else g, 1e-10, k_max, 1e-8, DEFAULT_NEAR_TOL))
+        assert type(got) is type(want) and str(got) == str(want)
+        if which == "escapes":
+            assert got.step == want.step == length == 4
+            assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-12)
+            assert np.allclose(got.escape.coeffs, want.escape.coeffs, rtol=0, atol=1e-12)
+        # a refused peel leaves the depth as it found it
+        assert sm.depth == start
+
+
+def _run_length(space, e, g, k_max, eps=1e-10):
+    """The steps a peel of the columns g runs: its step count when it
+    converges, else the first k_max at which it refuses."""
+    for k in range(1, k_max + 1):
+        try:
+            tup, gk, _ = nearly._peel(_fresh(space), list(e), g, eps, k)
+        except (InvariantViolationError, NotNearlyInvariantError):
+            return k
+        if np.max(gk[-1]) <= eps:
+            return len(tup)
+    return k_max
+
+
+def _assert_identical(res, ref):
+    """Every field of two decompositions equal, the coefficients bitwise."""
+    assert (res.gk_norms, res.max_step_residual, res.norm_gap, res.iterations,
+            res.converged) == (ref.gk_norms, ref.max_step_residual, ref.norm_gap,
+                               ref.iterations, ref.converged)
+    got, want = _coordinates(res), _coordinates(ref)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dim_m == w.dim_m and np.array_equal(g.coeffs, w.coeffs)
+
+
+class TestCallHistory:
+    """A peel's first batch follows the step map's depth, which the last
+    peel with the map set; the results never do."""
+
+    @staticmethod
+    def _by_depth(space, e):
+        """(shallowest, a middle one, deepest) of Q's columns as functions."""
+        depth = [decompose(_fresh(space), e, f).iterations for f in space.basis]
+        order = np.argsort(depth, kind="stable")
+        picks = order[0], order[len(order) // 2], order[-1]
+        assert depth[picks[0]] < depth[picks[1]] < depth[picks[2]]
+        return tuple(space.basis[i] for i in picks)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_same_result_after_any_earlier_call(self, field):
+        space, e = _kernel_spaces()[2]
+        shallow, middle, deep = self._by_depth(space, e)
+        f = middle if field == "real" else middle * (0.6 - 0.8j)
+        want = decompose(_fresh(space), e, f)
+        for before in (lambda s: extract_K(s, e), lambda s: decompose(s, e, deep),
+                       lambda s: decompose(s, e, shallow)):
+            s = _fresh(space)
+            before(s)
+            _assert_identical(decompose(s, e, f), want)
+
+    def test_depth_is_the_deepest_stop_of_the_last_peel(self):
+        space, e = _kernel_spaces()[2]
+        shallow, _, deep = self._by_depth(space, e)
+        space = _fresh(space)
+        k = extract_K(space, e)
+        sm = space._memo["step_map"]
+        # K's window is the number of steps, which the deepest column ran
+        assert sm.depth == k.ambient_deg + 1
+        # the last peel's, not the deepest so far
+        for f in (shallow, deep, shallow):
+            res = decompose(space, e, f)
+            assert sm.depth == res.iterations
+
+
+class TestCertificateMemo:
+    def _counted(self, monkeypatch):
+        calls = []
+        original = nearly.defect_of
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("band"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nearly, "defect_of", counting)
+        return calls
+
+    def test_same_tol_and_band_is_a_lookup(self, monkeypatch):
+        # synthesize_M certified the space, at its tol and no band
+        space, _ = _roundtrip_space(2, 1, 3, (2, 2, 3), 6)
+        calls = self._counted(monkeypatch)
+        first = certify_nearly(space, 1)
+        # p_max is not read, and tol=None resolves to the space's tol
+        assert certify_nearly(space, 0, tol=space.tol) is first
+        assert not calls
+
+    def test_another_tol_or_band_recomputes(self, monkeypatch):
+        space, _ = _roundtrip_space(2, 1, 3, (2, 2, 3), 6)
+        first = certify_nearly(space, 1)
+        calls = self._counted(monkeypatch)
+        band = certify_nearly(space, 1, band=space.ambient_deg - 1)
+        assert certify_nearly(space, 1, band=space.ambient_deg - 1) is band
+        loose = certify_nearly(space, 1, tol=1e-6)
+        assert calls == [space.ambient_deg - 1, None]
+        # one slot: the first key is computed again, to the same certificate
+        again = certify_nearly(space, 1)
+        assert len(calls) == 3 and again is not first
+        for cert in (band, loose):
+            assert cert.defect_dim == first.defect_dim
+        assert (again.defect_dim, again.singular_values, again.max_residual) == (
+            first.defect_dim, first.singular_values, first.max_residual)
+
+    def test_pickled_space_carries_no_certificate(self):
+        space, _ = _roundtrip_space(2, 1, 3, (2, 2, 3), 6)
+        assert "certificate" in space._memo
+        assert "certificate" not in pickle.loads(pickle.dumps(space))._memo
+
 
 # the r = 2, p = 2 space of the benchmark's roundtrip workload: dim 56, n = 172
 ROUNDTRIP_R2P2 = ((16, 16, 12, 12), 40)

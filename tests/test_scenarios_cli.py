@@ -546,10 +546,15 @@ def _defaults(table: dict) -> dict:
     return {key: row[0] for key, row in table.items()}
 
 
+def _values(table: dict) -> dict:
+    """The defaults as a least value reads them, each symbol spec parsed."""
+    return scenarios._merge(table, None)[1]
+
+
 def _least(table: dict, key: str) -> int:
     """A size key's least value, the other keys at their defaults."""
     least = (table[key][2:] or (0,))[0]
-    return least(_defaults(table)) if callable(least) else least
+    return least(_values(table)) if callable(least) else least
 
 
 SIZE_KEYS = [
@@ -612,7 +617,7 @@ class TestParameterTable:
     @pytest.mark.parametrize("sid", list(SCENARIOS))
     def test_every_default_satisfies_its_row(self, sid):
         table = SCENARIOS[sid][1]
-        assert scenarios._merge(table, None) == _defaults(table)
+        assert scenarios._merge(table, None)[0] == _defaults(table)
 
     @pytest.mark.parametrize("sid, key, raw", [
         ("lemma_nearly", "zero1", "1.0"),
@@ -633,7 +638,7 @@ def _readme_rows():
         for key, (_, kind, *rest) in table.items():
             least, why = rest or ((0 if kind == "size" else ""), "")
             if callable(least):
-                least = f"{least(_defaults(table))} at the defaults"
+                least = f"{least(_values(table))} at the defaults"
             yield f"| `{sid}` | `{key}` | {kind} | {least} | {why} |"
     for kind, (want, _) in scenarios._KINDS.items():
         yield f"| {kind} | {want} |"
