@@ -57,7 +57,6 @@ from .subspaces import (
     degree_slice,
     from_spanning,
     model_space,
-    project,
     subspace_distance,
     vanishing_slice,
     wandering,

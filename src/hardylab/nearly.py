@@ -33,7 +33,9 @@ coordinates and three norms kept per step.
 column of M's Q at once (from c = I), and ``synthesize_M`` rebuilds M
 from (K, F0, E) as one product of the generator symbol [F0 | zE] with
 K's Q.  The orthocomplement test ``orthocomplement_membership`` applies
-the adjoint of the same generator, which ``_generator`` builds for both.
+the adjoint of the same generator, which ``_generator`` builds for both,
+to a whole batch of functions in one product, and reads every residual
+off K's window in one pair of products with K's Q.
 Every defect list is checked at one tolerance, ``_defect_tol``: in the
 peeling and in the duality checks by ``_check_defect_basis``, and in
 ``synthesize_M`` (with the F0 columns) by its Gram deviation.  The
@@ -78,7 +80,6 @@ from .subspaces import (
     _span_columns,
     defect_of,
     degree_slice,
-    project,
     vanishing_slice,
     wandering,
 )
@@ -645,24 +646,47 @@ def duality_residuals(m: Subspace, defect_basis) -> tuple:
             float(np.linalg.norm(resid, 2)))
 
 
-def orthocomplement_membership(g: CoeffFn, f0_cols, e_fns, k: Subspace,
+def orthocomplement_membership(gs, f0_cols, e_fns, k: Subspace,
                                tol: float = 1e-7) -> tuple:
-    """Membership of G in the orthocomplement of M = [F0 | zE] K.
+    """Membership of each of G_1 ... G_b in the orthocomplement of M = [F0 | zE] K.
 
-    Computes the tuple (T*_{F0} G, T*_{E_1} S* G, ..., T*_{E_p} S* G), one
-    ``multiply_adjoint`` of the generator [F0 | zE] of ``synthesize_M``
-    (T*_{zE} = T*_E S*), which is the adjoint of the synthesis map.  G is
-    orthogonal to M iff that coordinate tuple has no component in the
-    parameter space K, the same K that ``synthesize_M`` takes; with no F0
-    columns the F0 slot is omitted.  The columns are not checked for
-    orthonormality; G or a K over the wrong C^m is refused by the kernel
-    and by ``project``.  Returns (member, residual).
+    G_j is orthogonal to M iff its coordinate tuple
+    (T*_{F0} G_j, T*_{E_1} S* G_j, ..., T*_{E_p} S* G_j) has no component
+    in the parameter space K, the same K that ``synthesize_M`` takes; with
+    no F0 columns the F0 slot is omitted.  The tuples of the whole batch
+    are one ``multiply_adjoint`` of the generator [F0 | zE] of
+    ``synthesize_M`` (T*_{zE} = T*_E S*, the adjoint of the synthesis map)
+    on the G's coefficients, stacked and zero-padded to the largest
+    degree.  K's part is read on K's window only: the tuple rows above it
+    are orthogonal to K, and a shorter tuple is padded with zeros.  The
+    residual of G_j is the column norm ||Q_K Q_K* t_j||, and G_j is a
+    member iff it is at most tol * max(1, ||G_j||).  The F0 and E columns
+    are not checked for orthonormality; a G or a K over the wrong C^m is
+    refused.
+    Returns one (member, residual) pair per function, in order, and ()
+    for an empty batch.
     """
     gen = _generator(list(f0_cols), list(e_fns))
-    tup = CoeffFn(gen.m_in, multiply_adjoint(gen, g.coeffs[..., None])[:, :, 0])
-    # the distance from K's complement is the size of the K part; K padded
-    # to the tuple's degree covers tuples that outgrow the coordinate
-    # window, since everything above it is orthogonal to K
-    k = k.padded(max(tup.trimmed_deg(), k.ambient_deg))
-    residual = project(k, tup).norm()
-    return residual <= tol * max(1.0, g.norm()), float(residual)
+    if k.dim_m != gen.m_in:
+        raise DimensionMismatchError(
+            f"parameter space over C^{k.dim_m}, generator tuples over C^{gen.m_in}"
+        )
+    gs = list(gs)
+    if not gs:
+        return ()
+    y = np.zeros((max(g.deg for g in gs) + 1, gen.m_out, len(gs)), dtype=complex)
+    for j, g in enumerate(gs):
+        if g.dim_m != gen.m_out:
+            raise DimensionMismatchError(
+                f"function {j} over C^{g.dim_m}, generator over C^{gen.m_out}"
+            )
+        y[: g.deg + 1, :, j] = g.coeffs
+    tup = multiply_adjoint(gen, y)
+    rows = min(len(tup), k.ambient_deg + 1)
+    window = np.zeros((k.ambient_deg + 1,) + tup.shape[1:], dtype=complex)
+    window[:rows] = tup[:rows]
+    q = k.matrix
+    coords = _mul(q, _mul(q, window.reshape(k.ambient_dim, -1), adjoint=True))
+    residuals = np.linalg.norm(coords, axis=0)
+    bounds = tol * np.maximum(1.0, np.linalg.norm(y.reshape(-1, len(gs)), axis=0))
+    return tuple((bool(res <= bound), float(res)) for res, bound in zip(residuals, bounds))

@@ -158,17 +158,21 @@ def _certifying(threshold: float, p: dict, *zeros: str) -> float:
     return threshold
 
 
-def _random_unit(rng, dim_m: int, deg: int) -> np.ndarray:
-    """Seeded flattened unit vector of degree deg: real parts drawn first."""
-    vec = (rng.standard_normal((deg + 1, dim_m))
-           + 1j * rng.standard_normal((deg + 1, dim_m))).reshape(-1)
-    return vec * (1.0 / np.linalg.norm(vec))
+def _random_units(rng, dim_m: int, deg: int, count: int) -> np.ndarray:
+    """Seeded flattened unit vectors of degree deg, one per column.
+
+    One draw of the whole batch, in the order of ``count`` draws of one
+    vector each: a vector's real parts first, then its imaginary parts.
+    """
+    draw = rng.standard_normal((count, 2, (deg + 1) * dim_m))
+    vecs = (draw[:, 0] + 1j * draw[:, 1]).T
+    return vecs * (1.0 / np.linalg.norm(vecs, axis=0))
 
 
 def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
     """Seeded flattened unit vector orthogonal to the space."""
     for _ in range(16):
-        f = _random_unit(rng, space.dim_m, deg)
+        f = _random_units(rng, space.dim_m, deg, 1)[:, 0]
         g = _residual(space, f)
         norm = np.linalg.norm(g)
         if norm > 1e-6:
@@ -560,10 +564,7 @@ def _sc_duality(p: dict):
             space = _apply_space(u_sym, base, n)
         else:
             count = int(rng.integers(2, 5))
-            space = _span_columns(
-                np.column_stack([_random_unit(rng, m, n) for _ in range(count)]),
-                m, n, tol,
-            )
+            space = _span_columns(_random_units(rng, m, n, count), m, n, tol)
         defect = [unflatten(_perp_unit(rng, space, n), m)]
         verdicts.append(tuple(res <= p["residual_tol"]
                               for res in duality_residuals(space, defect)))
@@ -596,19 +597,20 @@ def _sc_section4(p: dict):
     space = synthesize_M(k_space, [f0_col], [e_fn], ambient)
     k_perp = complement(k_space)
     inv_cert = defect_of(k_perp, "S", domain=degree_slice(k_perp, nk - 1), tol=1e-8)
-    # per draw: (claimed member, direct member)
-    verdicts = []
-    for i in range(p["draws"]):
-        g = _random_unit(rng, 3, ambient)
-        if i % 2 == 0:
-            h = _residual(space, g)
-            if np.linalg.norm(h) < 1e-6:
-                continue
-            g = h * (1.0 / np.linalg.norm(h))
-        claimed, _ = orthocomplement_membership(unflatten(g, 3), [f0_col], [e_fn],
-                                                k_space, tol=p["membership_tol"])
-        direct = np.linalg.norm(_mul(space.matrix, g, adjoint=True)) <= p["membership_tol"]
-        verdicts.append((claimed, bool(direct)))
+    # the even draws are projected off M, and dropped if they lie in it
+    g = _random_units(rng, 3, ambient, p["draws"])
+    h = _residual(space, g[:, ::2])
+    h_norms = np.linalg.norm(h, axis=0)
+    g[:, ::2] = h * (1.0 / np.maximum(h_norms, 1e-6))
+    kept = np.ones(g.shape[1], dtype=bool)
+    kept[::2] = h_norms >= 1e-6
+    g = g[:, kept]
+    claimed = orthocomplement_membership([unflatten(col, 3) for col in g.T], [f0_col],
+                                         [e_fn], k_space, tol=p["membership_tol"])
+    direct = np.linalg.norm(_mul(space.matrix, g, adjoint=True), axis=0)
+    # per kept draw: (claimed member, direct member)
+    verdicts = [(member, bool(res <= p["membership_tol"]))
+                for (member, _), res in zip(claimed, direct)]
     total = len(verdicts)
     agreements = sum(claimed == direct for claimed, direct in verdicts)
     members = sum(direct for _, direct in verdicts)
@@ -708,17 +710,20 @@ SCENARIOS = {
     "main_defect1": (
         _sc_main_defect1,
         {"NK": (6, "size", 3, "the largest degree of K's symbols"), "r": (None, "r"),
-         "N": (8, "size"), "tol": _TOL, "distance_tol": (1e-6, "tol"),
-         "gap_tol": (1e-6, "tol")},
+         "N": (8, "size", 0, "no size is negative; read only when 'r' is set, "
+               "for the window max(4, N - 2)"),
+         "tol": _TOL, "distance_tol": (1e-6, "tol"), "gap_tol": (1e-6, "tol")},
         "defect-1 synthesis/extraction roundtrip with Parseval norm identity",
     ),
     "main_defectp": (
         _sc_main_defectp,
         {"NK": (6, "size", 3, "the largest degree of K's symbols"), "r": (None, "r"),
          "p": (2, "size", lambda p: int(p["r"] == 0),
-               "1 when 'r' = 0 ('r' and 'p' both 0 leave no coordinates), else 0"),
-         "N": (8, "size"), "tol": _TOL, "distance_tol": (1e-6, "tol"),
-         "gap_tol": (1e-6, "tol")},
+               "1 when 'r' = 0 ('r' and 'p' both 0 leave no coordinates), else 0; "
+               "read only when 'r' is set"),
+         "N": (8, "size", 0, "no size is negative; read only when 'r' is set, "
+               "for the window max(4, N - 2)"),
+         "tol": _TOL, "distance_tol": (1e-6, "tol"), "gap_tol": (1e-6, "tol")},
         "defect-p synthesis/extraction roundtrip, including the all-"
         "vanishing (wandering-free) case",
     ),

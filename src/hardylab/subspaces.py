@@ -99,7 +99,6 @@ __all__ = [
     "beurling_space",
     "model_space",
     "complement",
-    "project",
     "subspace_distance",
     "vanishing_slice",
     "degree_slice",
@@ -665,8 +664,12 @@ def complement(a: Subspace) -> Subspace:
     return c
 
 
-def project(a: Subspace, f: CoeffFn) -> CoeffFn:
-    """Orthogonal projection P_A F."""
+def _project(a: Subspace, f: CoeffFn) -> CoeffFn:
+    """Orthogonal projection P_A F of one function.
+
+    The package projects coefficient columns (``_residual``, ``_mul``);
+    this is the function-level form, the tests' reference.
+    """
     if f.dim_m != a.dim_m:
         raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{a.dim_m}")
     if a.dim == 0:

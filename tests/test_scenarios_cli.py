@@ -77,6 +77,56 @@ class TestScenarioRunner:
         assert text.startswith("| scenario |")
 
 
+def _one_unit(rng, dim_m, deg):
+    """One seeded flattened unit vector, drawn as the scenarios drew each
+    vector on its own: real parts, then imaginary parts."""
+    vec = (rng.standard_normal((deg + 1, dim_m))
+           + 1j * rng.standard_normal((deg + 1, dim_m))).reshape(-1)
+    return vec * (1.0 / np.linalg.norm(vec))
+
+
+class TestSeededDraws:
+    """One batched draw is the stream of one-vector draws."""
+
+    @pytest.mark.parametrize("dim_m, deg, count", [(3, 8, 100), (2, 8, 4), (1, 0, 1)])
+    def test_batch_is_the_sequential_stream(self, dim_m, deg, count):
+        batch_rng, seq_rng = np.random.default_rng(5), np.random.default_rng(5)
+        batch = scenarios._random_units(batch_rng, dim_m, deg, count)
+        seq = np.column_stack([_one_unit(seq_rng, dim_m, deg) for _ in range(count)])
+        assert batch.shape == (dim_m * (deg + 1), count)
+        # only the normalisation's summation order differs
+        assert np.abs(batch - seq).max() <= 1e-15
+        # the generator is left where the one-vector draws leave it
+        assert batch_rng.standard_normal() == seq_rng.standard_normal()
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_section4_reports_every_kept_draw(self, draws):
+        rep = run_scenario("section4", {"draws": draws, "min_each_class": 0})
+        assert rep.passed
+        # no random draw lies in M, so every draw is kept: the even ones are
+        # projected off M (members), the odd ones are not members
+        assert rep.metrics["draws"] == rep.metrics["agreements"] == draws
+        assert rep.metrics["members"] == (draws + 1) // 2
+        assert rep.metrics["nonmembers"] == draws // 2
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_section4_drops_an_even_draw_in_m(self, monkeypatch, draws):
+        residual = scenarios._residual
+
+        def first_in_m(space, cols):
+            # the first even draw lies in M: nothing is left off it
+            out = residual(space, cols)
+            out[:, 0] = 0
+            return out
+
+        monkeypatch.setattr(scenarios, "_residual", first_in_m)
+        rep = run_scenario("section4", {"draws": draws, "min_each_class": 0})
+        assert rep.passed
+        assert rep.metrics["draws"] == rep.metrics["agreements"] == draws - 1
+        assert rep.metrics["members"] == (draws + 1) // 2 - 1
+        assert rep.metrics["nonmembers"] == draws // 2
+
+
 class TestCli:
     def test_scenario_all_json(self, capsys):
         assert main(["scenario", "all", "--json"]) == 0

@@ -31,6 +31,7 @@ from hardylab.subspaces import (
     DEFAULT_TOL,
     Subspace,
     _isometry_defect,
+    _project,
     _q_columns,
     _range_qr,
     _residual,
@@ -41,7 +42,6 @@ from hardylab.subspaces import (
     degree_slice,
     from_spanning,
     model_space,
-    project,
     subspace_distance,
     vanishing_slice,
     wandering,
@@ -763,7 +763,7 @@ class TestModel:
     def test_scalar_z2(self):
         s = model_space(monomial_inner(2, 2), 4)
         for f in (ONE, Z):
-            assert (f - project(s, f)).norm() <= 1e-10
+            assert (f - _project(s, f)).norm() <= 1e-10
         assert s.dim == 2
 
     def test_diag_constants(self):
@@ -779,7 +779,7 @@ class TestModel:
         t = blaschke_scalar(BlaschkeSpec([0.5, 0]), d)
         s = model_space(t, n)
         k = make_fn(1, [[0.5 ** j] for j in range(n + 1)])
-        residual = (k - project(s, k)).norm() / k.norm()
+        residual = (k - _project(s, k)).norm() / k.norm()
         assert residual <= 1e-6
 
 
@@ -809,11 +809,11 @@ class TestLattice:
 class TestProject:
     def test_onto_constants(self):
         s = from_spanning([ONE], 2)
-        out = project(s, ONE + Z)
+        out = _project(s, ONE + Z)
         assert np.allclose(out.padded(0), [[1]])
 
     def test_onto_zero(self):
-        assert project(from_spanning([], 2, dim_m=1), Z).norm() == 0
+        assert _project(from_spanning([], 2, dim_m=1), Z).norm() == 0
 
     def test_projector_hermitian_idempotent(self):
         rng = np.random.default_rng(2)
@@ -826,8 +826,8 @@ class TestProject:
         rng = np.random.default_rng(3)
         s = from_spanning(_random_fns(rng, 2, 2, 3), 3)
         f = _random_fns(rng, 1, 2, 3)[0]
-        pf = project(s, f)
-        qf = project(complement(s), f)
+        pf = _project(s, f)
+        qf = _project(complement(s), f)
         assert (pf + qf - f).norm() <= 1e-10 * f.norm()
         assert f.norm() ** 2 == pytest.approx(pf.norm() ** 2 + (f - pf).norm() ** 2)
 
