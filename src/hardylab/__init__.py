@@ -57,6 +57,7 @@ from .subspaces import (
     degree_slice,
     from_spanning,
     model_space,
+    project,
     subspace_distance,
     vanishing_slice,
     wandering,

@@ -35,7 +35,7 @@ from (K, F0, E) as one product of the generator symbol [F0 | zE] with
 K's Q.  The orthocomplement test ``orthocomplement_membership`` applies
 the adjoint of the same generator, which ``_generator`` builds for both,
 to a whole batch of functions in one product, and reads every residual
-off K's window in one pair of products with K's Q.
+off one ``project`` of the tuples onto K.
 Every defect list is checked at one tolerance, ``_defect_tol``: in the
 peeling and in the duality checks by ``_check_defect_basis``, and in
 ``synthesize_M`` (with the F0 columns) by its Gram deviation.  The
@@ -80,6 +80,7 @@ from .subspaces import (
     _span_columns,
     defect_of,
     degree_slice,
+    project,
     vanishing_slice,
     wandering,
 )
@@ -657,36 +658,30 @@ def orthocomplement_membership(gs, f0_cols, e_fns, k: Subspace,
     are one ``multiply_adjoint`` of the generator [F0 | zE] of
     ``synthesize_M`` (T*_{zE} = T*_E S*, the adjoint of the synthesis map)
     on the G's coefficients, stacked and zero-padded to the largest
-    degree.  K's part is read on K's window only: the tuple rows above it
-    are orthogonal to K, and a shorter tuple is padded with zeros.  The
-    residual of G_j is the column norm ||Q_K Q_K* t_j||, and G_j is a
-    member iff it is at most tol * max(1, ||G_j||).  The F0 and E columns
+    degree.  K's part of all of them is one ``project`` onto K, which
+    reads K's window only: the tuple rows above it are orthogonal to K,
+    and a shorter tuple is padded with zeros.  The residual of G_j is the
+    norm ||Q_K Q_K* t_j|| of its column, and G_j is a member iff it is at
+    most tol * max(1, ||G_j||).  The F0 and E columns
     are not checked for orthonormality; a G or a K over the wrong C^m is
     refused.
     Returns one (member, residual) pair per function, in order, and ()
     for an empty batch.
     """
     gen = _generator(list(f0_cols), list(e_fns))
-    if k.dim_m != gen.m_in:
-        raise DimensionMismatchError(
-            f"parameter space over C^{k.dim_m}, generator tuples over C^{gen.m_in}"
-        )
     gs = list(gs)
-    if not gs:
-        return ()
-    y = np.zeros((max(g.deg for g in gs) + 1, gen.m_out, len(gs)), dtype=complex)
+    y = np.zeros((max((g.deg for g in gs), default=0) + 1, gen.m_out, len(gs)),
+                 dtype=complex)
     for j, g in enumerate(gs):
         if g.dim_m != gen.m_out:
             raise DimensionMismatchError(
                 f"function {j} over C^{g.dim_m}, generator over C^{gen.m_out}"
             )
         y[: g.deg + 1, :, j] = g.coeffs
-    tup = multiply_adjoint(gen, y)
-    rows = min(len(tup), k.ambient_deg + 1)
-    window = np.zeros((k.ambient_deg + 1,) + tup.shape[1:], dtype=complex)
-    window[:rows] = tup[:rows]
-    q = k.matrix
-    coords = _mul(q, _mul(q, window.reshape(k.ambient_dim, -1), adjoint=True))
-    residuals = np.linalg.norm(coords, axis=0)
-    bounds = tol * np.maximum(1.0, np.linalg.norm(y.reshape(-1, len(gs)), axis=0))
+    # K's part of every tuple, read on K's window; a K over the wrong C^m
+    # is refused here, an empty batch included
+    part = project(k, multiply_adjoint(gen, y)).reshape(k.ambient_dim, len(gs))
+    residuals = np.linalg.norm(part, axis=0)
+    norms = np.linalg.norm(y.reshape(len(y) * gen.m_out, len(gs)), axis=0)
+    bounds = tol * np.maximum(1.0, norms)
     return tuple((bool(res <= bound), float(res)) for res, bound in zip(residuals, bounds))

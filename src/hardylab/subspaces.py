@@ -88,7 +88,7 @@ from .errors import (
     PreconditionError,
     TruncationOverflowError,
 )
-from .funcs import CoeffFn, flatten, unflatten, zero_fn
+from .funcs import flatten, unflatten
 from .multipliers import MatSymbol, _field
 
 __all__ = [
@@ -99,6 +99,7 @@ __all__ = [
     "beurling_space",
     "model_space",
     "complement",
+    "project",
     "subspace_distance",
     "vanishing_slice",
     "degree_slice",
@@ -664,19 +665,27 @@ def complement(a: Subspace) -> Subspace:
     return c
 
 
-def _project(a: Subspace, f: CoeffFn) -> CoeffFn:
-    """Orthogonal projection P_A F of one function.
+def project(a: Subspace, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection P_A X of b functions at once.
 
-    The package projects coefficient columns (``_residual``, ``_mul``);
-    this is the function-level form, the tests' reference.
+    x holds their coefficients, shape (d + 1, m, b), as ``multiply`` takes
+    them, for any degree d: the rows above A's window are orthogonal to A,
+    so they are dropped, and a shorter x is padded with zeros.  Returns
+    P_A X on A's window, shape (N + 1, m, b); both products go through
+    ``_mul``, so Q is not copied.
     """
-    if f.dim_m != a.dim_m:
-        raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{a.dim_m}")
-    if a.dim == 0:
-        return zero_fn(a.dim_m)
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[0] < 1 or x.shape[1] != a.dim_m:
+        raise DimensionMismatchError(
+            f"subspace over C^{a.dim_m} expects coefficients of shape (deg+1, {a.dim_m}, b), "
+            f"got {x.shape}"
+        )
+    window = np.zeros((a.ambient_deg + 1,) + x.shape[1:], dtype=np.result_type(x, 1.0))
+    rows = min(len(x), len(window))
+    window[:rows] = x[:rows]
     q = a.matrix
-    vec = flatten(f, a.ambient_deg)
-    return unflatten(_mul(q, _mul(q, vec, adjoint=True)), a.dim_m)
+    cols = window.reshape(a.ambient_dim, -1)
+    return _mul(q, _mul(q, cols, adjoint=True)).reshape(window.shape)
 
 
 def subspace_distance(a: Subspace, b: Subspace, band: int | None = None) -> float:

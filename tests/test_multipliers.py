@@ -27,7 +27,12 @@ from hardylab.multipliers import (
     scalar_symbol,
 )
 from hardylab.nearly import orthocomplement_membership, synthesize_M
-from hardylab.subspaces import _project, model_space
+from hardylab.subspaces import model_space, project
+
+
+def _project_fn(s, f):
+    """P_S F of one function, on S's window."""
+    return CoeffFn(f.dim_m, project(s, f.coeffs[:, :, None])[:, :, 0])
 
 
 def _rng_fn(rng, m, deg):
@@ -376,7 +381,7 @@ def _membership_reference(g, f0_cols, e_fns, k):
     padded = [np.vstack([p, np.zeros((deg + 1 - len(p), p.shape[1]))]) for p in parts]
     tup = CoeffFn(sum(p.shape[1] for p in parts), np.hstack(padded))
     k = k.padded(max(tup.trimmed_deg(), k.ambient_deg))
-    return _project(k, tup).norm()
+    return _project_fn(k, tup).norm()
 
 
 class TestMembershipOracle:
@@ -392,7 +397,67 @@ class TestMembershipOracle:
         for i in range(12):
             g = _rng_fn(rng, 3, 8 - i % 3)
             if i % 2 == 0:
-                g = g - _project(space, g)
+                g = g - _project_fn(space, g)
             ((_, got),) = orthocomplement_membership([g], f0, e_fns, k)
             want = _membership_reference(g, f0, e_fns, k)
             assert abs(got - want) <= 1e-14
+
+
+class TestMembershipBatch:
+    """One call checks a whole batch: each function's pair is the one its
+    one-element call and the per-part oracle give, in the batch's order."""
+
+    @staticmethod
+    def _setup(with_f0):
+        # K has window degree 6, M ambient degree 8, as in section4
+        f0 = [make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])] if with_f0 else []
+        e_fns = [basis_vector(3, 2)]
+        degs = (3, 2) if with_f0 else (2,)
+        k = model_space(diag_inner([monomial_inner(d, 3) for d in degs], 3), 6)
+        return f0, e_fns, k, synthesize_M(k, f0, e_fns, 8)
+
+    @staticmethod
+    def _mixed_batch(rng, space):
+        """(function, is member) pairs of degrees 0 to 11: below K's window
+        of 6 and above M's window of 8, members and non-members alternating."""
+        batch = []
+        for i, deg in enumerate((2, 11, 0, 6, 9, 4, 8, 11, 1, 7)):
+            g = CoeffFn(3, rng.standard_normal((deg + 1, 3))
+                        + 1j * rng.standard_normal((deg + 1, 3)))
+            if i % 2 == 0:
+                g = g - _project_fn(space.padded(max(deg, space.ambient_deg)), g)
+            batch.append((g, i % 2 == 0))
+        return batch
+
+    @pytest.mark.parametrize("with_f0", [True, False])
+    def test_each_pair_is_its_one_element_call(self, with_f0):
+        f0, e_fns, k, space = self._setup(with_f0)
+        batch = self._mixed_batch(np.random.default_rng(41), space)
+        gs = [g for g, _ in batch]
+        results = orthocomplement_membership(gs, f0, e_fns, k)
+        assert len(results) == len(batch)
+        for (g, is_member), (member, residual) in zip(batch, results):
+            ((one_member, one_residual),) = orthocomplement_membership([g], f0, e_fns, k)
+            assert type(member) is bool and type(residual) is float
+            assert member == one_member == is_member
+            assert abs(residual - one_residual) <= 1e-14
+            assert abs(residual - _membership_reference(g, f0, e_fns, k)) <= 1e-14
+        # the order is kept
+        backwards = orthocomplement_membership(gs[::-1], f0, e_fns, k)
+        for (member, residual), (back_member, back_residual) in zip(results,
+                                                                    backwards[::-1]):
+            assert member == back_member
+            assert abs(residual - back_residual) <= 1e-14
+
+    def test_empty_batch(self):
+        f0, e_fns, k, _ = self._setup(True)
+        assert orthocomplement_membership([], f0, e_fns, k) == ()
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_wrong_dimension_anywhere_is_refused(self, pos):
+        f0, e_fns, k, _ = self._setup(True)
+        gs = [basis_vector(3, i % 3) for i in range(5)]
+        # another degree too, so stacking would fail before any product
+        gs[pos] = make_fn(2, [[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(DimensionMismatchError, match=f"function {pos} over C\\^2"):
+            orthocomplement_membership(gs, f0, e_fns, k)

@@ -43,22 +43,26 @@ from hardylab.nearly import (
 )
 from hardylab.subspaces import (
     Subspace,
-    _project,
     complement,
     defect_of,
     degree_slice,
     from_spanning,
     model_space,
+    project,
     subspace_distance,
     vanishing_slice,
     wandering,
 )
-from test_multipliers import _membership_reference
 
 ONE = make_fn(1, [[1]])
 Z = make_fn(1, [[0], [1]])
 # the non-constant F0 column of the main_defect1 scenario
 POLY_COL = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
+
+
+def _project_fn(s, f):
+    """P_S F of one function, on S's window."""
+    return CoeffFn(f.dim_m, project(s, f.coeffs[:, :, None])[:, :, 0])
 
 
 def _inner(f, g):
@@ -112,7 +116,7 @@ def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None):
                 f"wandering removal left value {at_zero:.3g} at the origin"
             )
         h = _backshift(f_next)
-        g = _project(m, h)
+        g = _project_fn(m, h)
         beta = np.array([_inner(h, ej) for ej in defect_basis])
         escape = h - g
         for bj, ej in zip(beta, defect_basis):
@@ -1161,7 +1165,7 @@ class TestDuality:
             space = from_spanning(raw, 5)
             probe = CoeffFn(2, rng.standard_normal((6, 2))
                             + 1j * rng.standard_normal((6, 2)))
-            perp = probe - _project(space, probe)
+            perp = probe - _project_fn(space, probe)
             defect = [perp * (1.0 / perp.norm())]
             assert _duality_agrees(space, defect)
 
@@ -1258,7 +1262,7 @@ class TestOrthocomplementMembership:
         k = from_spanning([ONE], 0)
         ((member, residual),) = orthocomplement_membership([ONE], [], [ONE], k)
         assert member and residual <= 1e-12
-        assert (ONE - _project(space, ONE)).norm() == pytest.approx(1.0)
+        assert (ONE - _project_fn(space, ONE)).norm() == pytest.approx(1.0)
 
     def test_scalar_line_nonmember(self):
         k = from_spanning([ONE], 0)
@@ -1277,76 +1281,16 @@ class TestOrthocomplementMembership:
         for i in range(20):
             g = CoeffFn(2, rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))
             if i % 2 == 0:
-                g = g - _project(space, g)
+                g = g - _project_fn(space, g)
             gs.append(g)
         results = orthocomplement_membership(gs, [f0], [e], k)
         assert len(results) == len(gs)
         for g, (member, _) in zip(gs, results):
-            assert member == (_project(space, g).norm() <= 1e-7 * max(1.0, g.norm()))
+            assert member == (_project_fn(space, g).norm() <= 1e-7 * max(1.0, g.norm()))
 
     def test_no_generator_column_is_refused(self):
         with pytest.raises(PreconditionError):
             orthocomplement_membership([ONE], [], [], from_spanning([ONE], 0))
-
-
-class TestMembershipBatch:
-    """One call checks a whole batch: each function's pair is the one its
-    one-element call and the per-part oracle give, in the batch's order."""
-
-    @staticmethod
-    def _setup(with_f0):
-        # K has window degree 6, M ambient degree 8, as in section4
-        f0 = [POLY_COL] if with_f0 else []
-        e_fns = [basis_vector(3, 2)]
-        degs = (3, 2) if with_f0 else (2,)
-        k = model_space(diag_inner([monomial_inner(d, 3) for d in degs], 3), 6)
-        return f0, e_fns, k, synthesize_M(k, f0, e_fns, 8)
-
-    @staticmethod
-    def _mixed_batch(rng, space):
-        """(function, is member) pairs of degrees 0 to 11: below K's window
-        of 6 and above M's window of 8, members and non-members alternating."""
-        batch = []
-        for i, deg in enumerate((2, 11, 0, 6, 9, 4, 8, 11, 1, 7)):
-            g = CoeffFn(3, rng.standard_normal((deg + 1, 3))
-                        + 1j * rng.standard_normal((deg + 1, 3)))
-            if i % 2 == 0:
-                g = g - _project(space.padded(max(deg, space.ambient_deg)), g)
-            batch.append((g, i % 2 == 0))
-        return batch
-
-    @pytest.mark.parametrize("with_f0", [True, False])
-    def test_each_pair_is_its_one_element_call(self, with_f0):
-        f0, e_fns, k, space = self._setup(with_f0)
-        batch = self._mixed_batch(np.random.default_rng(41), space)
-        gs = [g for g, _ in batch]
-        results = orthocomplement_membership(gs, f0, e_fns, k)
-        assert len(results) == len(batch)
-        for (g, is_member), (member, residual) in zip(batch, results):
-            ((one_member, one_residual),) = orthocomplement_membership([g], f0, e_fns, k)
-            assert type(member) is bool and type(residual) is float
-            assert member == one_member == is_member
-            assert abs(residual - one_residual) <= 1e-14
-            assert abs(residual - _membership_reference(g, f0, e_fns, k)) <= 1e-14
-        # the order is kept
-        backwards = orthocomplement_membership(gs[::-1], f0, e_fns, k)
-        for (member, residual), (back_member, back_residual) in zip(results,
-                                                                    backwards[::-1]):
-            assert member == back_member
-            assert abs(residual - back_residual) <= 1e-14
-
-    def test_empty_batch(self):
-        f0, e_fns, k, _ = self._setup(True)
-        assert orthocomplement_membership([], f0, e_fns, k) == ()
-
-    @pytest.mark.parametrize("pos", [0, 2, 4])
-    def test_wrong_dimension_anywhere_is_refused(self, pos):
-        f0, e_fns, k, _ = self._setup(True)
-        gs = [basis_vector(3, i % 3) for i in range(5)]
-        # another degree too, so stacking would fail before any product
-        gs[pos] = make_fn(2, [[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(DimensionMismatchError, match=f"function {pos} over C\\^2"):
-            orthocomplement_membership(gs, f0, e_fns, k)
 
 
 class TestOneGenerator:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.errors import (
+    DimensionMismatchError,
     InvariantViolationError,
     NotInnerError,
     PreconditionError,
@@ -31,7 +32,6 @@ from hardylab.subspaces import (
     DEFAULT_TOL,
     Subspace,
     _isometry_defect,
-    _project,
     _q_columns,
     _range_qr,
     _residual,
@@ -42,6 +42,7 @@ from hardylab.subspaces import (
     degree_slice,
     from_spanning,
     model_space,
+    project,
     subspace_distance,
     vanishing_slice,
     wandering,
@@ -762,8 +763,8 @@ class TestIsometryDefect:
 class TestModel:
     def test_scalar_z2(self):
         s = model_space(monomial_inner(2, 2), 4)
-        for f in (ONE, Z):
-            assert (f - _project(s, f)).norm() <= 1e-10
+        x = np.stack([ONE.padded(4), Z.padded(4)], axis=-1)
+        assert np.linalg.norm(x - project(s, x), axis=(0, 1)).max() <= 1e-10
         assert s.dim == 2
 
     def test_diag_constants(self):
@@ -779,7 +780,8 @@ class TestModel:
         t = blaschke_scalar(BlaschkeSpec([0.5, 0]), d)
         s = model_space(t, n)
         k = make_fn(1, [[0.5 ** j] for j in range(n + 1)])
-        residual = (k - _project(s, k)).norm() / k.norm()
+        x = k.coeffs[:, :, None]
+        residual = np.linalg.norm(x - project(s, x)) / k.norm()
         assert residual <= 1e-6
 
 
@@ -809,11 +811,12 @@ class TestLattice:
 class TestProject:
     def test_onto_constants(self):
         s = from_spanning([ONE], 2)
-        out = _project(s, ONE + Z)
-        assert np.allclose(out.padded(0), [[1]])
+        out = project(s, (ONE + Z).coeffs[:, :, None])
+        assert out.shape == (3, 1, 1)
+        assert np.allclose(out[:1, :, 0], [[1]]) and not out[1:].any()
 
     def test_onto_zero(self):
-        assert _project(from_spanning([], 2, dim_m=1), Z).norm() == 0
+        assert not project(from_spanning([], 2, dim_m=1), Z.coeffs[:, :, None]).any()
 
     def test_projector_hermitian_idempotent(self):
         rng = np.random.default_rng(2)
@@ -826,10 +829,47 @@ class TestProject:
         rng = np.random.default_rng(3)
         s = from_spanning(_random_fns(rng, 2, 2, 3), 3)
         f = _random_fns(rng, 1, 2, 3)[0]
-        pf = _project(s, f)
-        qf = _project(complement(s), f)
-        assert (pf + qf - f).norm() <= 1e-10 * f.norm()
-        assert f.norm() ** 2 == pytest.approx(pf.norm() ** 2 + (f - pf).norm() ** 2)
+        x = f.coeffs[:, :, None]
+        pf = project(s, x)
+        qf = project(complement(s), x)
+        assert np.linalg.norm(pf + qf - x) <= 1e-10 * f.norm()
+        assert f.norm() ** 2 == pytest.approx(np.linalg.norm(pf) ** 2
+                                              + np.linalg.norm(x - pf) ** 2)
+
+    def test_columns_are_projected_one_by_one(self):
+        rng = np.random.default_rng(4)
+        s = from_spanning(_random_fns(rng, 3, 2, 4), 4)
+        x = np.stack([f.coeffs for f in _random_fns(rng, 3, 2, 4)], axis=-1)
+        out = project(s, x)
+        for j in range(3):
+            one = project(s, x[:, :, j : j + 1])[:, :, 0]
+            assert np.linalg.norm(out[:, :, j] - one) <= 1e-14 * np.linalg.norm(one)
+            assert np.allclose(out[:, :, j].reshape(-1),
+                               _projector(s) @ x[:, :, j].reshape(-1), atol=1e-12)
+
+    def test_window_drops_higher_rows_and_pads_shorter_ones(self):
+        # the rows above the window are orthogonal to the space, so a long
+        # function projects as its truncation and a short one as its padding
+        rng = np.random.default_rng(5)
+        s = from_spanning(_random_fns(rng, 2, 2, 4), 4)
+        long = np.stack([f.coeffs for f in _random_fns(rng, 2, 2, 9)], axis=-1)
+        assert np.array_equal(project(s, long), project(s, long[:5]))
+        short = long[:2]
+        padded = np.concatenate([short, np.zeros((3, 2, 2))])
+        assert project(s, short).shape == (5, 2, 2)
+        assert np.array_equal(project(s, short), project(s, padded))
+
+    def test_real_space_keeps_the_field_of_the_columns(self):
+        s = from_spanning([ONE, Z], 3)
+        assert s.matrix.dtype == np.float64
+        assert project(s, np.ones((2, 1, 1))).dtype == np.float64
+        out = project(s, np.full((2, 1, 1), 1j))
+        assert out.dtype == complex and np.allclose(out[:2, 0, 0], [1j, 1j])
+
+    @pytest.mark.parametrize("shape", [(3, 2, 1), (3, 1), (0, 1, 1)])
+    def test_shape_mismatch(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            project(from_spanning([ONE], 2), np.ones(shape))
 
 
 class TestDistance:
