@@ -442,8 +442,8 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
     this defect basis (built on the first call, when the defect-basis
     checks run).  F must lie in M within the membership tolerance
     ``_defect_tol(m.tol)`` relative to its norm, and is peeled as its
-    projection P_M F; ``gk_norms[0]`` is ||F|| and ``norm_gap`` is measured
-    against ||F||.  ``||R|| > DEFAULT_NEAR_TOL`` raises
+    projection P_M F; ``gk_norms[0]`` is ||F||, and ``norm_gap`` is
+    measured against it.  ``||R|| > DEFAULT_NEAR_TOL`` raises
     NotNearlyInvariantError carrying the step and the escaping vector;
     hitting ``k_max`` (default: ambient degree + p + 8) with
     ``||G|| > eps`` returns a diagnostic result with ``converged=False``.
@@ -462,7 +462,7 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
         gk_norms=tuple(gk[:, 0].tolist()),
         max_step_residual=float(max_res[0]),
         # ||K0||^2 + sum ||k_j||^2 is the squared norm of the whole tuple
-        norm_gap=abs(f.norm() ** 2 - float(np.vdot(coef, coef).real)),
+        norm_gap=abs(float(gk[0, 0]) ** 2 - float(np.vdot(coef, coef).real)),
         iterations=steps,
         converged=bool(gk[-1, 0] <= eps),
     )
@@ -647,41 +647,32 @@ def duality_residuals(m: Subspace, defect_basis) -> tuple:
             float(np.linalg.norm(resid, 2)))
 
 
-def orthocomplement_membership(gs, f0_cols, e_fns, k: Subspace,
+def orthocomplement_membership(g, f0_cols, e_fns, k: Subspace,
                                tol: float = 1e-7) -> tuple:
     """Membership of each of G_1 ... G_b in the orthocomplement of M = [F0 | zE] K.
 
-    G_j is orthogonal to M iff its coordinate tuple
+    g holds the G's coefficients, shape (d + 1, m, b), as ``multiply``
+    takes them.  G_j is orthogonal to M iff its coordinate tuple
     (T*_{F0} G_j, T*_{E_1} S* G_j, ..., T*_{E_p} S* G_j) has no component
     in the parameter space K, the same K that ``synthesize_M`` takes; with
     no F0 columns the F0 slot is omitted.  The tuples of the whole batch
     are one ``multiply_adjoint`` of the generator [F0 | zE] of
     ``synthesize_M`` (T*_{zE} = T*_E S*, the adjoint of the synthesis map)
-    on the G's coefficients, stacked and zero-padded to the largest
-    degree.  K's part of all of them is one ``project`` onto K, which
-    reads K's window only: the tuple rows above it are orthogonal to K,
-    and a shorter tuple is padded with zeros.  The residual of G_j is the
-    norm ||Q_K Q_K* t_j|| of its column, and G_j is a member iff it is at
-    most tol * max(1, ||G_j||).  The F0 and E columns
-    are not checked for orthonormality; a G or a K over the wrong C^m is
-    refused.
+    on g.  K's part of all of them is one ``project`` onto K, which reads
+    K's window only: the tuple rows above it are orthogonal to K, and a
+    shorter tuple is padded with zeros.  The residual of G_j is the norm
+    ||Q_K Q_K* t_j|| of its column, and G_j is a member iff it is at most
+    tol * max(1, ||G_j||).  The F0 and E columns are not checked for
+    orthonormality; a g or a K over the wrong C^m is refused.
     Returns one (member, residual) pair per function, in order, and ()
     for an empty batch.
     """
     gen = _generator(list(f0_cols), list(e_fns))
-    gs = list(gs)
-    y = np.zeros((max((g.deg for g in gs), default=0) + 1, gen.m_out, len(gs)),
-                 dtype=complex)
-    for j, g in enumerate(gs):
-        if g.dim_m != gen.m_out:
-            raise DimensionMismatchError(
-                f"function {j} over C^{g.dim_m}, generator over C^{gen.m_out}"
-            )
-        y[: g.deg + 1, :, j] = g.coeffs
-    # K's part of every tuple, read on K's window; a K over the wrong C^m
-    # is refused here, an empty batch included
-    part = project(k, multiply_adjoint(gen, y)).reshape(k.ambient_dim, len(gs))
-    residuals = np.linalg.norm(part, axis=0)
-    norms = np.linalg.norm(y.reshape(len(y) * gen.m_out, len(gs)), axis=0)
+    # a g over the wrong C^m is refused by the product, a K by the projection
+    part = project(k, multiply_adjoint(gen, g))
+    g = np.asarray(g)
+    b = g.shape[2]
+    residuals = np.linalg.norm(part.reshape(k.ambient_dim, b), axis=0)
+    norms = np.linalg.norm(g.reshape(len(g) * g.shape[1], b), axis=0)
     bounds = tol * np.maximum(1.0, norms)
     return tuple((bool(res <= bound), float(res)) for res, bound in zip(residuals, bounds))

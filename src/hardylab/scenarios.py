@@ -605,7 +605,7 @@ def _sc_section4(p: dict):
     kept = np.ones(g.shape[1], dtype=bool)
     kept[::2] = h_norms >= 1e-6
     g = g[:, kept]
-    claimed = orthocomplement_membership([unflatten(col, 3) for col in g.T], [f0_col],
+    claimed = orthocomplement_membership(g.reshape(ambient + 1, 3, g.shape[1]), [f0_col],
                                          [e_fn], k_space, tol=p["membership_tol"])
     direct = np.linalg.norm(_mul(space.matrix, g, adjoint=True), axis=0)
     # per kept draw: (claimed member, direct member)

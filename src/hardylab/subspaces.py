@@ -21,14 +21,14 @@ Beurling ranges and model spaces of an inner symbol come from one banded
 Householder QR of the symbol's kept Toeplitz columns (``_range_qr``), with
 no SVD: instead of a rank cut, the isometry defect of the stored symbol
 certifies that every kept column survives a cut at tol * top singular
-value, and a symbol without that certificate is refused.  The QR goes one
-block of the symbol's sparsity pattern at a time (a diagonal symbol has
-one block per entry), so the band is the largest block's, m_b (deg_b + 1),
-not m_out (deg + 1); a symbol whose whole band fits a minimal panel, or
-whose kept columns fit one panel, is factored whole.  The kept columns are
-never stored as one matrix: each panel fills a window of the rows it
-reaches straight from the symbol's coefficients and takes over the rows
-the previous panel updated below its own (the carry).  The kept columns
+value, and a symbol without that certificate is refused.  A diagonal
+symbol is factored one entry at a time, on its output's rows, so the band
+is deg + 1, not m (deg + 1); every other symbol is factored whole, and so
+is a diagonal one whose whole band fits a minimal panel or whose kept
+columns fit one panel.  The kept columns are never stored as one matrix:
+each panel fills a window of the rows it reaches straight from the
+symbol's coefficients and takes over the rows the previous panel updated
+below its own (the carry).  The kept columns
 are block Toeplitz, so after a short transient most windows repeat the
 previous one byte for byte.  A repeated window is not factored: equal
 bytes in give the same q and carry out, so it reuses the previous q
@@ -357,41 +357,15 @@ def _isometry_defect(t: MatSymbol) -> float:
     return float(norms[0] + 2.0 * norms[1:].sum())
 
 
-def _blocks(mats: np.ndarray):
-    """The blocks of Theta's sparsity pattern, or None for a symbol of one.
-
-    A block is a set of output rows and input columns linked by nonzero
-    coefficients; the row-to-row links of the stored coefficients ``mats``
-    are closed by boolean squaring, and each row is labelled by the first
-    row of its block.  Returns per block, by first row, (rows, inputs) as
-    lists, and last the output rows that no column touches, as a block
-    without inputs.  A symbol of one block that touches every output row
-    gives None.
-    """
-    link = mats.any(axis=0)
-    m = link.shape[0]
-    reach = link @ link.T
-    # rows of one block are joined by a chain of at most m - 1 links
-    for _ in range((m - 1).bit_length()):
-        reach = reach @ reach
-    label = np.where(reach.any(axis=1), reach.argmax(axis=1), m).tolist()
-    if not any(label):
-        return None
-    owner = [label[r] for r in link.argmax(axis=0).tolist()]
-    return [([r for r, b in enumerate(label) if b == head],
-             [i for i, b in enumerate(owner) if b == head])
-            for head in sorted(set(label))]
-
-
 def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
               headroom: int, width: int):
-    """The panelled QR of one block's kept columns, in its own row order.
+    """The panelled QR of the kept columns of Theta or of one of its diagonal
+    entries, in their own row order.
 
-    ``mats`` holds the block's coefficients, m_b outputs by its inputs, up
-    to its top column degree; row d m_b + l of the block is ambient degree
-    d of its l-th output.  Returns (panels, k): k kept columns and one
-    (c0, r1, q) per panel of ``width`` columns, q acting on rows
-    c0 ... r1 - 1.
+    ``mats`` holds the coefficients, m outputs by the inputs, up to the top
+    column degree; row d m + l is ambient degree d of the l-th output.
+    Returns (panels, k): k kept columns and one (c0, r1, q) per panel of
+    ``width`` columns, q acting on rows c0 ... r1 - 1.
 
     A window equal byte for byte to the previous panel's (carry included)
     is not factored again: equal bytes in give the same q and the same
@@ -460,7 +434,7 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
 
 
 def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
-    """Panelled Householder QR of the kept columns of T_Theta, one block at a time.
+    """Panelled Householder QR of the kept columns of T_Theta.
 
     The input monomial z^j e_i is kept when j + (degree of column i) <=
     ambient_deg - headroom, so every kept column z^j Theta e_i is an exact
@@ -472,20 +446,17 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     tol * s_0 keeps every column, so C has full rank and its QR spans the
     range; otherwise the symbol is refused.
 
-    No kept column reaches outside its block of Theta's sparsity pattern
-    (``_blocks``), so C splits into one kept-column matrix per block, and
-    each is factored on its own (``_panel_qr``): its ambient rows and kept
-    columns degree-major inside the block, banded with height
-    m_b (deg_b + 1).  The band is one block's, not m_out (deg + 1); every
-    block shares one panel width, max(_PANEL_MIN, the largest band).  The
-    output rows that no column touches form a last block with no columns:
-    they lie wholly in the model space.  A symbol of one block that
-    touches every output row is factored whole, in the ambient row order,
-    and so is any symbol whose band in that order, m_out (deg + 1), is at
-    most _PANEL_MIN or at least k: one panel of width max(_PANEL_MIN,
-    band) then has a window at most twice as tall as its width, or takes
-    every kept column, and splitting it by block adds panels, each a QR
-    call, for little arithmetic.
+    For a diagonal Theta = diag(theta_1 ... theta_m) the kept columns of
+    theta_i reach only the rows of output i, every m-th ambient row, so C
+    splits into one kept-column matrix per entry, and each is factored on
+    its own (``_panel_qr``), banded with height deg_i + 1, in panels of
+    width max(_PANEL_MIN, deg + 1).  Every other symbol is factored whole,
+    in the ambient row order, and so is a diagonal one whose band in that
+    order, m (deg + 1), is at most _PANEL_MIN or at least k: one panel of
+    width max(_PANEL_MIN, band) then has a window at most twice as tall as
+    its width, or takes every kept column, and a split adds panels, each a
+    QR call, for little arithmetic.  The diagonal test runs only past that
+    rule.
 
     C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
     c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
@@ -494,7 +465,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     c0 down of the columns that panel updated, with every earlier Q*
     applied.  The rows above c0 are final R and are dropped, also from the
     fill of a column that starts above c0 (possible when the panel width is
-    not a multiple of m_b).  The panel is factored on its own columns, and
+    not a multiple of m).  The panel is factored on its own columns, and
     its Q* applied to the rest of the window gives the next carry.
 
     A window that repeats the previous panel's byte for byte (carry
@@ -512,12 +483,12 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     float64, else complex128.  A real symbol thus gets the real
     Householder QR of the same C, which spans the same range.
 
-    Returns (parts, n, k, band), one part (rows, panels, k_b) per block:
-    the block's Q_b = H_1 ... H_P acts on the ambient rows ``rows`` (a
-    slice for the whole ambient or a block of one output, else an index
-    array), with panel (c0, r1, q) acting as the unitary q on the block's
-    rows c0 ... r1 - 1; Q_b[:, :k_b] spans the block's part of the range
-    and Q_b[:, k_b:] its complement there.
+    Returns (parts, n, k, band): one part (rows, panels, k_i) for the
+    whole ambient, rows = slice(0, n, 1), or one per diagonal entry i,
+    rows = slice(i, n, m).  The part's Q_i = H_1 ... H_P acts on those
+    rows, with panel (c0, r1, q) acting as the unitary q on the part's
+    rows c0 ... r1 - 1; Q_i[:, :k_i] spans the part's share of the range
+    and Q_i[:, k_i:] its complement there.
     """
     if not t.claimed_inner:
         raise NotInnerError("refusing to build a Beurling-type range from a non-isometry")
@@ -540,31 +511,25 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     band = max(0, ambient_deg - headroom - top_deg)
     mats = t.mats[: top_deg + 1]
     # the ambient order stays where its band is no wider than a minimal
-    # panel, or one panel takes every kept column: there the blocks would
-    # add panels (a QR each) and save little arithmetic
+    # panel, or one panel takes every kept column: there a split would add
+    # panels (a QR each) and save little arithmetic
     tall = m * (top_deg + 1)
     whole = tall <= _PANEL_MIN or sum(
         max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist()) <= tall
-    blocks = None if whole else _blocks(mats)
-    if blocks is None:
+    if whole or t.m_in != m or mats[:, ~np.eye(m, dtype=bool)].any():
         panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom, max(_PANEL_MIN, tall))
         return [(slice(0, n, 1), panels, k)], n, k, band
-    tops = [int(col_degs[ins].max()) if ins else -1 for _, ins in blocks]
-    width = max(_PANEL_MIN, max(len(rows) * (d + 1) for (rows, _), d in zip(blocks, tops)))
-    degree = np.arange(ambient_deg + 1)[:, None] * m
+    # a diagonal Theta: entry i reaches only the rows of output i, every m-th
     parts = []
-    for (rows, ins), d in zip(blocks, tops):
-        # the untouched rows keep no column: their Q_b is the identity
-        panels, k_b = _panel_qr(mats[: d + 1, rows][:, :, ins], col_degs[ins],
-                                ambient_deg, headroom, width) if ins else ([], 0)
-        # the ambient rows of a one-output block are every m-th: a slice
-        parts.append((slice(rows[0], n, m) if len(rows) == 1 else (degree + rows).ravel(),
-                      panels, k_b))
-    return parts, n, sum(k_b for *_, k_b in parts), band
+    for i, d in enumerate(col_degs.tolist()):
+        panels, k_i = _panel_qr(mats[: d + 1, i : i + 1, i : i + 1], col_degs[i : i + 1],
+                                ambient_deg, headroom, max(_PANEL_MIN, top_deg + 1))
+        parts.append((slice(i, n, m), panels, k_i))
+    return parts, n, sum(k_i for *_, k_i in parts), band
 
 
 def _unit_columns(panels, y: np.ndarray, a: int) -> np.ndarray:
-    """Columns a, a + 1, ... of one block's Q_b, written over the zeros y.
+    """Columns a, a + 1, ... of one part's Q_i, written over the zeros y.
 
     The panels are applied in reverse to the unit vectors at rows a, a + 1,
     ..., in place.
@@ -581,31 +546,23 @@ def _q_columns(parts, n: int, complement: bool = False) -> np.ndarray:
     """Q's range columns, or with ``complement`` its complement columns,
     in ambient row order.
 
-    The range columns are the blocks' range columns, block after block,
-    and the complement columns their complement columns in the same order.
-    A block's columns are its panels applied in reverse to unit vectors in
-    its own row order.  A block whose rows are a slice (the whole ambient,
-    or one output) works in a view of the result; a block of several
-    outputs is built apart and scattered to its rows, so only its share of
-    the columns is held twice.  The result is in the panels' field, the
-    symbol's (float64 when there are none: unit vectors are real).
+    The range columns are the parts' range columns, part after part, and
+    the complement columns their complement columns in the same order.  A
+    part's columns are its panels applied in reverse to unit vectors, in a
+    view of the result on its rows.  The result is in the panels' field,
+    the symbol's (float64 when there are none: unit vectors are real).
     """
-    k = sum(k_b for *_, k_b in parts)
+    k = sum(k_i for *_, k_i in parts)
     qs = [panels[0][2] for _, panels, _ in parts if panels]
     x = np.zeros((n, n - k if complement else k), dtype=qs[0].dtype if qs else float)
     if len(parts) == 1:
-        # the whole ambient as one block: its columns are Q's
+        # the whole ambient as one part: its columns are Q's
         return _unit_columns(parts[0][1], x, k if complement else 0)
     at = 0
-    for rows, panels, k_b in parts:
-        n_b = n // rows.step if isinstance(rows, slice) else rows.size
-        # the block's columns a ... e - 1 are columns at ... at + e - a - 1 of x
-        a, e = (k_b, n_b) if complement else (0, k_b)
-        if isinstance(rows, slice):
-            _unit_columns(panels, x[rows, at : at + e - a], a)
-        else:
-            x[rows, at : at + e - a] = _unit_columns(
-                panels, np.zeros((n_b, e - a), dtype=x.dtype), a)
+    for rows, panels, k_i in parts:
+        # the part's columns a ... e - 1 are columns at ... at + e - a - 1 of x
+        a, e = (k_i, n // rows.step) if complement else (0, k_i)
+        _unit_columns(panels, x[rows, at : at + e - a], a)
         at += e - a
     return x
 

@@ -35,6 +35,13 @@ def _project_fn(s, f):
     return CoeffFn(f.dim_m, project(s, f.coeffs[:, :, None])[:, :, 0])
 
 
+def _stacked(gs):
+    """The coefficients of G_1 ... G_b as one (d + 1, m, b) array, each
+    zero-padded to the largest degree d: the layout the membership test takes."""
+    deg = max(g.deg for g in gs)
+    return np.stack([g.padded(deg) for g in gs], axis=2)
+
+
 def _rng_fn(rng, m, deg):
     return CoeffFn(m, rng.standard_normal((deg + 1, m))
                    + 1j * rng.standard_normal((deg + 1, m)))
@@ -398,7 +405,7 @@ class TestMembershipOracle:
             g = _rng_fn(rng, 3, 8 - i % 3)
             if i % 2 == 0:
                 g = g - _project_fn(space, g)
-            ((_, got),) = orthocomplement_membership([g], f0, e_fns, k)
+            ((_, got),) = orthocomplement_membership(_stacked([g]), f0, e_fns, k)
             want = _membership_reference(g, f0, e_fns, k)
             assert abs(got - want) <= 1e-14
 
@@ -434,16 +441,17 @@ class TestMembershipBatch:
         f0, e_fns, k, space = self._setup(with_f0)
         batch = self._mixed_batch(np.random.default_rng(41), space)
         gs = [g for g, _ in batch]
-        results = orthocomplement_membership(gs, f0, e_fns, k)
+        results = orthocomplement_membership(_stacked(gs), f0, e_fns, k)
         assert len(results) == len(batch)
         for (g, is_member), (member, residual) in zip(batch, results):
-            ((one_member, one_residual),) = orthocomplement_membership([g], f0, e_fns, k)
+            ((one_member, one_residual),) = orthocomplement_membership(_stacked([g]), f0,
+                                                                       e_fns, k)
             assert type(member) is bool and type(residual) is float
             assert member == one_member == is_member
             assert abs(residual - one_residual) <= 1e-14
             assert abs(residual - _membership_reference(g, f0, e_fns, k)) <= 1e-14
         # the order is kept
-        backwards = orthocomplement_membership(gs[::-1], f0, e_fns, k)
+        backwards = orthocomplement_membership(_stacked(gs[::-1]), f0, e_fns, k)
         for (member, residual), (back_member, back_residual) in zip(results,
                                                                     backwards[::-1]):
             assert member == back_member
@@ -451,13 +459,13 @@ class TestMembershipBatch:
 
     def test_empty_batch(self):
         f0, e_fns, k, _ = self._setup(True)
-        assert orthocomplement_membership([], f0, e_fns, k) == ()
+        assert orthocomplement_membership(np.zeros((1, 3, 0)), f0, e_fns, k) == ()
+        assert orthocomplement_membership(np.zeros((9, 3, 0)), f0, e_fns, k) == ()
 
-    @pytest.mark.parametrize("pos", [0, 2, 4])
-    def test_wrong_dimension_anywhere_is_refused(self, pos):
+    @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 4, 5), (3, 15), (15,)],
+                             ids=["over_C2", "over_C4", "two_axes", "one_axis"])
+    def test_wrong_dimension_is_refused(self, shape):
         f0, e_fns, k, _ = self._setup(True)
-        gs = [basis_vector(3, i % 3) for i in range(5)]
-        # another degree too, so stacking would fail before any product
-        gs[pos] = make_fn(2, [[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(DimensionMismatchError, match=f"function {pos} over C\\^2"):
-            orthocomplement_membership(gs, f0, e_fns, k)
+        with pytest.raises(DimensionMismatchError,
+                           match="adjoint expects coefficients of shape \\(deg\\+1, 3, b\\)"):
+            orthocomplement_membership(np.ones(shape), f0, e_fns, k)

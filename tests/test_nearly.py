@@ -65,6 +65,13 @@ def _project_fn(s, f):
     return CoeffFn(f.dim_m, project(s, f.coeffs[:, :, None])[:, :, 0])
 
 
+def _stacked(gs):
+    """The coefficients of G_1 ... G_b as one (d + 1, m, b) array, each
+    zero-padded to the largest degree d: the layout the membership test takes."""
+    deg = max(g.deg for g in gs)
+    return np.stack([g.padded(deg) for g in gs], axis=2)
+
+
 def _inner(f, g):
     """<F, G> = sum_n <A_n, B_n>, linear in F, conjugate-linear in G."""
     deg = max(f.deg, g.deg)
@@ -283,6 +290,20 @@ class TestDecompose:
             res = decompose(space, [], f, eps=eps)
             budget = 10 * eps * f.norm() + res.max_step_residual * res.iterations
             assert res.norm_gap <= budget + 1e-12
+
+    def test_norm_gap_is_measured_against_the_first_remainder_norm(self):
+        # ||F|| is read once, as gk_norms[0]; norm_gap is exactly its
+        # Parseval gap against the tuple's squared norm
+        rng = np.random.default_rng(12)
+        for space, e in _oracle_spaces():
+            for _ in range(10):
+                f = unflatten(space.matrix @ (rng.standard_normal(space.dim)
+                                              + 1j * rng.standard_normal(space.dim)), space.dim_m)
+                res = decompose(space, e, f)
+                coef = np.hstack(([res.K0.coeffs] if res.K0 is not None else [])
+                                 + [k.coeffs for k in res.kj])
+                assert res.norm_gap == abs(res.gk_norms[0] ** 2
+                                           - float(np.vdot(coef, coef).real))
 
     def test_linearity_of_tuples(self):
         space = Subspace(1, 6, (ONE, Z))
@@ -1260,13 +1281,13 @@ class TestOrthocomplementMembership:
     def test_scalar_line_members(self):
         space = from_spanning([Z], 2)
         k = from_spanning([ONE], 0)
-        ((member, residual),) = orthocomplement_membership([ONE], [], [ONE], k)
+        ((member, residual),) = orthocomplement_membership(_stacked([ONE]), [], [ONE], k)
         assert member and residual <= 1e-12
         assert (ONE - _project_fn(space, ONE)).norm() == pytest.approx(1.0)
 
     def test_scalar_line_nonmember(self):
         k = from_spanning([ONE], 0)
-        ((member, residual),) = orthocomplement_membership([Z], [], [ONE], k)
+        ((member, residual),) = orthocomplement_membership(_stacked([Z]), [], [ONE], k)
         assert not member
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -1283,14 +1304,14 @@ class TestOrthocomplementMembership:
             if i % 2 == 0:
                 g = g - _project_fn(space, g)
             gs.append(g)
-        results = orthocomplement_membership(gs, [f0], [e], k)
+        results = orthocomplement_membership(_stacked(gs), [f0], [e], k)
         assert len(results) == len(gs)
         for g, (member, _) in zip(gs, results):
             assert member == (_project_fn(space, g).norm() <= 1e-7 * max(1.0, g.norm()))
 
     def test_no_generator_column_is_refused(self):
         with pytest.raises(PreconditionError):
-            orthocomplement_membership([ONE], [], [], from_spanning([ONE], 0))
+            orthocomplement_membership(_stacked([ONE]), [], [], from_spanning([ONE], 0))
 
 
 class TestOneGenerator:
@@ -1305,15 +1326,16 @@ class TestOneGenerator:
         k = model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4)
         g = basis_vector(2, 1)
         with pytest.raises(DimensionMismatchError):
-            orthocomplement_membership([g], [basis_vector(2, 0)], [basis_vector(3, 2)], k)
+            orthocomplement_membership(_stacked([g]), [basis_vector(2, 0)],
+                                       [basis_vector(3, 2)], k)
 
     def test_membership_refuses_wrong_dimensions(self):
         k = model_space(diag_inner([monomial_inner(2, 2)] * 2, 2), 4)
         f0, e = [basis_vector(2, 0)], [basis_vector(2, 1)]
         with pytest.raises(DimensionMismatchError):
-            orthocomplement_membership([basis_vector(3, 0)], f0, e, k)
+            orthocomplement_membership(_stacked([basis_vector(3, 0)]), f0, e, k)
         with pytest.raises(DimensionMismatchError):
-            orthocomplement_membership([basis_vector(2, 0)], f0, [], k)
+            orthocomplement_membership(_stacked([basis_vector(2, 0)]), f0, [], k)
 
     def test_generator_layout(self):
         # one column of each kind, the defect one degree up; trailing zero

@@ -226,7 +226,7 @@ def _blaschke_block_and_z2():
 
 
 def _column_isometry_with_a_zero_row():
-    """(1 / sqrt 2) [[z, -1], [0, 0], [z^11, z^10]]: inner, one block, and no
+    """(1 / sqrt 2) [[z, -1], [0, 0], [z^11, z^10]]: inner, not square, and no
     column touches output 1."""
     mats = np.zeros((12, 3, 2), dtype=complex)
     mats[0, 0, 1] = -1.0
@@ -304,31 +304,16 @@ class TestDenseOracle:
             assert np.max(np.abs(np.conj(q.T) @ q - np.eye(s.dim))) <= s.tol
 
 
-def _loop_blocks(t):
-    """The blocks of ``_range_qr``, by plain loops.
-
-    Returns per block, by first output row, (rows, inputs), then the
-    output rows that no column touches as a block without inputs; None
-    when one block takes every output row.
-    """
-    m = t.m_out
-    nz = np.any(t.mats != 0, axis=0)
-    label = list(range(m))
-    for i in range(t.m_in):
-        linked = {label[r] for r in np.flatnonzero(nz[:, i])}
-        if linked:
-            label = [min(linked) if b in linked else b for b in label]
-    touched = [r for r in range(m) if nz[r].any()]
-    groups = [[r for r in touched if label[r] == b] for b in sorted({label[r] for r in touched})]
-    if groups == [list(range(m))]:
-        return None
-    untouched = [r for r in range(m) if r not in touched]
-    return ([(g, [i for i in range(t.m_in) if nz[g, i].any()]) for g in groups]
-            + ([(untouched, [])] if untouched else []))
+def _loop_diagonal(t):
+    """Whether Theta is square with every off-diagonal coefficient zero, by
+    plain loops: the symbols ``_range_qr`` may factor one entry at a time."""
+    return t.m_out == t.m_in and all(
+        t.mats[d, r, i] == 0
+        for d in range(t.mats.shape[0]) for r in range(t.m_out) for i in range(t.m_in) if r != i)
 
 
 def _dense_panels(mats, col_degs, ambient_deg, headroom, width):
-    """The panel loop on one block's dense kept-column matrix C."""
+    """The panel loop on one dense kept-column matrix C."""
     m = mats.shape[1]
     jj, ii = np.nonzero(np.arange(ambient_deg + 1)[:, None] + col_degs
                         <= ambient_deg - headroom)
@@ -355,15 +340,14 @@ def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
     """The panel loop of ``_range_qr`` on the dense kept-column matrices.
 
     This is the construction the windowed loop replaced, kept as its
-    bitwise oracle: per block of Theta's sparsity pattern
-    (``_loop_blocks``; the whole symbol when it is one block, its band is
-    at most _PANEL_MIN or one panel takes every kept column) the dense
-    kept-column matrix C is built whole, degree-major, and factored in the
-    same panels, each on C[c0:r1, c0:c1], with its Q* applied in place to
-    the later columns it reaches.  By default C is in the symbol's own
-    field, as in ``_range_qr``; with dtype=complex a real symbol is
-    factored in complex arithmetic.  Returns (parts, n, k) in the form of
-    ``_range_qr``.
+    bitwise oracle: per entry of a diagonal Theta (``_loop_diagonal``; the
+    whole symbol when it is not diagonal, its band is at most _PANEL_MIN or
+    one panel takes every kept column) the dense kept-column matrix C is
+    built whole, degree-major, and factored in the same panels, each on
+    C[c0:r1, c0:c1], with its Q* applied in place to the later columns it
+    reaches.  By default C is in the symbol's own field, as in
+    ``_range_qr``; with dtype=complex a real symbol is factored in complex
+    arithmetic.  Returns (parts, n, k) in the form of ``_range_qr``.
     """
     m, n = t.m_out, t.m_out * (ambient_deg + 1)
     col_degs = t.column_degrees()
@@ -374,28 +358,23 @@ def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
     kept = sum(max(0, ambient_deg - headroom - int(d) + 1) for d in col_degs)
     # a band of at most one minimal panel, or one panel for every kept
     # column: the ambient order stays
-    blocks = None if tall <= _PANEL_MIN or kept <= tall else _loop_blocks(t)
-    if blocks is None:
+    if tall <= _PANEL_MIN or kept <= tall or not _loop_diagonal(t):
         panels, k = _dense_panels(mats, col_degs, ambient_deg, headroom,
                                   max(_PANEL_MIN, tall))
         return [(slice(0, n, 1), panels, k)], n, k
-    tops = [max((int(col_degs[i]) for i in ins), default=-1) for _, ins in blocks]
-    width = max(_PANEL_MIN, max(len(g) * (d + 1) for (g, _), d in zip(blocks, tops)))
     parts = []
-    for (g, ins), d in zip(blocks, tops):
-        rows = (slice(g[0], n, m) if len(g) == 1
-                else np.array([j * m + r for j in range(ambient_deg + 1) for r in g]))
-        panels, k_b = (_dense_panels(mats[: d + 1][:, g][:, :, ins], col_degs[ins],
-                                     ambient_deg, headroom, width) if ins else ([], 0))
-        parts.append((rows, panels, k_b))
-    return parts, n, sum(k_b for *_, k_b in parts)
+    for i in range(m):
+        d = int(col_degs[i])
+        panels, k_i = _dense_panels(mats[: d + 1][:, [i]][:, :, [i]], col_degs[[i]],
+                                    ambient_deg, headroom, max(_PANEL_MIN, len(mats)))
+        parts.append((slice(i, n, m), panels, k_i))
+    return parts, n, sum(k_i for *_, k_i in parts)
 
 
 def _assert_same_parts(parts, oracle):
     assert len(parts) == len(oracle)
     for (rows, panels, k), (o_rows, o_panels, o_k) in zip(parts, oracle):
-        assert k == o_k and isinstance(rows, slice) == isinstance(o_rows, slice)
-        assert rows == o_rows if isinstance(rows, slice) else np.array_equal(rows, o_rows)
+        assert k == o_k and rows == o_rows
         assert len(panels) == len(o_panels)
         for (c0, r1, q), (o_c0, o_r1, o_q) in zip(panels, o_panels):
             assert (c0, r1) == (o_c0, o_r1) and np.array_equal(q, o_q)
@@ -468,7 +447,7 @@ class TestWindowedRangeQR:
             oracle, _, k_o = _dense_range_qr(t, n, headroom)
             assert k == k_o
             if m == 1 or kind.endswith("composed"):
-                # one block: factored whole, in the ambient row order
+                # one entry, or not diagonal: factored whole, in the ambient row order
                 assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
             _assert_same_parts(parts, oracle)
             assert np.array_equal(beurling_space(t, n, headroom).matrix,
@@ -636,11 +615,12 @@ class TestSymbolField:
 
 
 class TestBlockOrder:
-    """The banded QR works one block of Theta's sparsity pattern at a time."""
+    """The banded QR factors a diagonal Theta one entry at a time, and any
+    other Theta whole."""
 
     def test_panels_are_one_block_high(self, monkeypatch):
         # in the degree-major order Theta_2's windows are 194 x 98; its
-        # Blaschke block alone has a band of 49 rows
+        # Blaschke entry alone has a band of 49 rows
         shapes = []
         qr = np.linalg.qr
 
@@ -653,7 +633,7 @@ class TestBlockOrder:
         assert shapes and max(rows for rows, _ in shapes) <= 2 * 49
 
     def test_each_block_is_factored_on_its_own_rows(self):
-        # at N = 128 the z^2 block keeps 127 columns and the Blaschke block
+        # at N = 128 the z^2 entry keeps 127 columns and the Blaschke entry
         # 81; each is factored on its own ambient rows, in 49-column panels
         t = REAL_SYMBOLS["theta2_large_n"]
         parts, n, k, _ = _range_qr(t, 128, 0, DEFAULT_TOL)
@@ -673,12 +653,25 @@ class TestBlockOrder:
         parts, size, _, _ = _range_qr(REAL_SYMBOLS[name], n, 0, DEFAULT_TOL)
         assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
 
-    def test_untouched_outputs_come_last_and_stay_in_the_model_space(self):
+    @pytest.mark.parametrize("name", ["blaschke_block_and_z2", "zero_row_isometry"])
+    def test_a_symbol_that_is_not_diagonal_is_factored_whole(self, name):
+        # both are past the ambient-order rule at N = 45: a band of 33 and
+        # 36 rows, and 116 and 71 kept columns
+        t = ORACLE_SYMBOLS[name]
+        parts, size, k, _ = _range_qr(t, 45, 0, DEFAULT_TOL)
+        assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
+        oracle, _, k_o = _dense_range_qr(t, 45, 0)
+        assert k == k_o
+        _assert_same_parts(parts, oracle)
+        assert np.array_equal(beurling_space(t, 45).matrix, _q_columns(oracle, size))
+        assert np.array_equal(model_space(t, 45).matrix,
+                              _q_columns(oracle, size, complement=True))
+
+    def test_untouched_outputs_stay_in_the_model_space(self):
+        # factored whole, the reflections leave rounding dust on output 1
+        # (4e-17 at most), not exact zeros
         t = ORACLE_SYMBOLS["zero_row_isometry"]
-        parts, _, _, _ = _range_qr(t, 45, 0, DEFAULT_TOL)
-        assert np.array_equal(parts[0][0], np.ravel(3 * np.arange(46)[:, None] + [0, 2]))
-        assert parts[1] == (slice(1, 3 * 46, 3), [], 0)
-        assert not beurling_space(t, 45).matrix[1::3].any()
+        assert np.max(np.abs(beurling_space(t, 45).matrix[1::3])) <= 1e-12
         k_space = model_space(t, 45)
         unit = np.zeros((3 * 46, 46))
         unit[1::3] = np.eye(46)
