@@ -70,9 +70,6 @@ class CoeffFn:
     def deg(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def value_at_zero(self) -> np.ndarray:
         return self.coeffs[0].copy()
 

@@ -37,11 +37,14 @@ the adjoint of the same generator, which ``_generator`` builds for both,
 to a whole batch of functions in one product, and reads every residual
 off one ``project`` of the tuples onto K.
 Every defect list is checked at one tolerance, ``_defect_tol``: in the
-peeling and in the duality checks by ``_check_defect_basis``, and in
-``synthesize_M`` (with the F0 columns) by its Gram deviation.  The
-duality checks read their residuals off the n x dim M (or n x r)
-residual of S* on M's (or W's) basis against M (+) span(E), without a
-complement.
+peeling by ``_check_defect_basis``, in the duality checks by its stacked
+form ``_defect_refusal``, and in ``synthesize_M`` (with the F0 columns)
+by its Gram deviation.  The duality checks read their residuals off the
+n x dim M (or n x r) residual of S* on M's (or W's) basis against
+M (+) span(E), without a complement.  One escape kernel, ``_escape``,
+takes a batch of pairs and stacks those of one shape, so
+``duality_residuals`` checks many pairs in a few products and
+``almost_invariant_Sstar_check`` is a batch of one.
 
 The iteration doubles as a near-invariance monitor: if a backward-shift
 step leaves M (+) span(E) by more than ``DEFAULT_NEAR_TOL`` the
@@ -65,6 +68,7 @@ from .errors import (
     NotNearlyInvariantError,
     PreconditionError,
     TruncationOverflowError,
+    WorkbenchError,
 )
 from .funcs import CoeffFn, flatten, unflatten
 from .multipliers import MatSymbol, _field, multiply, multiply_adjoint
@@ -73,6 +77,7 @@ from .subspaces import (
     Subspace,
     _columns,
     _gram_deviation,
+    _groups,
     _mul,
     _rank,
     _residual,
@@ -137,24 +142,38 @@ def _defect_tol(tol: float) -> float:
     return max(100.0 * tol, 1e-8)
 
 
+def _defect_refusal(q: np.ndarray, e: np.ndarray, tol: np.ndarray):
+    """The first refused defect basis of a stack of (Q, E) pairs, as
+    (index, message), or None when every E passes.
+
+    q (k, n, dim M) and e (k, n, p) stack the pairs' bases and tol (k,)
+    their tolerances.  Each E must be orthonormal, then orthogonal to its
+    space: the 2-norm of Q*E at most tol.  The Frobenius norm bounds the
+    2-norm, so the SVD runs only on the pairs whose Frobenius norm exceeds
+    tol.
+    """
+    if not e.shape[-1]:
+        return None
+    dev = _gram_deviation(e)
+    inner = _mul(q, e, adjoint=True)
+    near = np.flatnonzero(np.linalg.norm(inner, axis=(-2, -1)) > tol)
+    overlap = np.zeros(len(e))
+    if near.size:
+        overlap[near] = np.linalg.svd(inner[near], compute_uv=False)[:, 0]
+    refused = np.flatnonzero((dev > tol) | (overlap > tol))
+    if not refused.size:
+        return None
+    i = int(refused[0])
+    if dev[i] > tol[i]:
+        return i, f"defect basis is not orthonormal (Gram deviation {dev[i]:.3g})"
+    return i, f"defect basis is not orthogonal to the space (overlap {overlap[i]:.3g})"
+
+
 def _check_defect_basis(m: Subspace, cols: np.ndarray, tol: float) -> None:
-    if not cols.shape[1]:
-        return
-    dev = _gram_deviation(cols)
-    if dev > tol:
-        raise PreconditionError(
-            f"defect basis is not orthonormal (Gram deviation {dev:.3g})"
-        )
-    if not m.dim:
-        return
-    inner = _mul(m.matrix, cols, adjoint=True)
-    # the Frobenius norm bounds the 2-norm, so the SVD runs only near a refusal
-    if np.linalg.norm(inner) > tol:
-        overlap = float(np.linalg.norm(inner, 2))
-        if overlap > tol:
-            raise PreconditionError(
-                f"defect basis is not orthogonal to the space (overlap {overlap:.3g})"
-            )
+    """``_defect_refusal`` of the one pair (M, E), raised."""
+    refused = _defect_refusal(m.matrix[None], cols[None], np.array([tol]))
+    if refused:
+        raise PreconditionError(refused[1])
 
 
 @dataclass(eq=False)
@@ -605,12 +624,49 @@ def _generator(f0_cols: list, e_fns: list) -> MatSymbol:
     return MatSymbol(m, len(cols), gen[: nz[-1] + 1 if nz.size else 1])
 
 
-def _escape(m: Subspace, defect_basis, cols: np.ndarray) -> np.ndarray:
-    """(I - QQ* - EE*) cols, the part of each column outside M (+) span(E),
-    the defect basis E checked as the peeling checks it."""
-    e = _columns(defect_basis, m.dim_m, m.ambient_deg)
-    _check_defect_basis(m, e, _defect_tol(m.tol))
-    return _residual(m, cols) - _mul(e, _mul(e, cols, adjoint=True))
+def _stack(arrays) -> np.ndarray:
+    """np.stack of the arrays, or a view of the only one: a batch of one
+    is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _escape(items) -> list:
+    """(I - QQ* - EE*) S* X for each (M, E, X) of items, X a matrix of
+    columns in M's ambient: the part of S* X outside M (+) span(E).
+
+    Items with the same (dim_m, ambient_deg, dim M, dim E, width of X) and
+    the same fields of Q and E form one stack, and each stack is one
+    product.  Every E is checked as the peeling checks it, at
+    ``_defect_tol(M.tol)``.  Of several errors the first in the order of
+    items raises, as if each item ran alone: a refused E, or an E that
+    does not flatten into M's ambient, whose error stops the batch.
+    Returns (indices, residuals) per stack: the items' indices and their
+    residuals, stacked as (len(indices), n, width).
+    """
+    entries, error = [], None
+    for m, fns, x in items:
+        try:
+            entries.append((m, _columns(fns, m.dim_m, m.ambient_deg), x))
+        except WorkbenchError as exc:
+            error = exc
+            break
+    stacks, refusals = [], []
+    keys = ((m.dim_m, m.ambient_deg, m.dim, e.shape[1], x.shape[1], m.matrix.dtype, e.dtype)
+            for m, e, x in entries)
+    for indices in _groups(keys):
+        ms, es, xs = zip(*(entries[i] for i in indices))
+        q, e = _stack([m.matrix for m in ms]), _stack(es)
+        refused = _defect_refusal(q, e, np.array([_defect_tol(m.tol) for m in ms]))
+        if refused:
+            refusals.append((indices[refused[0]], refused[1]))
+        h = _shift_rows(_stack(xs), ms[0].dim_m, "S*")
+        stacks.append((indices, _residual(q, h) - _mul(e, _mul(e, h, adjoint=True))))
+    # every entry comes before the item that stopped the batch
+    if refusals:
+        raise PreconditionError(min(refusals)[1])
+    if error is not None:
+        raise error
+    return stacks
 
 
 def almost_invariant_Sstar_check(m: Subspace, defect_basis) -> tuple:
@@ -621,30 +677,45 @@ def almost_invariant_Sstar_check(m: Subspace, defect_basis) -> tuple:
     wandering basis vector W_i.  Returns (ok, max residual); ok means a
     residual of at most 1e-8.
     """
-    resid = _escape(m, defect_basis, _shift_rows(wandering(m).matrix, m.dim_m, "S*"))
-    residual = float(max(np.linalg.norm(resid, axis=0), default=0.0))
+    ((_, resid),) = _escape([(m, defect_basis, wandering(m).matrix)])
+    residual = float(np.linalg.norm(resid[0], axis=0).max(initial=0.0))
     return residual <= _ALMOST_TOL, residual
 
 
-def duality_residuals(m: Subspace, defect_basis) -> tuple:
-    """(forward residual, complement residual) of the two containments.
+def duality_residuals(pairs) -> tuple:
+    """(forward residual, complement residual) of the two containments,
+    for each (M, E) of pairs.
 
-    With X = M (+) F and R = P_{X^perp} S* Q, the n x dim M residual of S*
-    on M's basis: forward is the largest column norm of R, the largest
-    escape of S* M from X.  Complement is ||P_M S_c P_{X^perp}||, the
-    operator norm of the compressed shift S_c applied to X^perp, read in
-    M, which is the escape of S_c X^perp from X^perp (+) F.  S_c is used
-    because its ambient adjoint is exactly S*, so P_M S_c P_{X^perp} is
-    the adjoint of R Q* and the complement residual is ||R||_2: the
+    With X = M (+) span E and R = P_{X^perp} S* Q, the n x dim M residual
+    of S* on M's basis: forward is the largest column norm of R, the
+    largest escape of S* M from X.  Complement is ||P_M S_c P_{X^perp}||,
+    the operator norm of the compressed shift S_c applied to X^perp, read
+    in M, which is the escape of S_c X^perp from X^perp (+) span E.  S_c is
+    used because its ambient adjoint is exactly S*, so P_M S_c P_{X^perp}
+    is the adjoint of R Q* and the complement residual is ||R||_2: the
     equivalence of the two statements is an identity of finite-dimensional
     linear algebra, and X^perp is never formed.  The genuine shift would
     overflow the ambient on complement vectors.
+
+    The pairs are checked in the stacks of ``_escape``: one residual
+    product, one set of column norms and one SVD per stack.  Every E is
+    checked as the peeling checks it.  Of several pairs with an error, a
+    refused E or an E that does not flatten into M's ambient, the first
+    in input order raises.  Returns one (forward, complement) pair per
+    input pair, in order, (0.0, 0.0) for an empty M, and () for no pairs.
+    Every pair's residual is held at once, so memory grows with the
+    number of pairs.
     """
-    resid = _escape(m, defect_basis, _shift_rows(m.matrix, m.dim_m, "S*"))
-    if not resid.size:
-        return 0.0, 0.0
-    return (float(np.linalg.norm(resid, axis=0).max()),
-            float(np.linalg.norm(resid, 2)))
+    pairs = list(pairs)
+    out = [(0.0, 0.0)] * len(pairs)
+    for indices, r in _escape([(m, e, m.matrix) for m, e in pairs]):
+        if not r.shape[-1]:
+            continue
+        forward = np.linalg.norm(r, axis=-2).max(axis=-1)
+        spectral = np.linalg.svd(r, compute_uv=False)[:, 0]
+        for i, fwd, comp in zip(indices, forward, spectral):
+            out[i] = (float(fwd), float(comp))
+    return tuple(out)
 
 
 def orthocomplement_membership(g, f0_cols, e_fns, k: Subspace,

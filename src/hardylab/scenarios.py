@@ -34,9 +34,11 @@ from .serialize import parse_symbol_spec
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _groups,
     _mul,
     _residual,
     _span_columns,
+    _span_stack,
     beurling_space,
     complement,
     defect_of,
@@ -169,14 +171,30 @@ def _random_units(rng, dim_m: int, deg: int, count: int) -> np.ndarray:
     return vecs * (1.0 / np.linalg.norm(vecs, axis=0))
 
 
-def _perp_unit(rng, space: Subspace, deg: int) -> np.ndarray:
-    """Seeded flattened unit vector orthogonal to the space."""
+def _perp_units(rng, spaces: list, deg: int) -> np.ndarray:
+    """Seeded flattened unit vectors, row i orthogonal to spaces[i].
+
+    Each round draws one unit (``_random_units``) for every space still
+    open and keeps those whose residual off their space has a norm above
+    1e-6; the others draw again, in at most 16 rounds.  The residuals of a
+    round are one stacked product: the Q's are zero-padded to one width,
+    which adds only exact zeros to Q Q* g.
+    """
+    dim_m = spaces[0].dim_m
+    q = np.zeros((len(spaces), dim_m * (deg + 1), max(s.dim for s in spaces)), dtype=complex)
+    for qi, s in zip(q, spaces):
+        qi[:, : s.dim] = s.matrix
+    out = np.empty(q.shape[:2], dtype=complex)
+    todo = np.arange(len(spaces))
     for _ in range(16):
-        f = _random_units(rng, space.dim_m, deg, 1)[:, 0]
-        g = _residual(space, f)
-        norm = np.linalg.norm(g)
-        if norm > 1e-6:
-            return g * (1.0 / norm)
+        draws = _random_units(rng, dim_m, deg, todo.size).T
+        g = _residual(q, draws[:, :, None])[:, :, 0]
+        norms = np.linalg.norm(g, axis=1)
+        kept = norms > 1e-6
+        out[todo[kept]] = g[kept] * (1.0 / norms[kept, None])
+        todo, q = todo[~kept], q[~kept]
+        if not todo.size:
+            return out
     raise RuntimeError("could not draw a vector orthogonal to the space")
 
 
@@ -228,7 +246,7 @@ def _shift_defect(space: Subspace, cols: np.ndarray, defect_tol: float) -> tuple
     distance of the defect's span from span (I - P_M) cols."""
     n, m, tol = space.ambient_deg, space.dim_m, space.tol
     cert = defect_of(space, "S", domain=degree_slice(space, n - 1), tol=defect_tol)
-    target = _span_columns(_residual(space, cols), m, n, tol)
+    target = _span_columns(_residual(space.matrix, cols), m, n, tol)
     found = from_spanning(list(cert.defect_basis), n, tol, dim_m=m)
     return cert.defect_dim, subspace_distance(found, target)
 
@@ -543,31 +561,59 @@ def _sc_corollary_almost(p: dict):
     return passed, metrics
 
 
-def _random_unitary(rng, m: int) -> np.ndarray:
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def _unitaries(a: np.ndarray) -> np.ndarray:
+    """The Q factors of a stack of square matrices, each column's phase
+    turned so that R has a positive diagonal."""
     q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _duality_spaces(p: dict) -> list:
+    """The spaces of the duality pairs and one seeded unit defect each.
+
+    Every pair's space inputs are drawn first, in pair order: an even pair
+    draws m powers and an m x m Gaussian, an odd pair a count and that
+    many units.  An even space is the model space of the diagonal monomial
+    symbol of its powers (built once per power tuple) turned by the
+    unitary of its Gaussian (one stacked QR); every odd space is the span
+    of its units.  The turns are one stacked product per base dimension,
+    the spans one stacked SVD per shape (``_span_stack``), and the defect
+    units are drawn last (``_perp_units``).
+    """
+    tol, n, m = p["tol"], p["N"], p["m"]
+    rng = np.random.default_rng(p["seed"])
+    powers, gauss, cols = [], [], []
+    for i in range(p["pairs"]):
+        if i % 2 == 0:
+            powers.append(tuple(int(k) for k in rng.integers(1, 4, size=m)))
+            gauss.append(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            cols.append(None)
+        else:
+            cols.append(_random_units(rng, m, n, int(rng.integers(2, 5))))
+    bases = {}
+    for ks in powers:
+        if ks not in bases:
+            theta = diag_inner([monomial_inner(k, max(ks)) for k in ks], max(ks))
+            base = model_space(theta, n, tol=tol).matrix
+            bases[ks] = base.reshape(n + 1, m, base.shape[1])
+    turns = _unitaries(np.array(gauss))
+    for idx in _groups(bases[ks].shape[2] for ks in powers):
+        turned = turns[idx, None] @ np.stack([bases[powers[j]] for j in idx])
+        for j, c in zip(idx, turned.reshape(len(idx), m * (n + 1), -1)):
+            cols[2 * j] = c
+    spaces = [None] * len(cols)
+    for idx in _groups(c.shape for c in cols):
+        for i, space in zip(idx, _span_stack(np.stack([cols[i] for i in idx]), m, n, tol)):
+            spaces[i] = space
+    defects = _perp_units(rng, spaces, n)
+    return [(space, [unflatten(e, m)]) for space, e in zip(spaces, defects)]
 
 
 def _sc_duality(p: dict):
-    tol, n, m = p["tol"], p["N"], p["m"]
-    rng = np.random.default_rng(p["seed"])
     # per pair: (forward containment, complement containment)
-    verdicts = []
-    for i in range(p["pairs"]):
-        if i % 2 == 0:
-            powers = [int(k) for k in rng.integers(1, 4, size=m)]
-            theta = diag_inner([monomial_inner(k, max(powers)) for k in powers],
-                               max(powers))
-            base = model_space(theta, n, tol=tol)
-            u_sym = MatSymbol(m, m, _random_unitary(rng, m).reshape(1, m, m))
-            space = _apply_space(u_sym, base, n)
-        else:
-            count = int(rng.integers(2, 5))
-            space = _span_columns(_random_units(rng, m, n, count), m, n, tol)
-        defect = [unflatten(_perp_unit(rng, space, n), m)]
-        verdicts.append(tuple(res <= p["residual_tol"]
-                              for res in duality_residuals(space, defect)))
+    verdicts = [tuple(res <= p["residual_tol"] for res in pair)
+                for pair in duality_residuals(_duality_spaces(p))]
     agreements = sum(fwd == comp for fwd, comp in verdicts)
     forward_true = sum(fwd for fwd, _ in verdicts)
     forward_false = len(verdicts) - forward_true
@@ -599,7 +645,7 @@ def _sc_section4(p: dict):
     inv_cert = defect_of(k_perp, "S", domain=degree_slice(k_perp, nk - 1), tol=1e-8)
     # the even draws are projected off M, and dropped if they lie in it
     g = _random_units(rng, 3, ambient, p["draws"])
-    h = _residual(space, g[:, ::2])
+    h = _residual(space.matrix, g[:, ::2])
     h_norms = np.linalg.norm(h, axis=0)
     g[:, ::2] = h * (1.0 / np.maximum(h_norms, 1e-6))
     kept = np.ones(g.shape[1], dtype=bool)

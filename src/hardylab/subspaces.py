@@ -120,31 +120,42 @@ def _rank(s: np.ndarray, tol: float, scale: float) -> int:
 def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """a @ x, or a* @ x with ``adjoint``, without copying an a larger than x.
 
-    x is a vector or a matrix.  A real a meets a complex x through x's
-    float64 view: with x of shape (d, b), a @ x is
-    (a @ x.view(float).reshape(d, 2b)).view(complex), so a real a is never
-    cast to a complex copy.  For a complex a, a* x conjugates the smaller
-    operand: conj(a^T conj(x)) copies x, conj(a)^T x copies a.
+    x is a vector, a matrix or a stack of matrices, and a a matrix or a
+    stack.  A real a meets a complex x through x's float64 view: with x of
+    shape (..., d, b), a @ x is (a @ x.view(float)).view(complex), the view
+    of shape (..., d, 2b), so a real a is never cast to a complex copy.
+    For a complex a, a* x conjugates the smaller operand: conj(a^T conj(x))
+    copies x, conj(a)^T x copies a.
     """
     if a.dtype.kind == "c":
         if not adjoint:
             return a @ x
-        return np.conj(a.T) @ x if a.size < x.size else np.conj(a.T @ np.conj(x))
+        a_t = np.swapaxes(a, -1, -2)
+        return np.conj(a_t) @ x if a.size < x.size else np.conj(a_t @ np.conj(x))
     if adjoint:
-        a = a.T
+        a = np.swapaxes(a, -1, -2)
     if x.dtype.kind != "c":
         return a @ x
-    b = x.shape[1] if x.ndim == 2 else 1
-    pairs = np.ascontiguousarray(x).view(float).reshape(len(x), 2 * b)
-    return (a @ pairs).view(complex).reshape(a.shape[:-1] + x.shape[1:])
+    pairs = np.ascontiguousarray(x).view(float)
+    if x.ndim == 1:
+        return (a @ pairs.reshape(len(x), 2)).view(complex).reshape(a.shape[:-1])
+    return (a @ pairs).view(complex)
 
 
-def _gram_deviation(cols: np.ndarray) -> float:
-    """max |Q*Q - I| over the entries; 0 for no columns."""
-    if not cols.shape[1]:
-        return 0.0
+def _groups(keys) -> list:
+    """The indices of equal keys, one list per key, in first-seen order:
+    the stacks of a batch whose members share a shape."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _gram_deviation(cols: np.ndarray):
+    """max |Q*Q - I| over the entries of Q, or of each Q of a stack; 0 for
+    no columns."""
     gram = _mul(cols, cols, adjoint=True)
-    return float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
+    return np.abs(gram - np.eye(cols.shape[-1])).max(axis=(-2, -1), initial=0.0)
 
 
 def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
@@ -161,12 +172,12 @@ def _columns(fns, dim_m: int, ambient_deg: int) -> np.ndarray:
     return _field(np.column_stack([flatten(f, ambient_deg) for f in fns]))
 
 
-def _residual(space: Subspace, cols: np.ndarray) -> np.ndarray:
-    """(I - QQ*) cols: the part of each column orthogonal to the space.
+def _residual(q: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(I - QQ*) cols: the part of each column orthogonal to span Q, for
+    one Q or for a stack of Q's and of column matrices.
 
     Both products go through ``_mul``, so Q is not copied.
     """
-    q = space.matrix
     return cols - _mul(q, _mul(q, cols, adjoint=True))
 
 
@@ -176,16 +187,17 @@ def _check_band(band: int | None) -> None:
 
 
 def _shift_rows(q: np.ndarray, dim_m: int, op: str) -> np.ndarray:
-    """S or S* applied to every column of q, as a shift by one block of rows.
+    """S or S* applied to every column of q, or of each matrix of a stack,
+    as a shift by one block of rows.
 
     S moves coefficients up one degree and drops the top one (the
     compressed shift), S* moves them down and zero-fills the top.
     """
     out = np.zeros(q.shape, dtype=q.dtype)
     if op == "S":
-        out[dim_m:] = q[:-dim_m]
+        out[..., dim_m:, :] = q[..., :-dim_m, :]
     elif op == "S*":
-        out[:-dim_m] = q[dim_m:]
+        out[..., :-dim_m, :] = q[..., dim_m:, :]
     else:
         raise PreconditionError(f"unknown operator tag {op!r} (expected 'S' or 'S*')")
     return out
@@ -318,16 +330,26 @@ def from_spanning(fns, ambient_deg: int, tol: float = DEFAULT_TOL,
 
 def _span_columns(cols: np.ndarray, dim_m: int, ambient_deg: int,
                   tol: float) -> Subspace:
-    """``from_spanning`` on flattened columns: the SVD cut at tol * largest norm.
+    """``from_spanning`` on flattened columns: ``_span_stack`` of one matrix."""
+    return _span_stack(cols[None], dim_m, ambient_deg, tol)[0]
 
-    Exactly real columns are spanned in real arithmetic (``_field``).
+
+def _span_stack(cols: np.ndarray, dim_m: int, ambient_deg: int, tol: float) -> list:
+    """``from_spanning`` on each matrix of a (k, n, b) stack of flattened
+    columns: one stacked SVD, each matrix cut at tol * its largest column norm.
+
+    The stack is spanned in the field of its data as a whole (``_field``):
+    in real arithmetic when every matrix is exactly real.  With no nonzero
+    column in the stack the SVD is skipped; a zero matrix among others has
+    only zero singular values, which the cut drops.
     """
     cols = _field(cols)
-    scale = float(np.linalg.norm(cols, axis=0).max(initial=0.0))
-    if scale == 0.0:
-        return Subspace._of(dim_m, ambient_deg, cols[:, :0], tol)
+    scales = np.linalg.norm(cols, axis=-2).max(axis=-1, initial=0.0)
+    if not scales.any():
+        return [Subspace._of(dim_m, ambient_deg, c[:, :0], tol) for c in cols]
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return Subspace._of(dim_m, ambient_deg, u[:, :_rank(s, tol, scale)], tol)
+    return [Subspace._of(dim_m, ambient_deg, ui[:, :_rank(si, tol, scale)], tol)
+            for ui, si, scale in zip(u, s, scales)]
 
 
 def _isometry_defect(t: MatSymbol) -> float:
@@ -773,7 +795,7 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     if perp is not None:
         resid = _mul(perp.matrix, cols, adjoint=True)
     else:
-        resid = _residual(m, cols)
+        resid = _residual(m.matrix, cols)
         if band is not None:
             resid[m.dim_m * (band + 1):, :] = 0.0
     u, s, _ = np.linalg.svd(resid, full_matrices=False)

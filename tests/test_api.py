@@ -1,7 +1,8 @@
-"""API audit: every public name has a caller inside the package, every
-public option is set by some caller inside the package, no relative import
-goes unused, ``CoeffFn`` stays a boundary type, and ``Subspace._memo``
-holds only the caches named here.
+"""API audit: every public name, and every public method and property of
+the core types, has a caller inside the package, every public option is
+set by some caller inside the package, no relative import goes unused,
+``CoeffFn`` stays a boundary type, and ``Subspace._memo`` holds only the
+caches named here.
 
 The audit reads the sources with ``ast``, so a word in a docstring or a
 comment never counts as a use.
@@ -33,6 +34,8 @@ UNBOUND_OPTIONS = {"cli.main(argv)"}
 # peeling step map (``nearly._step_map``) and the nearly-invariance
 # certificate (``nearly.certify_nearly``)
 MEMO_KEYS = {"certificate", "complement", "step_map"}
+# the core types whose public methods and properties each need a caller
+CORE_TYPES = {"CoeffFn", "Subspace", "MatSymbol"}
 
 
 def _trees() -> dict:
@@ -67,6 +70,45 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert orphans == []
     # an exemption that gains a caller in the package is dropped
     assert not {name for _, name in imported} & OUTSIDE_ONLY
+
+
+def _attribute_reads(tree) -> list:
+    """Every ``x.name`` in the tree but those on an imported module
+    (``np.linalg.norm`` is numpy's ``norm``, not a method's)."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if not (isinstance(root, ast.Name) and root.id in modules):
+            reads.append(node)
+    return reads
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    # a caller is an attribute of the method's name read outside the
+    # method's own body; the audit reads names, not types, so a name that
+    # two of the types share (``padded``) is used when either is
+    trees = _trees()
+    reads = [node for tree in trees.values() for node in _attribute_reads(tree)]
+    orphans = []
+    for tree in trees.values():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in CORE_TYPES):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if not any(node.attr == method.name and id(node) not in own
+                           for node in reads):
+                    orphans.append(f"{cls.name}.{method.name}")
+    assert orphans == []
 
 
 def _public_signatures(trees) -> dict:

@@ -18,6 +18,7 @@ from hardylab.errors import (
     NotNearlyInvariantError,
     PreconditionError,
     TruncationOverflowError,
+    WorkbenchError,
 )
 from hardylab.funcs import (
     CoeffFn,
@@ -58,6 +59,11 @@ ONE = make_fn(1, [[1]])
 Z = make_fn(1, [[0], [1]])
 # the non-constant F0 column of the main_defect1 scenario
 POLY_COL = make_fn(3, [[2 ** -0.5, 0, 0], [0, 2 ** -0.5, 0]])
+
+
+def _norm(f):
+    """The H^2 norm of a function: the 2-norm of its coefficients."""
+    return float(np.linalg.norm(f.coeffs))
 
 
 def _project_fn(s, f):
@@ -106,7 +112,7 @@ def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None):
     w = wandering(m)
     r = w.dim
     g = f
-    gk_norms = [g.norm()]
+    gk_norms = [_norm(g)]
     a_trace, beta_trace = [], []
     max_step_residual = 0.0
     iterations = 0
@@ -128,12 +134,12 @@ def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None):
         escape = h - g
         for bj, ej in zip(beta, defect_basis):
             escape = escape - bj * ej
-        esc_norm = escape.norm()
+        esc_norm = _norm(escape)
         if esc_norm > DEFAULT_NEAR_TOL:
             raise NotNearlyInvariantError(iterations + 1, esc_norm, escape)
         max_step_residual = max(max_step_residual, esc_norm)
         beta_trace.append(beta)
-        gk_norms.append(g.norm())
+        gk_norms.append(_norm(g))
         iterations += 1
     k0 = None
     if r:
@@ -142,10 +148,10 @@ def _reference_decompose(m, defect_basis, f, eps=1e-10, k_max=None):
     for j in range(p):
         col = np.array([b[j] for b in beta_trace], dtype=complex).reshape(-1, 1)
         kj.append(CoeffFn(1, col) if col.size else zero_fn(1))
-    total = (k0.norm() ** 2 if k0 is not None else 0.0) + sum(k.norm() ** 2 for k in kj)
+    total = (_norm(k0) ** 2 if k0 is not None else 0.0) + sum(_norm(k) ** 2 for k in kj)
     return DecompResult(
         K0=k0, kj=tuple(kj), gk_norms=tuple(gk_norms), max_step_residual=max_step_residual,
-        norm_gap=abs(f.norm() ** 2 - total), iterations=iterations,
+        norm_gap=abs(_norm(f) ** 2 - total), iterations=iterations,
         converged=gk_norms[-1] <= eps,
     )
 
@@ -288,7 +294,7 @@ class TestDecompose:
             for c, b in zip(coords[1:], space.basis[1:]):
                 f = f + c * b
             res = decompose(space, [], f, eps=eps)
-            budget = 10 * eps * f.norm() + res.max_step_residual * res.iterations
+            budget = 10 * eps * _norm(f) + res.max_step_residual * res.iterations
             assert res.norm_gap <= budget + 1e-12
 
     def test_norm_gap_is_measured_against_the_first_remainder_norm(self):
@@ -1153,8 +1159,14 @@ class TestAlmostInvariant:
         assert ok and residual == 0.0
 
 
+def _duality_one(space, defect):
+    """``duality_residuals`` of the one pair (space, defect)."""
+    (out,) = duality_residuals([(space, defect)])
+    return out
+
+
 def _duality_agrees(space, defect, tol=1e-8):
-    lhs, rhs = duality_residuals(space, defect)
+    lhs, rhs = _duality_one(space, defect)
     return (lhs <= tol) == (rhs <= tol)
 
 
@@ -1167,13 +1179,13 @@ class TestDuality:
 
     def test_defect_overlapping_the_space_is_refused(self):
         with pytest.raises(PreconditionError):
-            duality_residuals(Subspace(1, 4, (Z,)), [Z])
+            duality_residuals([(Subspace(1, 4, (Z,)), [Z])])
 
     def test_empty_space_has_nothing_to_escape(self):
-        assert duality_residuals(Subspace(1, 4, ()), [ONE]) == (0.0, 0.0)
+        assert duality_residuals([(Subspace(1, 4, ()), [ONE])]) == ((0.0, 0.0),)
 
     def test_residuals_expose_both_sides(self):
-        lhs, rhs = duality_residuals(Subspace(1, 4, (ONE, Z)), [])
+        lhs, rhs = _duality_one(Subspace(1, 4, (ONE, Z)), [])
         assert lhs <= 1e-12 and rhs <= 1e-12
 
     def test_random_pairs_agree(self):
@@ -1187,7 +1199,7 @@ class TestDuality:
             probe = CoeffFn(2, rng.standard_normal((6, 2))
                             + 1j * rng.standard_normal((6, 2)))
             perp = probe - _project_fn(space, probe)
-            defect = [perp * (1.0 / perp.norm())]
+            defect = [perp * (1.0 / _norm(perp))]
             assert _duality_agrees(space, defect)
 
 
@@ -1222,9 +1234,10 @@ class TestDualityAdjointIdentity:
     def test_scenario_pairs_match_the_fat_oracle(self, monkeypatch, seed):
         pairs = []
 
-        def recording(space, defect):
-            out = duality_residuals(space, defect)
-            pairs.append((space, defect, out))
+        def recording(batch):
+            batch = list(batch)
+            out = duality_residuals(batch)
+            pairs.extend((space, defect, res) for (space, defect), res in zip(batch, out))
             return out
 
         monkeypatch.setattr(scenarios, "duality_residuals", recording)
@@ -1269,12 +1282,117 @@ class TestDualityAdjointIdentity:
         monkeypatch.setattr(Subspace, "_of", classmethod(recording_of))
         monkeypatch.setattr(subspaces, "complement", recording_complement)
         monkeypatch.setattr(nearly, "complement", recording_complement, raising=False)
-        forward, rest = duality_residuals(space, defect)
+        forward, rest = _duality_one(space, defect)
         assert forward == rest == 1.0
-        # one 2-norm of the n x dim M residual, and nothing wider
-        assert ("norm", space.dim) in log
+        # one 2-norm (an SVD without vectors) of the n x dim M residual,
+        # and nothing wider
+        assert ("svd", space.dim) in log
         assert all(label in ("svd", "norm") and width <= space.dim
                    for label, width in log), log
+
+
+def _random_pair(rng, dim_m, deg, count):
+    """A complex span of count random functions and one unit defect orthogonal to it."""
+    raw = [CoeffFn(dim_m, rng.standard_normal((deg + 1, dim_m))
+                   + 1j * rng.standard_normal((deg + 1, dim_m))) for _ in range(count + 1)]
+    space = from_spanning(raw[:count], deg)
+    perp = raw[count] - _project_fn(space, raw[count])
+    return space, [perp * (1.0 / _norm(perp))]
+
+
+class TestDualityBatch:
+    """A batch gives each pair what the pair gives alone, refusals included."""
+
+    SPACE = Subspace(1, 4, (Z,))
+
+    def _mixed(self):
+        rng = np.random.default_rng(4)
+        theta = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2), monomial_inner(2, 2)], 2)
+        return [
+            (Subspace(1, 4, (ONE, Z)), []),                          # real, empty E
+            _random_pair(rng, 2, 5, 3),                              # complex
+            (self.SPACE, [ONE]),                                     # real
+            _random_pair(rng, 2, 5, 2),
+            (model_space(theta, 6), []),                             # dim_m 3, real
+            _random_pair(rng, 2, 5, 3),                              # stacks with pair 1
+            (Subspace(1, 4, ()), [ONE]),                             # empty M
+            _random_pair(rng, 3, 4, 2),
+            (Subspace(1, 4, (monomial_fn(1, 0, 2),)), [Z]),          # stacks with pair 2
+            (Subspace(1, 6, (ONE, Z)), [monomial_fn(1, 0, 3), monomial_fn(1, 0, 5)]),
+        ]
+
+    def test_each_pair_gets_its_result_alone(self):
+        pairs = self._mixed()
+        got = duality_residuals(pairs)
+        assert len(got) == len(pairs)
+        for pair, residuals in zip(pairs, got):
+            alone = _duality_one(*pair)
+            assert residuals == pytest.approx(alone, rel=0, abs=1e-15)
+        # the batch is not all trivial: some pair escapes, some does not
+        assert max(f for f, _ in got) > 0.1 and min(f for f, _ in got) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [
+        (SPACE, [Z]),                                                # overlaps M
+        (Subspace(1, 4, (ONE, Z)), [monomial_fn(1, 0, 2) * 2.0]),    # not orthonormal
+    ], ids=["overlap", "not_orthonormal"])
+    def test_a_bad_pair_raises_its_own_error(self, bad):
+        with pytest.raises(PreconditionError) as alone:
+            _duality_one(*bad)
+        pairs = self._mixed()
+        pairs.insert(4, bad)
+        with pytest.raises(PreconditionError) as batched:
+            duality_residuals(pairs)
+        assert str(batched.value) == str(alone.value)
+
+    def test_the_first_of_two_bad_pairs_raises(self):
+        first = (Subspace(1, 4, (ONE, Z)), [monomial_fn(1, 0, 2) * 2.0])
+        second = (self.SPACE, [Z])
+        with pytest.raises(PreconditionError) as want:
+            _duality_one(*first)
+        # in the first batch the second bad pair's stack is formed first, by
+        # pair 0; in the other two both bad pairs share one stack
+        for pairs in ([(self.SPACE, [ONE]), first, second], [first, second],
+                      [first, (Subspace(1, 4, (ONE, Z)), [Z])]):
+            with pytest.raises(PreconditionError) as got:
+                duality_residuals(pairs)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("unflattenable", [
+        (SPACE, [basis_vector(2, 0)]),                               # E over C^2
+        (SPACE, [monomial_fn(1, 0, 6)]),                             # past degree 4
+    ], ids=["wrong_dim_m", "overflow"])
+    def test_the_first_error_raises_whatever_its_kind(self, unflattenable):
+        """A refused E and an E that does not flatten into M's ambient
+        raise in input order, as they do one pair at a time."""
+        refused = (Subspace(1, 4, (ONE, Z)), [monomial_fn(1, 0, 2) * 2.0])
+        with pytest.raises((DimensionMismatchError, TruncationOverflowError)) as shape:
+            _duality_one(*unflattenable)
+        with pytest.raises(PreconditionError) as refusal:
+            _duality_one(*refused)
+        for first, second, want in ((refused, unflattenable, refusal),
+                                    (unflattenable, refused, shape)):
+            pairs = self._mixed()
+            pairs.insert(2, first)
+            pairs.insert(6, second)
+            with pytest.raises(WorkbenchError) as got:
+                duality_residuals(pairs)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+    def test_a_batch_of_one_is_not_copied(self):
+        q = self.SPACE.matrix
+        assert np.shares_memory(nearly._stack([q]), q)
+        assert not np.shares_memory(nearly._stack([q, q]), q)
+
+    def test_no_pairs(self):
+        assert duality_residuals([]) == ()
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (2, 8), (3, 12), (4, 3)])
+    def test_scenario_passes_at_twenty_seeds(self, m, n):
+        for seed in range(20):
+            report = scenarios.run_scenario("duality",
+                                            {"m": m, "N": n, "pairs": 60, "seed": seed})
+            assert report.passed, (seed, report.metrics)
 
 
 class TestOrthocomplementMembership:
@@ -1283,7 +1401,7 @@ class TestOrthocomplementMembership:
         k = from_spanning([ONE], 0)
         ((member, residual),) = orthocomplement_membership(_stacked([ONE]), [], [ONE], k)
         assert member and residual <= 1e-12
-        assert (ONE - _project_fn(space, ONE)).norm() == pytest.approx(1.0)
+        assert _norm(ONE - _project_fn(space, ONE)) == pytest.approx(1.0)
 
     def test_scalar_line_nonmember(self):
         k = from_spanning([ONE], 0)
@@ -1307,7 +1425,7 @@ class TestOrthocomplementMembership:
         results = orthocomplement_membership(_stacked(gs), [f0], [e], k)
         assert len(results) == len(gs)
         for g, (member, _) in zip(gs, results):
-            assert member == (_project_fn(space, g).norm() <= 1e-7 * max(1.0, g.norm()))
+            assert member == (_norm(_project_fn(space, g)) <= 1e-7 * max(1.0, _norm(g)))
 
     def test_no_generator_column_is_refused(self):
         with pytest.raises(PreconditionError):
@@ -1348,25 +1466,29 @@ class TestOneGenerator:
         assert np.array_equal(gen.mats[:, :, 1], [[0, 0], [0, 1]])
 
 
+# duality_residuals on one pair, under the id the single-pair form had
+DUALITY = pytest.param(_duality_one, id="duality_residuals")
+
+
 class TestDefectListCheck:
     """The duality and almost-invariance checks refuse a bad E like decompose."""
 
     SPACE = Subspace(1, 4, (Z,))
     SLANTED = make_fn(1, [[1], [1]])  # norm sqrt 2, and overlaps Z
 
-    @pytest.mark.parametrize("check", [duality_residuals, almost_invariant_Sstar_check])
+    @pytest.mark.parametrize("check", [DUALITY, almost_invariant_Sstar_check])
     def test_non_orthonormal_defect_refused(self, check):
         with pytest.raises(PreconditionError, match="not orthonormal"):
             check(self.SPACE, [ONE * 2.0])
         with pytest.raises(PreconditionError, match="not orthonormal"):
             check(self.SPACE, [ONE, ONE])
 
-    @pytest.mark.parametrize("check", [duality_residuals, almost_invariant_Sstar_check])
+    @pytest.mark.parametrize("check", [DUALITY, almost_invariant_Sstar_check])
     def test_overlapping_defect_refused(self, check):
         with pytest.raises(PreconditionError, match="not orthogonal"):
             check(self.SPACE, [self.SLANTED * 2 ** -0.5])
 
-    @pytest.mark.parametrize("check", [duality_residuals, almost_invariant_Sstar_check])
+    @pytest.mark.parametrize("check", [DUALITY, almost_invariant_Sstar_check])
     def test_same_refusal_as_decompose(self, check):
         with pytest.raises(PreconditionError) as ours:
             check(self.SPACE, [Z])
@@ -1384,9 +1506,9 @@ class TestDefectListCheck:
         e = [(z2 + ONE * a) * scale, (z3 + Z * a) * scale]
         if refused:
             with pytest.raises(PreconditionError, match="not orthogonal"):
-                duality_residuals(space, e)
+                _duality_one(space, e)
         else:
-            duality_residuals(space, e)
+            _duality_one(space, e)
 
     @pytest.mark.parametrize("dev, refused", [(5e-8, False), (2e-7, True)])
     def test_synthesize_checks_e_at_the_same_tolerance(self, dev, refused):
@@ -1408,7 +1530,7 @@ class TestDefectListCheck:
 
     @pytest.mark.parametrize("check", [
         lambda m, e: decompose(m, e, Z),
-        duality_residuals,
+        _duality_one,
         almost_invariant_Sstar_check,
     ], ids=["decompose", "duality_residuals", "almost_invariant_Sstar_check"])
     @pytest.mark.parametrize("a, refused", [(5e-9, False), (5e-8, True)])

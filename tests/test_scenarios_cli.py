@@ -9,11 +9,11 @@ import pytest
 from hardylab import cli, errors, scenarios
 from hardylab.cli import main
 from hardylab.errors import ParseError
-from hardylab.funcs import basis_vector
+from hardylab.funcs import basis_vector, monomial_fn
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
 from hardylab.serialize import parse_symbol_spec
-from hardylab.subspaces import model_space
+from hardylab.subspaces import Subspace, model_space
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -98,6 +98,26 @@ class TestSeededDraws:
         assert np.abs(batch - seq).max() <= 1e-15
         # the generator is left where the one-vector draws leave it
         assert batch_rng.standard_normal() == seq_rng.standard_normal()
+
+    def test_perpendicular_units(self):
+        spaces = [model_space(diag_inner([monomial_inner(k, 3)], 3), 5) for k in (1, 2, 3)]
+        units = scenarios._perp_units(np.random.default_rng(2), spaces, 5)
+        assert np.allclose(np.linalg.norm(units, axis=1), 1.0, rtol=0, atol=1e-14)
+        for unit, space in zip(units, spaces):
+            assert np.abs(space.matrix.T @ unit).max() <= 1e-14
+
+    def test_perpendicular_units_redraw_only_the_open_spaces(self):
+        # the whole ambient leaves no unit orthogonal to it: its pair draws
+        # again in each of the 16 rounds, the line's pair only in the first
+        line = Subspace(1, 3, (monomial_fn(1, 0, 0),))
+        whole = Subspace(1, 3, tuple(monomial_fn(1, 0, k) for k in range(4)))
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(RuntimeError, match="could not draw a vector orthogonal"):
+            scenarios._perp_units(rng, [line, whole], 3)
+        scenarios._random_units(ref, 1, 3, 2)
+        for _ in range(15):
+            scenarios._random_units(ref, 1, 3, 1)
+        assert rng.standard_normal() == ref.standard_normal()
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
     def test_section4_reports_every_kept_draw(self, draws):
