@@ -29,7 +29,12 @@ a decompose as deep, is one batch), every later one ``_STOP_STRIDE``;
 no run takes more than k_max steps.  The stop steps, remainder norms,
 escape norms and any refusal are read after the loop from the
 coordinates and three norms kept per step.
-``decompose`` runs the kernel on one function, ``extract_K`` on every
+The kernel returns each column's stop step, and one result builder,
+``_result``, reads a column's ``DecompResult`` off the kernel's output up
+to that step.  ``decompose`` runs the kernel on one function and
+``_decompositions`` on a batch of columns, one result each (the
+roundtrip scenarios decompose every basis vector of M in one run);
+``extract_K`` runs it on every
 column of M's Q at once (from c = I), and ``synthesize_M`` rebuilds M
 from (K, F0, E) as one product of the generator symbol [F0 | zE] with
 K's Q.  The orthocomplement test ``orthocomplement_membership`` applies
@@ -332,10 +337,12 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
     earliest failing step wins; within it, an origin failure in any column
     comes before an escape, and then the lowest failing column wins.
 
-    Returns (tup, gk, max_res): tup (steps, r + p, b) holds the per-step
-    coordinates (a, then beta), zero after a column stopped; gk
+    Returns (tup, gk, max_res, end): tup (steps, r + p, b) holds the
+    per-step coordinates (a, then beta), zero after a column stopped; gk
     (steps + 1, b) the remainder norms, a stopped column's last norm
-    repeated; max_res the largest escape norm of each column.
+    repeated; max_res the largest escape norm of each column; end (b,)
+    each column's stop step, the steps it ran (0 for a column at eps from
+    the start).  steps is the largest stop step.
     """
     if k_max is None:
         k_max = _default_k_max(m.ambient_deg, len(defect_basis))
@@ -367,12 +374,12 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
     cw = c1 if stack.dtype == field else np.ascontiguousarray(c1).view(float)
     fold = field.kind == "c"
     screen = np.array([[pre_tol], [DEFAULT_NEAR_TOL]])
-    stride = max(1, _STOP_STRIDE // b)
+    stride = max(1, _STOP_STRIDE // max(b, 1))
     # per batch of steps, over every column: (a; beta) as (n, r + p, b) and
     # the norms ||c'||, ||F(0)||, ||T c|| as (n, 3, b)
     coords, norms = [], []
     last, steps, refused = g0, 0, False
-    n = min(max(1, (sm.depth or _STOP_STRIDE) // b), k_max)
+    n = min(max(1, (sm.depth or _STOP_STRIDE) // max(b, 1)), k_max)
     while n and not done.all():
         ys = np.empty((n, len(stack), cw.shape[1]), dtype=stack.dtype)
         # np.dot into a row block of ys costs less per call than np.matmul
@@ -398,7 +405,8 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
         last = now[-1]
         n = min(stride, k_max - steps)
     if not norms:
-        return np.zeros((0, width, b), dtype=stack.dtype), g0[None], np.zeros(b)
+        return (np.zeros((0, width, b), dtype=stack.dtype), g0[None], np.zeros(b),
+                np.zeros(b, dtype=int))
     nb = norms[0] if len(norms) == 1 else np.concatenate(norms)
     if refused:
         end, origin_failed, escaped = _first_events(nb, g0, eps, pre_tol)
@@ -427,7 +435,7 @@ def _peel(m: Subspace, defect_basis: list, g: np.ndarray | None, eps: float,
         tup *= ran[:, None]
         gk[1:] = np.where(ran, gk[1:], gk[end, np.arange(b)])
         esc = esc * ran
-    return tup, gk, esc.max(axis=0, initial=0.0)
+    return tup, gk, esc.max(axis=0, initial=0.0), end
 
 
 def _first_events(nb: np.ndarray, g0: np.ndarray, eps: float, pre_tol: float):
@@ -471,19 +479,44 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
     if f.dim_m != m.dim_m:
         raise DimensionMismatchError(f"function over C^{f.dim_m}, subspace over C^{m.dim_m}")
     g = _field(flatten(f, m.ambient_deg).reshape(-1, 1))
-    tup, gk, max_res = _peel(m, defect_basis, g, eps, k_max)
-    steps, r = len(tup), tup.shape[1] - len(defect_basis)
+    return _result(_peel(m, defect_basis, g, eps, k_max), 0, len(defect_basis), eps)
+
+
+def _decompositions(m: Subspace, defect_basis, g: np.ndarray) -> list:
+    """``decompose`` of each column of g, an n x b matrix in M's ambient,
+    by one ``_peel`` of all of them.
+
+    Result j is ``decompose`` of column j alone, at its default ``eps``
+    and ``k_max``, read by the same ``_result``: the same checks, steps
+    and stop step.  Its values are the same up to rounding, since a
+    product over b columns may round differently from one over a single
+    column when every term counts; on the roundtrip scenarios' spaces
+    they are bitwise the same.  A column off M raises the
+    ``PreconditionError`` of the first such column; a refusal is
+    ``_peel``'s: the earliest failing step, within it an origin failure
+    before an escape, and then the lowest failing column.
+    """
+    defect_basis = list(defect_basis)
+    peel = _peel(m, defect_basis, g, _EPS, None)
+    return [_result(peel, j, len(defect_basis), _EPS) for j in range(g.shape[1])]
+
+
+def _result(peel: tuple, j: int, p: int, eps: float) -> DecompResult:
+    """Column j of a ``_peel`` output with p defect functions, up to its
+    own stop step: its coefficients, remainder norms and escape norms."""
+    tup, gk, max_res, end = peel
+    steps, r = int(end[j]), tup.shape[1] - p
     # the tuple (K0, k_1..k_p), one row per coefficient
-    coef = tup[:, :, 0] if steps else np.zeros((1, tup.shape[1]), dtype=complex)
+    coef = tup[:steps, :, j] if steps else np.zeros((1, tup.shape[1]), dtype=complex)
     return DecompResult(
         K0=CoeffFn(r, coef[:, :r]) if r else None,
-        kj=tuple(CoeffFn(1, coef[:, j : j + 1]) for j in range(r, coef.shape[1])),
-        gk_norms=tuple(gk[:, 0].tolist()),
-        max_step_residual=float(max_res[0]),
+        kj=tuple(CoeffFn(1, coef[:, i : i + 1]) for i in range(r, coef.shape[1])),
+        gk_norms=tuple(gk[: steps + 1, j].tolist()),
+        max_step_residual=float(max_res[j]),
         # ||K0||^2 + sum ||k_j||^2 is the squared norm of the whole tuple
-        norm_gap=abs(float(gk[0, 0]) ** 2 - float(np.vdot(coef, coef).real)),
+        norm_gap=abs(float(gk[0, j]) ** 2 - float(np.vdot(coef, coef).real)),
         iterations=steps,
-        converged=bool(gk[-1, 0] <= eps),
+        converged=bool(gk[steps, j] <= eps),
     )
 
 

@@ -21,6 +21,7 @@ from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import MatSymbol, compose, multiply
 from .nearly import (
     _apply_space,
+    _decompositions,
     _default_k_max,
     almost_invariant_Sstar_check,
     certify_nearly,
@@ -39,6 +40,7 @@ from .subspaces import (
     _residual,
     _span_columns,
     _span_stack,
+    _split_combos,
     beurling_space,
     complement,
     defect_of,
@@ -300,14 +302,23 @@ def _sc_prop_f0k_almost(p: dict):
 
 def _ortho_distance(psi: MatSymbol, theta: MatSymbol, n: int, tol: float) -> float:
     """Distance of (Psi K_Theta)^perp from Psi Theta H^2 (+) K_Psi at order
-    n, compared within degrees <= n - deg Psi - deg Theta."""
+    n, compared within degrees <= n - deg Psi - deg Theta.
+
+    Both sides are read through their thin complements, since
+    P_A - P_B = P_{B^perp} - P_{A^perp}: in exact arithmetic the same
+    operator norm, compressed to the same band.  With P the basis of
+    K_{Psi Theta}, the complement of the Beurling range Psi Theta H^2 from
+    the same banded QR, (Psi Theta H^2 (+) K_Psi)^perp is P null(K_Psi* P),
+    the part of K_{Psi Theta} orthogonal to K_Psi, its null space taken by
+    ``_split_combos``.  So the distance is that of Psi K_Theta from
+    P null(K_Psi* P), and no n x n or n x (n - dim) matrix is formed.
+    """
     k_theta = model_space(theta, n - theta.deg, tol=tol)
-    lhs = complement(_apply_space(psi, k_theta, n))
-    rhs = _span_columns(
-        np.hstack([beurling_space(compose(psi, theta), n, tol=tol).matrix,
-                   model_space(psi, n, tol=tol).matrix]),
-        psi.m_out, n, tol,
-    )
+    lhs = _apply_space(psi, k_theta, n)
+    p = model_space(compose(psi, theta), n, tol=tol)
+    k_psi = model_space(psi, n, tol=tol)
+    _, null = _split_combos(_mul(k_psi.matrix, p.matrix, adjoint=True), p.dim, tol)
+    rhs = Subspace._of(psi.m_out, n, _mul(p.matrix, null), tol)
     return subspace_distance(lhs, rhs, band=n - psi.deg - theta.deg)
 
 
@@ -436,7 +447,12 @@ def _sc_wandering_bound(p: dict):
 
 def _roundtrip_config(r: int, pdim: int, m: int, degrees, nk: int, tol: float,
                       f0_cols=None):
-    """One synthesis/extraction roundtrip; returns its metric block."""
+    """One synthesis/extraction roundtrip; returns its metric block.
+
+    Every basis vector of the synthesized M is decomposed in one batch,
+    ``_decompositions`` on the columns of M's Q; the norm gaps, iteration
+    counts and remainder norms are read from its results.
+    """
     entries = [monomial_inner(k, max(degrees)) for k in degrees]
     k_space = model_space(diag_inner(entries, max(degrees)), nk, tol=tol)
     if f0_cols is None:
@@ -449,8 +465,7 @@ def _roundtrip_config(r: int, pdim: int, m: int, degrees, nk: int, tol: float,
     dist = subspace_distance(extracted, k_space)
     gaps, iters, monotone, summable = [], [], True, 0.0
     bound = _default_k_max(ambient, pdim)
-    for b in space.basis:
-        res = decompose(space, e_fns, b)
+    for res in _decompositions(space, e_fns, space.matrix):
         gaps.append(res.norm_gap)
         iters.append(res.iterations)
         summable += sum(res.gk_norms)

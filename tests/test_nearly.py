@@ -379,8 +379,8 @@ def _ambient_peel(q, w, e, dim_m, g, eps, k_max, pre_tol, near_tol):
     """The peeling kernel with every step in the ambient frame: the oracle
     for the coordinate kernel ``nearly._peel``.
 
-    Returns (a, beta, gk, max_res) as (steps, r, b), (steps, p, b),
-    (steps + 1, b) and (b,) arrays.
+    Returns (a, beta, gk, max_res, end) as (steps, r, b), (steps, p, b),
+    (steps + 1, b), (b,) and (b,) arrays; end is each column's step count.
     """
     g = np.array(g, dtype=complex)
     b = g.shape[1]
@@ -389,6 +389,7 @@ def _ambient_peel(q, w, e, dim_m, g, eps, k_max, pre_tol, near_tol):
     gk = [norms.copy()]
     a_steps, beta_steps = [], []
     max_res = np.zeros(b)
+    end = np.zeros(b, dtype=int)
     run = np.flatnonzero(norms > eps)
     while run.size and len(gk) <= k_max:
         g_run = g[:, run]
@@ -418,12 +419,13 @@ def _ambient_peel(q, w, e, dim_m, g, eps, k_max, pre_tol, near_tol):
         g[:, run] = g_next
         norms[run] = np.linalg.norm(g_next, axis=0)
         max_res[run] = np.maximum(max_res[run], esc)
+        end[run] += 1
         gk.append(norms.copy())
         run = run[norms[run] > eps]
     steps = len(gk) - 1
     return (np.array(a_steps, dtype=complex).reshape(steps, w.shape[1], b),
             np.array(beta_steps, dtype=complex).reshape(steps, e.shape[1], b),
-            np.array(gk), max_res)
+            np.array(gk), max_res, end)
 
 
 @cache
@@ -454,8 +456,8 @@ def _peel_both(space, e, g, k_max=None, eps=1e-10):
 
 
 def _assert_same_peel(got, want, tol=1e-12):
-    tup, gk, max_res = got
-    a, beta, gk_want, res_want = want
+    tup, gk, max_res, end = got
+    a, beta, gk_want, res_want, end_want = want
     r = a.shape[1]
     assert tup.shape == (a.shape[0], r + beta.shape[1], a.shape[2])
     assert np.allclose(tup[:, :r], a, rtol=0, atol=tol)
@@ -463,6 +465,7 @@ def _assert_same_peel(got, want, tol=1e-12):
     assert gk.shape == gk_want.shape
     assert np.allclose(gk, gk_want, rtol=0, atol=tol)
     assert np.allclose(max_res, res_want, rtol=0, atol=tol)
+    assert np.array_equal(end, end_want)
 
 
 def _unit_column(space, coords):
@@ -707,7 +710,7 @@ def _run_length(space, e, g, k_max, eps=1e-10):
     converges, else the first k_max at which it refuses."""
     for k in range(1, k_max + 1):
         try:
-            tup, gk, _ = nearly._peel(_fresh(space), list(e), g, eps, k)
+            tup, gk, _, _ = nearly._peel(_fresh(space), list(e), g, eps, k)
         except (InvariantViolationError, NotNearlyInvariantError):
             return k
         if np.max(gk[-1]) <= eps:
@@ -763,6 +766,106 @@ class TestCallHistory:
         for f in (shallow, deep, shallow):
             res = decompose(space, e, f)
             assert sm.depth == res.iterations
+
+
+@cache
+def _complex_space():
+    """(M, E) synthesized as the (2, 1, 3) roundtrip configuration, with
+    F0 columns of unimodular complex weights: a complex M."""
+    k = model_space(diag_inner([monomial_inner(d, 3) for d in (2, 2, 3)], 3), 6)
+    e = [basis_vector(3, 2)]
+    f0 = [basis_vector(3, 0) * (0.6 + 0.8j), basis_vector(3, 1) * 1j]
+    return synthesize_M(k, f0, e, 8), e
+
+
+def _batch_spaces(case):
+    if case == "p0":
+        return Subspace(1, 6, (ONE, Z, monomial_fn(1, 0, 2))), []
+    if case == "r2p2":
+        return _kernel_spaces()[2]
+    if case == "complex":
+        return _complex_space()
+    return _oracle_spaces()[{"r0": 0, "poly_f0": 1, "r2p1": 2}[case]]
+
+
+# r = 0 is main_defectp's (0, 1, 1) configuration and p = 0 the model
+# space of z^3; every M but the "complex" one is real
+BATCH_CASES = ["r0", "poly_f0", "r2p1", "r2p2", "p0", "complex"]
+
+
+class TestDecompositionBatch:
+    """``nearly._decompositions``: one peel of many columns, each result
+    what ``decompose`` returns for that column alone."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_each_column_is_its_decompose(self, case):
+        # Q's columns, as the roundtrip scenarios peel them, then a zero
+        # column and one below eps
+        space, e = _batch_spaces(case)
+        assert (space.matrix.dtype.kind == "c") == (case == "complex")
+        q = space.matrix
+        g = np.column_stack([q, np.zeros(len(q)), 1e-11 * q[:, 0]])
+        got = nearly._decompositions(space, e, g)
+        assert len(got) == g.shape[1]
+        for res, c in zip(got, g.T):
+            _assert_identical(res, decompose(space, e, unflatten(c, space.dim_m)))
+        # the columns stop at different steps, the last two at once
+        assert len({res.iterations for res in got[:-2]}) > 1
+        assert [res.iterations for res in got[-2:]] == [0, 0]
+        assert got[-2].gk_norms == (0.0,)
+        assert got[-1].gk_norms == (float(np.linalg.norm(g[:, -1])),)
+        assert all(res.converged for res in got)
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_dense_columns_match_to_rounding(self, case):
+        # a product of b columns rounds differently from a product of one
+        # when every term counts, so dense combinations agree to rounding:
+        # the same steps, values within 1e-12
+        space, e = _batch_spaces(case)
+        rng = np.random.default_rng(space.dim)
+        coords = rng.standard_normal((space.dim, 5)) + 1j * rng.standard_normal((space.dim, 5))
+        g = space.matrix @ coords
+        got = nearly._decompositions(space, e, g)
+        for res, c in zip(got, g.T):
+            _assert_same_decomposition(res, decompose(space, e, unflatten(c, space.dim_m)))
+
+    def test_k_max_cut_off(self):
+        # the result builder on a peel cut at k_max = 2
+        space, e = _kernel_spaces()[2]
+        peel = nearly._peel(space, e, space.matrix, 1e-10, 2)
+        got = [nearly._result(peel, j, len(e), 1e-10) for j in range(space.dim)]
+        for res, f in zip(got, space.basis):
+            _assert_identical(res, decompose(space, e, f, k_max=2))
+        # some columns stop within the two steps, the others are cut
+        assert {res.converged for res in got} == {True, False}
+
+    def test_column_off_the_space_raises_its_own_error(self):
+        space, e = _oracle_spaces()[2]
+        off = flatten(monomial_fn(3, 0, space.ambient_deg), space.ambient_deg)
+        with pytest.raises(PreconditionError) as alone:
+            decompose(space, e, unflatten(off, space.dim_m))
+        g = np.column_stack([space.matrix[:, 0], off, space.matrix[:, 1]])
+        with pytest.raises(PreconditionError) as batch:
+            nearly._decompositions(space, e, g)
+        assert str(batch.value) == str(alone.value)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_refusal_is_the_earliest_step(self, order):
+        # v_2 escapes at step 2 and v_4 at step 4, alone as in a batch
+        space, cols = _chain_space()
+        with pytest.raises(NotNearlyInvariantError) as alone:
+            decompose(space, [], unflatten(cols[:, 2], 1))
+        assert alone.value.step == 2
+        g = cols[:, [4, 2]][:, list(order)]
+        with pytest.raises(NotNearlyInvariantError) as batch:
+            nearly._decompositions(space, [], g)
+        assert (batch.value.step, batch.value.residual) == (alone.value.step,
+                                                            alone.value.residual)
+        assert np.array_equal(batch.value.escape.coeffs, alone.value.escape.coeffs)
+
+    def test_no_columns(self):
+        space, e = _oracle_spaces()[2]
+        assert nearly._decompositions(space, e, space.matrix[:, :0]) == []
 
 
 class TestCertificateMemo:

@@ -1,5 +1,6 @@
 """Scenario harness and CLI behavior: reports, determinism, exit codes."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -8,12 +9,21 @@ import pytest
 
 from hardylab import cli, errors, scenarios
 from hardylab.cli import main
-from hardylab.errors import ParseError
+from hardylab.errors import NotInnerError, ParseError
 from hardylab.funcs import basis_vector, monomial_fn
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
+from hardylab.multipliers import compose
+from hardylab.nearly import _apply_space
 from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
 from hardylab.serialize import parse_symbol_spec
-from hardylab.subspaces import Subspace, model_space
+from hardylab.subspaces import (
+    Subspace,
+    _span_columns,
+    beurling_space,
+    complement,
+    model_space,
+    subspace_distance,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -847,3 +857,76 @@ class TestGoldenReports:
             rep.pop("runtime_ms")
         golden = DATA / f"scenarios_seed{seed}.json"
         _assert_report_matches(reports, json.loads(golden.read_text()))
+
+
+def _fat_ortho_distance(psi, theta, n, tol):
+    """The orthocomplement lemma's distance with both sides formed fat: the
+    full complement of Psi K_Theta against the span of Psi Theta H^2 and
+    K_Psi.  The oracle for ``scenarios._ortho_distance``."""
+    k_theta = model_space(theta, n - theta.deg, tol=tol)
+    lhs = complement(_apply_space(psi, k_theta, n))
+    rhs = _span_columns(
+        np.hstack([beurling_space(compose(psi, theta), n, tol=tol).matrix,
+                   model_space(psi, n, tol=tol).matrix]),
+        psi.m_out, n, tol,
+    )
+    return subspace_distance(lhs, rhs, band=n - psi.deg - theta.deg)
+
+
+def _lemma_pair(d, psi_zero, theta_zero):
+    """(Psi, Theta) of the lemma_orthocomplement scenario."""
+    psi = diag_inner([monomial_inner(3, d), blaschke_scalar(BlaschkeSpec([psi_zero]), d)], d)
+    theta = diag_inner([monomial_inner(2, d), blaschke_scalar(BlaschkeSpec([theta_zero]), d)], d)
+    return psi, theta
+
+
+class TestLemmaOrthocomplement:
+    """The thin-side distance against the fat oracle, and its sizes."""
+
+    @pytest.mark.parametrize("zeros", list(itertools.product((0.5, -1 / 3, 0.8), repeat=2)),
+                             ids=lambda z: f"{z[0]:.3g},{z[1]:.3g}")
+    @pytest.mark.parametrize("d, n", [(d, n) for d in (3, 5, 24)
+                                      for n in (2 * d, 2 * d + 1, 256)])
+    def test_matches_the_fat_oracle(self, d, n, zeros):
+        psi, theta = _lemma_pair(d, *zeros)
+        try:
+            want = _fat_ortho_distance(psi, theta, n, 1e-10)
+        except NotInnerError as err:
+            # a truncation too short for the zero: both sides refuse it
+            with pytest.raises(NotInnerError) as got:
+                scenarios._ortho_distance(psi, theta, n, 1e-10)
+            assert str(got.value) == str(err)
+            return
+        got = scenarios._ortho_distance(psi, theta, n, 1e-10)
+        assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 12, 64])
+    def test_polynomial_pair_matches_the_fat_oracle(self, n):
+        psi = diag_inner([monomial_inner(1, 2), monomial_inner(2, 2)], 2)
+        theta = diag_inner([monomial_inner(2, 2), monomial_inner(1, 2)], 2)
+        want = _fat_ortho_distance(psi, theta, n, 1e-10)
+        got = scenarios._ortho_distance(psi, theta, n, 1e-10)
+        assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+    def test_factors_nothing_wider_than_half_the_ambient(self, monkeypatch):
+        # at N = 256 the ambient has n = 2 * 257 rows; the fat form took a
+        # full n x n SVD for the complement of Psi K_Theta
+        n = 2 * 257
+        log = []
+        svd, qr = np.linalg.svd, np.linalg.qr
+
+        def recording_svd(a, full_matrices=True, *args, **kwargs):
+            log.append(("svd", np.shape(a), full_matrices))
+            return svd(a, full_matrices, *args, **kwargs)
+
+        def recording_qr(a, *args, **kwargs):
+            log.append(("qr", np.shape(a), False))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        assert run_scenario("lemma_orthocomplement", {"N": 256}).passed
+        assert log
+        assert all(shape[-1] <= n // 2 for _, shape, _ in log), log
+        assert not any(label == "svd" and full and shape[-2] == n
+                       for label, shape, full in log), log
