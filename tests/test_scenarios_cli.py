@@ -157,6 +157,165 @@ class TestSeededDraws:
         assert rep.metrics["nonmembers"] == draws // 2
 
 
+# the keys of a roundtrip block, in report order, and those among them that
+# are rows
+BLOCK_KEYS = ["defect_dim", "roundtrip_distance", "max_norm_gap", "max_iterations",
+              "iteration_bound", "gk_monotone_and_converged", "gk_norm_sum", "passed"]
+BLOCK_ROWS = ["defect_dim", "roundtrip_distance", "max_norm_gap", "max_iterations",
+              "gk_monotone_and_converged"]
+# scenario -> its metric keys at the defaults, in report order (the order
+# --markdown prints), each block's keys given by BLOCK_KEYS
+METRIC_ORDER = {
+    "beurling": ["shift_defect_dim", "shift_escape", "range_dim", "model_dim",
+                 "dims_complementary", "range_model_overlap", "distance",
+                 "distance_threshold"],
+    "prop_F0K_almost": ["nearly_invariant_defect", "defect_dim", "expected_defect",
+                        "defect_span_distance", "defect_span_threshold", "model_dim_growth",
+                        "growth_strictly_increasing", "rational_model_dim_constant"],
+    "lemma_orthocomplement": ["distance", "threshold", "combined_tail_bound",
+                              "comparison_band", "poly_distance", "poly_threshold"],
+    "lemma_nearly": ["defect_dim", "residual", "threshold", "tail_bound",
+                     "vanishing_slice_dim"],
+    "prop_perp_almost": ["defect_dim", "expected_defect", "defect_span_distance",
+                         "defect_span_threshold"],
+    "counterexample": ["certify_defect_dim", "raised_not_nearly_invariant", "step",
+                       "residual", "residual_window"],
+    "wandering_bound": ["scalar_model_wandering_dim", "blaschke_product_wandering_dim",
+                        "vanishing_space_wandering_dim"],
+    "main_defect1": ["config0_r1_p1", "config1_r1_p1", "config2_r2_p1",
+                     "non_orthogonal_defect_dim", "norm_gap"],
+    "main_defectp": ["config0_r1_p2", "config1_r2_p2", "config2_r0_p1", "norm_gap"],
+    "corollary_almost": ["vacuous_nearly_defect", "residual_without_defect",
+                         "expected_residual_without_defect", "residual_with_defect",
+                         "invariant_model_residual", "closed_form_tol"],
+    "duality": ["pairs", "agreements", "forward_true_pairs", "forward_false_pairs"],
+    "section4": ["coordinate_complement_shift_defect", "draws", "agreements", "members",
+                 "nonmembers", "min_each_class"],
+}
+
+
+def _blocks_rows(*blocks):
+    return [f"{blk}.{key}" for blk in blocks for key in BLOCK_ROWS]
+
+
+# scenario -> (the number of clauses of the verdict expression each
+# scenario body wrote by hand before its claims became rows, its rows at
+# the defaults): a clause that is dropped is a row that goes missing
+ROWS = {
+    "beurling": (4, ["shift_defect_dim", "dims_complementary", "range_model_overlap",
+                     "distance"]),
+    "prop_F0K_almost": (5, ["nearly_invariant_defect", "defect_dim", "defect_span_distance",
+                            "growth_strictly_increasing", "rational_model_dim_constant"]),
+    "lemma_orthocomplement": (2, ["distance", "poly_distance"]),
+    "lemma_nearly": (2, ["defect_dim", "residual"]),
+    "prop_perp_almost": (2, ["defect_dim", "defect_span_distance"]),
+    "counterexample": (3, ["certify_defect_dim", "raised_not_nearly_invariant", "residual"]),
+    "wandering_bound": (3, ["scalar_model_wandering_dim", "blaschke_product_wandering_dim",
+                            "vanishing_space_wandering_dim"]),
+    "main_defect1": (16, _blocks_rows("config0_r1_p1", "config1_r1_p1", "config2_r2_p1")
+                     + ["non_orthogonal_defect_dim"]),
+    "main_defectp": (15, _blocks_rows("config0_r1_p2", "config1_r2_p2", "config2_r0_p1")),
+    # the three rows the report does not show are the library's own verdicts
+    "corollary_almost": (7, ["vacuous_nearly_defect", "almost_without_defect",
+                             "residual_without_defect", "almost_with_defect",
+                             "residual_with_defect", "invariant_model_almost",
+                             "invariant_model_residual"]),
+    "duality": (3, ["agreements", "forward_true_pairs", "forward_false_pairs"]),
+    "section4": (4, ["coordinate_complement_shift_defect", "agreements", "members",
+                     "nonmembers"]),
+}
+
+
+def _unsettled(sid):
+    """The metrics the scenario's runner returns at the defaults, rows unsettled."""
+    runner, table, _ = SCENARIOS[sid]
+    return runner(scenarios._merge(table, None)[1])
+
+
+def _rows(metrics, block=None):
+    """(block or None, key, row) of every row, blocks' rows in place."""
+    for key, val in metrics.items():
+        if isinstance(val, dict):
+            yield from _rows(val, key)
+        elif isinstance(val, scenarios._Check):
+            yield block, key, val
+
+
+class TestCheckRows:
+    def test_every_scenario_is_listed(self):
+        assert list(METRIC_ORDER) == list(ROWS) == list(SCENARIOS)
+
+    @pytest.mark.parametrize("sid", list(SCENARIOS))
+    def test_metric_order(self, sid):
+        metrics = run_scenario(sid).metrics
+        assert list(metrics) == METRIC_ORDER[sid]
+        for val in metrics.values():
+            if isinstance(val, dict):
+                assert list(val) == BLOCK_KEYS
+
+    @pytest.mark.parametrize("sid", list(SCENARIOS))
+    def test_rows_are_the_verdict_clauses(self, sid):
+        clauses, names = ROWS[sid]
+        rows = list(_rows(_unsettled(sid)))
+        assert [f"{blk}.{key}" if blk else key for blk, key, _ in rows] == names
+        assert len(rows) == len(names) == clauses
+
+    @pytest.mark.parametrize("sid", list(SCENARIOS))
+    def test_every_row_decides_the_verdict(self, monkeypatch, sid):
+        metrics = _unsettled(sid)
+        rows = list(_rows(metrics))
+        assert all(scenarios._holds(row) for _, _, row in rows)
+        passed, settled = scenarios._settle(metrics)
+        assert passed
+        assert all(blk["passed"] for blk in settled.values() if isinstance(blk, dict))
+        holds = scenarios._holds
+        for block, key, planted in rows:
+            monkeypatch.setattr(scenarios, "_holds",
+                                lambda row, planted=planted: holds(row) and row is not planted)
+            passed, out = scenarios._settle(metrics)
+            assert passed is False, key
+            for name, blk in out.items():
+                if isinstance(blk, dict):
+                    # the planted row's block fails, every other block passes
+                    assert blk.pop("passed") is (name != block), (block, key)
+                    assert blk | {"passed": True} == settled[name]
+                else:
+                    assert blk == settled[name]
+
+    @pytest.mark.parametrize("row, holds", [
+        # each op closed at its bound, as the verdict expressions were
+        (scenarios._Check(2, "==", 2), True),
+        (scenarios._Check(1e-8, "<=", 1e-8), True),
+        (scenarios._Check(20, ">=", 20), True),
+        (scenarios._Check(0.99, "within", (0.99, 1.01)), True),
+        (scenarios._Check(1.01, "within", (0.99, 1.01)), True),
+        (scenarios._Check(0.75, "near", (0.5, 0.25)), True),
+        (scenarios._Check(0.25, "near", (0.5, 0.25)), True),
+        (scenarios._Check(True, "true"), True),
+        (scenarios._Check(False, "false"), True),
+        # |v - c| <= t, not c - t <= v <= c + t: one step below 0.25, 0.5 - v
+        # rounds to 0.25, which the window form would refuse
+        (scenarios._Check(np.nextafter(0.25, 0), "near", (0.5, 0.25)), True),
+        # and failing just past it
+        (scenarios._Check(3, "==", 2), False),
+        (scenarios._Check(np.nextafter(1e-8, 1), "<=", 1e-8), False),
+        (scenarios._Check(19, ">=", 20), False),
+        (scenarios._Check(np.nextafter(0.99, 0), "within", (0.99, 1.01)), False),
+        (scenarios._Check(np.nextafter(1.01, 2), "within", (0.99, 1.01)), False),
+        (scenarios._Check(np.nextafter(0.75, 1), "near", (0.5, 0.25)), False),
+        (scenarios._Check(0.25 - 2 ** -53, "near", (0.5, 0.25)), False),
+        (scenarios._Check(False, "true"), False),
+        (scenarios._Check(True, "false"), False),
+    ])
+    def test_each_op_at_its_bound(self, row, holds):
+        assert scenarios._holds(row) is holds
+
+    def test_unshown_rows_decide_but_are_not_reported(self):
+        metrics = {"a": 1, "b": scenarios._Check(False, "true", shown=False),
+                   "c": {"d": scenarios._Check(0.5, "<=", 1.0)}}
+        assert scenarios._settle(metrics) == (False, {"a": 1, "c": {"d": 0.5, "passed": True}})
+
+
 class TestCli:
     def test_scenario_all_json(self, capsys):
         assert main(["scenario", "all", "--json"]) == 0
