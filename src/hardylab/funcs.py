@@ -66,6 +66,21 @@ class CoeffFn:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _of(cls, dim_m: int, coeffs: np.ndarray) -> "CoeffFn":
+        """Wrap a finite (deg + 1, dim_m) array the package computed, unchecked.
+
+        The contract holds as in the checked constructor: the coefficients
+        are a fresh complex C-ordered copy, made read-only, so no caller
+        keeps a writable alias of them.
+        """
+        arr = np.array(coeffs, dtype=complex, order="C")
+        arr.flags.writeable = False
+        f = cls.__new__(cls)
+        object.__setattr__(f, "dim_m", dim_m)
+        object.__setattr__(f, "coeffs", arr)
+        return f
+
     @property
     def deg(self) -> int:
         return self.coeffs.shape[0] - 1

@@ -509,8 +509,8 @@ def _result(peel: tuple, j: int, p: int, eps: float) -> DecompResult:
     # the tuple (K0, k_1..k_p), one row per coefficient
     coef = tup[:steps, :, j] if steps else np.zeros((1, tup.shape[1]), dtype=complex)
     return DecompResult(
-        K0=CoeffFn(r, coef[:, :r]) if r else None,
-        kj=tuple(CoeffFn(1, coef[:, i : i + 1]) for i in range(r, coef.shape[1])),
+        K0=CoeffFn._of(r, coef[:, :r]) if r else None,
+        kj=tuple(CoeffFn._of(1, coef[:, i : i + 1]) for i in range(r, coef.shape[1])),
         gk_norms=tuple(gk[: steps + 1, j].tolist()),
         max_step_residual=float(max_res[j]),
         # ||K0||^2 + sum ||k_j||^2 is the squared norm of the whole tuple

@@ -837,6 +837,8 @@ def _fmt(val) -> str:
         return "yes" if val else "no"
     if isinstance(val, float):
         return f"{val:.3g}"
+    if isinstance(val, list):
+        return "[" + ", ".join(_fmt(v) for v in val) + "]"
     return str(val)
 
 
@@ -849,7 +851,7 @@ def render_markdown(reports) -> str:
     for rep in reports:
         desc = SCENARIOS[rep.scenario_id][2]
         inline = ", ".join(f"{k}={_fmt(v)}" for k, v in rep.metrics.items()
-                           if not isinstance(v, (list, dict)))
+                           if not isinstance(v, dict))
         nested = "; ".join(
             f"{k}: " + ", ".join(f"{kk}={_fmt(vv)}" for kk, vv in v.items())
             for k, v in rep.metrics.items() if isinstance(v, dict)

@@ -17,19 +17,24 @@ count of singular values above tol * scale.  The scale is per site:
 ``from_spanning`` the largest input column norm, the slice and wandering
 combinations max(1, top singular value), ``defect_of`` 1 (an absolute cut).
 
-Beurling ranges and model spaces of an inner symbol come from one banded
-Householder QR of the symbol's kept Toeplitz columns (``_range_qr``), with
-no SVD: instead of a rank cut, the isometry defect of the stored symbol
-certifies that every kept column survives a cut at tol * top singular
-value, and a symbol without that certificate is refused.  A diagonal
-symbol is factored one entry at a time, on its output's rows, so the band
-is deg + 1, not m (deg + 1); every other symbol is factored whole, and so
-is a diagonal one whose whole band fits a minimal panel or whose kept
-columns fit one panel.  The kept columns are never stored as one matrix:
-each panel fills a window of the rows it reaches straight from the
-symbol's coefficients and takes over the rows the previous panel updated
-below its own (the carry).  The kept columns
-are block Toeplitz, so after a short transient most windows repeat the
+Beurling ranges and model spaces of an inner symbol come from the
+symbol's kept Toeplitz columns (``_range_qr``), with no SVD: instead of a
+rank cut, the isometry defect of the stored symbol certifies that every
+kept column survives a cut at tol * top singular value, and a symbol
+without that certificate is refused.  A unit entry c z^d of a diagonal
+symbol (its one stored coefficient c with |c|^2 == 1 exactly) is not
+factored: its kept columns c z^(j + d) are orthonormal already, so its
+range and model-space columns are unit vectors on its output's rows,
+written in closed form.  Every other entry, and every other symbol, goes
+through one banded Householder QR.  A diagonal symbol is factored one
+entry at a time, on its output's rows, so the band is deg + 1, not
+m (deg + 1); every other symbol is factored whole, and so is a diagonal
+one without a unit entry whose whole band fits a minimal panel or whose
+kept columns fit one panel.  The kept columns are never stored as one
+matrix: each panel fills a window of the rows it reaches straight from
+the symbol's coefficients and takes over the rows the previous panel
+updated below its own (the carry).  The kept columns are block
+Toeplitz, so after a short transient most windows repeat the
 previous one byte for byte.  A repeated window is not factored: equal
 bytes in give the same q and carry out, so it reuses the previous q
 object, and a run of panels with the same fill pattern is, by
@@ -456,7 +461,8 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
 
 
 def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
-    """Panelled Householder QR of the kept columns of T_Theta.
+    """Panelled Householder QR of the kept columns of T_Theta, or their Q in
+    closed form where it is known.
 
     The input monomial z^j e_i is kept when j + (degree of column i) <=
     ambient_deg - headroom, so every kept column z^j Theta e_i is an exact
@@ -470,15 +476,23 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
 
     For a diagonal Theta = diag(theta_1 ... theta_m) the kept columns of
     theta_i reach only the rows of output i, every m-th ambient row, so C
-    splits into one kept-column matrix per entry, and each is factored on
-    its own (``_panel_qr``), banded with height deg_i + 1, in panels of
-    width max(_PANEL_MIN, deg + 1).  Every other symbol is factored whole,
-    in the ambient row order, and so is a diagonal one whose band in that
-    order, m (deg + 1), is at most _PANEL_MIN or at least k: one panel of
-    width max(_PANEL_MIN, band) then has a window at most twice as tall as
-    its width, or takes every kept column, and a split adds panels, each a
-    QR call, for little arithmetic.  The diagonal test runs only past that
-    rule.
+    splits into one kept-column matrix per entry.  A unit entry, one
+    stored coefficient c at degree d with |c|^2 = Re(c) Re(c) + Im(c) Im(c)
+    == 1 exactly (no tolerance, as in ``_field``; two products and a sum
+    round the same everywhere, where numpy's |c| may not), is not
+    factored: its kept columns c z^(j + d) are orthonormal already, so on
+    its rows the range is the unit vectors at degrees d ... ambient_deg -
+    headroom and the complement those at the degrees below and above.  Every other entry
+    is factored on its own (``_panel_qr``), banded with height deg_i + 1,
+    in panels of width max(_PANEL_MIN, deg + 1).  A diagonal Theta with a
+    unit entry is always split so.  One without is factored whole, in the
+    ambient row order, when its band in that order, m (deg + 1), is at
+    most _PANEL_MIN or at least k: one panel of width max(_PANEL_MIN, band)
+    then has a window at most twice as tall as its width, or takes every
+    kept column, and a split adds panels, each a QR call, for little
+    arithmetic.  Every other symbol is factored whole.  When every entry is
+    a unit entry with c one of +-1 and +-i, whose |c|^2 is exactly 1 in any
+    arithmetic, delta is exactly 0 and is not computed.
 
     C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
     c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
@@ -510,7 +524,9 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     rows = slice(i, n, m).  The part's Q_i = H_1 ... H_P acts on those
     rows, with panel (c0, r1, q) acting as the unitary q on the part's
     rows c0 ... r1 - 1; Q_i[:, :k_i] spans the part's share of the range
-    and Q_i[:, k_i:] its complement there.
+    and Q_i[:, k_i:] its complement there.  A unit entry's part holds,
+    instead of panels, range(d, d + k_i): the part's rows (its degrees)
+    whose unit vectors are its range columns.
     """
     if not t.claimed_inner:
         raise NotInnerError("refusing to build a Beurling-type range from a non-isometry")
@@ -520,34 +536,50 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
         raise TruncationOverflowError(
             f"ambient degree {ambient_deg} below symbol degree {t.deg}"
         )
-    delta = _isometry_defect(t)
+    m, n = t.m_out, t.m_out * (ambient_deg + 1)
+    col_degs = t.column_degrees()
+    top_deg = int(col_degs.max())
+    mats = t.mats[: top_deg + 1]
+    kept = [max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist()]
+    tall = m * (top_deg + 1)
+    # without a unit entry, the ambient order stays where the band is no
+    # wider than a minimal panel, or one panel takes every kept column:
+    # there a split would add panels (a QR each) and save little arithmetic
+    whole = tall <= _PANEL_MIN or sum(kept) <= tall
+    split = exact = False
+    if t.m_in == m:
+        # c z^d is a unit entry when c, the coefficient at its column degree,
+        # has |c|^2 == 1 and is the only nonzero of a diagonal Theta's entry;
+        # the leads are tested first, as Python numbers: without a unit lead
+        # a symbol that stays whole needs no diagonal test
+        lead = mats[col_degs, np.arange(m), np.arange(m)].tolist()
+        unit = [c.real * c.real + c.imag * c.imag == 1 for c in lead]
+        entries = np.diagonal(mats, axis1=1, axis2=2)
+        if (any(unit) or not whole) and np.count_nonzero(entries) == np.count_nonzero(mats):
+            unit = np.array(unit) & (np.count_nonzero(entries, axis=0) == 1)
+            split = unit.any() or not whole
+            exact = unit.all() and not any(c.real * c.imag for c in lead)
+    delta = 0.0 if exact else _isometry_defect(t)
     if not 1.0 - delta > tol ** 2 * (1.0 + delta):
         raise NotInnerError(
             f"claimed-inner symbol fails the rank certificate: delta = sum of "
             f"||(Theta* Theta - I)^(l)|| = {delta:.3g} and 1 - delta <= "
             f"tol^2 (1 + delta) at tol {tol:.3g}, so its kept columns may lose rank"
         )
-    m, n = t.m_out, t.m_out * (ambient_deg + 1)
-    col_degs = t.column_degrees()
-    top_deg = int(col_degs.max())
     band = max(0, ambient_deg - headroom - top_deg)
-    mats = t.mats[: top_deg + 1]
-    # the ambient order stays where its band is no wider than a minimal
-    # panel, or one panel takes every kept column: there a split would add
-    # panels (a QR each) and save little arithmetic
-    tall = m * (top_deg + 1)
-    whole = tall <= _PANEL_MIN or sum(
-        max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist()) <= tall
-    if whole or t.m_in != m or mats[:, ~np.eye(m, dtype=bool)].any():
+    if not split:
         panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom, max(_PANEL_MIN, tall))
         return [(slice(0, n, 1), panels, k)], n, k, band
-    # a diagonal Theta: entry i reaches only the rows of output i, every m-th
+    # entry i reaches only the rows of output i, every m-th
     parts = []
     for i, d in enumerate(col_degs.tolist()):
+        if unit[i]:
+            parts.append((slice(i, n, m), range(d, d + kept[i]), kept[i]))
+            continue
         panels, k_i = _panel_qr(mats[: d + 1, i : i + 1, i : i + 1], col_degs[i : i + 1],
                                 ambient_deg, headroom, max(_PANEL_MIN, top_deg + 1))
         parts.append((slice(i, n, m), panels, k_i))
-    return parts, n, sum(k_i for *_, k_i in parts), band
+    return parts, n, sum(kept), band
 
 
 def _unit_columns(panels, y: np.ndarray, a: int) -> np.ndarray:
@@ -564,27 +596,32 @@ def _unit_columns(panels, y: np.ndarray, a: int) -> np.ndarray:
     return y
 
 
-def _q_columns(parts, n: int, complement: bool = False) -> np.ndarray:
+def _q_columns(parts, n: int, dtype, complement: bool = False) -> np.ndarray:
     """Q's range columns, or with ``complement`` its complement columns,
-    in ambient row order.
+    in ambient row order and in ``dtype``, the symbol's field.
 
     The range columns are the parts' range columns, part after part, and
     the complement columns their complement columns in the same order.  A
-    part's columns are its panels applied in reverse to unit vectors, in a
-    view of the result on its rows.  The result is in the panels' field,
-    the symbol's (float64 when there are none: unit vectors are real).
+    factored part's columns are its panels applied in reverse to unit
+    vectors, in a view of the result on its rows.  A unit entry's are unit
+    vectors in ascending degree: its range at the rows of its range(d,
+    d + k_i), its complement at the rows below and above.
     """
     k = sum(k_i for *_, k_i in parts)
-    qs = [panels[0][2] for _, panels, _ in parts if panels]
-    x = np.zeros((n, n - k if complement else k), dtype=qs[0].dtype if qs else float)
-    if len(parts) == 1:
-        # the whole ambient as one part: its columns are Q's
-        return _unit_columns(parts[0][1], x, k if complement else 0)
+    x = np.zeros((n, n - k if complement else k), dtype=dtype)
     at = 0
     for rows, panels, k_i in parts:
         # the part's columns a ... e - 1 are columns at ... at + e - a - 1 of x
         a, e = (k_i, n // rows.step) if complement else (0, k_i)
-        _unit_columns(panels, x[rows, at : at + e - a], a)
+        y = x[rows, at : at + e - a]
+        if isinstance(panels, range):
+            if complement:
+                np.fill_diagonal(y[: panels.start], 1.0)
+                np.fill_diagonal(y[panels.stop :, panels.start :], 1.0)
+            else:
+                np.fill_diagonal(y[panels.start :], 1.0)
+        else:
+            _unit_columns(panels, y, a)
         at += e - a
     return x
 
@@ -596,17 +633,19 @@ def beurling_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
     Only truncation-free products enter: the input monomial z^j e_i is kept
     when j + (degree of column i) <= ambient_deg - headroom, so every basis
     vector is an exact product.  The basis is Q[:, :k] of one banded QR of
-    the k kept columns (see ``_range_qr``); a claimed-inner symbol whose
+    the k kept columns, in closed form on unit entries (see
+    ``_range_qr``); a claimed-inner symbol whose
     kept columns are not certified to have full rank is refused with
     ``NotInnerError``.  The recorded band is where the truncated range
     agrees with the untruncated one.  When the complement Q[:, k:] has no
     more columns than the range, the range keeps it (see ``complement``).
     """
     parts, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n), tol, band)
+    field = t.mats.dtype
+    rng = Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, field), tol, band)
     if n - k <= k:
         rng._memo["complement"] = Subspace._of(
-            t.m_out, ambient_deg, _q_columns(parts, n, complement=True), tol, band)
+            t.m_out, ambient_deg, _q_columns(parts, n, field, complement=True), tol, band)
     return rng
 
 
@@ -614,12 +653,14 @@ def model_space(t: MatSymbol, ambient_deg: int, headroom: int = 0,
                 tol: float = DEFAULT_TOL) -> Subspace:
     """Orthocomplement of the Beurling range inside the truncated ambient.
 
-    It is Q[:, k:] of the same banded QR that gives ``beurling_space``.
+    It is Q[:, k:] of the same banded QR, or closed form, that gives
+    ``beurling_space``.
     The truncated complement over-approximates the model space in the top
     degree band; compare within degrees <= the recorded band.
     """
-    parts, n, k, band = _range_qr(t, ambient_deg, headroom, tol)
-    return Subspace._of(t.m_out, ambient_deg, _q_columns(parts, n, complement=True), tol, band)
+    parts, n, _, band = _range_qr(t, ambient_deg, headroom, tol)
+    q = _q_columns(parts, n, t.mats.dtype, complement=True)
+    return Subspace._of(t.m_out, ambient_deg, q, tol, band)
 
 
 def complement(a: Subspace) -> Subspace:

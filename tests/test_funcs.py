@@ -96,6 +96,19 @@ class TestMakeFn:
         with pytest.raises(ValueError):
             f.coeffs[0, 0] = 2.0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_trusted_constructor_keeps_the_contract(self, dtype):
+        # a strided view of a writable kernel buffer, as ``nearly`` hands it
+        buf = np.arange(24, dtype=dtype).reshape(4, 3, 2)
+        view = buf[:3, 1:, 1]
+        f, checked = CoeffFn._of(2, view), CoeffFn(2, view)
+        assert f.dim_m == 2 and f.coeffs.shape == checked.coeffs.shape == (3, 2)
+        assert f.coeffs.tobytes() == checked.coeffs.tobytes()
+        assert f.coeffs.dtype == complex and f.coeffs.flags.c_contiguous
+        assert not f.coeffs.flags.writeable and not np.shares_memory(f.coeffs, buf)
+        buf[:] = 0
+        assert f.coeffs.tobytes() == checked.coeffs.tobytes()
+
 
 class TestInnerProduct:
     def test_constants(self):

@@ -813,7 +813,9 @@ class TestDecompositionBatch:
         assert len({res.iterations for res in got[:-2]}) > 1
         assert [res.iterations for res in got[-2:]] == [0, 0]
         assert got[-2].gk_norms == (0.0,)
-        assert got[-1].gk_norms == (float(np.linalg.norm(g[:, -1])),)
+        # ||G|| as the peel takes it, one axis-0 norm over the batch: a
+        # one-vector norm sums in another order
+        assert got[-1].gk_norms == (float(np.linalg.norm(g, axis=0)[-1]),)
         assert all(res.converged for res in got)
 
     @pytest.mark.parametrize("case", BATCH_CASES)
@@ -828,6 +830,30 @@ class TestDecompositionBatch:
         got = nearly._decompositions(space, e, g)
         for res, c in zip(got, g.T):
             _assert_same_decomposition(res, decompose(space, e, unflatten(c, space.dim_m)))
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_results_hold_what_the_checked_constructor_builds(self, case):
+        # ``_result`` wraps the peel's coefficients unchecked: each function
+        # is bitwise the checked constructor's, and none is a view of the
+        # peel's writable buffer
+        space, e = _batch_spaces(case)
+        peel = nearly._peel(space, e, space.matrix, nearly._EPS, None)
+        tup, p = peel[0], len(e)
+        r = tup.shape[1] - p
+        for j in range(space.dim):
+            res = nearly._result(peel, j, p, nearly._EPS)
+            steps = res.iterations
+            coef = tup[:steps, :, j] if steps else np.zeros((1, r + p), dtype=complex)
+            want = [CoeffFn(r, coef[:, :r])] if r else []
+            want += [CoeffFn(1, coef[:, i : i + 1]) for i in range(r, r + p)]
+            got = ([res.K0] if r else []) + list(res.kj)
+            assert len(got) == len(want)
+            for f, w in zip(got, want):
+                assert f.dim_m == w.dim_m and f.coeffs.shape == w.coeffs.shape
+                assert f.coeffs.dtype == w.coeffs.dtype == complex
+                assert f.coeffs.tobytes() == w.coeffs.tobytes()
+                assert f.coeffs.flags.c_contiguous and not f.coeffs.flags.writeable
+                assert not np.shares_memory(f.coeffs, tup)
 
     def test_k_max_cut_off(self):
         # the result builder on a peel cut at k_max = 2

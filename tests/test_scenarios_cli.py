@@ -14,7 +14,7 @@ from hardylab.funcs import basis_vector, monomial_fn
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.multipliers import compose
 from hardylab.nearly import _apply_space
-from hardylab.scenarios import SCENARIOS, render_markdown, run_all, run_scenario
+from hardylab.scenarios import SCENARIOS, _fmt, render_markdown, run_all, run_scenario
 from hardylab.serialize import parse_symbol_spec
 from hardylab.subspaces import (
     Subspace,
@@ -85,6 +85,22 @@ class TestScenarioRunner:
         text = render_markdown([run_scenario("corollary_almost")])
         assert "corollary_almost" in text and "PASS" in text
         assert text.startswith("| scenario |")
+
+    def test_markdown_shows_every_metric_leaf(self):
+        # a list prints inline, as key=[a, b]; a nested block's leaves
+        # print after its key
+        reports = run_all()
+        rows = render_markdown(reports).splitlines()[2:]
+        assert len(rows) == len(reports)
+        for rep, row in zip(reports, rows):
+            assert row.startswith(f"| {rep.scenario_id} |")
+            for key, val in rep.metrics.items():
+                for k, v in val.items() if isinstance(val, dict) else [(key, val)]:
+                    assert not isinstance(v, dict)
+                    assert f"{k}={_fmt(v)}" in row
+        text = "\n".join(rows)
+        assert "residual_window=[0.99, 1.01]" in text
+        assert "model_dim_growth=[" in text
 
 
 def _one_unit(rng, dim_m, deg):

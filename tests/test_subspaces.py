@@ -341,16 +341,34 @@ def _dense_panels(mats, col_degs, ambient_deg, headroom, width):
     return panels, k
 
 
-def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
+def _loop_units(t):
+    """Per output, whether Theta is diagonal with one stored nonzero
+    coefficient c there, Re(c) Re(c) + Im(c) Im(c) exactly 1, by plain
+    loops: the entries ``_range_qr`` writes in closed form."""
+    if not _loop_diagonal(t):
+        return [False] * t.m_out
+    units = []
+    for i in range(t.m_out):
+        nonzero = [complex(c) for c in t.mats[:, i, i] if c != 0]
+        units.append(len(nonzero) == 1
+                     and nonzero[0].real * nonzero[0].real + nonzero[0].imag * nonzero[0].imag == 1)
+    return units
+
+
+def _dense_range_qr(t, ambient_deg, headroom, dtype=None, closed_form=True):
     """The panel loop of ``_range_qr`` on the dense kept-column matrices.
 
     This is the construction the windowed loop replaced, kept as its
     bitwise oracle: per entry of a diagonal Theta (``_loop_diagonal``; the
-    whole symbol when it is not diagonal, its band is at most _PANEL_MIN or
-    one panel takes every kept column) the dense kept-column matrix C is
-    built whole, degree-major, and factored in the same panels, each on
-    C[c0:r1, c0:c1], with its Q* applied in place to the later columns it
-    reaches.  By default C is in the symbol's own field, as in
+    whole symbol when it is not diagonal, or when it has no unit entry and
+    its band is at most _PANEL_MIN or one panel takes every kept column)
+    the dense kept-column matrix C is built whole, degree-major, and
+    factored in the same panels, each on C[c0:r1, c0:c1], with its Q*
+    applied in place to the later columns it reaches.  A unit entry
+    (``_loop_units``) gets the closed-form part (rows, range(d, d + k_i),
+    k_i).  With closed_form=False no entry is a unit entry: the rule and
+    the QR of every entry before the closed form, the oracle its columns
+    are compared with.  By default C is in the symbol's own field, as in
     ``_range_qr``; with dtype=complex a real symbol is factored in complex
     arithmetic.  Returns (parts, n, k) in the form of ``_range_qr``.
     """
@@ -361,15 +379,20 @@ def _dense_range_qr(t, ambient_deg, headroom, dtype=None):
         mats = mats.astype(dtype)
     tall = m * mats.shape[0]
     kept = sum(max(0, ambient_deg - headroom - int(d) + 1) for d in col_degs)
+    units = _loop_units(t) if closed_form else [False] * m
     # a band of at most one minimal panel, or one panel for every kept
-    # column: the ambient order stays
-    if tall <= _PANEL_MIN or kept <= tall or not _loop_diagonal(t):
+    # column: the ambient order stays unless an entry is a unit entry
+    if not any(units) and (tall <= _PANEL_MIN or kept <= tall or not _loop_diagonal(t)):
         panels, k = _dense_panels(mats, col_degs, ambient_deg, headroom,
                                   max(_PANEL_MIN, tall))
         return [(slice(0, n, 1), panels, k)], n, k
     parts = []
     for i in range(m):
         d = int(col_degs[i])
+        if units[i]:
+            k_i = max(0, ambient_deg - headroom - d + 1)
+            parts.append((slice(i, n, m), range(d, d + k_i), k_i))
+            continue
         panels, k_i = _dense_panels(mats[: d + 1][:, [i]][:, :, [i]], col_degs[[i]],
                                     ambient_deg, headroom, max(_PANEL_MIN, len(mats)))
         parts.append((slice(i, n, m), panels, k_i))
@@ -380,9 +403,43 @@ def _assert_same_parts(parts, oracle):
     assert len(parts) == len(oracle)
     for (rows, panels, k), (o_rows, o_panels, o_k) in zip(parts, oracle):
         assert k == o_k and rows == o_rows
+        if isinstance(o_panels, range):
+            assert isinstance(panels, range) and panels == o_panels
+            continue
         assert len(panels) == len(o_panels)
         for (c0, r1, q), (o_c0, o_r1, o_q) in zip(panels, o_panels):
             assert (c0, r1) == (o_c0, o_r1) and np.array_equal(q, o_q)
+
+
+def _assert_closed_form(t, n, headroom, rng, model, old_gap=1e-15):
+    """Each unit entry's columns of the range and model-space Q are, bit for
+    bit, the unit vectors at its rows (degree j at row j m + i): degrees
+    deg_i ... n - headroom for the range and the rest for the model space,
+    ascending, every part's columns after the previous part's.  On its
+    rows they span, within old_gap, what the QR of the entry alone spans,
+    the construction before the closed form.  Both Q are in the symbol's
+    field."""
+    m, field = t.m_out, t.mats.dtype
+    assert rng.matrix.dtype == model.matrix.dtype == field
+    eye = np.eye(m * (n + 1))
+    at_r = at_c = 0
+    for i, unit in enumerate(_loop_units(t)):
+        d = int(t.column_degrees()[i])
+        r_degs = list(range(d, n - headroom + 1))
+        c_degs = [j for j in range(n + 1) if j not in r_degs]
+        if unit:
+            entry = MatSymbol(1, 1, t.mats[:, i : i + 1, i : i + 1], claimed_inner=True)
+            old, size, _ = _dense_range_qr(entry, n, headroom, closed_form=False)
+            for s, at, degs, complement in ((rng, at_r, r_degs, False),
+                                            (model, at_c, c_degs, True)):
+                cols = s.matrix[:, at : at + len(degs)]
+                assert np.array_equal(cols, eye[:, [j * m + i for j in degs]])
+                old_q = _q_columns(old, size, field, complement=complement)
+                assert subspace_distance(Subspace._of(1, n, cols[i::m], s.tol),
+                                         Subspace._of(1, n, old_q, s.tol)) <= old_gap
+        at_r += len(r_degs)
+        at_c += len(c_degs)
+    assert (at_r, at_c) == (rng.dim, model.dim)
 
 
 def _random_orthogonal(rng, m):
@@ -454,11 +511,14 @@ class TestWindowedRangeQR:
             if m == 1 or kind.endswith("composed"):
                 # one entry, or not diagonal: factored whole, in the ambient row order
                 assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
+            # a monomial diagonal is all unit entries, and the others have none
+            assert all(isinstance(panels, range) for _, panels, _ in parts) == (kind == "monomial")
             _assert_same_parts(parts, oracle)
-            assert np.array_equal(beurling_space(t, n, headroom).matrix,
-                                  _q_columns(oracle, size))
-            assert np.array_equal(model_space(t, n, headroom).matrix,
-                                  _q_columns(oracle, size, complement=True))
+            rng, model = beurling_space(t, n, headroom), model_space(t, n, headroom)
+            assert np.array_equal(rng.matrix, _q_columns(oracle, size, t.mats.dtype))
+            assert np.array_equal(model.matrix,
+                                  _q_columns(oracle, size, t.mats.dtype, complement=True))
+            _assert_closed_form(t, n, headroom, rng, model)
 
     def test_a_column_can_start_above_its_panel(self):
         # m = 3 and 32-column panels: column 32 is z^10 Theta e_2, which
@@ -472,13 +532,14 @@ class TestWindowedRangeQR:
         assert panels[1][0] == 32
         oracle, _, _ = _dense_range_qr(t, 40, 0)
         _assert_same_parts([(slice(0, n, 1), panels, k)], oracle)
-        assert np.array_equal(model_space(t, 40).matrix, _q_columns(oracle, n, complement=True))
+        assert np.array_equal(model_space(t, 40).matrix,
+                              _q_columns(oracle, n, t.mats.dtype, complement=True))
 
     def test_memory_grows_with_the_band_not_the_order(self):
-        # the dense C of Theta_4 at N = 2048 alone would take about 1 GB; at
-        # N = 8192 the returned Q alone takes 2.4 MB, and storing one q per
-        # panel peaks at 17.6 MB
-        t = ORACLE_SYMBOLS["monomial_diag4"]
+        # the dense C of the four-Blaschke diagonal at N = 2048 alone would
+        # take about 0.5 GB; at N = 8192 the returned Q alone takes 3 MB,
+        # and storing one 48 x 48 q per panel would take 19 MB more
+        t = REAL_SYMBOLS["blaschke_diag4"]
         for n, mb in ((2048, 16), (8192, 6)):
             tracemalloc.start()
             try:
@@ -486,33 +547,33 @@ class TestWindowedRangeQR:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert k.dim == 9
+            assert k.dim == 12
             assert peak < mb * 2 ** 20
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_a_repeated_window_reuses_its_q(self, n):
-        # after the first two panels every window of Theta_4 is the same
-        # bytes, so one q object serves the rest of the panels
-        [(_, panels, _)], _, _, _ = _range_qr(ORACLE_SYMBOLS["monomial_diag4"], n, 0,
+        # past the transient panels every window of the four-Blaschke
+        # diagonal, factored whole, is the same bytes, so one q object
+        # serves the run; so on the Blaschke entry of Theta_2, split
+        [(_, panels, k)], _, _, _ = _range_qr(REAL_SYMBOLS["blaschke_diag4"], n, 0,
                                               DEFAULT_TOL)
-        assert len(panels) == n // 8
-        assert len({id(q) for *_, q in panels}) <= 2
+        assert k == 4 * (n - 2) and len(panels) == -(-k // 32)
+        assert len({id(q) for *_, q in panels}) <= 6
         parts, _, _, _ = _range_qr(REAL_SYMBOLS["theta2_large_n"], n, 0, DEFAULT_TOL)
-        assert len(parts) == 2
-        for _, panels, _ in parts:
-            assert len({id(q) for *_, q in panels}) <= 5
+        assert len(parts) == 2 and parts[0][1] == range(2, n + 1)
+        assert len({id(q) for *_, q in parts[1][1]}) <= 5
 
     @pytest.mark.parametrize("name, n, headroom", [
-        ("monomial_diag4", 256, 0), ("monomial_diag4", 256, 2),
+        ("blaschke_diag4", 256, 0), ("blaschke_diag4", 256, 2),
         ("theta2_large_n", 256, 0), ("theta2_large_n", 256, 2),
         ("column_above_panel", 200, 0),
     ])
     def test_stationary_runs_are_bitwise_the_dense_loop(self, name, n, headroom):
-        # Theta_4's and Theta_2's runs end where inputs of unequal degree stop
-        # being kept; on the m = 3 symbol the 32-column panels shift the fill
-        # pattern every panel, so no window repeats its predecessor
-        t = (_column_above_panel() if name == "column_above_panel"
-             else {**ORACLE_SYMBOLS, **REAL_SYMBOLS}[name])
+        # the runs of the four-Blaschke diagonal and of Theta_2's Blaschke
+        # entry end where inputs stop being kept; on the m = 3 symbol the
+        # 32-column panels shift the fill pattern every panel, so no window
+        # repeats its predecessor
+        t = _column_above_panel() if name == "column_above_panel" else REAL_SYMBOLS[name]
         parts, size, k, _ = _range_qr(t, n, headroom, DEFAULT_TOL)
         oracle, _, k_o = _dense_range_qr(t, n, headroom)
         assert k == k_o
@@ -520,19 +581,29 @@ class TestWindowedRangeQR:
         if name == "column_above_panel":
             [(_, panels, _)] = parts
             assert len({id(q) for *_, q in panels}) == len(panels) > 2
-        assert np.array_equal(beurling_space(t, n, headroom).matrix, _q_columns(oracle, size))
+        field = t.mats.dtype
+        assert np.array_equal(beurling_space(t, n, headroom).matrix,
+                              _q_columns(oracle, size, field))
         assert np.array_equal(model_space(t, n, headroom).matrix,
-                              _q_columns(oracle, size, complement=True))
+                              _q_columns(oracle, size, field, complement=True))
 
 
+# Theta_2 with its z^2 entry made a Blaschke factor: no unit entry
+_BLASCHKE_PAIR = diag_inner(
+    [blaschke_scalar(BlaschkeSpec([0.4]), 48),
+     blaschke_scalar(BlaschkeSpec([0.5, -1 / 3]), 48)], 48)
 _REAL_COMPOSED = compose(
     _conjugated(diag_inner([blaschke_scalar(BlaschkeSpec([a]), 6) for a in (0.5, -0.3, 0.4)], 6),
                 _random_orthogonal(np.random.default_rng(7), 3),
                 _random_orthogonal(np.random.default_rng(8), 3)),
     diag_inner([monomial_inner(k, 2) for k in (1, 0, 2)], 2))
-# exactly real symbols that are not monomials: their columns are not unit vectors
+# exactly real symbols that are not monomials: their columns are not all unit vectors
 REAL_SYMBOLS = {
     "blaschke_diag": _BLASCHKE_DIAG,
+    # no unit entry and a band of 16 rows: factored whole, in long runs of
+    # repeated windows
+    "blaschke_diag4": diag_inner(
+        [blaschke_scalar(BlaschkeSpec([a]), 3) for a in (0.2, -0.3, 0.1, -0.15)], 3),
     "real_composed": _REAL_COMPOSED,
     # the Theta_2 of the large_n benchmark workload
     "theta2_large_n": diag_inner(
@@ -565,11 +636,12 @@ class TestSymbolField:
         t = REAL_SYMBOLS[name]
         assert not t.mats.imag.any()
         oracle, size, k = _dense_range_qr(t, n, headroom, dtype=complex)
-        assert all(np.iscomplexobj(q) for _, panels, _ in oracle for *_, q in panels)
+        assert all(np.iscomplexobj(q) for _, panels, _ in oracle
+                   if not isinstance(panels, range) for *_, q in panels)
         assert _projector_gap(beurling_space(t, n, headroom).matrix,
-                              _q_columns(oracle, size)) <= 1e-12
+                              _q_columns(oracle, size, complex)) <= 1e-12
         assert _projector_gap(model_space(t, n, headroom).matrix,
-                              _q_columns(oracle, size, complement=True)) <= 1e-12
+                              _q_columns(oracle, size, complex, complement=True)) <= 1e-12
 
     def test_a_tiny_imaginary_part_takes_the_complex_path(self, qr_dtypes):
         t = REAL_SYMBOLS["blaschke_diag"]
@@ -590,7 +662,8 @@ class TestSymbolField:
         s = build(t, t.deg + 40)
         assert qr_dtypes and set(qr_dtypes) == {np.dtype(float)}
         parts, _, _, _ = _range_qr(t, t.deg + 40, 0, DEFAULT_TOL)
-        assert all(q.dtype == np.float64 for _, panels, _ in parts for *_, q in panels)
+        assert all(q.dtype == np.float64 for _, panels, _ in parts
+                   if not isinstance(panels, range) for *_, q in panels)
         assert not s.matrix.imag.any()
 
     @pytest.mark.parametrize("build", [beurling_space, model_space])
@@ -611,7 +684,7 @@ class TestSymbolField:
         panels, n, k, _ = _range_qr(t, 512, 0, DEFAULT_TOL)
         tracemalloc.start()
         try:
-            q = _q_columns(panels, n)
+            q = _q_columns(panels, n, np.float64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -638,25 +711,40 @@ class TestBlockOrder:
         assert shapes and max(rows for rows, _ in shapes) <= 2 * 49
 
     def test_each_block_is_factored_on_its_own_rows(self):
-        # at N = 128 the z^2 entry keeps 127 columns and the Blaschke entry
-        # 81; each is factored on its own ambient rows, in 49-column panels
+        # at N = 128 the z^2 entry keeps 127 columns, the unit vectors at
+        # degrees 2 ... 128, and the Blaschke entry 81, factored on its own
+        # ambient rows in 49-column panels
         t = REAL_SYMBOLS["theta2_large_n"]
         parts, n, k, _ = _range_qr(t, 128, 0, DEFAULT_TOL)
         assert k == 208 and [k_b for *_, k_b in parts] == [127, 81]
         assert [rows for rows, _, _ in parts] == [slice(0, n, 2), slice(1, n, 2)]
-        assert [c0 for c0, _, _ in parts[0][1]] == [0, 49, 98]
+        assert parts[0][1] == range(2, 129)
+        assert [c0 for c0, _, _ in parts[1][1]] == [0, 49]
         oracle, _, _ = _dense_range_qr(t, 128, 0)
         _assert_same_parts(parts, oracle)
         rng, model = _dense_range_and_model(t, 128)
         assert _projector_gap(beurling_space(t, 128).matrix, rng) <= 1e-12
         assert _projector_gap(model_space(t, 128).matrix, model) <= 1e-12
+        _assert_closed_form(t, 128, 0, beurling_space(t, 128), model_space(t, 128))
+
+    @pytest.mark.parametrize("name, n", [("blaschke_diag4", 200), ("blaschke_pair", 64)])
+    def test_the_ambient_order_stays_where_blocks_cannot_pay(self, name, n):
+        # the four-Blaschke diagonal's band 4 * 4 is below a minimal panel;
+        # at N = 64 one 98-column panel takes the Blaschke pair's 34 kept
+        # columns
+        t = _BLASCHKE_PAIR if name == "blaschke_pair" else REAL_SYMBOLS[name]
+        parts, size, _, _ = _range_qr(t, n, 0, DEFAULT_TOL)
+        assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
 
     @pytest.mark.parametrize("name, n", [("blaschke_diag", 200), ("theta2_large_n", 64)])
-    def test_the_ambient_order_stays_where_blocks_cannot_pay(self, name, n):
-        # blaschke_diag's band 2 * 13 is below a minimal panel; at N = 64
-        # one 98-column panel takes Theta_2's 80 kept columns
-        parts, size, _, _ = _range_qr(REAL_SYMBOLS[name], n, 0, DEFAULT_TOL)
-        assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
+    def test_a_unit_entry_splits_every_diagonal(self, name, n):
+        # the shapes above with a z^2 entry: blaschke_diag's band 2 * 13 is
+        # below a minimal panel, and one panel would take Theta_2's 80 kept
+        # columns, yet each is split and its z^2 entry not factored
+        t = REAL_SYMBOLS[name]
+        parts, size, _, _ = _range_qr(t, n, 0, DEFAULT_TOL)
+        assert [rows for rows, _, _ in parts] == [slice(0, size, 2), slice(1, size, 2)]
+        assert parts[0][1] == range(2, n + 1) and not isinstance(parts[1][1], range)
 
     @pytest.mark.parametrize("name", ["blaschke_block_and_z2", "zero_row_isometry"])
     def test_a_symbol_that_is_not_diagonal_is_factored_whole(self, name):
@@ -668,9 +756,9 @@ class TestBlockOrder:
         oracle, _, k_o = _dense_range_qr(t, 45, 0)
         assert k == k_o
         _assert_same_parts(parts, oracle)
-        assert np.array_equal(beurling_space(t, 45).matrix, _q_columns(oracle, size))
+        assert np.array_equal(beurling_space(t, 45).matrix, _q_columns(oracle, size, complex))
         assert np.array_equal(model_space(t, 45).matrix,
-                              _q_columns(oracle, size, complement=True))
+                              _q_columns(oracle, size, complex, complement=True))
 
     def test_untouched_outputs_stay_in_the_model_space(self):
         # factored whole, the reflections leave rounding dust on output 1
@@ -693,6 +781,136 @@ class TestBlockOrder:
             tracemalloc.stop()
         assert k.dim == 50
         assert peak < 20 * 2 ** 20
+
+
+# unit coefficients: +-1 and +-i, whose |c|^2 is exactly 1, and phases
+# whose modulus may round to 1 or not (either way a valid inner entry)
+_PHASES = (1.0, -1.0, 1j, -1j, complex(np.exp(0.3j)), complex(np.exp(2.1j)))
+
+
+@st.composite
+def _diagonal_symbols(draw):
+    """A square diagonal inner symbol: each entry a unit monomial c z^d or a
+    Blaschke factor with real or complex zeros, truncated at degree 5 ... 9
+    (a zero at 0 only shifts).  From degree 5 on, delta stays below 0.85
+    for every choice."""
+    m, deg = draw(st.integers(1, 4)), draw(st.integers(5, 9))
+    mats = np.zeros((deg + 1, m, m), dtype=complex)
+    for i in range(m):
+        if draw(st.booleans()):
+            mats[draw(st.integers(0, deg)), i, i] = draw(st.sampled_from(_PHASES))
+            continue
+        radii = draw(st.lists(st.sampled_from([0.0, 0.2, 0.35, 0.5]), min_size=1, max_size=2))
+        angles = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(radii),
+                               max_size=len(radii)))
+        zeros = [r * np.exp(1j * np.pi * a) for r, a in zip(radii, angles)]
+        mats[:, i, i] = blaschke_scalar(BlaschkeSpec(zeros), deg).mats[:, 0, 0]
+    return MatSymbol(m, m, mats, 0.0, claimed_inner=True)
+
+
+class TestClosedForm:
+    """Unit entries of a diagonal symbol get their columns without a QR."""
+
+    @given(_diagonal_symbols(), st.integers(0, 30), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_random_diagonals_against_the_dense_oracle(self, t, extra, headroom):
+        n = t.deg + extra
+        rng, model = _dense_range_and_model(t, n, headroom)
+        b, k = beurling_space(t, n, headroom), model_space(t, n, headroom)
+        field = np.complex128 if t.mats.imag.any() else np.float64
+        for s, oracle in ((b, rng), (k, model)):
+            assert s.dim == oracle.shape[1]
+            q = s.matrix
+            assert q.dtype == field
+            assert np.abs(np.conj(q.T) @ q - np.eye(s.dim)).max(initial=0.0) <= 1e-14
+            assert subspace_distance(s, Subspace._of(t.m_out, n, oracle, s.tol)) <= 1e-13
+        # the range keeps its complement when that is the thinner side
+        size = b.ambient_dim
+        assert ("complement" in b._memo) == (size - b.dim <= b.dim)
+        assert "complement" not in k._memo
+        # the old QR of a phase that is not +-1 or +-i leaves rounding in
+        # its columns: up to 3.3e-15 in this strategy's range
+        _assert_closed_form(t, n, headroom, b, k, old_gap=1e-14)
+        units = _loop_units(t)
+        if all(units) and not (t.mats.real * t.mats.imag).any():
+            # every coefficient +-1 or +-i: the certificate is exactly 0
+            assert _isometry_defect(t) == 0.0
+
+    @pytest.mark.parametrize("t", [
+        ORACLE_SYMBOLS["monomial_diag4"],
+        diag_inner([monomial_inner(0, 3), blaschke_scalar(BlaschkeSpec([0, 0], 1j), 3)], 3),
+    ], ids=["theta4", "complex_units"])
+    def test_an_all_unit_symbol_needs_no_factorization(self, monkeypatch, t):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a unit entry reached a factorization")
+
+        for name in ("qr", "svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        b, k = beurling_space(t, 64), model_space(t, 64)
+        monkeypatch.undo()
+        assert b.dim + k.dim == t.m_out * 65
+        _assert_closed_form(t, 64, 0, b, k)
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    def test_a_mixed_diagonal_factors_only_its_other_entry(self, monkeypatch, build):
+        # diag(z^2, b) at N = 200 hands np.linalg.qr the windows of b alone,
+        # byte for byte; its band 25 keeps b's panel width the same, 32
+        b = blaschke_scalar(BlaschkeSpec([0.5, -0.3 + 0.2j]), 24)
+        t = diag_inner([monomial_inner(2, 24), b], 24)
+        seen = []
+        qr = np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        build(t, 200)
+        mixed = list(seen)
+        seen.clear()
+        build(b, 200)
+        assert len(mixed) == len(seen) > 1
+        assert all(np.array_equal(x, y) for x, y in zip(mixed, seen))
+
+    def test_a_unit_lead_beside_another_nonzero_is_factored(self):
+        # 1e-20 + z is inner to within delta = 2e-20, and its coefficient at
+        # its column degree has modulus 1, but it is not a unit entry
+        mats = np.zeros((2, 2, 2))
+        mats[1, 0, 0] = mats[1, 1, 1] = 1.0
+        mats[0, 1, 1] = 1e-20
+        t = MatSymbol(2, 2, mats, claimed_inner=True)
+        parts, _, _, _ = _range_qr(t, 40, 0, DEFAULT_TOL)
+        assert parts[0][1] == range(1, 41) and not isinstance(parts[1][1], range)
+        oracle, _, _ = _dense_range_qr(t, 40, 0)
+        _assert_same_parts(parts, oracle)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, np.nextafter(1.0, 0.0), 1.0, 2.0])
+    @pytest.mark.parametrize("t", [
+        ORACLE_SYMBOLS["monomial_diag4"],
+        diag_inner([monomial_inner(1, 3), scalar_symbol([0, 0, complex(np.exp(0.3j))],
+                                                         claimed_inner=True)], 3),
+        REAL_SYMBOLS["theta2_large_n"],
+    ], ids=["theta4", "phase", "theta2"])
+    def test_the_certificate_refuses_as_with_delta(self, t, tol):
+        # whether delta is computed or known to be 0, a symbol is refused
+        # exactly when 1 - delta > tol^2 (1 + delta) fails
+        delta = _isometry_defect(t)
+        for build in (beurling_space, model_space):
+            if 1.0 - delta > tol ** 2 * (1.0 + delta):
+                build(t, t.deg + 8, tol=tol)
+            else:
+                with pytest.raises(NotInnerError):
+                    build(t, t.deg + 8, tol=tol)
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    def test_the_refusals_before_the_certificate_stay(self, build):
+        t = ORACLE_SYMBOLS["monomial_diag4"]
+        with pytest.raises(NotInnerError):
+            build(MatSymbol(4, 4, t.mats), 8)
+        with pytest.raises(PreconditionError):
+            build(t, 8, headroom=-1)
+        with pytest.raises(TruncationOverflowError):
+            build(t, 2)
 
 
 class TestRefusal:
