@@ -55,6 +55,11 @@ class MatSymbol:
         (0 for exactly polynomial symbols).
     claimed_inner : bool
         Whether the untruncated symbol is an isometry a.e. on the circle.
+
+    The symbol is immutable, so what depends on it alone is computed on
+    first use and kept in the per-instance ``_memo``: its column degrees,
+    and ``subspaces``' plan of its range QR.  The memo is a cache, not
+    state: it is not compared, not in the repr, and pickling drops it.
     """
 
     m_out: int
@@ -81,15 +86,28 @@ class MatSymbol:
             raise ValueError("tail_bound must be non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "mats", arr)
+        object.__setattr__(self, "_memo", {})
+
+    def __getstate__(self) -> dict:
+        return {key: val for key, val in vars(self).items() if key != "_memo"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _memo={})
 
     @property
     def deg(self) -> int:
         return self.mats.shape[0] - 1
 
     def column_degrees(self) -> np.ndarray:
-        """Largest coefficient index where each column is nonzero (0 if none)."""
-        nz = np.any(self.mats != 0, axis=1)[::-1]
-        return np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
+        """Largest coefficient index where each column is nonzero (0 if none),
+        read-only and computed once per symbol."""
+        degs = self._memo.get("column_degrees")
+        if degs is None:
+            nz = np.any(self.mats != 0, axis=1)[::-1]
+            degs = np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
+            degs.flags.writeable = False
+            self._memo["column_degrees"] = degs
+        return degs
 
 
 def _field(x: np.ndarray) -> np.ndarray:

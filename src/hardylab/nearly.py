@@ -87,11 +87,10 @@ from .subspaces import (
     _rank,
     _residual,
     _shift_rows,
+    _slice,
     _span_columns,
     defect_of,
-    degree_slice,
     project,
-    vanishing_slice,
     wandering,
 )
 
@@ -531,14 +530,18 @@ def certify_nearly(m: Subspace, p_max: int, tol: float | None = None,
     its resolved tol and its band, one slot that another (tol, band)
     replaces, so certifying a space again (``synthesize_M`` certifies its
     output) is a lookup.
+
+    The domain {F in M : F(0) = 0, deg F <= band} is one null space: Q
+    times the null space of the origin rows of Q stacked on its rows above
+    the band (``_slice``), one SVD and one rank decision at
+    ||[A; B] x|| <= tol * max(1, top singular value).  A band at or above
+    the ambient degree cuts nothing, and the domain is ``vanishing_slice``.
     """
     key = (m.tol if tol is None else tol, band)
     kept = m._memo.get("certificate")
     if kept is not None and kept[0] == key:
         return kept[1]
-    domain = vanishing_slice(m)
-    if band is not None:
-        domain = degree_slice(domain, band)
+    domain = _slice(m, True, band)
     cert = replace(defect_of(m, "S*", domain=domain, tol=tol, band=band), mode="nearly")
     m._memo["certificate"] = (key, cert)
     return cert

@@ -791,7 +791,9 @@ SCENARIOS = {
     ),
     "duality": (
         _sc_duality,
-        {"pairs": (50, "size", 1, "at least one pair"),
+        {"pairs": (50, "size", lambda p: max(1, 2 * p["min_each_direction"]),
+                   "max(1, 2 * 'min_each_direction'): at least one pair, and the pairs "
+                   "alternate between the two directions; necessary, not sufficient"),
          "m": (2, "size", 1, "the least vector dimension"),
          "N": (8, "size", lambda p: max(3, 4 // p["m"]),
                "max(3, 4 // 'm'): the ambient m (N + 1) must exceed the up to 4 "
@@ -804,7 +806,11 @@ SCENARIOS = {
     "section4": (
         _sc_section4,
         {"NK": (6, "size", 3, "the degree of K's symbol"), "seed": (0, "size"),
-         "draws": (100, "size", 1, "at least one draw"), "tol": _TOL,
+         "draws": (100, "size", lambda p: max(1, 2 * p["min_each_class"]),
+                   "max(1, 2 * 'min_each_class'): at least one draw, and the draws "
+                   "alternate between the two classes, an even one dropped if it "
+                   "lies in M; necessary, not sufficient"),
+         "tol": _TOL,
          "membership_tol": (1e-7, "tol"), "min_each_class": (20, "size")},
         "membership in the orthocomplement via coordinate adjoints matches "
         "direct projection on random draws",

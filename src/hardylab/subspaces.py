@@ -16,12 +16,18 @@ Every SVD rank decision cuts a singular spectrum through ``_rank``: the
 count of singular values above tol * scale.  The scale is per site:
 ``from_spanning`` the largest input column norm, the slice and wandering
 combinations max(1, top singular value), ``defect_of`` 1 (an absolute cut).
+A slice is one null space however many conditions it has (``_slice``):
+``nearly.certify_nearly``'s banded domain, F(0) = 0 and deg F <= band,
+is one SVD of both constraints stacked, one rank decision.
 
 Beurling ranges and model spaces of an inner symbol come from the
 symbol's kept Toeplitz columns (``_range_qr``), with no SVD: instead of a
 rank cut, the isometry defect of the stored symbol certifies that every
 kept column survives a cut at tol * top singular value, and a symbol
-without that certificate is refused.  A unit entry c z^d of a diagonal
+without that certificate is refused.  What depends on the symbol alone,
+its column degrees, its unit entries and delta, is its plan, computed
+once per symbol and kept in the symbol's memo; each call adds only what
+depends on the order.  A unit entry c z^d of a diagonal
 symbol (its one stored coefficient c with |c|^2 == 1 exactly) is not
 factored: its kept columns c z^(j + d) are orthonormal already, so its
 range and model-space columns are unit vectors on its output's rows,
@@ -68,7 +74,8 @@ same QR when they are no more than the range's.  The memo also holds
 ``nearly``'s peeling step map; it is not pickled.
 
 The fat side is handled through its thin complement P: ``defect_of``
-reads the residual (I - QQ*) X as P (P* X) and factors the (n - dim) x b
+reads the residual (I - QQ*) X of X = op D as P (P* X), forms P* X as
+(op* P)* D, shifting P and not the domain, and factors the (n - dim) x b
 matrix P* X.  ``subspace_distance`` forms no n x n matrix:
 P_A - P_B = X J X* with X = [Q_A | Q_B] and J = diag(I, -I), so the
 distance is the largest |eigenvalue| of R J R*, R from a QR of X.
@@ -460,6 +467,39 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
     return panels, k
 
 
+def _plan(t: MatSymbol) -> tuple:
+    """What ``_range_qr`` reads of the symbol alone, computed on its first
+    call and kept in the symbol's memo: (column degrees, top degree,
+    diagonal, unit mask, delta).
+
+    ``diagonal`` says that Theta is square with every nonzero on its
+    diagonal.  Entry i is a unit entry when it is diagonal and its one
+    nonzero, the coefficient c at its column degree, has |c|^2 == 1; the
+    mask is all False for a symbol that is not diagonal.  delta is 0.0,
+    not computed, when every entry is a unit entry with c one of +-1 and
+    +-i, and ``_isometry_defect`` otherwise.
+    """
+    plan = t._memo.get("plan")
+    if plan is not None:
+        return plan
+    col_degs = t.column_degrees()
+    m, mats = t.m_in, t.mats
+    entries = np.diagonal(mats, axis1=1, axis2=2)
+    diagonal = t.m_out == m and np.count_nonzero(entries) == np.count_nonzero(mats)
+    unit, exact = np.zeros(m, dtype=bool), False
+    if diagonal:
+        # |c|^2 as two products and a sum of Python numbers, which round the
+        # same everywhere, where numpy's |c| may not
+        lead = mats[col_degs, np.arange(m), np.arange(m)].tolist()
+        unit = (np.array([c.real * c.real + c.imag * c.imag == 1 for c in lead])
+                & (np.count_nonzero(entries, axis=0) == 1))
+        exact = unit.all() and not any(c.real * c.imag for c in lead)
+    plan = (col_degs, int(col_degs.max()), diagonal, unit,
+            0.0 if exact else _isometry_defect(t))
+    t._memo["plan"] = plan
+    return plan
+
+
 def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     """Panelled Householder QR of the kept columns of T_Theta, or their Q in
     closed form where it is known.
@@ -493,6 +533,14 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     arithmetic.  Every other symbol is factored whole.  When every entry is
     a unit entry with c one of +-1 and +-i, whose |c|^2 is exactly 1 in any
     arithmetic, delta is exactly 0 and is not computed.
+
+    The column and top degrees, the diagonal test, the unit mask and
+    delta depend on the immutable symbol alone: they are its plan
+    (``_plan``), computed on the first call and kept in the symbol's memo,
+    so a symbol used at several orders pays for them once.  Each call
+    computes only what depends on the order, the headroom or tol: the kept
+    counts, the whole or split rule and the refusal 1 - delta <= tol^2
+    (1 + delta).
 
     C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
     c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
@@ -537,8 +585,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
             f"ambient degree {ambient_deg} below symbol degree {t.deg}"
         )
     m, n = t.m_out, t.m_out * (ambient_deg + 1)
-    col_degs = t.column_degrees()
-    top_deg = int(col_degs.max())
+    col_degs, top_deg, diagonal, unit, delta = _plan(t)
     mats = t.mats[: top_deg + 1]
     kept = [max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist()]
     tall = m * (top_deg + 1)
@@ -546,20 +593,7 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     # wider than a minimal panel, or one panel takes every kept column:
     # there a split would add panels (a QR each) and save little arithmetic
     whole = tall <= _PANEL_MIN or sum(kept) <= tall
-    split = exact = False
-    if t.m_in == m:
-        # c z^d is a unit entry when c, the coefficient at its column degree,
-        # has |c|^2 == 1 and is the only nonzero of a diagonal Theta's entry;
-        # the leads are tested first, as Python numbers: without a unit lead
-        # a symbol that stays whole needs no diagonal test
-        lead = mats[col_degs, np.arange(m), np.arange(m)].tolist()
-        unit = [c.real * c.real + c.imag * c.imag == 1 for c in lead]
-        entries = np.diagonal(mats, axis1=1, axis2=2)
-        if (any(unit) or not whole) and np.count_nonzero(entries) == np.count_nonzero(mats):
-            unit = np.array(unit) & (np.count_nonzero(entries, axis=0) == 1)
-            split = unit.any() or not whole
-            exact = unit.all() and not any(c.real * c.imag for c in lead)
-    delta = 0.0 if exact else _isometry_defect(t)
+    split = diagonal and (unit.any() or not whole)
     if not 1.0 - delta > tol ** 2 * (1.0 + delta):
         raise NotInnerError(
             f"claimed-inner symbol fails the rank certificate: delta = sum of "
@@ -754,28 +788,60 @@ def _split_combos(mat: np.ndarray, k: int, tol: float) -> tuple:
     return v[:, :rank], v[:, rank:]
 
 
-def vanishing_slice(m: Subspace) -> Subspace:
-    """{F in M : F(0) = 0}: null space of evaluation at 0 restricted to M."""
-    _, null = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
-    return Subspace._of(m.dim_m, m.ambient_deg, m.matrix @ null, m.tol, m.band)
+def _slice(m: Subspace, origin: bool, max_deg: int | None) -> Subspace:
+    """{F in M : F(0) = 0 if ``origin``, deg F <= max_deg if given}: Q times
+    the null space of one constraint matrix.
 
-
-def degree_slice(m: Subspace, max_deg: int) -> Subspace:
-    """{F in M : all coefficients above max_deg vanish}.
-
-    The null-space combinations leave sub-tolerance dust in the excluded
-    rows; it is chopped to exact zeros so the slice honors its contract
-    (headroom checks rely on exact degrees), and the chopped Q is checked.
+    The constraint stacks the rows of Q that F must vanish on: the origin
+    rows Q[:m], then the rows above max_deg, Q[m (max_deg + 1):].  Its
+    exactly zero rows are dropped, and one SVD (``_split_combos``) cuts
+    it at tol * max(1, top singular value); a constraint with no nonzero
+    row cuts nothing.  So both conditions are one rank decision, at
+    ||[A; B] x|| <= tol * max(1, s_0), not one at ||A x|| and then one at
+    ||B x|| on what the first kept.  A max_deg at or above the ambient
+    degree is no condition.  Below it, the combinations leave
+    sub-tolerance dust in the rows above max_deg; it is chopped to exact
+    zeros so the slice honors its contract (headroom checks rely on exact
+    degrees), the chopped Q is checked, and the band is min(M's band,
+    max_deg).
     """
-    if max_deg >= m.ambient_deg:
+    if max_deg is not None and max_deg >= m.ambient_deg:
+        max_deg = None
+    if max_deg is None and not origin:
         return m
-    cut = m.dim_m * (max_deg + 1)
-    _, null = _split_combos(m.matrix[cut:], m.dim, m.tol)
-    q = m.matrix @ null
-    q[cut:] = 0.0
+    q = m.matrix
+    if max_deg is None:
+        con = q[: m.dim_m]
+    else:
+        cut = m.dim_m * (max_deg + 1)
+        con = q[cut:] if not origin else np.concatenate([q[: m.dim_m], q[cut:]])
+    nonzero = con.any(axis=1)
+    if not nonzero.all():
+        con = con[nonzero]
+    if len(con):
+        _, null = _split_combos(con, m.dim, m.tol)
+        q = q @ null
+        if max_deg is not None:
+            # the dust above max_deg
+            q[cut:] = 0.0
+    if max_deg is None:
+        return Subspace._of(m.dim_m, m.ambient_deg, q, m.tol, m.band)
     s = Subspace._of(m.dim_m, m.ambient_deg, q, m.tol, min(m.band, max_deg))
     s.__post_init__()
     return s
+
+
+def vanishing_slice(m: Subspace) -> Subspace:
+    """{F in M : F(0) = 0}: null space of evaluation at 0 restricted to M,
+    one ``_slice`` SVD of the nonzero origin rows."""
+    return _slice(m, True, None)
+
+
+def degree_slice(m: Subspace, max_deg: int) -> Subspace:
+    """{F in M : all coefficients above max_deg vanish}, one ``_slice``
+    SVD of the nonzero rows above max_deg; M itself when max_deg is at
+    least its ambient degree."""
+    return _slice(m, False, max_deg)
 
 
 def wandering(m: Subspace) -> Subspace:
@@ -808,8 +874,10 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     'almost' (``certify_nearly`` restamps its own 'nearly').
 
     Without ``band``, when M keeps its thin complement P (see
-    ``complement``), the residual (I - QQ*) X of the images X is P (P* X):
-    the SVD runs on the (n - dim M) x b matrix P* X, its left vectors map
+    ``complement``), the residual (I - QQ*) X of the images X = op D is
+    P (P* X), and P* X = (op* P)* D, S and S* being exact adjoints on the
+    window: the n x (n - dim M) P is shifted, not the n x b domain D.  The
+    SVD runs on the (n - dim M) x b matrix P* X, its left vectors map
     back through P, and the spectrum is padded with exact zeros to length
     min(n, b).  ``max_residual`` is the operator norm of the residual left
     after the defect directions, the first singular value below the cut
@@ -828,13 +896,17 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
             f"shift needs one degree of headroom: a domain vector has a nonzero "
             f"coefficient at the ambient degree {m.ambient_deg}"
         )
-    # the shift refuses an unknown tag, so an empty domain certifies none
-    cols = _shift_rows(dq, m.dim_m, op)
+    perp = m._memo.get("complement") if band is None else None
+    # the shift refuses an unknown tag, so an empty domain certifies none;
+    # with P, the thin P takes the adjoint shift instead of the domain
+    if perp is None:
+        cols = _shift_rows(dq, m.dim_m, op)
+    else:
+        perp_op = _shift_rows(perp.matrix, m.dim_m, {"S": "S*", "S*": "S"}.get(op, op))
     if domain.dim == 0:
         return DefectCertificate(op, "almost", 0, (), (), 0.0)
-    perp = m._memo.get("complement") if band is None else None
     if perp is not None:
-        resid = _mul(perp.matrix, cols, adjoint=True)
+        resid = _mul(perp_op, dq, adjoint=True)
     else:
         resid = _residual(m.matrix, cols)
         if band is not None:
@@ -844,7 +916,7 @@ def defect_of(m: Subspace, op: str, *, domain: Subspace | None = None,
     ud = u[:, :defect_dim]
     if perp is not None:
         ud = _mul(perp.matrix, ud)
-        s = np.concatenate([s, np.zeros(min(cols.shape) - s.size)])
+        s = np.concatenate([s, np.zeros(min(dq.shape) - s.size)])
     max_residual = float(s[defect_dim]) if defect_dim < s.size else 0.0
     return DefectCertificate(op, "almost", defect_dim,
                              tuple(unflatten(c, m.dim_m) for c in ud.T),

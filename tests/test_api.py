@@ -1,8 +1,8 @@
 """API audit: every public name, and every public method and property of
 the core types, has a caller inside the package, every public option is
 set by some caller inside the package, no relative import goes unused,
-``CoeffFn`` stays a boundary type, and ``Subspace._memo`` holds only the
-caches named here.
+``CoeffFn`` stays a boundary type, and the memos of ``Subspace`` and
+``MatSymbol`` hold only the caches named here.
 
 The audit reads the sources with ``ast``, so a word in a docstring or a
 comment never counts as a use.
@@ -32,8 +32,10 @@ UNBOUND_OPTIONS = {"cli.main(argv)"}
 # the keys a subspace's per-instance memo may hold, each with its reader:
 # a fat space's thin complement (``complement``, ``defect_of``), the
 # peeling step map (``nearly._step_map``) and the nearly-invariance
-# certificate (``nearly.certify_nearly``)
-MEMO_KEYS = {"certificate", "complement", "step_map"}
+# certificate (``nearly.certify_nearly``); and the keys of a symbol's
+# memo: its column degrees (``MatSymbol.column_degrees``) and the plan of
+# its range QR (``subspaces._range_qr``)
+MEMO_KEYS = {"certificate", "complement", "step_map", "column_degrees", "plan"}
 # the core types whose public methods and properties each need a caller
 CORE_TYPES = {"CoeffFn", "Subspace", "MatSymbol"}
 

@@ -887,6 +887,28 @@ class TestParameterTable:
         assert f"parameter '{key}'" in captured.err and captured.out == ""
 
 
+class TestCountLeastValues:
+    """A count that its own bound reads, pairs against 2 * min_each_direction
+    and draws against 2 * min_each_class: its least value passes at the
+    default seed, and one less is a usage error naming the key, not a
+    failed scenario."""
+
+    @pytest.mark.parametrize("sid, key, least, bound", [
+        ("duality", "pairs", 20, {}),
+        ("duality", "pairs", 10, {"min_each_direction": 5}),
+        ("section4", "draws", 40, {}),
+        ("section4", "draws", 20, {"min_each_class": 10}),
+    ])
+    def test_least_passes_and_one_less_is_refused(self, capsys, sid, key, least, bound):
+        extra = [arg for k, v in bound.items() for arg in ("--param", f"{k}={v}")]
+        assert main(["scenario", sid, "--param", f"{key}={least}", *extra]) == 0
+        capsys.readouterr()
+        assert main(["scenario", sid, "--param", f"{key}={least - 1}", *extra]) == 2
+        captured = capsys.readouterr()
+        assert f"parameter '{key}' = {least - 1} is below {least}, " in captured.err
+        assert "necessary, not sufficient" in captured.err and captured.out == ""
+
+
 def _readme_rows():
     """README's parameter and kind table rows, rendered from SCENARIOS."""
     for sid, (_, table, _) in SCENARIOS.items():

@@ -36,6 +36,8 @@ from hardylab.subspaces import (
     _range_qr,
     _residual,
     _shift_rows,
+    _slice,
+    _split_combos,
     beurling_space,
     complement,
     defect_of,
@@ -1616,3 +1618,158 @@ class TestThinSideGuards:
         finally:
             tracemalloc.stop()
         assert peak < 0.9 * 2 ** 20
+
+
+# --------------------------------------------------------------------------
+# one null space per banded certificate, one plan per inner symbol
+
+
+def _two_step_domain(m, band):
+    """The banded certificate's domain as two slices, one SVD each: F(0) = 0
+    on M, then deg F <= band on what that kept (the construction before
+    one null space), on the rows as they are, zero rows included."""
+    _, null = _split_combos(m.matrix[: m.dim_m], m.dim, m.tol)
+    v = m.matrix @ null
+    cut = m.dim_m * (band + 1)
+    _, null = _split_combos(v[cut:], v.shape[1], m.tol)
+    q = v @ null
+    q[cut:] = 0.0
+    return Subspace._of(m.dim_m, m.ambient_deg, q, m.tol, min(m.band, band))
+
+
+def _fresh_symbol(t):
+    """The same symbol with an empty memo."""
+    return MatSymbol(t.m_out, t.m_in, t.mats, t.tail_bound, t.claimed_inner)
+
+
+class TestOneNullSpace:
+    """certify_nearly's banded domain is one null space of the origin rows
+    stacked on the rows above the band, where it was two slices."""
+
+    @given(_diagonal_symbols(), st.integers(0, 24), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_model_spaces_against_two_slices(self, t, extra, below):
+        k = model_space(t, t.deg + extra)
+        band = max(0, k.band - below)
+        domain = _slice(k, True, band)
+        oracle = (_two_step_domain(k, band) if band < k.ambient_deg
+                  else vanishing_slice(k))
+        assert domain.dim == oracle.dim and domain.band == oracle.band
+        assert not domain.matrix[k.dim_m * (band + 1):].any()
+        # a null space is fixed only to rounding over the smallest singular
+        # value it keeps out (Wedin): a truncated Blaschke entry of low
+        # degree leaves constraint singular values down to 1.05e-10 against
+        # the 1e-10 cut, where both constructions move by up to 10 eps / gap
+        q, cut = k.matrix, k.dim_m * (band + 1)
+        con = np.concatenate([q[: k.dim_m], q[cut:]])
+        s = np.linalg.svd(con, compute_uv=False) if con.any() else np.ones(1)
+        gap = s[s > k.tol * max(1.0, s[0])].min(initial=1.0)
+        eps = np.finfo(float).eps
+        assert subspace_distance(domain, oracle) <= max(1e-12, 64 * eps / gap)
+        cert = certify_nearly(k, 0, band=band)
+        want = defect_of(k, "S*", domain=oracle, band=band)
+        assert cert.defect_dim == want.defect_dim
+        assert len(cert.singular_values) == len(want.singular_values)
+        assert np.allclose(cert.singular_values, want.singular_values, rtol=0, atol=1e-13)
+
+    def test_a_banded_certificate_takes_two_svds(self, monkeypatch):
+        # the domain's null space and the residual's spectrum
+        k = model_space(_fresh_symbol(REAL_SYMBOLS["theta2_large_n"]), 64)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        cert = certify_nearly(k, 0, band=k.band)
+        assert cert.defect_dim == 0 and len(calls) == 2
+        # the exactly zero rows above the band (the z^2 entry's) are dropped
+        assert calls[0][0] < k.dim_m * (1 + k.ambient_deg - k.band)
+
+    def test_a_constraint_without_a_nonzero_row_cuts_nothing(self, monkeypatch):
+        s = from_spanning([Z, monomial_fn(1, 0, 2)], 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an all-zero constraint reached an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for sliced in (vanishing_slice(s), degree_slice(s, 3), _slice(s, True, 2)):
+            assert sliced.matrix.tobytes() == s.matrix.tobytes()
+        assert _slice(s, True, 2).band == 2
+
+
+class TestSymbolPlan:
+    """What _range_qr reads of the symbol alone is computed once per symbol."""
+
+    def test_delta_once_across_orders_and_headrooms(self, monkeypatch):
+        import hardylab.subspaces as subspaces
+
+        calls = []
+        defect = subspaces._isometry_defect
+
+        def counting(t):
+            calls.append(t)
+            return defect(t)
+
+        monkeypatch.setattr(subspaces, "_isometry_defect", counting)
+        t = _fresh_symbol(REAL_SYMBOLS["theta2_large_n"])
+        for n in (64, 128, 256):
+            for headroom in (0, 2):
+                model_space(t, n, headroom)
+                beurling_space(t, n, headroom)
+        assert calls == [t]
+        model_space(_fresh_symbol(t), 64)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("build", [beurling_space, model_space])
+    def test_refusals_on_the_first_and_a_repeated_call(self, build):
+        t = _fresh_symbol(REAL_SYMBOLS["theta2_large_n"])
+        for _ in range(2):
+            # 1 - delta <= tol^2 (1 + delta) at tol 2, whatever delta is
+            with pytest.raises(NotInnerError):
+                build(t, 64, tol=2.0)
+            with pytest.raises(TruncationOverflowError):
+                build(t, t.deg - 1)
+            with pytest.raises(NotInnerError):
+                build(MatSymbol(t.m_out, t.m_in, t.mats), 64)
+        assert "plan" in t._memo
+        build(t, 64)
+
+    @pytest.mark.parametrize("t", [
+        REAL_SYMBOLS["theta2_large_n"],
+        diag_inner([blaschke_scalar(BlaschkeSpec([0.5, -0.3 + 0.2j]), 24),
+                    blaschke_scalar(BlaschkeSpec([0.4j]), 24)], 24),
+    ], ids=["theta2", "complex_blaschke"])
+    @pytest.mark.parametrize("n", [64, 128, 256, 1024])
+    def test_a_cached_plan_changes_no_byte(self, t, n):
+        model_space(t, t.deg)
+        assert "plan" in t._memo
+        for build in (beurling_space, model_space):
+            cached, fresh = build(t, n), build(_fresh_symbol(t), n)
+            assert cached.matrix.dtype == fresh.matrix.dtype
+            assert cached.matrix.tobytes() == fresh.matrix.tobytes()
+            assert cached.band == fresh.band
+
+    def test_the_memo_is_not_state(self):
+        t = _fresh_symbol(REAL_SYMBOLS["theta2_large_n"])
+        bare = _fresh_symbol(t)
+        degs = t.column_degrees()
+        assert degs is t.column_degrees() and not degs.flags.writeable
+        model_space(t, 64)
+        assert set(t._memo) == {"column_degrees", "plan"} and not bare._memo
+        assert repr(t) == repr(bare) and "_memo" not in repr(t)
+        back = pickle.loads(pickle.dumps(t))
+        assert back._memo == {}
+        assert np.array_equal(back.mats, t.mats) and back.claimed_inner
+        assert np.array_equal(back.column_degrees(), degs)
+
+
+def test_thin_frame_refuses_an_unknown_tag_on_an_empty_domain():
+    # the thin complement P is shifted instead of the domain; the tag is
+    # still refused before an empty domain returns
+    fat = complement(Subspace(1, 4, (ONE,)))
+    assert "complement" in fat._memo
+    with pytest.raises(PreconditionError, match="unknown operator tag 'bogus'"):
+        defect_of(fat, "bogus", domain=Subspace(1, 4, ()))
