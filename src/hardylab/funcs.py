@@ -121,9 +121,6 @@ class CoeffFn:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "CoeffFn":
-        return CoeffFn(self.dim_m, -self.coeffs)
-
 
 def _check_same_dim(f: CoeffFn, g: CoeffFn) -> None:
     if f.dim_m != g.dim_m:

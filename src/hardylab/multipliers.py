@@ -57,9 +57,10 @@ class MatSymbol:
         Whether the untruncated symbol is an isometry a.e. on the circle.
 
     The symbol is immutable, so what depends on it alone is computed on
-    first use and kept in the per-instance ``_memo``: its column degrees,
-    and ``subspaces``' plan of its range QR.  The memo is a cache, not
-    state: it is not compared, not in the repr, and pickling drops it.
+    first use and kept in the per-instance ``_memo``: ``subspaces``' plan
+    of its range QR, the one reader of its structure (column degrees,
+    diagonal, unit entries).  The memo is a cache, not state: it is not
+    compared, not in the repr, and pickling drops it.
     """
 
     m_out: int
@@ -99,15 +100,12 @@ class MatSymbol:
         return self.mats.shape[0] - 1
 
     def column_degrees(self) -> np.ndarray:
-        """Largest coefficient index where each column is nonzero (0 if none),
-        read-only and computed once per symbol."""
-        degs = self._memo.get("column_degrees")
-        if degs is None:
-            nz = np.any(self.mats != 0, axis=1)[::-1]
-            degs = np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
-            degs.flags.writeable = False
-            self._memo["column_degrees"] = degs
-        return degs
+        """Largest coefficient index where each column is nonzero (0 if none).
+
+        Computed on each call; ``subspaces``' plan keeps the degrees it
+        reads."""
+        nz = np.any(self.mats != 0, axis=1)[::-1]
+        return np.where(nz.any(axis=0), self.deg - nz.argmax(axis=0), 0)
 
 
 def _field(x: np.ndarray) -> np.ndarray:

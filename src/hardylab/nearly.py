@@ -31,11 +31,11 @@ escape norms and any refusal are read after the loop from the
 coordinates and three norms kept per step.
 The kernel returns each column's stop step, and one result builder,
 ``_result``, reads a column's ``DecompResult`` off the kernel's output up
-to that step.  ``decompose`` runs the kernel on one function and
-``_decompositions`` on a batch of columns, one result each (the
-roundtrip scenarios decompose every basis vector of M in one run);
-``extract_K`` runs it on every
-column of M's Q at once (from c = I), and ``synthesize_M`` rebuilds M
+to that step.  ``decompose`` runs the kernel on one function, and
+``extract_K`` on every column of M's Q at once (from c = I); its body,
+``_extract``, also returns that peel, so the roundtrip scenarios read
+the decomposition of every basis vector of M off the peel that gave K.
+``synthesize_M`` rebuilds M
 from (K, F0, E) as one product of the generator symbol [F0 | zE] with
 K's Q.  The orthocomplement test ``orthocomplement_membership`` applies
 the adjoint of the same generator, which ``_generator`` builds for both,
@@ -481,25 +481,6 @@ def decompose(m: Subspace, defect_basis, f: CoeffFn, eps: float = _EPS,
     return _result(_peel(m, defect_basis, g, eps, k_max), 0, len(defect_basis), eps)
 
 
-def _decompositions(m: Subspace, defect_basis, g: np.ndarray) -> list:
-    """``decompose`` of each column of g, an n x b matrix in M's ambient,
-    by one ``_peel`` of all of them.
-
-    Result j is ``decompose`` of column j alone, at its default ``eps``
-    and ``k_max``, read by the same ``_result``: the same checks, steps
-    and stop step.  Its values are the same up to rounding, since a
-    product over b columns may round differently from one over a single
-    column when every term counts; on the roundtrip scenarios' spaces
-    they are bitwise the same.  A column off M raises the
-    ``PreconditionError`` of the first such column; a refusal is
-    ``_peel``'s: the earliest failing step, within it an origin failure
-    before an escape, and then the lowest failing column.
-    """
-    defect_basis = list(defect_basis)
-    peel = _peel(m, defect_basis, g, _EPS, None)
-    return [_result(peel, j, len(defect_basis), _EPS) for j in range(g.shape[1])]
-
-
 def _result(peel: tuple, j: int, p: int, eps: float) -> DecompResult:
     """Column j of a ``_peel`` output with p defect functions, up to its
     own stop step: its coefficients, remainder norms and escape norms."""
@@ -561,12 +542,19 @@ def extract_K(m: Subspace, defect_basis) -> Subspace:
     invariant under the componentwise backward shift; violations raise
     CertificationError.
     """
-    defect_basis = list(defect_basis)
+    return _extract(m, list(defect_basis))[0]
+
+
+def _extract(m: Subspace, defect_basis: list) -> tuple:
+    """``extract_K``'s K and the ``_peel`` output it was spanned from (None
+    for an empty M), from which ``_result`` reads the ``DecompResult`` of
+    each basis vector of M."""
     if not m.dim:
-        return Subspace(max(len(defect_basis), 1), 0, (), m.tol)
+        return Subspace(max(len(defect_basis), 1), 0, (), m.tol), None
     # step k of column j is coefficient k of basis vector j's tuple
     # (K0, k_1..k_p); Q's columns have norm 1 > eps, so at least one step runs
-    tup, *_ = _peel(m, defect_basis, None, _EPS, None)
+    peel = _peel(m, defect_basis, None, _EPS, None)
+    tup = peel[0]
     steps, width = tup.shape[:2]
     if not width:
         raise InvariantViolationError("decomposition carries no coordinates")
@@ -583,7 +571,7 @@ def extract_K(m: Subspace, defect_basis) -> Subspace:
             f"extracted space is not backward-shift invariant "
             f"(defect {cert.defect_dim}, top escape {cert.singular_values[0]:.3g})"
         )
-    return k
+    return k, peel
 
 
 def synthesize_M(k: Subspace, f0_cols, e_fns, ambient_deg: int) -> Subspace:

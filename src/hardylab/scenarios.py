@@ -22,14 +22,15 @@ from .funcs import basis_vector, make_fn, monomial_fn, unflatten
 from .inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from .multipliers import MatSymbol, compose, multiply
 from .nearly import (
+    _EPS,
     _apply_space,
-    _decompositions,
     _default_k_max,
+    _extract,
+    _result,
     almost_invariant_Sstar_check,
     certify_nearly,
     decompose,
     duality_residuals,
-    extract_K,
     orthocomplement_membership,
     synthesize_M,
 )
@@ -39,6 +40,7 @@ from .subspaces import (
     Subspace,
     _groups,
     _mul,
+    _plan,
     _residual,
     _span_columns,
     _span_stack,
@@ -130,23 +132,6 @@ def _merge(table: dict, params: dict | None) -> tuple:
                 head = f"starts at {first}," if kind == "orders" else f"= {first} is"
                 raise ParseError(f"parameter {key!r} {head} below {least}, {why}")
     return merged, values
-
-
-def _monomial_powers(t: MatSymbol):
-    """Per-column powers if the symbol is a diagonal of monomials, else None."""
-    if t.m_out != t.m_in:
-        return None
-    powers = []
-    for i in range(t.m_in):
-        col = t.mats[:, :, i]
-        nz = np.argwhere(col != 0)
-        if nz.shape[0] != 1:
-            return None
-        k, row = int(nz[0][0]), int(nz[0][1])
-        if row != i or col[k, row] != 1.0:
-            return None
-        powers.append(k)
-    return powers
 
 
 def _certifying(threshold: float, p: dict, *zeros: str) -> float:
@@ -272,10 +257,12 @@ def _sc_beurling(p: dict):
         "dims_complementary": _Check(rng_full.dim + model.dim == theta.m_out * (n + 1), "true"),
         "range_model_overlap": _Check(overlap, "<=", p["distance_tol"]),
     }
-    powers = _monomial_powers(theta)
-    if powers is not None:
+    col_degs, _, diagonal, unit, _ = _plan(theta)
+    # a diagonal of unit entries c z^k: the model space is spanned by the
+    # monomials below each entry's degree
+    if diagonal and unit.all():
         target = from_spanning(
-            [monomial_fn(theta.m_out, i, j) for i, k in enumerate(powers) for j in range(k)],
+            [monomial_fn(theta.m_out, i, j) for i, k in enumerate(col_degs) for j in range(k)],
             n, tol, dim_m=theta.m_out,
         )
         metrics["distance"] = _Check(subspace_distance(model, target), "<=", p["distance_tol"])
@@ -477,9 +464,9 @@ def _roundtrip_config(r: int, pdim: int, m: int, degrees, nk: int, p: dict,
     """One synthesis/extraction roundtrip; returns its metric block, checked
     against the scenario's ``distance_tol`` and ``gap_tol``.
 
-    Every basis vector of the synthesized M is decomposed in one batch,
-    ``_decompositions`` on the columns of M's Q; the norm gaps, iteration
-    counts and remainder norms are read from its results.
+    The extraction peels every basis vector of the synthesized M, and the
+    norm gaps, iteration counts and remainder norms are read off that
+    same peel, one ``_result`` per basis vector.
     """
     entries = [monomial_inner(k, max(degrees)) for k in degrees]
     k_space = model_space(diag_inner(entries, max(degrees)), nk, tol=p["tol"])
@@ -489,11 +476,12 @@ def _roundtrip_config(r: int, pdim: int, m: int, degrees, nk: int, p: dict,
     ambient = nk + 2
     space = synthesize_M(k_space, f0_cols, e_fns, ambient)
     cert = certify_nearly(space, pdim)
-    extracted = extract_K(space, e_fns)
+    extracted, peel = _extract(space, e_fns)
     dist = subspace_distance(extracted, k_space)
     gaps, iters, monotone, summable = [], [], True, 0.0
     bound = _default_k_max(ambient, pdim)
-    for res in _decompositions(space, e_fns, space.matrix):
+    for j in range(space.dim):
+        res = _result(peel, j, pdim, _EPS)
         gaps.append(res.norm_gap)
         iters.append(res.iterations)
         summable += sum(res.gk_norms)

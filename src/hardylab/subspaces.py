@@ -26,20 +26,19 @@ rank cut, the isometry defect of the stored symbol certifies that every
 kept column survives a cut at tol * top singular value, and a symbol
 without that certificate is refused.  What depends on the symbol alone,
 its column degrees, its unit entries and delta, is its plan, computed
-once per symbol and kept in the symbol's memo; each call adds only what
-depends on the order.  A unit entry c z^d of a diagonal
-symbol (its one stored coefficient c with |c|^2 == 1 exactly) is not
-factored: its kept columns c z^(j + d) are orthonormal already, so its
-range and model-space columns are unit vectors on its output's rows,
-written in closed form.  Every other entry, and every other symbol, goes
-through one banded Householder QR.  A diagonal symbol is factored one
-entry at a time, on its output's rows, so the band is deg + 1, not
-m (deg + 1); every other symbol is factored whole, and so is a diagonal
-one without a unit entry whose whole band fits a minimal panel or whose
-kept columns fit one panel.  The kept columns are never stored as one
-matrix: each panel fills a window of the rows it reaches straight from
-the symbol's coefficients and takes over the rows the previous panel
-updated below its own (the carry).  The kept columns are block
+once per symbol and kept in the symbol's memo, the one place the
+package reads a symbol's structure; each call adds only what depends on
+the order.  A unit entry c z^d of a diagonal symbol (its one stored
+coefficient c with |c|^2 == 1 exactly) is not factored: its kept
+columns c z^(j + d) are orthonormal already, so its range and
+model-space columns are unit vectors on its output's rows, written in
+closed form.  Every other entry, and every other symbol, goes through
+one banded Householder QR.  A diagonal symbol is factored one entry at
+a time, on its output's rows, so the band is deg + 1, not m (deg + 1);
+every other symbol is factored whole.  The kept columns are never
+stored as one matrix: each panel fills a window of the rows it reaches
+straight from the symbol's coefficients and takes over the rows the
+previous panel updated below its own (the carry).  The kept columns are block
 Toeplitz, so after a short transient most windows repeat the
 previous one byte for byte.  A repeated window is not factored: equal
 bytes in give the same q and carry out, so it reuses the previous q
@@ -132,10 +131,10 @@ def _rank(s: np.ndarray, tol: float, scale: float) -> int:
 def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """a @ x, or a* @ x with ``adjoint``, without copying an a larger than x.
 
-    x is a vector, a matrix or a stack of matrices, and a a matrix or a
-    stack.  A real a meets a complex x through x's float64 view: with x of
-    shape (..., d, b), a @ x is (a @ x.view(float)).view(complex), the view
-    of shape (..., d, 2b), so a real a is never cast to a complex copy.
+    x is a matrix or a stack of matrices, and a a matrix or a stack.  A
+    real a meets a complex x through x's float64 view: with x of shape
+    (..., d, b), a @ x is (a @ x.view(float)).view(complex), the view of
+    shape (..., d, 2b), so a real a is never cast to a complex copy.
     For a complex a, a* x conjugates the smaller operand: conj(a^T conj(x))
     copies x, conj(a)^T x copies a.
     """
@@ -148,10 +147,7 @@ def _mul(a: np.ndarray, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         a = np.swapaxes(a, -1, -2)
     if x.dtype.kind != "c":
         return a @ x
-    pairs = np.ascontiguousarray(x).view(float)
-    if x.ndim == 1:
-        return (a @ pairs.reshape(len(x), 2)).view(complex).reshape(a.shape[:-1])
-    return (a @ pairs).view(complex)
+    return (a @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def _groups(keys) -> list:
@@ -470,7 +466,9 @@ def _panel_qr(mats: np.ndarray, col_degs: np.ndarray, ambient_deg: int,
 def _plan(t: MatSymbol) -> tuple:
     """What ``_range_qr`` reads of the symbol alone, computed on its first
     call and kept in the symbol's memo: (column degrees, top degree,
-    diagonal, unit mask, delta).
+    diagonal, unit mask, delta).  It is the one reader of a symbol's
+    structure: ``scenarios`` takes the beurling scenario's monomial target
+    from its diagonal flag, unit mask and column degrees.
 
     ``diagonal`` says that Theta is square with every nonzero on its
     diagonal.  Entry i is a unit entry when it is diagonal and its one
@@ -522,25 +520,21 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     round the same everywhere, where numpy's |c| may not), is not
     factored: its kept columns c z^(j + d) are orthonormal already, so on
     its rows the range is the unit vectors at degrees d ... ambient_deg -
-    headroom and the complement those at the degrees below and above.  Every other entry
-    is factored on its own (``_panel_qr``), banded with height deg_i + 1,
-    in panels of width max(_PANEL_MIN, deg + 1).  A diagonal Theta with a
-    unit entry is always split so.  One without is factored whole, in the
-    ambient row order, when its band in that order, m (deg + 1), is at
-    most _PANEL_MIN or at least k: one panel of width max(_PANEL_MIN, band)
-    then has a window at most twice as tall as its width, or takes every
-    kept column, and a split adds panels, each a QR call, for little
-    arithmetic.  Every other symbol is factored whole.  When every entry is
-    a unit entry with c one of +-1 and +-i, whose |c|^2 is exactly 1 in any
-    arithmetic, delta is exactly 0 and is not computed.
+    headroom and the complement those at the degrees below and above.
+    Every other entry is factored on its own (``_panel_qr``), banded with
+    height deg_i + 1, in panels of width max(_PANEL_MIN, deg + 1).  Every
+    diagonal Theta is split so; every other symbol is factored whole, in
+    the ambient row order, in panels of width max(_PANEL_MIN, m (deg + 1)).
+    When every entry is a unit entry with c one of +-1 and +-i, whose
+    |c|^2 is exactly 1 in any arithmetic, delta is exactly 0 and is not
+    computed.
 
     The column and top degrees, the diagonal test, the unit mask and
     delta depend on the immutable symbol alone: they are its plan
     (``_plan``), computed on the first call and kept in the symbol's memo,
     so a symbol used at several orders pays for them once.  Each call
     computes only what depends on the order, the headroom or tol: the kept
-    counts, the whole or split rule and the refusal 1 - delta <= tol^2
-    (1 + delta).
+    counts and the refusal 1 - delta <= tol^2 (1 + delta).
 
     C is never formed.  Panel c0 ... c1 - 1 works on one window, rows
     c0 ... r1 - 1 by columns c0 ... c2 - 1 (c2 the first later column that
@@ -588,12 +582,6 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
     col_degs, top_deg, diagonal, unit, delta = _plan(t)
     mats = t.mats[: top_deg + 1]
     kept = [max(0, ambient_deg - headroom - d + 1) for d in col_degs.tolist()]
-    tall = m * (top_deg + 1)
-    # without a unit entry, the ambient order stays where the band is no
-    # wider than a minimal panel, or one panel takes every kept column:
-    # there a split would add panels (a QR each) and save little arithmetic
-    whole = tall <= _PANEL_MIN or sum(kept) <= tall
-    split = diagonal and (unit.any() or not whole)
     if not 1.0 - delta > tol ** 2 * (1.0 + delta):
         raise NotInnerError(
             f"claimed-inner symbol fails the rank certificate: delta = sum of "
@@ -601,8 +589,9 @@ def _range_qr(t: MatSymbol, ambient_deg: int, headroom: int, tol: float):
             f"tol^2 (1 + delta) at tol {tol:.3g}, so its kept columns may lose rank"
         )
     band = max(0, ambient_deg - headroom - top_deg)
-    if not split:
-        panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom, max(_PANEL_MIN, tall))
+    if not diagonal:
+        panels, k = _panel_qr(mats, col_degs, ambient_deg, headroom,
+                              max(_PANEL_MIN, m * (top_deg + 1)))
         return [(slice(0, n, 1), panels, k)], n, k, band
     # entry i reaches only the rows of output i, every m-th
     parts = []

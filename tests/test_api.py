@@ -18,10 +18,12 @@ from hardylab.scenarios import run_all
 SRC = Path(hardylab.__file__).parent
 # result types: handed back to callers, never imported by another module
 RESULT_TYPES = {"DecompResult", "ScenarioReport"}
-# constructors only callers outside the package use: ``zero_fn`` makes the
+# public names only callers outside the package use: ``zero_fn`` makes the
 # witness a caller hands to NotNearlyInvariantError (the benchmark harness
-# plants a refusal with it)
-OUTSIDE_ONLY = {"zero_fn"}
+# plants a refusal with it), and ``extract_K`` is the extraction callers
+# time and call, while the roundtrip scenarios read its peel through
+# ``nearly._extract``
+OUTSIDE_ONLY = {"zero_fn", "extract_K"}
 # CoeffFn builds allowed in one run_all(): functions cross the boundary
 # (JSON-like inputs, defect lists, decomposition results), they are not the
 # currency of the numerical work
@@ -32,10 +34,9 @@ UNBOUND_OPTIONS = {"cli.main(argv)"}
 # the keys a subspace's per-instance memo may hold, each with its reader:
 # a fat space's thin complement (``complement``, ``defect_of``), the
 # peeling step map (``nearly._step_map``) and the nearly-invariance
-# certificate (``nearly.certify_nearly``); and the keys of a symbol's
-# memo: its column degrees (``MatSymbol.column_degrees``) and the plan of
-# its range QR (``subspaces._range_qr``)
-MEMO_KEYS = {"certificate", "complement", "step_map", "column_degrees", "plan"}
+# certificate (``nearly.certify_nearly``); and the one key of a symbol's
+# memo: the plan of its range QR (``subspaces._plan``)
+MEMO_KEYS = {"certificate", "complement", "step_map", "plan"}
 # the core types whose public methods and properties each need a caller
 CORE_TYPES = {"CoeffFn", "Subspace", "MatSymbol"}
 

@@ -793,9 +793,17 @@ def _batch_spaces(case):
 BATCH_CASES = ["r0", "poly_f0", "r2p1", "r2p2", "p0", "complex"]
 
 
+def _batch(space, e, g):
+    """``decompose`` of each column of g, by one ``_peel`` of all of them
+    at the default eps and k_max, each column read by ``_result``."""
+    peel = nearly._peel(space, e, g, nearly._EPS, None)
+    return [nearly._result(peel, j, len(e), nearly._EPS) for j in range(g.shape[1])]
+
+
 class TestDecompositionBatch:
-    """``nearly._decompositions``: one peel of many columns, each result
-    what ``decompose`` returns for that column alone."""
+    """``nearly._peel`` on many columns, as ``extract_K`` runs it, read by
+    ``_result``: each result what ``decompose`` returns for that column
+    alone."""
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_each_column_is_its_decompose(self, case):
@@ -805,7 +813,7 @@ class TestDecompositionBatch:
         assert (space.matrix.dtype.kind == "c") == (case == "complex")
         q = space.matrix
         g = np.column_stack([q, np.zeros(len(q)), 1e-11 * q[:, 0]])
-        got = nearly._decompositions(space, e, g)
+        got = _batch(space, e, g)
         assert len(got) == g.shape[1]
         for res, c in zip(got, g.T):
             _assert_identical(res, decompose(space, e, unflatten(c, space.dim_m)))
@@ -827,7 +835,7 @@ class TestDecompositionBatch:
         rng = np.random.default_rng(space.dim)
         coords = rng.standard_normal((space.dim, 5)) + 1j * rng.standard_normal((space.dim, 5))
         g = space.matrix @ coords
-        got = nearly._decompositions(space, e, g)
+        got = _batch(space, e, g)
         for res, c in zip(got, g.T):
             _assert_same_decomposition(res, decompose(space, e, unflatten(c, space.dim_m)))
 
@@ -872,7 +880,7 @@ class TestDecompositionBatch:
             decompose(space, e, unflatten(off, space.dim_m))
         g = np.column_stack([space.matrix[:, 0], off, space.matrix[:, 1]])
         with pytest.raises(PreconditionError) as batch:
-            nearly._decompositions(space, e, g)
+            _batch(space, e, g)
         assert str(batch.value) == str(alone.value)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -884,14 +892,14 @@ class TestDecompositionBatch:
         assert alone.value.step == 2
         g = cols[:, [4, 2]][:, list(order)]
         with pytest.raises(NotNearlyInvariantError) as batch:
-            nearly._decompositions(space, [], g)
+            _batch(space, [], g)
         assert (batch.value.step, batch.value.residual) == (alone.value.step,
                                                             alone.value.residual)
         assert np.array_equal(batch.value.escape.coeffs, alone.value.escape.coeffs)
 
     def test_no_columns(self):
         space, e = _oracle_spaces()[2]
-        assert nearly._decompositions(space, e, space.matrix[:, :0]) == []
+        assert _batch(space, e, space.matrix[:, :0]) == []
 
 
 class TestCertificateMemo:

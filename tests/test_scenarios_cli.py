@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardylab import cli, errors, scenarios
+from hardylab import cli, errors, nearly, scenarios
 from hardylab.cli import main
 from hardylab.errors import NotInnerError, ParseError
 from hardylab.funcs import basis_vector, monomial_fn
 from hardylab.inner import BlaschkeSpec, blaschke_scalar, diag_inner, monomial_inner
 from hardylab.multipliers import compose
-from hardylab.nearly import _apply_space
+from hardylab.nearly import _apply_space, decompose
 from hardylab.scenarios import SCENARIOS, _fmt, render_markdown, run_all, run_scenario
 from hardylab.serialize import parse_symbol_spec
 from hardylab.subspaces import (
@@ -46,10 +46,43 @@ class TestScenarioRunner:
         assert rep.passed
         assert rep.metrics["distance"] <= 1e-10
 
+    def test_beurling_checks_a_unit_diagonal_not_led_by_one(self):
+        # i z^2 beside z^3: both are unit entries, so the model space is
+        # checked against the monomials below each entry's degree
+        theta = {"kind": "diag", "deg": 3, "entries": [
+            {"kind": "blaschke", "zeros": [[0, 0], [0, 0]], "rotation": [0, 1]},
+            {"kind": "monomial", "k": 3}]}
+        rep = run_scenario("beurling", {"theta": theta, "N": 16})
+        assert rep.passed
+        assert rep.metrics["distance"] <= rep.parameters["distance_tol"]
+        assert rep.metrics["model_dim"] == 5
+
     def test_main_defectp_with_overrides(self):
         rep = run_scenario("main_defectp", {"r": 2, "p": 1, "N": 32})
         assert rep.passed
         assert rep.metrics["norm_gap"] <= 1e-6
+
+    def test_each_roundtrip_config_peels_once(self, monkeypatch):
+        # the extraction's peel also gives each basis vector's decomposition
+        peeled = []
+        peel = nearly._peel
+
+        def counting(m, e, *args):
+            peeled.append((m, list(e)))
+            return peel(m, e, *args)
+
+        monkeypatch.setattr(nearly, "_peel", counting)
+        rep = run_scenario("main_defect1")
+        runs = list(peeled)
+        blocks = [blk for key, blk in rep.metrics.items() if key.startswith("config")]
+        assert len(runs) == len(blocks) == 3
+        assert len({id(space) for space, _ in runs}) == 3
+        for (space, e), blk in zip(runs, blocks):
+            alone = [decompose(space, e, f) for f in space.basis]
+            assert blk["max_iterations"] == max(res.iterations for res in alone)
+            assert abs(blk["max_norm_gap"] - max(res.norm_gap for res in alone)) <= 1e-12
+            assert blk["gk_norm_sum"] == pytest.approx(
+                sum(sum(res.gk_norms) for res in alone), rel=1e-12)
 
     def test_unknown_scenario(self):
         with pytest.raises(ParseError):

@@ -362,31 +362,26 @@ def _dense_range_qr(t, ambient_deg, headroom, dtype=None, closed_form=True):
 
     This is the construction the windowed loop replaced, kept as its
     bitwise oracle: per entry of a diagonal Theta (``_loop_diagonal``; the
-    whole symbol when it is not diagonal, or when it has no unit entry and
-    its band is at most _PANEL_MIN or one panel takes every kept column)
-    the dense kept-column matrix C is built whole, degree-major, and
-    factored in the same panels, each on C[c0:r1, c0:c1], with its Q*
-    applied in place to the later columns it reaches.  A unit entry
-    (``_loop_units``) gets the closed-form part (rows, range(d, d + k_i),
-    k_i).  With closed_form=False no entry is a unit entry: the rule and
-    the QR of every entry before the closed form, the oracle its columns
-    are compared with.  By default C is in the symbol's own field, as in
-    ``_range_qr``; with dtype=complex a real symbol is factored in complex
-    arithmetic.  Returns (parts, n, k) in the form of ``_range_qr``.
+    whole symbol when it is not diagonal) the dense kept-column matrix C
+    is built whole, degree-major, and factored in the same panels, each on
+    C[c0:r1, c0:c1], with its Q* applied in place to the later columns it
+    reaches.  A unit entry (``_loop_units``) gets the closed-form part
+    (rows, range(d, d + k_i), k_i).  With closed_form=False no entry is a
+    unit entry: the QR of every entry before the closed form, the oracle
+    its columns are compared with.  By default C is in the symbol's own
+    field, as in ``_range_qr``; with dtype=complex a real symbol is
+    factored in complex arithmetic.  Returns (parts, n, k) in the form of
+    ``_range_qr``.
     """
     m, n = t.m_out, t.m_out * (ambient_deg + 1)
     col_degs = t.column_degrees()
     mats = t.mats[: int(col_degs.max()) + 1]
     if dtype is not None:
         mats = mats.astype(dtype)
-    tall = m * mats.shape[0]
-    kept = sum(max(0, ambient_deg - headroom - int(d) + 1) for d in col_degs)
     units = _loop_units(t) if closed_form else [False] * m
-    # a band of at most one minimal panel, or one panel for every kept
-    # column: the ambient order stays unless an entry is a unit entry
-    if not any(units) and (tall <= _PANEL_MIN or kept <= tall or not _loop_diagonal(t)):
+    if not _loop_diagonal(t):
         panels, k = _dense_panels(mats, col_degs, ambient_deg, headroom,
-                                  max(_PANEL_MIN, tall))
+                                  max(_PANEL_MIN, m * mats.shape[0]))
         return [(slice(0, n, 1), panels, k)], n, k
     parts = []
     for i in range(m):
@@ -554,13 +549,14 @@ class TestWindowedRangeQR:
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_a_repeated_window_reuses_its_q(self, n):
-        # past the transient panels every window of the four-Blaschke
-        # diagonal, factored whole, is the same bytes, so one q object
-        # serves the run; so on the Blaschke entry of Theta_2, split
-        [(_, panels, k)], _, _, _ = _range_qr(REAL_SYMBOLS["blaschke_diag4"], n, 0,
-                                              DEFAULT_TOL)
-        assert k == 4 * (n - 2) and len(panels) == -(-k // 32)
-        assert len({id(q) for *_, q in panels}) <= 6
+        # past the transient panels every window of each entry of the
+        # four-Blaschke diagonal, split, is the same bytes, so one q object
+        # serves the entry's run; so on the Blaschke entry of Theta_2
+        parts, _, k, _ = _range_qr(REAL_SYMBOLS["blaschke_diag4"], n, 0, DEFAULT_TOL)
+        assert k == 4 * (n - 2) and len(parts) == 4
+        for _, panels, k_i in parts:
+            assert k_i == n - 2 and len(panels) == -(-k_i // 32)
+            assert len({id(q) for *_, q in panels}) <= 4
         parts, _, _, _ = _range_qr(REAL_SYMBOLS["theta2_large_n"], n, 0, DEFAULT_TOL)
         assert len(parts) == 2 and parts[0][1] == range(2, n + 1)
         assert len({id(q) for *_, q in parts[1][1]}) <= 5
@@ -602,8 +598,8 @@ _REAL_COMPOSED = compose(
 # exactly real symbols that are not monomials: their columns are not all unit vectors
 REAL_SYMBOLS = {
     "blaschke_diag": _BLASCHKE_DIAG,
-    # no unit entry and a band of 16 rows: factored whole, in long runs of
-    # repeated windows
+    # no unit entry and a band of 4 rows per entry: split, each entry in
+    # long runs of repeated windows
     "blaschke_diag4": diag_inner(
         [blaschke_scalar(BlaschkeSpec([a]), 3) for a in (0.2, -0.3, 0.1, -0.15)], 3),
     "real_composed": _REAL_COMPOSED,
@@ -729,29 +725,26 @@ class TestBlockOrder:
         assert _projector_gap(model_space(t, 128).matrix, model) <= 1e-12
         _assert_closed_form(t, 128, 0, beurling_space(t, 128), model_space(t, 128))
 
-    @pytest.mark.parametrize("name, n", [("blaschke_diag4", 200), ("blaschke_pair", 64)])
-    def test_the_ambient_order_stays_where_blocks_cannot_pay(self, name, n):
-        # the four-Blaschke diagonal's band 4 * 4 is below a minimal panel;
-        # at N = 64 one 98-column panel takes the Blaschke pair's 34 kept
-        # columns
+    @pytest.mark.parametrize("name, n", [("blaschke_diag", 200), ("theta2_large_n", 64),
+                                         ("blaschke_diag4", 200), ("blaschke_pair", 64)])
+    def test_every_diagonal_is_split(self, name, n):
+        # blaschke_diag's band 2 * 13 and the four-Blaschke diagonal's 4 * 4
+        # are below a minimal panel, and one panel would take Theta_2's 80
+        # and the Blaschke pair's 34 kept columns, yet each entry is
+        # factored on its own rows, and a z^2 entry not at all
         t = _BLASCHKE_PAIR if name == "blaschke_pair" else REAL_SYMBOLS[name]
-        parts, size, _, _ = _range_qr(t, n, 0, DEFAULT_TOL)
-        assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
-
-    @pytest.mark.parametrize("name, n", [("blaschke_diag", 200), ("theta2_large_n", 64)])
-    def test_a_unit_entry_splits_every_diagonal(self, name, n):
-        # the shapes above with a z^2 entry: blaschke_diag's band 2 * 13 is
-        # below a minimal panel, and one panel would take Theta_2's 80 kept
-        # columns, yet each is split and its z^2 entry not factored
-        t = REAL_SYMBOLS[name]
-        parts, size, _, _ = _range_qr(t, n, 0, DEFAULT_TOL)
-        assert [rows for rows, _, _ in parts] == [slice(0, size, 2), slice(1, size, 2)]
-        assert parts[0][1] == range(2, n + 1) and not isinstance(parts[1][1], range)
+        parts, size, k, _ = _range_qr(t, n, 0, DEFAULT_TOL)
+        m = t.m_out
+        assert [rows for rows, _, _ in parts] == [slice(i, size, m) for i in range(m)]
+        assert [isinstance(panels, range) for _, panels, _ in parts] == _loop_units(t)
+        oracle, _, k_o = _dense_range_qr(t, n, 0)
+        assert k == k_o
+        _assert_same_parts(parts, oracle)
 
     @pytest.mark.parametrize("name", ["blaschke_block_and_z2", "zero_row_isometry"])
     def test_a_symbol_that_is_not_diagonal_is_factored_whole(self, name):
-        # both are past the ambient-order rule at N = 45: a band of 33 and
-        # 36 rows, and 116 and 71 kept columns
+        # at N = 45 a band of 33 and 36 rows, and 116 and 71 kept columns:
+        # several panels, all in the ambient row order
         t = ORACLE_SYMBOLS[name]
         parts, size, k, _ = _range_qr(t, 45, 0, DEFAULT_TOL)
         assert len(parts) == 1 and parts[0][0] == slice(0, size, 1)
@@ -1756,9 +1749,11 @@ class TestSymbolPlan:
         t = _fresh_symbol(REAL_SYMBOLS["theta2_large_n"])
         bare = _fresh_symbol(t)
         degs = t.column_degrees()
-        assert degs is t.column_degrees() and not degs.flags.writeable
+        assert not t._memo
         model_space(t, 64)
-        assert set(t._memo) == {"column_degrees", "plan"} and not bare._memo
+        # the plan keeps the column degrees; nothing else is memoized
+        assert set(t._memo) == {"plan"} and not bare._memo
+        assert np.array_equal(t._memo["plan"][0], degs)
         assert repr(t) == repr(bare) and "_memo" not in repr(t)
         back = pickle.loads(pickle.dumps(t))
         assert back._memo == {}
